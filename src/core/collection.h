@@ -15,17 +15,42 @@
 //
 // Server side, every server holds a ServerStoreRegistry: one share tree per
 // document, each owning a disjoint node-id range, managed incrementally
-// over the wire (AddDoc / RemoveDoc messages). All three share schemes of
-// the engine (2-party, additive k-server, Shamir t-of-n) apply unchanged —
-// the registry serves the same EvalRequest/FetchRequest protocol.
+// over the wire (AddDoc / RemoveDoc messages). All three share schemes
+// (2-party, additive k-server, Shamir t-of-n) apply unchanged — the
+// registry serves the same EvalRequest/FetchRequest protocol.
 //
-// polysse::Engine (core/engine.h) remains the one-document special case,
-// implemented as a thin wrapper over a one-entry collection.
+// Shards. The servers form one or more groups ("shards"), each owning a
+// disjoint slice of the node-id space (core/shard_map.h) and the documents
+// inside it. The default single shard owns the whole id space: that is the
+// unsharded collection, with one shared frontier and the historical
+// persisted layout. With DeployShape::num_shards > 1, Add routes each
+// document to the emptiest shard and Search is scatter-gather — one
+// shared-frontier walk per shard, run concurrently on the owned worker
+// pool and merged — so wall time tracks the deepest shard, while every
+// answer stays bit-identical to the same documents in one shard:
+//
+//   deploy.num_shards = 4;
+//   auto col = FpCollection::Create(seed, deploy).value();
+//   col->SplitShard(2, 7);               // half of shard 2 moves to new
+//                                        // group 7, results unchanged
+//   col->MergeShards(0, 3);              // shard 3 drains into 0; its
+//                                        // node-id range is reclaimed
+//
+// Answers survive reshaping bit-identically because a document's shares
+// depend only on its PRF prefix and its document-LOCAL node ids — the
+// global base travels separately in AddDocRequest — so moving a document
+// (ExportDoc + AddDoc at a new base + RemoveDoc) or packing a shard
+// (RebaseDoc) never re-splits or re-ships share trees, and localized
+// results (node_id - base, prefix-stripped path) are invariant.
+//
+// polysse::Engine (core/engine.h) is the one-document helper over this
+// class.
 #ifndef POLYSSE_CORE_COLLECTION_H_
 #define POLYSSE_CORE_COLLECTION_H_
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -44,6 +69,7 @@
 #include "core/poly_tree.h"
 #include "core/query_session.h"
 #include "core/server_store.h"
+#include "core/shard_map.h"
 #include "core/sharing.h"
 #include "core/store_registry.h"
 #include "crypto/bloom.h"
@@ -69,17 +95,27 @@ using Query = TagQuery;
 using DocId = uint64_t;
 
 /// Server-side deployment shape of a collection (and, via the Engine
-/// wrapper, of a single-document deployment).
+/// helper, of a single-document deployment): `num_shards` identical server
+/// groups, each of `num_servers` servers running `scheme`.
 struct DeployShape {
   ShareScheme scheme = ShareScheme::kTwoParty;
-  /// Additive: k (all required). Shamir: n.
+  /// Servers PER GROUP (additive: k, Shamir: n; two-party groups have 1).
   int num_servers = 1;
-  /// Shamir: t servers needed to answer; 0 means all of them.
+  /// Shamir: t servers per group needed to answer; 0 means all of them.
   int threshold = 0;
   EndpointKind transport = EndpointKind::kLoopback;
-  /// Fan-out workers: <= 1 runs per-server subrequests sequentially on
-  /// the caller thread (deterministic); larger values give the collection
-  /// a ThreadPool so the k per-round server calls overlap in wall time.
+  /// Server groups. One (the default) is the unsharded collection, whose
+  /// single shard owns the whole node-id space.
+  int num_shards = 1;
+  /// Node-id span of each shard when num_shards > 1. Splits allocate fresh
+  /// ranges of the source's span, so the int32 id space bounds span *
+  /// total shards ever.
+  int64_t shard_span = 1 << 20;
+  /// Fan-out workers: <= 1 runs everything sequentially on the caller
+  /// thread (deterministic); larger values give the collection a
+  /// ThreadPool shared by the shard scatter and each group's per-server
+  /// calls (ThreadPool::ParallelFor is caller-helps, so the nested
+  /// fan-outs cannot deadlock).
   int worker_threads = 0;
   /// Engine compatibility: derive the FIRST document's client shares in the
   /// pre-collection PRF namespace (prefix ""), so deployments saved by
@@ -87,12 +123,34 @@ struct DeployShape {
   bool legacy_share_paths = false;
 };
 
-/// Cross-document query answer: per-document confirmed matches (node ids
-/// and paths are document-local), plus the shared protocol cost of the one
-/// collection-wide walk. Documents without matches are omitted.
+/// How scatter-gather treats a shard whose group does not answer probes.
+struct ShardSearchOptions {
+  /// false: a dead shard fails the whole search (no partial answers
+  /// presented as complete). true: probe every group first, skip shards
+  /// without enough live servers and record them in skipped_shards.
+  bool skip_dead_shards = false;
+};
+
+/// One shard's share of a query's cost.
+struct ShardQueryStats {
+  ShardId shard_id = 0;
+  QueryStats stats;
+};
+
+/// A collection query's answer: per-document confirmed matches (node ids
+/// and paths are document-local; documents without matches are omitted),
+/// plus the protocol cost, rolled up and per shard.
 struct CollectionResult {
   std::map<DocId, LookupResult> per_doc;
+  /// Collection-level roll-up: counters and traffic sum across shards;
+  /// rounds/fetch_rounds take the max, because shards walk concurrently —
+  /// the collection's latency is the deepest shard's, not the sum. With
+  /// one shard this is exactly that shard's walk.
   QueryStats stats;
+  std::vector<ShardQueryStats> per_shard;  ///< ascending shard id
+  /// Shards skipped as dead (skip_dead_shards mode only). Non-empty means
+  /// documents on those shards are missing from per_doc.
+  std::vector<ShardId> skipped_shards;
 };
 
 /// Joins a document's share-prefix with an in-document node path, matching
@@ -116,81 +174,80 @@ class Collection {
   Collection(const Collection&) = delete;
   Collection& operator=(const Collection&) = delete;
 
-  /// An empty collection with a live (in-process) server deployment.
-  /// Documents are added incrementally with Add.
+  /// An empty collection with `deploy.num_shards` live in-process server
+  /// groups. Documents are added incrementally with Add.
   static Result<std::unique_ptr<Collection>> Create(
       const DeterministicPrf& seed, const Deploy& deploy = {},
       const OutsourceOptions& options = {}) {
+    if (deploy.num_shards < 1)
+      return Status::InvalidArgument("need at least one shard");
     ASSIGN_OR_RETURN(Ring ring, MakeRing(deploy, options));
     auto col = std::unique_ptr<Collection>(new Collection(
         std::move(ring), seed, MakeSplitOptions(options)));
     col->map_options_ = BuildMapOptions(col->ring_, options);
     col->legacy_share_paths_ = deploy.legacy_share_paths;
-    RETURN_IF_ERROR(col->ValidateShape(deploy.scheme, deploy.num_servers,
-                                       deploy.threshold));
-    const int num_servers =
-        deploy.scheme == ShareScheme::kTwoParty ? 1 : deploy.num_servers;
-    for (int s = 0; s < num_servers; ++s)
-      col->registries_.push_back(
-          std::make_unique<ServerStoreRegistry<Ring>>(col->ring_));
+    col->transport_ = deploy.transport;
+    RETURN_IF_ERROR(
+        col->SetShape(deploy.scheme, deploy.num_servers, deploy.threshold));
     col->SetUpPool(deploy.worker_threads);
-    RETURN_IF_ERROR(col->AttachEndpoints(deploy.transport, deploy.scheme,
-                                         EffectiveThreshold(deploy)));
+    const int64_t span =
+        deploy.num_shards == 1 ? ShardMap::kIdSpaceEnd : deploy.shard_span;
+    for (int i = 0; i < deploy.num_shards; ++i) {
+      const int64_t base = static_cast<int64_t>(i) * span;
+      if (base > INT32_MAX)
+        return Status::InvalidArgument("shard layout exceeds the id space");
+      const ShardId id = static_cast<ShardId>(i);
+      RETURN_IF_ERROR(
+          col->map_.AddShard(id, static_cast<int32_t>(base), span));
+      RETURN_IF_ERROR(col->AttachGroup(id, col->NewRegistries(), {}));
+    }
     return col;
   }
 
   /// A client-side collection over EXTERNAL server endpoints (e.g. one
   /// SocketEndpoint per remote registry), rebuilt from a key file. The
-  /// endpoints are borrowed and positional: endpoint i is server i of the
-  /// saved deployment. Search works immediately; Add/Remove manage the
-  /// remote registries over the wire (v3 keys only — v1/v2 keys lack the
-  /// document table, so they connect read-only with one legacy document).
+  /// endpoints are borrowed and positional: shards in ascending shard-id
+  /// order, `key.num_servers` endpoints each — endpoint i*k+s is server s
+  /// of the i-th shard's group (an unsharded key names one shard). Search
+  /// works immediately; Add/Remove manage the remote registries over the
+  /// wire (v3+ keys only — v1/v2 keys lack the document table, so they
+  /// connect read-only with one legacy document). `executor` drives each
+  /// group's per-server fan-out; the shard scatter runs sequentially.
   static Result<std::unique_ptr<Collection>> Connect(
       const ClientSecretFile& key, std::vector<ServerEndpoint*> endpoints,
       Executor* executor = nullptr) {
     ASSIGN_OR_RETURN(Ring ring, RingFromKey(key));
-    auto col = std::unique_ptr<Collection>(new Collection(
-        std::move(ring), DeterministicPrf(key.seed),
-        ShareSplitOptions{key.z_coeff_bits}));
+    ASSIGN_OR_RETURN(std::unique_ptr<Collection> col,
+                     FromKey(key, std::move(ring)));
     col->owns_servers_ = false;
-    col->tag_map_ = key.tag_map;
-    col->map_options_ = col->ReconstructMapOptions();
-    col->RebuildClient();
-    const int num_servers =
-        key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
-    if (num_servers < 1)
-      return Status::Corruption("key file names no servers");
-    RETURN_IF_ERROR(
-        col->ValidateShape(key.scheme, num_servers, key.threshold));
-    if (endpoints.size() != static_cast<size_t>(num_servers))
-      return Status::InvalidArgument(
-          "this key names " + std::to_string(num_servers) +
-          " server(s); pass exactly that many endpoints, in server order");
-    if (key.version >= 3) {
-      for (const auto& doc : key.docs)
-        col->docs_.push_back(
-            {doc.doc_id, doc.base, doc.size, doc.share_prefix});
-      std::sort(col->docs_.begin(), col->docs_.end(),
-                [](const Doc& a, const Doc& b) { return a.base < b.base; });
-      col->next_base_ = key.next_base;
-      col->next_epoch_ = key.next_epoch;
-    } else {
-      // Legacy key: one document at base 0 of unknown size — searchable,
-      // but Add would need the node-id high-water mark the old key never
-      // recorded.
-      col->docs_.push_back({0, 0, static_cast<int64_t>(INT32_MAX), ""});
+    col->external_executor_ = executor;
+    if (key.version < 3) {
+      // Searchable, but Add would need the node-id high-water mark the
+      // old key never recorded.
+      col->AdoptLegacyDoc(0, INT32_MAX);
       col->can_add_ = false;
     }
-    RETURN_IF_ERROR(col->AttachExternal(std::move(endpoints), key.scheme,
-                                        key.threshold, executor));
+    const size_t per_group = static_cast<size_t>(col->servers_per_group_);
+    if (endpoints.size() != col->map_.size() * per_group)
+      return Status::InvalidArgument(
+          "this key names " + std::to_string(col->map_.size()) +
+          " shard(s) of " + std::to_string(per_group) +
+          " server(s); pass exactly that many endpoints, shard-major");
+    const std::vector<ShardId> ids = SortedShardIds(key);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      RETURN_IF_ERROR(col->AttachGroup(
+          ids[i], {},
+          std::vector<ServerEndpoint*>(
+              endpoints.begin() + i * per_group,
+              endpoints.begin() + (i + 1) * per_group)));
+    }
     return col;
   }
 
-  /// Reopens a persisted collection: the client key file plus the per-
-  /// server store file(s) Save wrote — one file at `store_path` for
-  /// two-party, one per server at MultiServerStorePath(store_path, i)
-  /// otherwise. v1/v2 single-document keys (and their single-tree store
-  /// files) load as a one-document collection.
+  /// Reopens a persisted collection: the client key file plus the store
+  /// file(s) Save wrote, one per (shard, server) at StorePath. v1/v2
+  /// single-document keys (and their single-tree store files) load as a
+  /// one-document collection.
   static Result<std::unique_ptr<Collection>> Open(
       const std::string& store_path, const std::string& key_path,
       EndpointKind transport = EndpointKind::kLoopback) {
@@ -199,96 +256,54 @@ class Collection {
     ASSIGN_OR_RETURN(ClientSecretFile key,
                      ClientSecretFile::Deserialize(&key_reader));
 
-    const int num_servers =
+    // Stores first: a v1 key carries no ring parameters of its own.
+    const std::vector<ShardId> ids = SortedShardIds(key);
+    const int per_group =
         key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
-    if (num_servers < 1)
-      return Status::Corruption("key file names no servers");
-
-    std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>> registries;
-    for (int s = 0; s < num_servers; ++s) {
-      const std::string path = key.scheme == ShareScheme::kTwoParty
-                                   ? store_path
-                                   : MultiServerStorePath(store_path, s);
-      ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-      ASSIGN_OR_RETURN(std::unique_ptr<ServerStoreRegistry<Ring>> registry,
-                       LoadStoreRegistry<Ring>(bytes));
-      registries.push_back(std::move(registry));
-    }
-    for (const auto& registry : registries) {
-      if (!SameRing(registry->ring(), registries[0]->ring()))
-        return Status::Corruption("server stores disagree on ring parameters");
-      const auto a = registry->docs();
-      const auto b = registries[0]->docs();
-      if (a.size() != b.size())
-        return Status::Corruption("server stores disagree on document set");
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].doc_id != b[i].doc_id || a[i].base != b[i].base)
+    std::vector<Registries> loaded(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (int s = 0; s < per_group; ++s) {
+        ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                         ReadFileBytes(StorePath(key, store_path, ids[i], s)));
+        ASSIGN_OR_RETURN(std::unique_ptr<ServerStoreRegistry<Ring>> registry,
+                         LoadStoreRegistry<Ring>(bytes));
+        if (!loaded[0].empty() && !ServerStoreRegistry<Ring>::SameRing(
+                                      registry->ring(), loaded[0][0]->ring()))
           return Status::Corruption(
-              "server stores disagree on document set");
-        if (a[i].nodes != b[i].nodes)
-          return Status::Corruption("server stores disagree on tree size");
+              "server stores disagree on ring parameters");
+        loaded[i].push_back(std::move(registry));
       }
     }
 
-    // Resolve the document table: v3 keys carry it; v1/v2 keys imply one
-    // legacy document whose size comes from the store itself.
-    std::vector<Doc> docs;
-    int64_t next_base = 0;
-    uint64_t next_epoch = 1;
-    const auto stored = registries[0]->docs();
-    if (key.version >= 3) {
-      if (key.docs.size() != stored.size())
-        return Status::Corruption(
-            "server stores disagree with the key file's document table");
-      std::vector<ClientSecretFile::DocEntry> sorted = key.docs;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto& a, const auto& b) { return a.base < b.base; });
-      for (size_t i = 0; i < sorted.size(); ++i) {
-        if (sorted[i].doc_id != stored[i].doc_id ||
-            sorted[i].base != stored[i].base ||
-            static_cast<size_t>(sorted[i].size) != stored[i].nodes)
-          return Status::Corruption(
-              "server stores disagree with the key file's document table");
-        docs.push_back({sorted[i].doc_id, sorted[i].base, sorted[i].size,
-                        sorted[i].share_prefix});
-      }
-      next_base = key.next_base;
-      next_epoch = key.next_epoch;
-    } else {
+    ASSIGN_OR_RETURN(std::unique_ptr<Collection> col,
+                     FromKey(key, loaded[0][0]->ring()));
+    col->transport_ = transport;
+    if (key.version < 3) {
+      // The legacy document's size comes from the store itself.
+      const auto stored = loaded[0][0]->docs();
       if (stored.size() != 1 || stored[0].base != 0)
         return Status::Corruption(
             "legacy single-document key cannot open a multi-document store");
-      docs.push_back({stored[0].doc_id, 0,
-                      static_cast<int64_t>(stored[0].nodes), ""});
-      next_base = static_cast<int64_t>(stored[0].nodes);
+      col->AdoptLegacyDoc(stored[0].doc_id,
+                          static_cast<int64_t>(stored[0].nodes));
     }
-
-    Ring ring = registries[0]->ring();
-    auto col = std::unique_ptr<Collection>(new Collection(
-        std::move(ring), DeterministicPrf(key.seed),
-        ShareSplitOptions{key.z_coeff_bits}));
-    col->tag_map_ = std::move(key.tag_map);
-    col->map_options_ = col->ReconstructMapOptions();
-    col->RebuildClient();
-    col->registries_ = std::move(registries);
-    col->docs_ = std::move(docs);
-    col->next_base_ = next_base;
-    col->next_epoch_ = next_epoch;
-    RETURN_IF_ERROR(
-        col->ValidateShape(key.scheme, num_servers, key.threshold));
-    RETURN_IF_ERROR(
-        col->AttachEndpoints(transport, key.scheme, key.threshold));
+    for (size_t i = 0; i < ids.size(); ++i) {
+      RETURN_IF_ERROR(col->CrossCheckGroup(ids[i], loaded[i]));
+      RETURN_IF_ERROR(col->AttachGroup(ids[i], std::move(loaded[i]), {}));
+    }
     return col;
   }
 
   // ----------------------------------------------------------- documents
 
   /// Outsources `document` as `doc_id` against the LIVE deployment: the
-  /// new document's share trees travel to every server's registry (over
-  /// whatever transport fronts it); no existing document is re-outsourced
-  /// or re-shared, and their answers stay bit-identical. The collection's
-  /// shared tag map grows by the document's unseen tags — failing cleanly
-  /// (collection unchanged) if the ring's tag capacity is exhausted.
+  /// new document's share trees travel to every server of the shard with
+  /// the most free node-id space (the only shard when unsharded); no
+  /// existing document is re-outsourced or re-shared, and their answers
+  /// stay bit-identical. The collection's shared tag map grows by the
+  /// document's unseen tags — failing cleanly (collection unchanged) if
+  /// the ring's tag capacity is exhausted. Same seed + same add order =
+  /// same tags, prefixes and shares at every shard count.
   Status Add(DocId doc_id, const XmlNode& document) {
     if (!can_add_)
       return Status::FailedPrecondition(
@@ -303,9 +318,7 @@ class Collection {
     ASSIGN_OR_RETURN(PolyTree<Ring> data,
                      BuildPolyTree(ring_, next_map, document));
     const int64_t size = static_cast<int64_t>(data.size());
-    if (next_base_ + size - 1 > INT32_MAX)
-      return Status::FailedPrecondition("collection node-id space exhausted");
-    const int32_t base = static_cast<int32_t>(next_base_);
+    ASSIGN_OR_RETURN(ShardId target, map_.PickForAdd(size));
 
     // The legacy namespace "" belongs to the FIRST document ever added
     // (next_epoch_ 0), not merely the first live one — a remove/re-add
@@ -315,12 +328,15 @@ class Collection {
             ? ""
             : "d" + std::to_string(doc_id) + "." + std::to_string(next_epoch_);
     for (auto& node : data.nodes) node.path = JoinSharePath(prefix, node.path);
-
     ASSIGN_OR_RETURN(std::vector<PolyTree<Ring>> trees,
                      SplitForServers(data, prefix));
 
     // Ship one AddDoc per server; on a partial failure, retire the copies
     // already registered so the servers stay consistent.
+    const int64_t prior_next = map_.Find(target)->next;
+    ASSIGN_OR_RETURN(int32_t base, map_.Allocate(target, size));
+    const std::vector<ServerEndpoint*>& eps =
+        FindGroup(target)->group.endpoints;
     for (size_t s = 0; s < trees.size(); ++s) {
       AddDocRequest req;
       req.doc_id = doc_id;
@@ -329,7 +345,7 @@ class Collection {
       ServerStore<Ring> store(ring_, std::move(trees[s]));
       SaveServerStore(store, &bytes);
       req.store_bytes = bytes.Take();
-      auto ack = group_.endpoints[s]->AddDoc(req);
+      auto ack = eps[s]->AddDoc(req);
       if (!ack.ok()) {
         // Undo includes server s itself: a transport retry may have
         // applied the add there even though the call reported failure
@@ -337,15 +353,16 @@ class Collection {
         RemoveDocRequest undo;
         undo.doc_id = doc_id;
         for (size_t u = 0; u <= s; ++u)
-          (void)group_.endpoints[u]->RemoveDoc(undo);  // best effort
+          (void)eps[u]->RemoveDoc(undo);  // best effort
+        (void)map_.SetNext(target, prior_next);
         return ack.status();
       }
     }
 
     tag_map_ = std::move(next_map);
     RebuildClient();
-    docs_.push_back({doc_id, base, size, prefix});
-    next_base_ += size;
+    docs_.push_back({doc_id, target, base, size, prefix});
+    SortDocs();
     ++next_epoch_;
     // Only Add sees the plaintext, so this is the one chance to build the
     // document's pre-filter; docs outsourced before the knob was turned on
@@ -357,26 +374,24 @@ class Collection {
                                              prefilter_options_));
     }
     ++generation_;
-    RebuildSession();
+    session_.reset();
     return Status::Ok();
   }
 
-  /// Retires `doc_id` on every server. Other documents keep their node-id
-  /// ranges (ids are never reused), so their answers are bit-identical.
-  /// Idempotent and retryable: every server is attempted even after one
-  /// fails, and a server that already retired the doc (NotFound) counts
-  /// as done — so a partial failure leaves the doc in the collection and
-  /// a later Remove finishes the job on the servers that missed it.
+  /// Retires `doc_id` on every server of its shard. Other documents keep
+  /// their node-id ranges (ids are not reused until the shard is
+  /// compacted), so their answers are bit-identical. Idempotent and
+  /// retryable: every server is attempted even after one fails, and a
+  /// server that already retired the doc (NotFound) counts as done — so a
+  /// partial failure leaves the doc in the collection and a later Remove
+  /// finishes the job on the servers that missed it.
   Status Remove(DocId doc_id) {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
+    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
     RemoveDocRequest req;
     req.doc_id = doc_id;
     Status first_error = Status::Ok();
-    for (size_t s = 0; s < group_.endpoints.size(); ++s) {
-      auto ack = group_.endpoints[s]->RemoveDoc(req);
+    for (ServerEndpoint* ep : FindGroup(doc->shard)->group.endpoints) {
+      auto ack = ep->RemoveDoc(req);
       if (!ack.ok() && ack.status().code() != StatusCode::kNotFound &&
           first_error.ok()) {
         first_error = ack.status();
@@ -386,34 +401,32 @@ class Collection {
     docs_.erase(docs_.begin() + (doc - docs_.data()));
     filters_.erase(doc_id);
     ++generation_;
-    RebuildSession();
+    session_.reset();
     return Status::Ok();
   }
 
   // ------------------------------------------------------------- queries
 
-  /// Cross-document element lookup //tag: ONE pruned BFS whose frontier
-  /// spans every document's tree — per round a single EvalRequest per
-  /// server covers all documents, instead of one walk per document.
+  /// Cross-document element lookup //tag: per shard ONE pruned BFS whose
+  /// frontier spans every document of the shard — per round a single
+  /// EvalRequest per server covers all of them.
   Result<CollectionResult> Search(std::string_view tag,
-                                  VerifyMode mode = VerifyMode::kVerified) {
-    std::string key;
-    if (cache_capacity_ > 0) {
-      key = CacheKey("tag", static_cast<int>(mode), tag);
-      if (const auto* hit = CacheFind(key)) return (*hit)[0];
-    }
-    ASSIGN_OR_RETURN(LookupResult r, session_->Lookup(tag, mode));
-    ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
-    if (!key.empty()) CacheStore(std::move(key), {c});
-    return c;
+                                  VerifyMode mode = VerifyMode::kVerified,
+                                  ShardSearchOptions options = {}) {
+    Query q;
+    q.tag = std::string(tag);
+    q.mode = mode;
+    ASSIGN_OR_RETURN(std::vector<CollectionResult> out,
+                     SearchMany(std::span<const Query>(&q, 1), options));
+    return std::move(out[0]);
   }
 
-  /// Batched cross-document lookup: several //tag queries AND all
-  /// documents share one walk. Entry i answers queries[i]. With the Bloom
-  /// pre-filter enabled, documents whose filter rejects every queried tag
-  /// never enter the shared frontier.
+  /// Batched cross-document lookup: several //tag queries AND all of a
+  /// shard's documents share one walk. Entry i answers queries[i]. With
+  /// the Bloom pre-filter enabled, documents whose filter rejects every
+  /// queried tag never enter the shared frontier.
   Result<std::vector<CollectionResult>> SearchMany(
-      std::span<const Query> queries) {
+      std::span<const Query> queries, ShardSearchOptions options = {}) {
     std::string key;
     if (cache_capacity_ > 0) {
       key = "many";
@@ -425,14 +438,13 @@ class Collection {
       }
       if (const auto* hit = CacheFind(key)) return *hit;
     }
-    ASSIGN_OR_RETURN(MultiLookupResult multi, RunBatch(queries));
-    std::vector<CollectionResult> out;
-    out.reserve(multi.per_tag.size());
-    for (LookupResult& r : multi.per_tag) {
-      ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
-      out.push_back(std::move(c));
-    }
-    if (!key.empty()) CacheStore(std::move(key), out);
+    ASSIGN_OR_RETURN(
+        std::vector<CollectionResult> out,
+        ScatterGather(queries.size(), options, PrefilterFor(queries),
+                      [&](QuerySession<Ring>& session) {
+                        return session.LookupBatch(queries);
+                      }));
+    CacheStore(std::move(key), out);
     return out;
   }
 
@@ -444,85 +456,110 @@ class Collection {
       VerifyMode mode = VerifyMode::kVerified) {
     std::string key;
     if (cache_capacity_ > 0) {
-      key = CacheKey("xpath", static_cast<int>(mode) * 4 +
-                                  static_cast<int>(strategy), xpath);
+      key = "xpath";
+      key += static_cast<char>('0' + static_cast<int>(mode) * 4 +
+                               static_cast<int>(strategy));
+      key += '\x1f';
+      key += xpath;
       if (const auto* hit = CacheFind(key)) return (*hit)[0];
     }
     ASSIGN_OR_RETURN(XPathQuery query, XPathQuery::Parse(std::string(xpath)));
-    ASSIGN_OR_RETURN(LookupResult r,
-                     session_->EvaluateXPath(query, strategy, mode));
-    ASSIGN_OR_RETURN(CollectionResult c, Partition(std::move(r)));
-    if (!key.empty()) CacheStore(std::move(key), {c});
-    return c;
+    ASSIGN_OR_RETURN(
+        std::vector<CollectionResult> out,
+        ScatterGather(1, {}, nullptr,
+                      [&](QuerySession<Ring>& session)
+                          -> Result<MultiLookupResult> {
+                        ASSIGN_OR_RETURN(
+                            LookupResult r,
+                            session.EvaluateXPath(query, strategy, mode));
+                        MultiLookupResult multi;
+                        multi.stats = r.stats;
+                        multi.per_tag.push_back(std::move(r));
+                        return multi;
+                      }));
+    CacheStore(std::move(key), out);
+    return std::move(out[0]);
   }
 
   /// Lookup restricted to one document (its own pruned walk). Node ids and
   /// paths in the result are document-local.
   Result<LookupResult> SearchDoc(DocId doc_id, std::string_view tag,
                                  VerifyMode mode = VerifyMode::kVerified) {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
-    QuerySession<Ring> session(client_.get(), group_,
+    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
+    QuerySession<Ring> session(client_.get(), FindGroup(doc->shard)->group,
                                {{doc->base, doc->prefix}});
     ASSIGN_OR_RETURN(LookupResult r, session.Lookup(tag, mode));
-    LocalizeMatches(*doc, &r.matches);
-    LocalizeMatches(*doc, &r.possible);
+    for (MatchedNode& m : r.matches) m = Localize(*doc, std::move(m));
+    for (MatchedNode& m : r.possible) m = Localize(*doc, std::move(m));
     return r;
+  }
+
+  // -------------------------------------------------------- split / merge
+
+  /// Online shard split: moves the upper half of `source`'s documents (by
+  /// node-id order) to the brand-new shard `new_shard`, which gets a fresh
+  /// node-id range of the same span. Its server group is new in-process
+  /// servers when `new_endpoints` is empty (owned servers only), else the
+  /// given borrowed EXTERNAL endpoints, one per server of the group shape.
+  /// Every move is pure wire traffic (ExportDoc + AddDoc + RemoveDoc);
+  /// search answers before and after are bit-identical. The unsharded
+  /// shard owns the whole id space, so it has no room to split.
+  Status SplitShard(ShardId source, ShardId new_shard,
+                    std::vector<ServerEndpoint*> new_endpoints = {}) {
+    return Reshaped(
+        SplitShardImpl(source, new_shard, std::move(new_endpoints)));
+  }
+
+  /// Online shard merge: compacts `into`, drains every document of
+  /// `victim` into it, then retires `victim` — its whole node-id range
+  /// returns to the free pool, which is how remove-heavy collections
+  /// shrink their id space instead of leaking ranges.
+  Status MergeShards(ShardId into, ShardId victim) {
+    return Reshaped(MergeShardsImpl(into, victim));
+  }
+
+  /// Packs `shard`'s documents back against its range start via RebaseDoc
+  /// (no share tree crosses the wire) and rewinds its allocation offset,
+  /// reclaiming the holes removals left behind.
+  Status CompactShard(ShardId shard) {
+    return Reshaped(CompactShardImpl(shard));
   }
 
   // --------------------------------------------------------- persistence
 
-  /// Persists the deployment as {per-server store file(s), client key
-  /// file}: two-party writes one container at `store_path`, multi-server
-  /// deployments one per server at MultiServerStorePath(store_path, i) —
-  /// server i ships file i and nothing else. Requires collection-owned
-  /// servers (a connected client persists only its key; see SaveKey).
+  /// Persists the deployment as {per-server store files, client key file}.
+  /// Server s of shard g ships StorePath(store_path, g, s) and nothing
+  /// else. Requires collection-owned servers (a connected client persists
+  /// only its key; see SaveKey).
   Status Save(const std::string& store_path,
               const std::string& key_path) const {
     if (!owns_servers_)
       return Status::FailedPrecondition(
           "connected collections do not hold the server stores; use "
           "SaveKey");
-    for (size_t s = 0; s < registries_.size(); ++s) {
-      ByteWriter bytes;
-      SaveStoreRegistry(*registries_[s], &bytes);
-      const std::string path = group_.scheme == ShareScheme::kTwoParty
-                                   ? store_path
-                                   : MultiServerStorePath(store_path, s);
-      RETURN_IF_ERROR(WriteFileBytes(path, bytes.span()));
+    const ClientSecretFile key = KeyFile();
+    for (const auto& group : groups_) {
+      for (size_t s = 0; s < group->registries.size(); ++s) {
+        ByteWriter bytes;
+        SaveStoreRegistry(*group->registries[s], &bytes);
+        RETURN_IF_ERROR(WriteFileBytes(
+            StorePath(key, store_path, group->id, s), bytes.span()));
+      }
     }
     return SaveKey(key_path);
   }
 
   /// Persists the client secret state (seed, tag map, deployment shape,
-  /// document table) — everything a networked client needs to Connect.
+  /// document table, shard table) — everything a networked client needs
+  /// to Connect. An unsharded collection writes an empty shard table.
   Status SaveKey(const std::string& key_path) const {
-    ClientSecretFile key;
-    key.seed = seed_.seed();
-    key.tag_map = tag_map_;
-    key.z_coeff_bits = split_options_.z_coeff_bits;
-    key.scheme = group_.scheme;
-    key.num_servers = static_cast<int>(group_.endpoints.size());
-    key.threshold = group_.threshold;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
-      key.fp_p = ring_.p();
-    } else {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kZQuotient);
-      key.z_modulus = ring_.modulus();
-    }
-    for (const Doc& doc : docs_)
-      key.docs.push_back({doc.id, doc.base, doc.size, doc.prefix});
-    key.next_base = next_base_;
-    key.next_epoch = next_epoch_;
     ByteWriter bytes;
-    key.Serialize(&bytes);
+    KeyFile().Serialize(&bytes);
     return WriteFileBytes(key_path, bytes.span());
   }
 
-  /// Where Save puts server `i`'s share file of a multi-server deployment.
+  /// Where Save puts server `i`'s share file of an unsharded multi-server
+  /// deployment.
   static std::string MultiServerStorePath(const std::string& store_path,
                                           size_t i) {
     return store_path + ".s" + std::to_string(i);
@@ -532,11 +569,14 @@ class Collection {
 
   const Ring& ring() const { return ring_; }
   const ClientContext<Ring>& client() const { return *client_; }
-  ShareScheme scheme() const { return group_.scheme; }
-  size_t num_servers() const { return group_.endpoints.size(); }
+  ShareScheme scheme() const { return scheme_; }
+  /// Servers per shard group.
+  size_t num_servers() const { return static_cast<size_t>(servers_per_group_); }
+  const ShardMap& shard_map() const { return map_; }
+  size_t num_shards() const { return map_.size(); }
   size_t num_docs() const { return docs_.size(); }
   bool contains(DocId doc_id) const { return FindDoc(doc_id) != nullptr; }
-  /// Ids in node-id (insertion) order.
+  /// Ids in node-id order.
   std::vector<DocId> doc_ids() const {
     std::vector<DocId> out;
     out.reserve(docs_.size());
@@ -547,11 +587,13 @@ class Collection {
   /// legacy single document). Unique per Add — never reused even when a
   /// doc id is removed and re-added — so derived keys never collide.
   Result<std::string> share_prefix(DocId doc_id) const {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
+    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
     return doc->prefix;
+  }
+  /// The shard currently hosting `doc_id`.
+  Result<ShardId> shard_of(DocId doc_id) const {
+    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
+    return doc->shard;
   }
 
   /// Total nodes across every document of the collection.
@@ -561,37 +603,75 @@ class Collection {
     return sum;
   }
 
-  /// Server `s`'s registry (what a network frontend serves), or null for a
-  /// connected collection whose servers live elsewhere.
+  /// Shard `shard`'s server-`s` registry (what a network frontend serves),
+  /// or null (connected collection, or no such shard/server).
+  ServerStoreRegistry<Ring>* registry(ShardId shard, size_t s) {
+    ShardGroup* group = FindGroup(shard);
+    if (group == nullptr || s >= group->registries.size()) return nullptr;
+    return group->registries[s].get();
+  }
+  /// Server `s` of the first shard — the only one when unsharded.
   ServerStoreRegistry<Ring>* registry(size_t s = 0) {
-    return s < registries_.size() ? registries_[s].get() : nullptr;
+    return registry(groups_.front()->id, s);
   }
-  /// Server `s`'s protocol handler — thread-safe, SocketServer-servable.
+  /// Protocol handlers of the same servers — thread-safe,
+  /// SocketServer-servable.
+  ServerHandler* handler(ShardId shard, size_t s) {
+    return registry(shard, s);
+  }
   ServerHandler* handler(size_t s = 0) { return registry(s); }
-  /// One document's share store on server `s` (collection-owned servers).
+  /// One document's share store on server `s` of its shard
+  /// (collection-owned servers).
   Result<const ServerStore<Ring>*> doc_store(size_t s, DocId doc_id) const {
-    if (s >= registries_.size())
+    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
+    const ShardGroup* group = FindGroup(doc->shard);
+    if (s >= group->registries.size())
       return Status::InvalidArgument("no such server");
-    return registries_[s]->store(doc_id);
+    return group->registries[s]->store(doc_id);
   }
 
-  /// The session, for callers needing the full §4.3 API surface. Walks
-  /// started here span every document.
-  QuerySession<Ring>& session() { return *session_; }
-  const QueryStats& last_stats() const { return session_->last_stats(); }
+  /// A walk session over the first shard (every document, when
+  /// unsharded), for callers needing the full §4.3 API surface. It lives
+  /// until the next mutation, fault injection, reshape or executor change.
+  QuerySession<Ring>& session() {
+    if (session_ == nullptr) {
+      std::vector<SessionRoot> roots;
+      for (const Doc& doc : docs_)
+        if (doc.shard == groups_.front()->id)
+          roots.push_back({doc.base, doc.prefix});
+      session_ = std::make_unique<QuerySession<Ring>>(
+          client_.get(), groups_.front()->group, std::move(roots));
+    }
+    return *session_;
+  }
 
-  /// Wraps server `i`'s endpoint in a FaultInjectingEndpoint (latency,
-  /// failures, tampering) and returns it for mid-run reconfiguration, or
-  /// null when `i` is not a server index. Composable: wrapping twice
+  /// Probes shard `shard`'s group; true when enough servers answer for
+  /// the scheme (Shamir: threshold, otherwise all).
+  Result<bool> ProbeShard(ShardId shard) {
+    ShardGroup* group = FindGroup(shard);
+    if (group == nullptr) return Status::NotFound("no such shard");
+    return ShardAlive(*group);
+  }
+
+  /// Wraps shard `shard`'s server-`s` endpoint in a FaultInjectingEndpoint
+  /// (latency, failures, tampering) and returns it for mid-run
+  /// reconfiguration, or null on a bad index. Composable: wrapping twice
   /// stacks faults.
-  FaultInjectingEndpoint* InjectFaults(size_t i, FaultConfig config) {
-    if (i >= group_.endpoints.size()) return nullptr;
-    faults_.push_back(std::make_unique<FaultInjectingEndpoint>(
-        group_.endpoints[i], std::move(config)));
-    group_.endpoints[i] = faults_.back().get();
+  FaultInjectingEndpoint* InjectFaults(ShardId shard, size_t s,
+                                       FaultConfig config) {
+    ShardGroup* group = FindGroup(shard);
+    if (group == nullptr || s >= group->group.endpoints.size())
+      return nullptr;
+    group->faults.push_back(std::make_unique<FaultInjectingEndpoint>(
+        group->group.endpoints[s], std::move(config)));
+    group->group.endpoints[s] = group->faults.back().get();
     ++generation_;  // cached answers predate the faults; don't serve them
-    RebuildSession();
-    return faults_.back().get();
+    session_.reset();
+    return group->faults.back().get();
+  }
+  /// Server `s` of the first shard — the only one when unsharded.
+  FaultInjectingEndpoint* InjectFaults(size_t s, FaultConfig config) {
+    return InjectFaults(groups_.front()->id, s, std::move(config));
   }
 
   /// Reconfigures the fan-out executor: <= 1 reverts to sequential inline
@@ -599,8 +679,8 @@ class Collection {
   /// bit-identical either way; only wall time changes.
   void SetWorkerThreadCount(int worker_threads) {
     SetUpPool(worker_threads);
-    group_.executor = pool_ != nullptr ? pool_.get() : external_executor_;
-    if (session_ != nullptr) RebuildSession();
+    for (const auto& group : groups_) group->group.executor = executor();
+    session_.reset();
   }
 
   /// The executor fan-out currently runs on (null = sequential inline).
@@ -613,9 +693,9 @@ class Collection {
   /// Enables (capacity > 0) or disables (0, the default) the hot-query
   /// cache: a repeated identical Search/SearchMany/SearchXPath is answered
   /// from the client's memory with ZERO protocol messages. Entries are
-  /// generation-stamped and die on any Add/Remove, so cached answers are
-  /// always what a cold session would return. Least-recently-used entries
-  /// are evicted past `capacity`.
+  /// generation-stamped and die on any Add/Remove/InjectFaults and any
+  /// reshape, so cached answers are always what a cold session would
+  /// return. Least-recently-used entries are evicted past `capacity`.
   void SetQueryCacheCapacity(size_t capacity) {
     cache_capacity_ = capacity;
     while (cache_.size() > cache_capacity_) EvictOldest();
@@ -624,8 +704,8 @@ class Collection {
 
   /// Turns on the per-document Bloom pre-filter for documents added FROM
   /// NOW ON (only Add sees the plaintext tag set the filter is built
-  /// from). At query time, SearchMany skips any filtered document whose
-  /// filter rejects every queried tag — a Bloom filter has no false
+  /// from). At query time, Search/SearchMany skip any filtered document
+  /// whose filter rejects every queried tag — a Bloom filter has no false
   /// negatives, so answers stay bit-identical; false positives only cost
   /// walk work. Unfiltered documents (added before this call, or loaded
   /// via Connect/Open) are always walked.
@@ -633,34 +713,40 @@ class Collection {
     prefilter_enabled_ = true;
     prefilter_options_ = options;
   }
-  /// Documents the pre-filter excluded from the last SearchMany frontier.
+  /// Documents the pre-filter excluded from the last lookup's frontiers.
   size_t last_prefilter_skipped() const { return last_prefilter_skipped_; }
 
-  /// Cumulative wire cost across every server endpoint since attachment —
-  /// unlike last_stats(), this moves only when messages actually flow, so
-  /// a cache hit shows up as an unchanged snapshot.
+  /// Cumulative wire cost across every server endpoint of every shard
+  /// since attachment — this moves only when messages actually flow, so a
+  /// cache hit shows up as an unchanged snapshot.
   TransportCounters transport_totals() const {
     TransportCounters sum;
-    for (const ServerEndpoint* ep : group_.endpoints) sum.Add(ep->counters());
+    for (const auto& group : groups_)
+      for (const ServerEndpoint* ep : group->group.endpoints)
+        sum.Add(ep->counters());
     return sum;
-  }
-
-  /// Resolves the document owning global node id `id` together with its
-  /// document-local id — how cross-document results map back to documents.
-  Result<std::pair<DocId, int32_t>> ResolveNode(int32_t id) const {
-    const Doc* doc = FindDocByNode(id);
-    if (doc == nullptr)
-      return Status::NotFound("node id " + std::to_string(id) +
-                              " belongs to no document");
-    return std::make_pair(doc->id, id - doc->base);
   }
 
  private:
   struct Doc {
     DocId id = 0;
+    ShardId shard = 0;
     int32_t base = 0;
     int64_t size = 0;
     std::string prefix;
+  };
+
+  using Registries = std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>>;
+
+  /// One shard's server group: registries/endpoints owned in live mode,
+  /// endpoints borrowed in connected mode. `group.endpoints` is what
+  /// queries and admin traffic actually use (faults splice in here).
+  struct ShardGroup {
+    ShardId id = 0;
+    Registries registries;
+    std::vector<std::unique_ptr<ServerEndpoint>> owned;
+    std::vector<std::unique_ptr<FaultInjectingEndpoint>> faults;
+    EndpointGroup group;
   };
 
   Collection(Ring ring, DeterministicPrf seed, ShareSplitOptions split_options)
@@ -668,17 +754,6 @@ class Collection {
         seed_(std::move(seed)),
         split_options_(split_options) {
     RebuildClient();
-  }
-
-  static int EffectiveThreshold(const Deploy& deploy) {
-    return deploy.threshold > 0 ? deploy.threshold : deploy.num_servers;
-  }
-
-  static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
   }
 
   /// The collection's fixed ring from Create-time options.
@@ -757,31 +832,128 @@ class Collection {
     return out;
   }
 
-  Status ValidateShape(ShareScheme scheme, int num_servers,
-                       int threshold) const {
+  /// Shared Connect/Open front half: client state, group shape, shard map
+  /// and document table from a key file. An empty shard table is the
+  /// unsharded collection: one shard 0 owning the whole id space.
+  static Result<std::unique_ptr<Collection>> FromKey(
+      const ClientSecretFile& key, Ring ring) {
+    auto col = std::unique_ptr<Collection>(new Collection(
+        std::move(ring), DeterministicPrf(key.seed),
+        ShareSplitOptions{key.z_coeff_bits}));
+    col->tag_map_ = key.tag_map;
+    col->map_options_ = col->ReconstructMapOptions();
+    col->RebuildClient();
+    RETURN_IF_ERROR(
+        col->SetShape(key.scheme, key.num_servers, key.threshold));
+    std::vector<ShardRange> ranges;
+    for (const auto& s : key.shards)
+      ranges.push_back({s.shard_id, s.base, s.span, s.next});
+    if (ranges.empty())
+      ranges.push_back({0, 0, ShardMap::kIdSpaceEnd, key.next_base});
+    ASSIGN_OR_RETURN(col->map_, ShardMap::FromRanges(std::move(ranges)));
+    for (const auto& doc : key.docs) {
+      const ShardRange* owner = col->map_.OwnerOfNode(doc.base);
+      if (owner == nullptr || !owner->Contains(doc.base, doc.size))
+        return Status::Corruption(
+            "key file document outside every shard range");
+      col->docs_.push_back({doc.doc_id, owner->shard_id, doc.base, doc.size,
+                            doc.share_prefix});
+    }
+    col->SortDocs();
+    col->next_epoch_ = key.next_epoch;
+    return col;
+  }
+
+  /// The one document a v1/v2 key implies: id `doc_id` at base 0 with the
+  /// legacy "" prefix, occupying the first `size` node ids.
+  void AdoptLegacyDoc(DocId doc_id, int64_t size) {
+    docs_.push_back({doc_id, 0, 0, size, ""});
+    (void)map_.SetNext(0, size);
+    next_epoch_ = 1;
+  }
+
+  /// The client secret state SaveKey persists.
+  ClientSecretFile KeyFile() const {
+    ClientSecretFile key;
+    key.seed = seed_.seed();
+    key.tag_map = tag_map_;
+    key.z_coeff_bits = split_options_.z_coeff_bits;
+    key.scheme = scheme_;
+    key.num_servers = servers_per_group_;
+    key.threshold = threshold_;
+    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
+      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
+      key.fp_p = ring_.p();
+    } else {
+      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kZQuotient);
+      key.z_modulus = ring_.modulus();
+    }
+    for (const Doc& doc : docs_)
+      key.docs.push_back({doc.id, doc.base, doc.size, doc.prefix});
+    key.next_epoch = next_epoch_;
+    const std::vector<ShardRange>& shards = map_.shards();
+    if (shards.size() == 1 && shards[0].span == ShardMap::kIdSpaceEnd) {
+      key.next_base = shards[0].next;  // unsharded: no shard table
+    } else {
+      for (const ShardRange& s : shards)
+        key.shards.push_back({s.shard_id, s.base, s.span, s.next});
+    }
+    return key;
+  }
+
+  /// Where shard `shard`'s server-`s` store file lives: an unsharded key
+  /// keeps the historical names (`store_path` for two-party, else
+  /// MultiServerStorePath), a sharded one names the shard too.
+  static std::string StorePath(const ClientSecretFile& key,
+                               const std::string& store_path, ShardId shard,
+                               size_t s) {
+    if (!key.shards.empty())
+      return store_path + ".g" + std::to_string(shard) + ".s" +
+             std::to_string(s);
+    return key.scheme == ShareScheme::kTwoParty
+               ? store_path
+               : MultiServerStorePath(store_path, s);
+  }
+
+  /// The key's shards in ascending id order (shard 0 when unsharded) —
+  /// the order of Connect's endpoints.
+  static std::vector<ShardId> SortedShardIds(const ClientSecretFile& key) {
+    std::vector<ShardId> ids;
+    for (const auto& s : key.shards) ids.push_back(s.shard_id);
+    if (ids.empty()) ids.push_back(0);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+  Status SetShape(ShareScheme scheme, int num_servers, int threshold) {
     switch (scheme) {
       case ShareScheme::kTwoParty:
         if (num_servers != 1)
-          return Status::InvalidArgument("two-party scheme takes one server");
-        return Status::Ok();
+          return Status::InvalidArgument(
+              "two-party scheme takes one server per group");
+        break;
       case ShareScheme::kAdditive:
         if (num_servers < 1)
           return Status::InvalidArgument("need at least one server");
-        return Status::Ok();
+        break;
       case ShareScheme::kShamir:
         if (!std::is_same_v<Ring, FpCyclotomicRing>)
           return Status::Unimplemented("Shamir t-of-n requires the F_p ring");
-        (void)threshold;  // range-checked by EndpointGroup::Validate
-        return Status::Ok();
+        // Range-checked by EndpointGroup::Validate.
+        threshold = threshold > 0 ? threshold : num_servers;
+        break;
     }
-    return Status::InvalidArgument("unknown share scheme");
+    scheme_ = scheme;
+    servers_per_group_ = num_servers;
+    threshold_ = scheme == ShareScheme::kShamir ? threshold : 0;
+    return Status::Ok();
   }
 
   /// Splits a (prefixed) data tree for the deployment's scheme.
   Result<std::vector<PolyTree<Ring>>> SplitForServers(
       const PolyTree<Ring>& data, const std::string& prefix) {
     std::vector<PolyTree<Ring>> trees;
-    switch (group_.scheme) {
+    switch (scheme_) {
       case ShareScheme::kTwoParty: {
         SharedTrees<Ring> shares =
             SplitShares(ring_, data, seed_, split_options_);
@@ -789,11 +961,9 @@ class Collection {
         break;
       }
       case ShareScheme::kAdditive: {
-        ASSIGN_OR_RETURN(
-            trees, SplitSharesAcrossServers(
-                       ring_, data, seed_,
-                       static_cast<int>(group_.endpoints.size()),
-                       split_options_));
+        ASSIGN_OR_RETURN(trees, SplitSharesAcrossServers(
+                                    ring_, data, seed_, servers_per_group_,
+                                    split_options_));
         break;
       }
       case ShareScheme::kShamir: {
@@ -803,9 +973,8 @@ class Collection {
           ChaChaRng rng = seed_.Stream(
               prefix.empty() ? "shamir-split" : "shamir-split/" + prefix);
           ASSIGN_OR_RETURN(
-              trees, SplitSharesShamir(
-                         ring_, data, group_.threshold,
-                         static_cast<int>(group_.endpoints.size()), rng));
+              trees, SplitSharesShamir(ring_, data, threshold_,
+                                       servers_per_group_, rng));
         } else {
           return Status::Unimplemented("Shamir t-of-n requires the F_p ring");
         }
@@ -815,44 +984,70 @@ class Collection {
     return trees;
   }
 
-  Status AttachEndpoints(EndpointKind kind, ShareScheme scheme,
-                         int threshold) {
-    std::vector<ServerEndpoint*> eps;
-    for (const auto& registry : registries_) {
-      if (kind == EndpointKind::kLoopback) {
-        endpoints_.push_back(
+  /// Empty in-process servers for one new group.
+  Registries NewRegistries() const {
+    Registries out;
+    for (int s = 0; s < servers_per_group_; ++s)
+      out.push_back(std::make_unique<ServerStoreRegistry<Ring>>(ring_));
+    return out;
+  }
+
+  /// Registers shard `id`'s server group: owned `registries` fronted by
+  /// endpoints of the collection's transport, or the borrowed external
+  /// `endpoints`.
+  Status AttachGroup(ShardId id, Registries registries,
+                     std::vector<ServerEndpoint*> endpoints) {
+    auto group = std::make_unique<ShardGroup>();
+    group->id = id;
+    group->registries = std::move(registries);
+    for (const auto& registry : group->registries) {
+      if (transport_ == EndpointKind::kLoopback) {
+        group->owned.push_back(
             std::make_unique<LoopbackEndpoint>(registry.get()));
       } else {
-        endpoints_.push_back(
+        group->owned.push_back(
             std::make_unique<InProcessEndpoint>(registry.get()));
       }
-      eps.push_back(endpoints_.back().get());
+      endpoints.push_back(group->owned.back().get());
     }
-    return FinishGroup(std::move(eps), scheme, threshold, pool_.get());
-  }
-
-  Status AttachExternal(std::vector<ServerEndpoint*> eps, ShareScheme scheme,
-                        int threshold, Executor* executor) {
-    external_executor_ = executor;
-    return FinishGroup(std::move(eps), scheme, threshold, executor);
-  }
-
-  Status FinishGroup(std::vector<ServerEndpoint*> eps, ShareScheme scheme,
-                     int threshold, Executor* executor) {
-    switch (scheme) {
+    switch (scheme_) {
       case ShareScheme::kTwoParty:
-        group_ = EndpointGroup::TwoParty(eps[0]);
+        group->group = EndpointGroup::TwoParty(endpoints[0]);
         break;
       case ShareScheme::kAdditive:
-        group_ = EndpointGroup::Additive(std::move(eps));
+        group->group = EndpointGroup::Additive(std::move(endpoints));
         break;
       case ShareScheme::kShamir:
-        group_ = EndpointGroup::Shamir(std::move(eps), threshold);
+        group->group = EndpointGroup::Shamir(std::move(endpoints), threshold_);
         break;
     }
-    group_.executor = executor;
-    RETURN_IF_ERROR(group_.Validate());
-    RebuildSession();
+    group->group.executor = executor();
+    RETURN_IF_ERROR(group->group.Validate());
+    auto pos = groups_.begin();
+    while (pos != groups_.end() && (*pos)->id < group->id) ++pos;
+    groups_.insert(pos, std::move(group));
+    return Status::Ok();
+  }
+
+  /// Open-time consistency check: every server of shard `id` must agree
+  /// with the key's document table for that shard.
+  Status CrossCheckGroup(ShardId id, const Registries& registries) const {
+    std::vector<const Doc*> expected;
+    for (const Doc& doc : docs_)
+      if (doc.shard == id) expected.push_back(&doc);
+    for (const auto& registry : registries) {
+      const auto stored = registry->docs();
+      if (stored.size() != expected.size())
+        return Status::Corruption(
+            "server stores disagree with the key file's document table");
+      for (size_t i = 0; i < stored.size(); ++i) {
+        if (stored[i].doc_id != expected[i]->id ||
+            stored[i].base != expected[i]->base ||
+            stored[i].nodes != static_cast<size_t>(expected[i]->size))
+          return Status::Corruption(
+              "server stores disagree with the key file's document table");
+      }
+    }
     return Status::Ok();
   }
 
@@ -869,98 +1064,323 @@ class Collection {
         ClientContext<Ring>::SeedOnly(ring_, tag_map_, seed_, split_options_));
   }
 
-  std::vector<SessionRoot> Roots() const {
-    std::vector<SessionRoot> roots;
-    roots.reserve(docs_.size());
-    for (const Doc& doc : docs_) roots.push_back({doc.base, doc.prefix});
-    return roots;
-  }
-
-  void RebuildSession() {
-    session_ =
-        std::make_unique<QuerySession<Ring>>(client_.get(), group_, Roots());
-  }
-
-  /// Runs the shared-walk batch, narrowing the frontier to documents whose
-  /// Bloom filter admits at least one queried tag (when enabled). A filter
-  /// built under a different num_hashes than the current options cannot be
-  /// tested soundly, so such documents are conservatively walked.
-  Result<MultiLookupResult> RunBatch(std::span<const Query> queries) {
+  /// The Bloom pre-filter's admission test for one lookup batch (null when
+  /// the filter is off): a document stays in the frontier if it has no
+  /// filter, a filter built under different num_hashes (untestable, so
+  /// conservatively walked), or one that admits at least one queried tag.
+  std::function<bool(const Doc&)> PrefilterFor(
+      std::span<const Query> queries) {
     last_prefilter_skipped_ = 0;
-    if (!prefilter_enabled_ || filters_.empty())
-      return session_->LookupBatch(queries);
+    if (!prefilter_enabled_ || filters_.empty()) return nullptr;
     std::vector<std::vector<std::array<uint8_t, 32>>> trapdoors;
     trapdoors.reserve(queries.size());
     for (const Query& q : queries)
       trapdoors.push_back(
           DocBloomFilter::QueryTrapdoors(seed_, q.tag, prefilter_options_));
-    std::vector<SessionRoot> roots;
-    roots.reserve(docs_.size());
-    for (const Doc& doc : docs_) {
+    return [this, trapdoors = std::move(trapdoors)](const Doc& doc) {
       auto it = filters_.find(doc.id);
-      bool include =
-          it == filters_.end() ||
-          it->second.num_hashes() != prefilter_options_.num_hashes;
+      bool include = it == filters_.end() ||
+                     it->second.num_hashes() != prefilter_options_.num_hashes;
       for (size_t i = 0; !include && i < trapdoors.size(); ++i)
         include = it->second.MayContain(trapdoors[i]);
-      if (include) {
-        roots.push_back({doc.base, doc.prefix});
+      if (!include) ++last_prefilter_skipped_;
+      return include;
+    };
+  }
+
+  /// Runs `walk` on one session per document-bearing shard, rooted at the
+  /// shard's documents that `admit` lets through (all when null) —
+  /// concurrently on the owned pool when there is one — and gathers
+  /// `num_answers` per-document answers plus the stats roll-up. A session
+  /// lives for one walk, so a sequential scatter holds one shard's query
+  /// state at a time.
+  template <typename Walk>
+  Result<std::vector<CollectionResult>> ScatterGather(
+      size_t num_answers, ShardSearchOptions options,
+      const std::function<bool(const Doc&)>& admit, Walk walk) {
+    struct Part {
+      ShardGroup* group = nullptr;
+      std::vector<SessionRoot> roots;
+      Status status = Status::Ok();
+      MultiLookupResult result;
+    };
+    std::vector<Part> parts;
+    std::vector<ShardId> skipped;
+    for (const auto& group : groups_) {
+      Part part;
+      part.group = group.get();
+      for (const Doc& doc : docs_)
+        if (doc.shard == group->id && (admit == nullptr || admit(doc)))
+          part.roots.push_back({doc.base, doc.prefix});
+      if (part.roots.empty()) continue;  // nothing to walk, nothing to probe
+      if (options.skip_dead_shards && !ShardAlive(*group)) {
+        skipped.push_back(group->id);
+        continue;
+      }
+      parts.push_back(std::move(part));
+    }
+
+    auto run_one = [&](size_t i) {
+      Part& part = parts[i];
+      QuerySession<Ring> session(client_.get(), part.group->group,
+                                 std::move(part.roots));
+      Result<MultiLookupResult> r = walk(session);
+      if (r.ok()) {
+        part.result = std::move(*r);
       } else {
-        ++last_prefilter_skipped_;
+        part.status = r.status();
+      }
+    };
+    if (pool_ != nullptr && parts.size() > 1) {
+      pool_->ParallelFor(parts.size(), run_one);
+    } else {
+      for (size_t i = 0; i < parts.size(); ++i) run_one(i);
+    }
+
+    QueryStats rollup;
+    std::vector<ShardQueryStats> per_shard;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      RETURN_IF_ERROR(parts[i].status);
+      const QueryStats& s = parts[i].result.stats;
+      if (i == 0) {
+        rollup = s;
+      } else {
+        MergeStats(&rollup, s);
+      }
+      per_shard.push_back({parts[i].group->id, s});
+    }
+    std::vector<CollectionResult> out(num_answers);
+    for (size_t q = 0; q < num_answers; ++q) {
+      CollectionResult& r = out[q];
+      r.stats = rollup;
+      r.per_shard = per_shard;
+      r.skipped_shards = skipped;
+      for (Part& part : parts) {
+        LookupResult& lr = part.result.per_tag[q];
+        RETURN_IF_ERROR(Partition(lr.matches, /*possible=*/false, &r));
+        RETURN_IF_ERROR(Partition(lr.possible, /*possible=*/true, &r));
+      }
+      for (auto& [id, result] : r.per_doc) result.stats = rollup;
+    }
+    return out;
+  }
+
+  static void MergeStats(QueryStats* into, const QueryStats& s) {
+    into->total_server_nodes += s.total_server_nodes;
+    into->nodes_visited += s.nodes_visited;
+    into->server_evals += s.server_evals;
+    into->client_evals += s.client_evals;
+    into->client_share_derivations += s.client_share_derivations;
+    into->rounds = std::max(into->rounds, s.rounds);
+    into->fetch_rounds = std::max(into->fetch_rounds, s.fetch_rounds);
+    into->zero_candidates += s.zero_candidates;
+    into->reconstructions += s.reconstructions;
+    into->polys_fetched_full += s.polys_fetched_full;
+    into->consts_fetched += s.consts_fetched;
+    into->trusted_fallbacks += s.trusted_fallbacks;
+    into->false_positives_removed += s.false_positives_removed;
+    into->server_failovers += s.server_failovers;
+    into->transport.Add(s.transport);
+  }
+
+  /// Files session-global matches under their documents, localized.
+  Status Partition(std::vector<MatchedNode>& from, bool possible,
+                   CollectionResult* out) const {
+    for (MatchedNode& m : from) {
+      const Doc* doc = FindDocByNode(m.node_id);
+      if (doc == nullptr)
+        return Status::Internal("match outside every document's id range");
+      LookupResult& r = out->per_doc[doc->id];
+      (possible ? r.possible : r.matches)
+          .push_back(Localize(*doc, std::move(m)));
+    }
+    return Status::Ok();
+  }
+
+  /// A session-global match as its document sees it: document-local node
+  /// id, share prefix stripped off the path.
+  static MatchedNode Localize(const Doc& doc, MatchedNode m) {
+    m.node_id -= doc.base;
+    if (!doc.prefix.empty())
+      m.path = m.path == doc.prefix ? "" : m.path.substr(doc.prefix.size() + 1);
+    return m;
+  }
+
+  // ------------------------------------------------------------ reshaping
+
+  /// Every reshape exit — success or a partial failure — ends here: moved
+  /// documents carry new bases, so the table is re-sorted (FindDocByNode
+  /// relies on it), and the session and cached answers are retired.
+  Status Reshaped(Status status) {
+    SortDocs();
+    ++generation_;
+    session_.reset();
+    return status;
+  }
+
+  Status SplitShardImpl(ShardId source, ShardId new_shard,
+                        std::vector<ServerEndpoint*> new_endpoints) {
+    if (new_endpoints.empty() && !owns_servers_)
+      return Status::FailedPrecondition(
+          "connected collections must supply the new group's endpoints");
+    if (!new_endpoints.empty() &&
+        new_endpoints.size() != static_cast<size_t>(servers_per_group_))
+      return Status::InvalidArgument(
+          "pass one endpoint per server of the group shape");
+    ShardGroup* src = FindGroup(source);
+    const ShardRange* range = map_.Find(source);
+    if (src == nullptr || range == nullptr)
+      return Status::NotFound("no such shard");
+    if (map_.Find(new_shard) != nullptr)
+      return Status::InvalidArgument("shard id " +
+                                     std::to_string(new_shard) +
+                                     " already exists");
+    const int64_t span = range->span;
+    ASSIGN_OR_RETURN(int32_t base, map_.FreeRangeBase(span));
+    RETURN_IF_ERROR(map_.AddShard(new_shard, base, span));
+    Status attached = AttachGroup(
+        new_shard, new_endpoints.empty() ? NewRegistries() : Registries{},
+        std::move(new_endpoints));
+    if (!attached.ok()) {
+      (void)map_.RemoveShard(new_shard);
+      return attached;
+    }
+    ShardGroup* dst = FindGroup(new_shard);
+
+    // The upper half of the source's documents (by node-id order) moves.
+    std::vector<DocId> in_source;
+    for (const Doc& doc : docs_)
+      if (doc.shard == source) in_source.push_back(doc.id);
+    const size_t keep = in_source.size() - in_source.size() / 2;
+    for (size_t i = keep; i < in_source.size(); ++i)
+      RETURN_IF_ERROR(MoveDoc(FindDocMutable(in_source[i]), src, dst));
+    return Status::Ok();
+  }
+
+  Status MergeShardsImpl(ShardId into, ShardId victim) {
+    if (into == victim)
+      return Status::InvalidArgument("cannot merge a shard into itself");
+    ShardGroup* dst = FindGroup(into);
+    ShardGroup* src = FindGroup(victim);
+    if (dst == nullptr || src == nullptr)
+      return Status::NotFound("no such shard");
+    RETURN_IF_ERROR(CompactShardImpl(into));
+    int64_t need = 0;
+    std::vector<DocId> moving;
+    for (const Doc& doc : docs_) {  // sorted by base: stable order
+      if (doc.shard != victim) continue;
+      need += doc.size;
+      moving.push_back(doc.id);
+    }
+    if (need > map_.Find(into)->free_space())
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(into) + " lacks " + std::to_string(need) +
+          " free node ids for the merge");
+    for (DocId id : moving)
+      RETURN_IF_ERROR(MoveDoc(FindDocMutable(id), src, dst));
+    RETURN_IF_ERROR(map_.RemoveShard(victim));
+    groups_.erase(std::find_if(groups_.begin(), groups_.end(),
+                               [&](const auto& g) { return g->id == victim; }));
+    return Status::Ok();
+  }
+
+  Status CompactShardImpl(ShardId shard) {
+    ShardGroup* group = FindGroup(shard);
+    const ShardRange* range = map_.Find(shard);
+    if (group == nullptr || range == nullptr)
+      return Status::NotFound("no such shard");
+    const int64_t range_base = range->base;
+    int64_t offset = 0;
+    for (Doc& doc : docs_) {  // ascending base: packing left never collides
+      if (doc.shard != shard) continue;
+      const int32_t target = static_cast<int32_t>(range_base + offset);
+      if (target != doc.base) {
+        RebaseDocRequest req;
+        req.doc_id = doc.id;
+        req.new_base = target;
+        for (ServerEndpoint* ep : group->group.endpoints)
+          RETURN_IF_ERROR(ep->RebaseDoc(req).status());
+        doc.base = target;
+      }
+      offset += doc.size;
+    }
+    return map_.SetNext(shard, offset);
+  }
+
+  /// Moves one document's trees from `src` to a freshly allocated base in
+  /// `dst`: per server export + re-add, then retire at the source. On a
+  /// partial failure the destination copies are rolled back and the
+  /// document stays where it was.
+  Status MoveDoc(Doc* doc, ShardGroup* src, ShardGroup* dst) {
+    ASSIGN_OR_RETURN(int32_t new_base, map_.Allocate(dst->id, doc->size));
+    const size_t k = src->group.endpoints.size();
+    std::vector<ExportDocResponse> exports;
+    exports.reserve(k);
+    for (size_t s = 0; s < k; ++s) {
+      ExportDocRequest req;
+      req.doc_id = doc->id;
+      ASSIGN_OR_RETURN(ExportDocResponse resp,
+                       src->group.endpoints[s]->ExportDoc(req));
+      exports.push_back(std::move(resp));
+    }
+    for (size_t s = 0; s < k; ++s) {
+      AddDocRequest req;
+      req.doc_id = doc->id;
+      req.base = new_base;
+      req.store_bytes = std::move(exports[s].store_bytes);
+      auto ack = dst->group.endpoints[s]->AddDoc(req);
+      if (!ack.ok()) {
+        RemoveDocRequest undo;
+        undo.doc_id = doc->id;
+        for (size_t u = 0; u <= s; ++u)
+          (void)dst->group.endpoints[u]->RemoveDoc(undo);  // best effort
+        return ack.status();
       }
     }
-    if (roots.size() == docs_.size()) return session_->LookupBatch(queries);
-    QuerySession<Ring> session(client_.get(), group_, std::move(roots));
-    return session.LookupBatch(queries);
+    RemoveDocRequest retire;
+    retire.doc_id = doc->id;
+    for (size_t s = 0; s < k; ++s)
+      (void)src->group.endpoints[s]->RemoveDoc(retire);
+    doc->shard = dst->id;
+    doc->base = new_base;
+    return Status::Ok();
   }
 
-  static std::string CacheKey(std::string_view kind, int variant,
-                              std::string_view text) {
-    std::string key(kind);
-    key += static_cast<char>('0' + variant);
-    key += '\x1f';
-    key += text;
-    return key;
+  bool ShardAlive(ShardGroup& group) {
+    size_t alive = 0;
+    for (ServerEndpoint* ep : group.group.endpoints)
+      if (ep->Probe().ok()) ++alive;
+    const size_t required =
+        group.group.scheme == ShareScheme::kShamir
+            ? static_cast<size_t>(group.group.threshold)
+            : group.group.endpoints.size();
+    return alive >= required;
   }
 
-  /// A cache hit only counts when the entry's generation is current; stale
-  /// entries are reaped on contact instead of by sweeping at Add/Remove.
-  const std::vector<CollectionResult>* CacheFind(const std::string& key) {
-    auto it = cache_.find(key);
-    if (it == cache_.end()) return nullptr;
-    if (it->second.generation != generation_) {
-      cache_order_.erase(it->second.order);
-      cache_.erase(it);
-      return nullptr;
-    }
-    cache_order_.splice(cache_order_.begin(), cache_order_, it->second.order);
-    return &it->second.results;
-  }
+  // -------------------------------------------------------------- lookups
 
-  void CacheStore(std::string key, std::vector<CollectionResult> results) {
-    if (cache_capacity_ == 0) return;
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      cache_order_.erase(it->second.order);
-      cache_.erase(it);
-    }
-    while (cache_.size() >= cache_capacity_) EvictOldest();
-    cache_order_.push_front(std::move(key));
-    cache_.emplace(cache_order_.front(),
-                   CacheEntry{generation_, std::move(results),
-                              cache_order_.begin()});
-  }
-
-  void EvictOldest() {
-    if (cache_order_.empty()) return;
-    cache_.erase(cache_order_.back());
-    cache_order_.pop_back();
+  ShardGroup* FindGroup(ShardId id) const {
+    for (const auto& group : groups_)
+      if (group->id == id) return group.get();
+    return nullptr;
   }
 
   const Doc* FindDoc(DocId doc_id) const {
     for (const Doc& doc : docs_)
       if (doc.id == doc_id) return &doc;
     return nullptr;
+  }
+
+  Result<const Doc*> DocOrNotFound(DocId doc_id) const {
+    const Doc* doc = FindDoc(doc_id);
+    if (doc == nullptr)
+      return Status::NotFound("doc id " + std::to_string(doc_id) +
+                              " is not in the collection");
+    return doc;
+  }
+
+  Doc* FindDocMutable(DocId doc_id) {
+    return const_cast<Doc*>(FindDoc(doc_id));
   }
 
   /// docs_ is sorted by base: the owner is the last doc starting at or
@@ -976,42 +1396,49 @@ class Collection {
     return owner;
   }
 
-  /// Strips a document's share prefix off a session-global path.
-  static std::string LocalPath(const Doc& doc, const std::string& path) {
-    if (doc.prefix.empty()) return path;
-    if (path == doc.prefix) return "";
-    return path.substr(doc.prefix.size() + 1);
+  void SortDocs() {
+    std::sort(docs_.begin(), docs_.end(),
+              [](const Doc& a, const Doc& b) { return a.base < b.base; });
   }
 
-  void LocalizeMatches(const Doc& doc, std::vector<MatchedNode>* v) const {
-    for (MatchedNode& m : *v) {
-      m.node_id -= doc.base;
-      m.path = LocalPath(doc, m.path);
+  // ------------------------------------------------------- hot-query cache
+
+  /// A cache hit only counts when the entry's generation is current; stale
+  /// entries are reaped on contact instead of by sweeping at mutation.
+  const std::vector<CollectionResult>* CacheFind(const std::string& key) {
+    auto it = cache_.find(key);
+    if (it == cache_.end()) return nullptr;
+    if (it->second.generation != generation_) {
+      cache_order_.erase(it->second.order);
+      cache_.erase(it);
+      return nullptr;
     }
+    cache_order_.splice(cache_order_.begin(), cache_order_, it->second.order);
+    return &it->second.results;
   }
 
-  Result<CollectionResult> Partition(LookupResult&& r) const {
-    CollectionResult out;
-    out.stats = r.stats;
-    auto scatter = [&](std::vector<MatchedNode>& from,
-                       bool possible) -> Status {
-      for (MatchedNode& m : from) {
-        const Doc* doc = FindDocByNode(m.node_id);
-        if (doc == nullptr)
-          return Status::Internal("match outside every document's id range");
-        MatchedNode local{m.node_id - doc->base, LocalPath(*doc, m.path)};
-        if (possible) {
-          out.per_doc[doc->id].possible.push_back(std::move(local));
-        } else {
-          out.per_doc[doc->id].matches.push_back(std::move(local));
-        }
-      }
-      return Status::Ok();
-    };
-    RETURN_IF_ERROR(scatter(r.matches, false));
-    RETURN_IF_ERROR(scatter(r.possible, true));
-    for (auto& [id, result] : out.per_doc) result.stats = out.stats;
-    return out;
+  /// Keeps `results` under `key` (empty = caching off). Partial answers —
+  /// a dead shard skipped — are never cached.
+  void CacheStore(std::string key,
+                  const std::vector<CollectionResult>& results) {
+    if (key.empty() || cache_capacity_ == 0 ||
+        !results[0].skipped_shards.empty())
+      return;
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      cache_order_.erase(it->second.order);
+      cache_.erase(it);
+    }
+    while (cache_.size() >= cache_capacity_) EvictOldest();
+    cache_order_.push_front(std::move(key));
+    cache_.emplace(cache_order_.front(),
+                   CacheEntry{generation_, results, cache_order_.begin()});
+  }
+
+  void EvictOldest() {
+    if (cache_order_.empty()) return;
+    cache_.erase(cache_order_.back());
+    cache_order_.pop_back();
   }
 
   Ring ring_;
@@ -1019,19 +1446,20 @@ class Collection {
   TagMap tag_map_;
   TagMap::Options map_options_;
   ShareSplitOptions split_options_;
+  ShareScheme scheme_ = ShareScheme::kTwoParty;
+  int servers_per_group_ = 1;
+  int threshold_ = 0;  ///< Shamir only
+  EndpointKind transport_ = EndpointKind::kLoopback;  ///< owned groups' kind
   bool legacy_share_paths_ = false;
   bool owns_servers_ = true;
   bool can_add_ = true;
   std::unique_ptr<ClientContext<Ring>> client_;
-  std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>> registries_;
-  std::vector<std::unique_ptr<ServerEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<FaultInjectingEndpoint>> faults_;
   std::unique_ptr<ThreadPool> pool_;
   Executor* external_executor_ = nullptr;
-  EndpointGroup group_;
-  std::unique_ptr<QuerySession<Ring>> session_;
-  std::vector<Doc> docs_;  ///< sorted by base
-  int64_t next_base_ = 0;
+  ShardMap map_;
+  std::vector<std::unique_ptr<ShardGroup>> groups_;  ///< sorted by id
+  std::unique_ptr<QuerySession<Ring>> session_;      ///< see session()
+  std::vector<Doc> docs_;                            ///< sorted by base
   uint64_t next_epoch_ = 0;
 
   // Hot-query cache (off until SetQueryCacheCapacity).
@@ -1041,7 +1469,7 @@ class Collection {
     std::list<std::string>::iterator order;  ///< position in cache_order_
   };
   size_t cache_capacity_ = 0;
-  uint64_t generation_ = 0;  ///< bumped by Add/Remove/InjectFaults
+  uint64_t generation_ = 0;  ///< bumped by every mutation, fault and reshape
   std::list<std::string> cache_order_;  ///< most-recently-used first
   std::map<std::string, CacheEntry> cache_;
 

@@ -13,7 +13,7 @@
 //   engine->RunQueries(queries);   // batched: one shared BFS walk answers
 //                                  // many concurrent //tag queries
 //
-// Since the collection redesign, Engine IS a one-entry
+// Engine is a thin helper over a one-document, unsharded
 // polysse::Collection (core/collection.h) — the single code path for
 // outsourcing, serving and querying. Use a Collection directly when you
 // have more than one document; Engine stays the ergonomic special case
@@ -159,7 +159,6 @@ class Engine {
   ServerHandler* handler(size_t i = 0) { return collection_->handler(i); }
   /// The session, for callers needing the full §4.3 API surface.
   QuerySession<Ring>& session() { return collection_->session(); }
-  const QueryStats& last_stats() const { return collection_->last_stats(); }
   /// The one-entry collection under the hood — escape hatch for callers
   /// growing into multiple documents.
   Collection<Ring>& collection() { return *collection_; }

@@ -74,11 +74,12 @@ Result<ServerStore<ZQuotientRing>> LoadZServerStore(ByteReader* in);
 ///       let Add continue assigning fresh node-id ranges and prefixes
 ///       without ever reusing either.
 ///   v4: + shard trailer: shard count | per shard {shard_id | base | span |
-///       next} — the shard table of a sharded collection (shard/). Each
+///       next} — the shard table of a collection's server groups. Each
 ///       shard owns the disjoint node-id range [base, base + span) and
 ///       allocates document bases at base + next; every document range in
 ///       the v3 table must sit inside exactly one shard. An empty table
-///       (count 0) is an unsharded collection.
+///       (count 0) is an unsharded collection: one shard owning the whole
+///       id space, allocating at next_base.
 ///
 /// Compatibility matrix (loader behavior per stored version):
 ///   version | deployment shape | doc table            | shard table

@@ -119,7 +119,7 @@ struct AdminAck {
 
 // ------------------------------------------------------ shard administration
 //
-// A sharded collection (shard/sharded_collection.h) migrates documents
+// A sharded collection (core/collection.h) migrates documents
 // between server groups: split moves half a shard's documents to a new
 // group, merge drains a retiring shard into a surviving one and then
 // compacts the survivor's node-id space. Two admin messages make those

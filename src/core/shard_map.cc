@@ -1,15 +1,10 @@
-#include "shard/shard_map.h"
+#include "core/shard_map.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 
 namespace polysse {
-
-namespace {
-/// One past the last usable node id (ids are int32 and non-negative).
-constexpr int64_t kIdSpaceEnd = static_cast<int64_t>(INT32_MAX) + 1;
-}  // namespace
 
 Result<ShardMap> ShardMap::FromRanges(std::vector<ShardRange> ranges) {
   ShardMap map;

@@ -1,8 +1,9 @@
-// The client-side shard layout of a sharded collection: which server group
-// owns which slice of the global node-id space, and where inside its slice
-// each group hands out the next document base. Pure bookkeeping — no ring,
-// no crypto — so it is shared by both ring instantiations of
-// ShardedCollection and unit-testable without a deployment.
+// The client-side shard layout of a collection: which server group owns
+// which slice of the global node-id space, and where inside its slice each
+// group hands out the next document base. Pure bookkeeping — no ring, no
+// crypto — so it is shared by both ring instantiations of Collection and
+// unit-testable without a deployment. An unsharded collection is the map
+// with one shard owning the whole id space.
 //
 // Invariants (enforced on every mutation and on FromRanges):
 //   - shard ids are unique;
@@ -14,8 +15,8 @@
 // inside a shard's range belongs to that shard's server group. Ranges make
 // routing stateless — OwnerOfNode answers from the map alone, with no
 // per-document table.
-#ifndef POLYSSE_SHARD_SHARD_MAP_H_
-#define POLYSSE_SHARD_SHARD_MAP_H_
+#ifndef POLYSSE_CORE_SHARD_MAP_H_
+#define POLYSSE_CORE_SHARD_MAP_H_
 
 #include <cstdint>
 #include <vector>
@@ -45,6 +46,10 @@ struct ShardRange {
 /// The shard table: every mutation preserves the class invariants above.
 class ShardMap {
  public:
+  /// One past the last usable node id (ids are int32 and non-negative):
+  /// the span of a shard that owns the whole id space.
+  static constexpr int64_t kIdSpaceEnd = static_cast<int64_t>(INT32_MAX) + 1;
+
   ShardMap() = default;
 
   /// Builds a map from persisted ranges, validating the invariants —
@@ -98,4 +103,4 @@ class ShardMap {
 
 }  // namespace polysse
 
-#endif  // POLYSSE_SHARD_SHARD_MAP_H_
+#endif  // POLYSSE_CORE_SHARD_MAP_H_

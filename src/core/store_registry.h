@@ -54,6 +54,14 @@ class ServerStoreRegistry : public ServerHandler {
 
   const Ring& ring() const { return ring_; }
 
+  /// Whether two rings have the same parameters (field or modulus).
+  static bool SameRing(const Ring& a, const Ring& b) {
+    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
+      return a.p() == b.p();
+    else
+      return a.modulus() == b.modulus();
+  }
+
   size_t num_docs() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return entries_.size();
@@ -294,13 +302,6 @@ class ServerStoreRegistry : public ServerHandler {
     std::vector<int32_t> local_ids;
     std::vector<size_t> positions;
   };
-
-  static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
-  }
 
   size_t TotalNodesLocked() const {
     size_t sum = 0;

@@ -1,1077 +1,21 @@
-// Sharded collections: one client key, MANY server groups, each group
-// (a "shard") holding a disjoint slice of the collection's documents and
-// node-id space. Search is scatter-gather — one shared-frontier walk per
-// shard, fanned out across groups and merged — so wall time scales with
-// the deepest shard instead of the whole collection, while every answer
-// stays bit-identical to the same documents in one unsharded Collection.
-//
-//   ShardDeploy deploy;
-//   deploy.num_shards = 4;
-//   auto col = FpShardedCollection::Create(seed, deploy).value();
-//   col->Add(1, patient_file_1);         // routed to the emptiest shard
-//   auto r = col->Search("diagnosis");   // scatter-gather across 4 groups
-//   col->SplitShard(2, 7);               // half of shard 2 moves to new
-//                                        // group 7, results unchanged
-//   col->MergeShards(0, 3);              // shard 3 drains into 0; its
-//                                        // node-id range is reclaimed
-//
-// Why answers survive splits and merges bit-identically: a document's
-// shares depend only on its PRF prefix and its document-LOCAL node ids —
-// the global base is carried separately by AddDocRequest — so moving a
-// document to another group (export + re-add at a new base + remove) or
-// rebasing it in place never re-splits or re-ships the share trees, and
-// localized results (node_id - base, prefix-stripped path) are invariant.
-//
-// Shard moves ride the same wire admin protocol as document management:
-// ExportDoc pulls one tree per server, AddDoc re-registers it in the
-// destination group, RebaseDoc packs a shard during compaction. Merge
-// compacts the surviving shard first and then reclaims the retired
-// shard's whole node-id range, so remove-heavy lifetimes shrink the id
-// space instead of leaking ranges forever.
+// The sharded spellings of the one collection class. A sharded collection
+// is a polysse::Collection (core/collection.h) created with
+// DeployShape::num_shards > 1: scatter-gather search, online split/merge/
+// compaction and the shard table all live there, and an unsharded
+// collection is simply its one-shard case.
 #ifndef POLYSSE_SHARD_SHARDED_COLLECTION_H_
 #define POLYSSE_SHARD_SHARDED_COLLECTION_H_
 
-#include <algorithm>
-#include <map>
-#include <memory>
-#include <span>
-#include <string>
-#include <string_view>
-#include <type_traits>
-#include <utility>
-#include <vector>
-
-#include "core/client_context.h"
 #include "core/collection.h"
-#include "core/endpoint.h"
-#include "core/outsource.h"
-#include "core/persistence.h"
-#include "core/query_session.h"
-#include "core/store_registry.h"
-#include "shard/shard_map.h"
-#include "util/thread_pool.h"
 
 namespace polysse {
 
-/// Deployment shape of a sharded collection: `num_shards` identical server
-/// groups, each of `num_servers` servers running `scheme`.
-struct ShardDeploy {
-  ShareScheme scheme = ShareScheme::kTwoParty;
-  /// Servers PER GROUP (additive: k, Shamir: n; two-party groups have 1).
-  int num_servers = 1;
-  /// Shamir: t servers per group needed to answer; 0 means all.
-  int threshold = 0;
-  EndpointKind transport = EndpointKind::kLoopback;
-  int num_shards = 1;
-  /// Node-id span each shard owns. Splits allocate fresh ranges of the
-  /// same span, so the int32 id space bounds span * total shards ever.
-  int64_t shard_span = 1 << 20;
-  /// Fan-out workers shared by shard-level scatter-gather and per-group
-  /// server calls (ThreadPool::ParallelFor is caller-helps, so the nested
-  /// fan-outs cannot deadlock). <= 1 runs everything sequentially.
-  int worker_threads = 0;
-};
-
-/// How scatter-gather treats a shard whose group does not answer probes.
-struct ShardSearchOptions {
-  /// false: a dead shard fails the whole search (no partial answers
-  /// presented as complete). true: probe every group first, skip shards
-  /// without enough live servers and record them in skipped_shards.
-  bool skip_dead_shards = false;
-};
-
-/// One shard's share of a scatter-gather query's cost.
-struct ShardQueryStats {
-  ShardId shard_id = 0;
-  QueryStats stats;
-};
-
-/// A scatter-gather answer: per-document matches exactly as an unsharded
-/// Collection reports them, plus the merged and per-shard protocol costs.
-struct ShardedResult {
-  std::map<DocId, LookupResult> per_doc;
-  /// Collection-level roll-up: counters and traffic sum across shards;
-  /// rounds/fetch_rounds take the max, because shards walk concurrently —
-  /// the collection's latency is the deepest shard's, not the sum.
-  QueryStats stats;
-  std::vector<ShardQueryStats> per_shard;  ///< ascending shard id
-  /// Shards skipped as dead (skip_dead_shards mode only). Non-empty means
-  /// documents on those shards are missing from per_doc.
-  std::vector<ShardId> skipped_shards;
-};
-
 template <typename Ring>
-class ShardedCollection {
- public:
-  using OutsourceOptions =
-      std::conditional_t<std::is_same_v<Ring, FpCyclotomicRing>,
-                         FpOutsourceOptions, ZOutsourceOptions>;
-
-  ShardedCollection(const ShardedCollection&) = delete;
-  ShardedCollection& operator=(const ShardedCollection&) = delete;
-
-  /// An empty sharded collection with `deploy.num_shards` live in-process
-  /// server groups. Documents are added incrementally with Add.
-  static Result<std::unique_ptr<ShardedCollection>> Create(
-      const DeterministicPrf& seed, const ShardDeploy& deploy = {},
-      const OutsourceOptions& options = {}) {
-    if (deploy.num_shards < 1)
-      return Status::InvalidArgument("need at least one shard");
-    ASSIGN_OR_RETURN(
-        Ring ring, MakeRing(deploy.scheme, deploy.num_servers, options));
-    auto col = std::unique_ptr<ShardedCollection>(new ShardedCollection(
-        std::move(ring), seed, MakeSplitOptions(options)));
-    col->map_options_ = BuildMapOptions(col->ring_, options);
-    RETURN_IF_ERROR(col->SetShape(deploy.scheme, deploy.num_servers,
-                                  deploy.threshold));
-    col->SetUpPool(deploy.worker_threads);
-    for (int i = 0; i < deploy.num_shards; ++i) {
-      const int64_t base = static_cast<int64_t>(i) * deploy.shard_span;
-      if (base > INT32_MAX)
-        return Status::InvalidArgument("shard layout exceeds the id space");
-      RETURN_IF_ERROR(col->map_.AddShard(static_cast<ShardId>(i),
-                                         static_cast<int32_t>(base),
-                                         deploy.shard_span));
-      RETURN_IF_ERROR(
-          col->MakeOwnedGroup(static_cast<ShardId>(i), deploy.transport));
-    }
-    return col;
-  }
-
-  /// A client over EXTERNAL endpoints (e.g. SocketEndpoints), rebuilt from
-  /// a v4 key file. Endpoints are borrowed and positional: shards in
-  /// ascending shard-id order, `key.num_servers` endpoints each — endpoint
-  /// i*k+s is server s of the i-th shard's group.
-  static Result<std::unique_ptr<ShardedCollection>> Connect(
-      const ClientSecretFile& key, std::vector<ServerEndpoint*> endpoints,
-      Executor* executor = nullptr) {
-    ASSIGN_OR_RETURN(std::unique_ptr<ShardedCollection> col,
-                     FromKey(key));
-    col->owns_servers_ = false;
-    col->external_executor_ = executor;
-    const size_t per_group = static_cast<size_t>(col->servers_per_group_);
-    if (endpoints.size() != col->map_.size() * per_group)
-      return Status::InvalidArgument(
-          "this key names " + std::to_string(col->map_.size()) +
-          " shard(s) of " + std::to_string(per_group) +
-          " server(s); pass exactly that many endpoints, shard-major");
-    std::vector<ShardId> ids = col->SortedShardIds();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      std::vector<ServerEndpoint*> eps(
-          endpoints.begin() + i * per_group,
-          endpoints.begin() + (i + 1) * per_group);
-      RETURN_IF_ERROR(col->AttachExternalGroup(ids[i], std::move(eps)));
-    }
-    return col;
-  }
-
-  /// Reopens a persisted sharded collection: the v4 key file plus one
-  /// store file per (shard, server) at ShardStorePath(store_path, g, s).
-  static Result<std::unique_ptr<ShardedCollection>> Open(
-      const std::string& store_path, const std::string& key_path,
-      EndpointKind transport = EndpointKind::kLoopback) {
-    ASSIGN_OR_RETURN(std::vector<uint8_t> key_bytes, ReadFileBytes(key_path));
-    ByteReader key_reader(key_bytes);
-    ASSIGN_OR_RETURN(ClientSecretFile key,
-                     ClientSecretFile::Deserialize(&key_reader));
-    ASSIGN_OR_RETURN(std::unique_ptr<ShardedCollection> col, FromKey(key));
-    for (ShardId id : col->SortedShardIds()) {
-      auto group = std::make_unique<ShardGroup>();
-      group->id = id;
-      for (int s = 0; s < col->servers_per_group_; ++s) {
-        ASSIGN_OR_RETURN(
-            std::vector<uint8_t> bytes,
-            ReadFileBytes(ShardStorePath(store_path, id, s)));
-        ASSIGN_OR_RETURN(std::unique_ptr<ServerStoreRegistry<Ring>> registry,
-                         LoadStoreRegistry<Ring>(bytes));
-        if (!SameRing(registry->ring(), col->ring_))
-          return Status::Corruption(
-              "shard store disagrees with the key file's ring");
-        group->registries.push_back(std::move(registry));
-      }
-      RETURN_IF_ERROR(col->CrossCheckGroup(*group));
-      RETURN_IF_ERROR(col->AttachOwnedEndpoints(std::move(group), transport));
-    }
-    return col;
-  }
-
-  // ----------------------------------------------------------- documents
-
-  /// Outsources `document` as `doc_id` to the shard with the most free
-  /// node-id space — only that group receives the new share trees. The
-  /// collection-wide tag map grows by the document's unseen tags, exactly
-  /// as in an unsharded Collection (same seed + same add order = same
-  /// tags, prefixes and shares, which is what keeps answers comparable).
-  Status Add(DocId doc_id, const XmlNode& document) {
-    if (FindDoc(doc_id) != nullptr)
-      return Status::InvalidArgument("doc id " + std::to_string(doc_id) +
-                                     " is already in the collection");
-    TagMap next_map = tag_map_;
-    RETURN_IF_ERROR(
-        next_map.Extend(document.DistinctTags(), map_options_, seed_));
-    ASSIGN_OR_RETURN(PolyTree<Ring> data,
-                     BuildPolyTree(ring_, next_map, document));
-    const int64_t size = static_cast<int64_t>(data.size());
-    ASSIGN_OR_RETURN(ShardId target, map_.PickForAdd(size));
-    const int64_t prior_next = map_.Find(target)->next;
-    ASSIGN_OR_RETURN(int32_t base, map_.Allocate(target, size));
-
-    const std::string prefix =
-        "d" + std::to_string(doc_id) + "." + std::to_string(next_epoch_);
-    for (auto& node : data.nodes) node.path = JoinSharePath(prefix, node.path);
-    auto trees_or = SplitForServers(data, prefix);
-    if (!trees_or.ok()) {
-      (void)map_.SetNext(target, prior_next);
-      return trees_or.status();
-    }
-    std::vector<PolyTree<Ring>>& trees = *trees_or;
-
-    ShardGroup* group = FindGroup(target);
-    for (size_t s = 0; s < trees.size(); ++s) {
-      AddDocRequest req;
-      req.doc_id = doc_id;
-      req.base = base;
-      ByteWriter bytes;
-      ServerStore<Ring> store(ring_, std::move(trees[s]));
-      SaveServerStore(store, &bytes);
-      req.store_bytes = bytes.Take();
-      auto ack = group->group.endpoints[s]->AddDoc(req);
-      if (!ack.ok()) {
-        RemoveDocRequest undo;
-        undo.doc_id = doc_id;
-        for (size_t u = 0; u <= s; ++u)
-          (void)group->group.endpoints[u]->RemoveDoc(undo);  // best effort
-        (void)map_.SetNext(target, prior_next);
-        return ack.status();
-      }
-    }
-
-    tag_map_ = std::move(next_map);
-    RebuildClient();
-    InsertDoc({doc_id, target, base, size, prefix});
-    ++next_epoch_;
-    return Status::Ok();
-  }
-
-  /// Retires `doc_id` on every server of its owning shard. Idempotent and
-  /// retryable exactly like Collection::Remove. The document's node-id
-  /// range inside the shard is not reused until the shard is compacted.
-  Status Remove(DocId doc_id) {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
-    ShardGroup* group = FindGroup(doc->shard);
-    RemoveDocRequest req;
-    req.doc_id = doc_id;
-    Status first_error = Status::Ok();
-    for (ServerEndpoint* ep : group->group.endpoints) {
-      auto ack = ep->RemoveDoc(req);
-      if (!ack.ok() && ack.status().code() != StatusCode::kNotFound &&
-          first_error.ok()) {
-        first_error = ack.status();
-      }
-    }
-    RETURN_IF_ERROR(first_error);
-    docs_.erase(docs_.begin() + (doc - docs_.data()));
-    return Status::Ok();
-  }
-
-  // ------------------------------------------------------------- queries
-
-  /// Scatter-gather element lookup //tag across every shard.
-  Result<ShardedResult> Search(std::string_view tag,
-                               VerifyMode mode = VerifyMode::kVerified,
-                               ShardSearchOptions options = {}) {
-    Query q;
-    q.tag = std::string(tag);
-    q.mode = mode;
-    ASSIGN_OR_RETURN(std::vector<ShardedResult> out,
-                     SearchMany(std::span<const Query>(&q, 1), options));
-    return std::move(out[0]);
-  }
-
-  /// Batched scatter-gather: per shard ONE shared-frontier session answers
-  /// all queries (entry i answers queries[i]); shards run concurrently on
-  /// the worker pool when one was configured.
-  Result<std::vector<ShardedResult>> SearchMany(
-      std::span<const Query> queries, ShardSearchOptions options = {}) {
-    struct Part {
-      ShardGroup* group = nullptr;
-      std::vector<SessionRoot> roots;
-    };
-    std::vector<Part> parts;
-    std::vector<ShardId> skipped;
-    for (const auto& group : groups_) {
-      std::vector<SessionRoot> roots;
-      for (const Doc& doc : docs_) {
-        if (doc.shard == group->id) roots.push_back({doc.base, doc.prefix});
-      }
-      if (roots.empty()) continue;  // nothing to walk, nothing to probe
-      if (options.skip_dead_shards && !ShardAlive(*group)) {
-        skipped.push_back(group->id);
-        continue;
-      }
-      parts.push_back({group.get(), std::move(roots)});
-    }
-
-    struct Outcome {
-      Status status = Status::Ok();
-      MultiLookupResult result;
-    };
-    std::vector<Outcome> outcomes(parts.size());
-    auto run_one = [&](size_t i) {
-      QuerySession<Ring> session(client_.get(), parts[i].group->group,
-                                 parts[i].roots);
-      auto r = session.LookupBatch(queries);
-      if (r.ok()) {
-        outcomes[i].result = std::move(*r);
-      } else {
-        outcomes[i].status = r.status();
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(parts.size(), run_one);
-    } else {
-      for (size_t i = 0; i < parts.size(); ++i) run_one(i);
-    }
-
-    QueryStats rollup;
-    std::vector<ShardQueryStats> per_shard;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      RETURN_IF_ERROR(outcomes[i].status);
-      MergeStats(&rollup, outcomes[i].result.stats);
-      per_shard.push_back({parts[i].group->id, outcomes[i].result.stats});
-    }
-
-    std::vector<ShardedResult> out(queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      ShardedResult& r = out[q];
-      r.stats = rollup;
-      r.per_shard = per_shard;
-      r.skipped_shards = skipped;
-      for (size_t i = 0; i < parts.size(); ++i) {
-        LookupResult& lr = outcomes[i].result.per_tag[q];
-        RETURN_IF_ERROR(Scatter(lr.matches, /*possible=*/false, &r));
-        RETURN_IF_ERROR(Scatter(lr.possible, /*possible=*/true, &r));
-      }
-      for (auto& [id, result] : r.per_doc) result.stats = rollup;
-    }
-    return out;
-  }
-
-  // -------------------------------------------------------- split / merge
-
-  /// Online shard split: moves the upper half of `source`'s documents (by
-  /// node-id order) to the brand-new shard `new_shard`, which gets a fresh
-  /// node-id range of the same span and a new in-process server group.
-  /// Every move is pure wire traffic (ExportDoc + AddDoc + RemoveDoc);
-  /// search answers before and after are bit-identical.
-  Status SplitShard(ShardId source, ShardId new_shard) {
-    if (!owns_servers_)
-      return Status::FailedPrecondition(
-          "connected collections must supply the new group's endpoints");
-    return SplitShardImpl(source, new_shard, nullptr);
-  }
-
-  /// Split against EXTERNAL endpoints for the new group (connected mode):
-  /// `new_endpoints` are borrowed, one per server of the group shape.
-  Status SplitShard(ShardId source, ShardId new_shard,
-                    std::vector<ServerEndpoint*> new_endpoints) {
-    return SplitShardImpl(source, new_shard, &new_endpoints);
-  }
-
-  /// Online shard merge: compacts `into`, drains every document of
-  /// `victim` into it, then retires `victim` — its whole node-id range
-  /// returns to the free pool, which is how remove-heavy collections
-  /// shrink their id space instead of leaking ranges.
-  Status MergeShards(ShardId into, ShardId victim) {
-    if (into == victim)
-      return Status::InvalidArgument("cannot merge a shard into itself");
-    ShardGroup* dst = FindGroup(into);
-    ShardGroup* src = FindGroup(victim);
-    if (dst == nullptr || src == nullptr)
-      return Status::NotFound("no such shard");
-    RETURN_IF_ERROR(CompactShard(into));
-    int64_t need = 0;
-    for (const Doc& doc : docs_)
-      if (doc.shard == victim) need += doc.size;
-    if (need > map_.Find(into)->free_space())
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(into) + " lacks " + std::to_string(need) +
-          " free node ids for the merge");
-    std::vector<DocId> moving;
-    for (const Doc& doc : docs_)  // docs_ sorted by base: stable order
-      if (doc.shard == victim) moving.push_back(doc.id);
-    for (DocId id : moving) {
-      Doc* doc = FindDocMutable(id);
-      ASSIGN_OR_RETURN(int32_t new_base, map_.Allocate(into, doc->size));
-      RETURN_IF_ERROR(MoveDoc(doc, src, dst, new_base));
-    }
-    SortDocs();
-    RETURN_IF_ERROR(map_.RemoveShard(victim));
-    DropGroup(victim);
-    return Status::Ok();
-  }
-
-  /// Packs `shard`'s documents back against its range start via RebaseDoc
-  /// (no share tree crosses the wire) and rewinds its allocation offset,
-  /// reclaiming the holes removals left behind.
-  Status CompactShard(ShardId shard) {
-    ShardGroup* group = FindGroup(shard);
-    const ShardRange* range = map_.Find(shard);
-    if (group == nullptr || range == nullptr)
-      return Status::NotFound("no such shard");
-    int64_t offset = 0;
-    for (Doc& doc : docs_) {  // ascending base: packing left never collides
-      if (doc.shard != shard) continue;
-      const int32_t target = static_cast<int32_t>(range->base + offset);
-      if (target != doc.base) {
-        RebaseDocRequest req;
-        req.doc_id = doc.id;
-        req.new_base = target;
-        for (ServerEndpoint* ep : group->group.endpoints) {
-          ASSIGN_OR_RETURN(AdminAck ack, ep->RebaseDoc(req));
-          (void)ack;
-        }
-        doc.base = target;
-      }
-      offset += doc.size;
-    }
-    return map_.SetNext(shard, offset);
-  }
-
-  // --------------------------------------------------------- persistence
-
-  /// Persists every group's stores (one file per (shard, server) at
-  /// ShardStorePath) plus the v4 client key. Owned servers only.
-  Status Save(const std::string& store_path,
-              const std::string& key_path) const {
-    if (!owns_servers_)
-      return Status::FailedPrecondition(
-          "connected collections do not hold the server stores; use "
-          "SaveKey");
-    for (const auto& group : groups_) {
-      for (size_t s = 0; s < group->registries.size(); ++s) {
-        ByteWriter bytes;
-        SaveStoreRegistry(*group->registries[s], &bytes);
-        RETURN_IF_ERROR(WriteFileBytes(
-            ShardStorePath(store_path, group->id, s), bytes.span()));
-      }
-    }
-    return SaveKey(key_path);
-  }
-
-  /// Persists the client secret state as a v4 key file: seed, tag map,
-  /// group shape, document table and shard table.
-  Status SaveKey(const std::string& key_path) const {
-    ClientSecretFile key;
-    key.seed = seed_.seed();
-    key.tag_map = tag_map_;
-    key.z_coeff_bits = split_options_.z_coeff_bits;
-    key.scheme = scheme_;
-    key.num_servers = servers_per_group_;
-    key.threshold = threshold_;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
-      key.fp_p = ring_.p();
-    } else {
-      key.ring_kind = static_cast<uint8_t>(StoredRingKind::kZQuotient);
-      key.z_modulus = ring_.modulus();
-    }
-    for (const Doc& doc : docs_)
-      key.docs.push_back({doc.id, doc.base, doc.size, doc.prefix});
-    key.next_epoch = next_epoch_;
-    for (const ShardRange& s : map_.shards())
-      key.shards.push_back({s.shard_id, s.base, s.span, s.next});
-    ByteWriter bytes;
-    key.Serialize(&bytes);
-    return WriteFileBytes(key_path, bytes.span());
-  }
-
-  /// Where Save puts shard `shard`'s server-`s` store file.
-  static std::string ShardStorePath(const std::string& store_path,
-                                    ShardId shard, size_t s) {
-    return store_path + ".g" + std::to_string(shard) + ".s" +
-           std::to_string(s);
-  }
-
-  // -------------------------------------------------------- introspection
-
-  const Ring& ring() const { return ring_; }
-  const ShardMap& shard_map() const { return map_; }
-  size_t num_shards() const { return map_.size(); }
-  size_t num_docs() const { return docs_.size(); }
-  bool contains(DocId doc_id) const { return FindDoc(doc_id) != nullptr; }
-  ShareScheme scheme() const { return scheme_; }
-  int servers_per_group() const { return servers_per_group_; }
-
-  /// Ids in node-id order.
-  std::vector<DocId> doc_ids() const {
-    std::vector<DocId> out;
-    out.reserve(docs_.size());
-    for (const Doc& doc : docs_) out.push_back(doc.id);
-    return out;
-  }
-
-  /// The shard currently hosting `doc_id`.
-  Result<ShardId> shard_of(DocId doc_id) const {
-    const Doc* doc = FindDoc(doc_id);
-    if (doc == nullptr)
-      return Status::NotFound("doc id " + std::to_string(doc_id) +
-                              " is not in the collection");
-    return doc->shard;
-  }
-
-  size_t total_nodes() const {
-    size_t sum = 0;
-    for (const Doc& doc : docs_) sum += static_cast<size_t>(doc.size);
-    return sum;
-  }
-
-  /// Shard `shard`'s server-`s` registry, or null (connected mode, or no
-  /// such shard/server).
-  ServerStoreRegistry<Ring>* registry(ShardId shard, size_t s = 0) {
-    ShardGroup* group = FindGroup(shard);
-    if (group == nullptr || s >= group->registries.size()) return nullptr;
-    return group->registries[s].get();
-  }
-  ServerHandler* handler(ShardId shard, size_t s = 0) {
-    return registry(shard, s);
-  }
-
-  /// Probes shard `shard`'s group; true when enough servers answer for
-  /// the scheme (Shamir: threshold, otherwise all).
-  Result<bool> ProbeShard(ShardId shard) {
-    ShardGroup* group = FindGroup(shard);
-    if (group == nullptr) return Status::NotFound("no such shard");
-    return ShardAlive(*group);
-  }
-
-  /// Wraps shard `shard`'s server-`s` endpoint in a FaultInjectingEndpoint
-  /// and returns it, or null on a bad index. Composable, like
-  /// Collection::InjectFaults.
-  FaultInjectingEndpoint* InjectFaults(ShardId shard, size_t s,
-                                       FaultConfig config) {
-    ShardGroup* group = FindGroup(shard);
-    if (group == nullptr || s >= group->group.endpoints.size())
-      return nullptr;
-    group->faults.push_back(std::make_unique<FaultInjectingEndpoint>(
-        group->group.endpoints[s], std::move(config)));
-    group->group.endpoints[s] = group->faults.back().get();
-    return group->faults.back().get();
-  }
-
-  /// Cumulative wire cost across every endpoint of every shard.
-  TransportCounters transport_totals() const {
-    TransportCounters sum;
-    for (const auto& group : groups_)
-      for (const ServerEndpoint* ep : group->group.endpoints)
-        sum.Add(ep->counters());
-    return sum;
-  }
-
- private:
-  struct Doc {
-    DocId id = 0;
-    ShardId shard = 0;
-    int32_t base = 0;
-    int64_t size = 0;
-    std::string prefix;
-  };
-
-  /// One shard's server group: registries/endpoints owned in live mode,
-  /// endpoints borrowed in connected mode. `group.endpoints` is what
-  /// queries and admin traffic actually use (faults splice in here).
-  struct ShardGroup {
-    ShardId id = 0;
-    std::vector<std::unique_ptr<ServerStoreRegistry<Ring>>> registries;
-    std::vector<std::unique_ptr<ServerEndpoint>> owned;
-    std::vector<std::unique_ptr<FaultInjectingEndpoint>> faults;
-    EndpointGroup group;
-  };
-
-  ShardedCollection(Ring ring, DeterministicPrf seed,
-                    ShareSplitOptions split_options)
-      : ring_(std::move(ring)),
-        seed_(std::move(seed)),
-        split_options_(split_options) {
-    RebuildClient();
-  }
-
-  static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
-  }
-
-  static Result<Ring> MakeRing(ShareScheme scheme, int num_servers,
-                               const OutsourceOptions& options) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      uint64_t p = options.p;
-      if (p == 0) {
-        p = PrimeForAlphabet(Collection<Ring>::kDefaultTagCapacity);
-        if (scheme == ShareScheme::kShamir)
-          p = NextPrime(
-              std::max(p, static_cast<uint64_t>(num_servers) + 1));
-      }
-      return FpCyclotomicRing::Create(p);
-    } else {
-      return ZQuotientRing::Create(options.r);
-    }
-  }
-
-  static Result<Ring> RingFromKey(const ClientSecretFile& key) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (key.ring_kind !=
-          static_cast<uint8_t>(StoredRingKind::kFpCyclotomic))
-        return Status::InvalidArgument(
-            "key file lacks F_p ring parameters (re-save with this build)");
-      return FpCyclotomicRing::Create(key.fp_p);
-    } else {
-      if (key.ring_kind != static_cast<uint8_t>(StoredRingKind::kZQuotient))
-        return Status::InvalidArgument(
-            "key file lacks Z-ring parameters (re-save with this build)");
-      return ZQuotientRing::Create(key.z_modulus);
-    }
-  }
-
-  static TagMap::Options BuildMapOptions(const Ring& ring,
-                                         const OutsourceOptions& options) {
-    TagMap::Options out;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring.MaxTagValue();
-      out.assignment = options.assignment;
-    } else {
-      out.max_value = options.max_tag_value;
-      if (options.safe_tag_values)
-        out.allowed_values = ring.SafeTagValues(
-            options.max_tag_value,
-            /*max_tag_distance=*/options.max_tag_value);
-    }
-    return out;
-  }
-
-  static ShareSplitOptions MakeSplitOptions(const OutsourceOptions& options) {
-    ShareSplitOptions out;
-    if constexpr (std::is_same_v<Ring, ZQuotientRing>)
-      out.z_coeff_bits = options.coeff_bits;
-    return out;
-  }
-
-  TagMap::Options ReconstructMapOptions() const {
-    TagMap::Options out;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring_.MaxTagValue();
-    } else {
-      out.max_value = tag_map_.max_value();
-      out.allowed_values = ring_.SafeTagValues(
-          out.max_value, /*max_tag_distance=*/out.max_value);
-    }
-    return out;
-  }
-
-  /// Shared Connect/Open front half: ring, client state, shard map and the
-  /// document table from a v4 key.
-  static Result<std::unique_ptr<ShardedCollection>> FromKey(
-      const ClientSecretFile& key) {
-    if (key.shards.empty())
-      return Status::InvalidArgument(
-          "key file has no shard table; use Collection for unsharded keys");
-    ASSIGN_OR_RETURN(Ring ring, RingFromKey(key));
-    auto col = std::unique_ptr<ShardedCollection>(new ShardedCollection(
-        std::move(ring), DeterministicPrf(key.seed),
-        ShareSplitOptions{key.z_coeff_bits}));
-    col->tag_map_ = key.tag_map;
-    col->map_options_ = col->ReconstructMapOptions();
-    col->RebuildClient();
-    RETURN_IF_ERROR(
-        col->SetShape(key.scheme, key.num_servers, key.threshold));
-    std::vector<ShardRange> ranges;
-    for (const auto& s : key.shards)
-      ranges.push_back({s.shard_id, s.base, s.span, s.next});
-    ASSIGN_OR_RETURN(col->map_, ShardMap::FromRanges(std::move(ranges)));
-    for (const auto& doc : key.docs) {
-      const ShardRange* owner = DocOwner(col->map_, doc);
-      if (owner == nullptr)
-        return Status::Corruption(
-            "key file document outside every shard range");
-      col->docs_.push_back({doc.doc_id, owner->shard_id, doc.base, doc.size,
-                            doc.share_prefix});
-    }
-    col->SortDocs();
-    col->next_epoch_ = key.next_epoch;
-    return col;
-  }
-
-  static const ShardRange* DocOwner(
-      const ShardMap& map, const ClientSecretFile::DocEntry& doc) {
-    const ShardRange* owner = map.OwnerOfNode(doc.base);
-    if (owner == nullptr || !owner->Contains(doc.base, doc.size))
-      return nullptr;
-    return owner;
-  }
-
-  Status SetShape(ShareScheme scheme, int num_servers, int threshold) {
-    switch (scheme) {
-      case ShareScheme::kTwoParty:
-        if (num_servers != 1)
-          return Status::InvalidArgument(
-              "two-party scheme takes one server per group");
-        break;
-      case ShareScheme::kAdditive:
-        if (num_servers < 1)
-          return Status::InvalidArgument("need at least one server");
-        break;
-      case ShareScheme::kShamir:
-        if (!std::is_same_v<Ring, FpCyclotomicRing>)
-          return Status::Unimplemented(
-              "Shamir t-of-n requires the F_p ring");
-        break;
-    }
-    scheme_ = scheme;
-    servers_per_group_ = scheme == ShareScheme::kTwoParty ? 1 : num_servers;
-    threshold_ = threshold;
-    return Status::Ok();
-  }
-
-  Result<std::vector<PolyTree<Ring>>> SplitForServers(
-      const PolyTree<Ring>& data, const std::string& prefix) {
-    std::vector<PolyTree<Ring>> trees;
-    switch (scheme_) {
-      case ShareScheme::kTwoParty: {
-        SharedTrees<Ring> shares =
-            SplitShares(ring_, data, seed_, split_options_);
-        trees.push_back(std::move(shares.server));
-        break;
-      }
-      case ShareScheme::kAdditive: {
-        ASSIGN_OR_RETURN(trees,
-                         SplitSharesAcrossServers(ring_, data, seed_,
-                                                  servers_per_group_,
-                                                  split_options_));
-        break;
-      }
-      case ShareScheme::kShamir: {
-        if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-          ChaChaRng rng = seed_.Stream("shamir-split/" + prefix);
-          ASSIGN_OR_RETURN(
-              trees, SplitSharesShamir(ring_, data, threshold_,
-                                       servers_per_group_, rng));
-        } else {
-          return Status::Unimplemented(
-              "Shamir t-of-n requires the F_p ring");
-        }
-        break;
-      }
-    }
-    return trees;
-  }
-
-  Status MakeOwnedGroup(ShardId id, EndpointKind transport) {
-    auto group = std::make_unique<ShardGroup>();
-    group->id = id;
-    for (int s = 0; s < servers_per_group_; ++s)
-      group->registries.push_back(
-          std::make_unique<ServerStoreRegistry<Ring>>(ring_));
-    return AttachOwnedEndpoints(std::move(group), transport);
-  }
-
-  Status AttachOwnedEndpoints(std::unique_ptr<ShardGroup> group,
-                              EndpointKind transport) {
-    std::vector<ServerEndpoint*> eps;
-    for (const auto& registry : group->registries) {
-      if (transport == EndpointKind::kLoopback) {
-        group->owned.push_back(
-            std::make_unique<LoopbackEndpoint>(registry.get()));
-      } else {
-        group->owned.push_back(
-            std::make_unique<InProcessEndpoint>(registry.get()));
-      }
-      eps.push_back(group->owned.back().get());
-    }
-    return FinishGroup(std::move(group), std::move(eps));
-  }
-
-  Status AttachExternalGroup(ShardId id,
-                             std::vector<ServerEndpoint*> endpoints) {
-    auto group = std::make_unique<ShardGroup>();
-    group->id = id;
-    return FinishGroup(std::move(group), std::move(endpoints));
-  }
-
-  Status FinishGroup(std::unique_ptr<ShardGroup> group,
-                     std::vector<ServerEndpoint*> eps) {
-    switch (scheme_) {
-      case ShareScheme::kTwoParty:
-        group->group = EndpointGroup::TwoParty(eps[0]);
-        break;
-      case ShareScheme::kAdditive:
-        group->group = EndpointGroup::Additive(std::move(eps));
-        break;
-      case ShareScheme::kShamir:
-        group->group = EndpointGroup::Shamir(std::move(eps), threshold_);
-        break;
-    }
-    group->group.executor =
-        pool_ != nullptr ? pool_.get() : external_executor_;
-    RETURN_IF_ERROR(group->group.Validate());
-    auto pos = groups_.begin();
-    while (pos != groups_.end() && (*pos)->id < group->id) ++pos;
-    groups_.insert(pos, std::move(group));
-    return Status::Ok();
-  }
-
-  /// Open-time consistency check: this group's servers must agree with
-  /// the key's document table for its shard.
-  Status CrossCheckGroup(const ShardGroup& group) const {
-    std::vector<const Doc*> expected;
-    for (const Doc& doc : docs_)
-      if (doc.shard == group.id) expected.push_back(&doc);
-    for (const auto& registry : group.registries) {
-      const auto stored = registry->docs();
-      if (stored.size() != expected.size())
-        return Status::Corruption(
-            "shard store disagrees with the key file's document table");
-      for (size_t i = 0; i < stored.size(); ++i) {
-        if (stored[i].doc_id != expected[i]->id ||
-            stored[i].base != expected[i]->base ||
-            stored[i].nodes != static_cast<size_t>(expected[i]->size))
-          return Status::Corruption(
-              "shard store disagrees with the key file's document table");
-      }
-    }
-    return Status::Ok();
-  }
-
-  void SetUpPool(int worker_threads) {
-    if (worker_threads > 1)
-      pool_ = std::make_unique<ThreadPool>(
-          static_cast<size_t>(worker_threads));
-  }
-
-  void RebuildClient() {
-    client_ = std::make_unique<ClientContext<Ring>>(
-        ClientContext<Ring>::SeedOnly(ring_, tag_map_, seed_,
-                                      split_options_));
-  }
-
-  ShardGroup* FindGroup(ShardId id) {
-    for (const auto& group : groups_)
-      if (group->id == id) return group.get();
-    return nullptr;
-  }
-
-  void DropGroup(ShardId id) {
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-      if ((*it)->id == id) {
-        groups_.erase(it);
-        return;
-      }
-    }
-  }
-
-  std::vector<ShardId> SortedShardIds() const {
-    std::vector<ShardId> ids;
-    for (const ShardRange& s : map_.shards()) ids.push_back(s.shard_id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-
-  bool ShardAlive(ShardGroup& group) {
-    size_t alive = 0;
-    for (ServerEndpoint* ep : group.group.endpoints)
-      if (ep->Probe().ok()) ++alive;
-    const size_t required =
-        group.group.scheme == ShareScheme::kShamir
-            ? static_cast<size_t>(group.group.threshold)
-            : group.group.endpoints.size();
-    return alive >= required;
-  }
-
-  /// Moves one document's trees from `src` to `dst` at `new_base`:
-  /// per server export + re-add, then retire at the source. On a partial
-  /// failure the destination copies are rolled back and the document
-  /// stays where it was.
-  Status MoveDoc(Doc* doc, ShardGroup* src, ShardGroup* dst,
-                 int32_t new_base) {
-    const size_t k = src->group.endpoints.size();
-    std::vector<ExportDocResponse> exports;
-    exports.reserve(k);
-    for (size_t s = 0; s < k; ++s) {
-      ExportDocRequest req;
-      req.doc_id = doc->id;
-      ASSIGN_OR_RETURN(ExportDocResponse resp,
-                       src->group.endpoints[s]->ExportDoc(req));
-      exports.push_back(std::move(resp));
-    }
-    for (size_t s = 0; s < k; ++s) {
-      AddDocRequest req;
-      req.doc_id = doc->id;
-      req.base = new_base;
-      req.store_bytes = std::move(exports[s].store_bytes);
-      auto ack = dst->group.endpoints[s]->AddDoc(req);
-      if (!ack.ok()) {
-        RemoveDocRequest undo;
-        undo.doc_id = doc->id;
-        for (size_t u = 0; u <= s; ++u)
-          (void)dst->group.endpoints[u]->RemoveDoc(undo);  // best effort
-        return ack.status();
-      }
-    }
-    RemoveDocRequest retire;
-    retire.doc_id = doc->id;
-    for (size_t s = 0; s < k; ++s)
-      (void)src->group.endpoints[s]->RemoveDoc(retire);
-    doc->shard = dst->id;
-    doc->base = new_base;
-    return Status::Ok();
-  }
-
-  Status SplitShardImpl(ShardId source, ShardId new_shard,
-                        std::vector<ServerEndpoint*>* new_endpoints) {
-    ShardGroup* src = FindGroup(source);
-    if (src == nullptr || map_.Find(source) == nullptr)
-      return Status::NotFound("no such shard");
-    if (map_.Find(new_shard) != nullptr)
-      return Status::InvalidArgument("shard id " +
-                                     std::to_string(new_shard) +
-                                     " already exists");
-    const int64_t span = map_.Find(source)->span;
-    ASSIGN_OR_RETURN(int32_t base, map_.FreeRangeBase(span));
-    RETURN_IF_ERROR(map_.AddShard(new_shard, base, span));
-    Status attached =
-        new_endpoints == nullptr
-            ? MakeOwnedGroup(new_shard, src->owned.empty() ||
-                                     dynamic_cast<LoopbackEndpoint*>(
-                                         src->owned[0].get()) != nullptr
-                                 ? EndpointKind::kLoopback
-                                 : EndpointKind::kInProcess)
-            : [&] {
-                if (new_endpoints->size() !=
-                    static_cast<size_t>(servers_per_group_))
-                  return Status::InvalidArgument(
-                      "pass one endpoint per server of the group shape");
-                return AttachExternalGroup(new_shard,
-                                           std::move(*new_endpoints));
-              }();
-    if (!attached.ok()) {
-      (void)map_.RemoveShard(new_shard);
-      return attached;
-    }
-    ShardGroup* dst = FindGroup(new_shard);
-
-    // The upper half of the source's documents (by node-id order) moves.
-    std::vector<DocId> in_source;
-    for (const Doc& doc : docs_)
-      if (doc.shard == source) in_source.push_back(doc.id);
-    const size_t keep = in_source.size() - in_source.size() / 2;
-    for (size_t i = keep; i < in_source.size(); ++i) {
-      Doc* doc = FindDocMutable(in_source[i]);
-      ASSIGN_OR_RETURN(int32_t new_base,
-                       map_.Allocate(new_shard, doc->size));
-      RETURN_IF_ERROR(MoveDoc(doc, src, dst, new_base));
-    }
-    SortDocs();
-    return Status::Ok();
-  }
-
-  const Doc* FindDoc(DocId doc_id) const {
-    for (const Doc& doc : docs_)
-      if (doc.id == doc_id) return &doc;
-    return nullptr;
-  }
-
-  Doc* FindDocMutable(DocId doc_id) {
-    for (Doc& doc : docs_)
-      if (doc.id == doc_id) return &doc;
-    return nullptr;
-  }
-
-  const Doc* FindDocByNode(int32_t id) const {
-    const Doc* owner = nullptr;
-    for (const Doc& doc : docs_) {
-      if (doc.base > id) break;
-      owner = &doc;
-    }
-    if (owner == nullptr) return nullptr;
-    if (static_cast<int64_t>(id) >= owner->base + owner->size)
-      return nullptr;
-    return owner;
-  }
-
-  void InsertDoc(Doc doc) {
-    auto pos = docs_.begin();
-    while (pos != docs_.end() && pos->base < doc.base) ++pos;
-    docs_.insert(pos, std::move(doc));
-  }
-
-  void SortDocs() {
-    std::sort(docs_.begin(), docs_.end(),
-              [](const Doc& a, const Doc& b) { return a.base < b.base; });
-  }
-
-  static std::string LocalPath(const Doc& doc, const std::string& path) {
-    if (doc.prefix.empty()) return path;
-    if (path == doc.prefix) return "";
-    return path.substr(doc.prefix.size() + 1);
-  }
-
-  Status Scatter(std::vector<MatchedNode>& from, bool possible,
-                 ShardedResult* out) const {
-    for (MatchedNode& m : from) {
-      const Doc* doc = FindDocByNode(m.node_id);
-      if (doc == nullptr)
-        return Status::Internal("match outside every document's id range");
-      MatchedNode local{m.node_id - doc->base, LocalPath(*doc, m.path)};
-      if (possible) {
-        out->per_doc[doc->id].possible.push_back(std::move(local));
-      } else {
-        out->per_doc[doc->id].matches.push_back(std::move(local));
-      }
-    }
-    return Status::Ok();
-  }
-
-  static void MergeStats(QueryStats* into, const QueryStats& s) {
-    into->total_server_nodes += s.total_server_nodes;
-    into->nodes_visited += s.nodes_visited;
-    into->server_evals += s.server_evals;
-    into->client_evals += s.client_evals;
-    into->client_share_derivations += s.client_share_derivations;
-    into->rounds = std::max(into->rounds, s.rounds);
-    into->fetch_rounds = std::max(into->fetch_rounds, s.fetch_rounds);
-    into->zero_candidates += s.zero_candidates;
-    into->reconstructions += s.reconstructions;
-    into->polys_fetched_full += s.polys_fetched_full;
-    into->consts_fetched += s.consts_fetched;
-    into->trusted_fallbacks += s.trusted_fallbacks;
-    into->false_positives_removed += s.false_positives_removed;
-    into->server_failovers += s.server_failovers;
-    into->transport.Add(s.transport);
-  }
-
-  Ring ring_;
-  DeterministicPrf seed_;
-  TagMap tag_map_;
-  TagMap::Options map_options_;
-  ShareSplitOptions split_options_;
-  ShareScheme scheme_ = ShareScheme::kTwoParty;
-  int servers_per_group_ = 1;
-  int threshold_ = 0;
-  bool owns_servers_ = true;
-  std::unique_ptr<ClientContext<Ring>> client_;
-  std::unique_ptr<ThreadPool> pool_;
-  Executor* external_executor_ = nullptr;
-  ShardMap map_;
-  std::vector<std::unique_ptr<ShardGroup>> groups_;  ///< sorted by id
-  std::vector<Doc> docs_;                            ///< sorted by base
-  uint64_t next_epoch_ = 0;
-};
-
+using ShardedCollection = Collection<Ring>;
 using FpShardedCollection = ShardedCollection<FpCyclotomicRing>;
 using ZShardedCollection = ShardedCollection<ZQuotientRing>;
+using ShardDeploy = DeployShape;
+using ShardedResult = CollectionResult;
 
 }  // namespace polysse
 

@@ -1,19 +1,23 @@
-// End-to-end tests of the shard/ subsystem: ShardMap invariants, and the
-// ShardedCollection facade — scatter-gather answers bit-identical to one
-// unsharded Collection over the same documents, across every share scheme
-// and verify mode, before AND after online shard splits and merges;
-// per-shard stats roll-ups; dead-shard handling; Save/Open and Connect
-// (over real TCP) round trips; and node-id space reclamation under a
-// remove-heavy churn loop.
+// End-to-end tests of sharded collections: ShardMap invariants, and
+// scatter-gather answers bit-identical to one unsharded Collection over the
+// same documents AND equal to a plaintext walk of each document, across
+// every share scheme and verify mode, before AND after online shard splits
+// and merges — including ones that fail partway; per-shard stats roll-ups;
+// the hot-query cache and Bloom pre-filter at four shards; dead-shard
+// handling; Save/Open and Connect (over real TCP) round trips; and node-id
+// space reclamation under a remove-heavy churn loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "baseline/plaintext_search.h"
 #include "core/collection.h"
 #include "net/socket_endpoint.h"
-#include "shard/shard_map.h"
+#include "core/shard_map.h"
 #include "shard/sharded_collection.h"
 #include "testing/query_helpers.h"
 #include "xml/xml_generator.h"
@@ -22,6 +26,7 @@
 namespace polysse {
 namespace {
 
+using testing::Sorted;
 using testing::SortedMatchPaths;
 
 XmlNode MakeDoc(uint64_t seed, size_t num_nodes = 30, size_t alphabet = 6) {
@@ -48,6 +53,41 @@ void ExpectSameAnswers(const CollectionResult& want, const ShardedResult& got,
     EXPECT_EQ(r.matches, it->second.matches) << label << " doc " << id;
     EXPECT_EQ(r.possible, it->second.possible) << label << " doc " << id;
   }
+}
+
+/// The reference that shares no code with Collection: a plaintext walk of
+/// each document. Verified and trusted answers equal it exactly; optimistic
+/// confirmed matches are a subset of it. `docs` holds (DocId, XmlNode)
+/// pairs — every document the collection currently holds.
+template <typename Docs>
+void ExpectMatchesPlaintext(const Docs& docs, const std::string& tag,
+                            VerifyMode mode, const CollectionResult& got,
+                            const std::string& label) {
+  for (const auto& [id, doc] : docs) {
+    const std::vector<std::string> want =
+        Sorted(PlaintextLookup(doc, tag).match_paths);
+    auto it = got.per_doc.find(id);
+    const std::vector<std::string> paths =
+        it == got.per_doc.end() ? std::vector<std::string>{}
+                                : SortedMatchPaths(it->second.matches);
+    if (mode != VerifyMode::kOptimistic) {
+      EXPECT_EQ(paths, want) << label << " doc " << id;
+      continue;
+    }
+    for (const std::string& p : paths)
+      EXPECT_TRUE(std::binary_search(want.begin(), want.end(), p))
+          << label << " doc " << id << " spurious optimistic match " << p;
+  }
+}
+
+template <typename Docs>
+std::vector<std::string> AllTags(const Docs& docs) {
+  std::vector<std::string> tags;
+  for (const auto& [id, doc] : docs)
+    for (const std::string& t : doc.DistinctTags())
+      if (std::find(tags.begin(), tags.end(), t) == tags.end())
+        tags.push_back(t);
+  return tags;
 }
 
 // ------------------------------------------------------------ ShardMap --
@@ -132,21 +172,17 @@ TEST(ShardTest, ScatterGatherOverFourShardsMatchesUnshardedBitIdentical) {
   for (const auto& [id, doc] : docs) ++spread[col->shard_of(id).value()];
   EXPECT_EQ(spread.size(), 4u);
 
-  std::vector<std::string> tags;
-  for (const auto& [id, doc] : docs)
-    for (const std::string& t : doc.DistinctTags())
-      if (std::find(tags.begin(), tags.end(), t) == tags.end())
-        tags.push_back(t);
-
+  const std::vector<std::string> tags = AllTags(docs);
   for (const std::string& tag : tags) {
     for (VerifyMode mode : kAllModes) {
       auto want = oracle->Search(tag, mode);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       auto got = col->Search(tag, mode);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameAnswers(*want, *got,
-                        "//" + tag + " mode " +
-                            std::to_string(static_cast<int>(mode)));
+      const std::string label =
+          "//" + tag + " mode " + std::to_string(static_cast<int>(mode));
+      ExpectSameAnswers(*want, *got, label);
+      ExpectMatchesPlaintext(docs, tag, mode, *got, label);
     }
   }
 
@@ -157,9 +193,12 @@ TEST(ShardTest, ScatterGatherOverFourShardsMatchesUnshardedBitIdentical) {
   auto batched = col->SearchMany(queries).value();
   auto want_batched = oracle->SearchMany(queries).value();
   ASSERT_EQ(batched.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i)
+  for (size_t i = 0; i < queries.size(); ++i) {
     ExpectSameAnswers(want_batched[i], batched[i],
                       "batched //" + queries[i].tag);
+    ExpectMatchesPlaintext(docs, queries[i].tag, VerifyMode::kVerified,
+                           batched[i], "batched //" + queries[i].tag);
+  }
 }
 
 TEST(ShardTest, SplitAndMergeKeepAnswersBitIdentical) {
@@ -178,11 +217,8 @@ TEST(ShardTest, SplitAndMergeKeepAnswersBitIdentical) {
     ASSERT_TRUE(col->Add(id, doc).ok());
   }
 
-  std::vector<std::string> tags;
-  for (const auto& [id, doc] : docs)
-    for (const std::string& t : doc.DistinctTags())
-      if (std::find(tags.begin(), tags.end(), t) == tags.end())
-        tags.push_back(t);
+  const std::vector<std::string> tags = AllTags(docs);
+  std::map<DocId, XmlNode> live(docs.begin(), docs.end());
   auto check_all = [&](const std::string& label) {
     for (const std::string& tag : tags) {
       for (VerifyMode mode : kAllModes) {
@@ -190,6 +226,7 @@ TEST(ShardTest, SplitAndMergeKeepAnswersBitIdentical) {
         auto got = col->Search(tag, mode);
         ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
         ExpectSameAnswers(want, *got, label + " //" + tag);
+        ExpectMatchesPlaintext(live, tag, mode, *got, label + " //" + tag);
       }
     }
   };
@@ -225,6 +262,8 @@ TEST(ShardTest, SplitAndMergeKeepAnswersBitIdentical) {
   ASSERT_TRUE(oracle->Remove(docs[0].first).ok());
   ASSERT_TRUE(col->Add(40, docs[0].second).ok());
   ASSERT_TRUE(oracle->Add(40, docs[0].second).ok());
+  live.erase(docs[0].first);
+  live.emplace(40, docs[0].second);
   check_all("after churn");
 }
 
@@ -422,15 +461,29 @@ TEST(ShardTest, SaveOpenRoundTripsShardedLayout) {
   ASSERT_TRUE((*back)->MergeShards(0, 6).ok());
   EXPECT_TRUE((*back)->Search("tag0").ok());
 
-  // An unsharded key refuses the sharded loader with a pointed message.
+  // Sharded layouts persist one file per (shard, server).
+  EXPECT_TRUE(ReadFileBytes(store + ".g6.s1").ok());
+
+  // An unsharded collection keeps the historical layout — one store file
+  // per server and an empty shard table — and reopens as shard 0 through
+  // the same loader.
   auto flat = FpCollection::Create(seed).value();
   ASSERT_TRUE(flat->Add(1, docs.at(1)).ok());
   ASSERT_TRUE(flat->Save("/tmp/polysse_flat.bin", "/tmp/polysse_flat.key")
                   .ok());
-  auto wrong = FpShardedCollection::Open("/tmp/polysse_flat.bin",
-                                         "/tmp/polysse_flat.key");
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_NE(wrong.status().message().find("shard table"), std::string::npos);
+  auto flat_key_bytes = ReadFileBytes("/tmp/polysse_flat.key").value();
+  ByteReader flat_key_reader(flat_key_bytes);
+  EXPECT_TRUE(
+      ClientSecretFile::Deserialize(&flat_key_reader).value().shards.empty());
+  EXPECT_FALSE(ReadFileBytes("/tmp/polysse_flat.bin.g0.s0").ok());
+  auto reopened = FpShardedCollection::Open("/tmp/polysse_flat.bin",
+                                            "/tmp/polysse_flat.key");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_shards(), 1u);
+  EXPECT_EQ((*reopened)->shard_of(1).value(), 0u);
+  const std::string tag = docs.at(1).DistinctTags().front();
+  ExpectSameAnswers(flat->Search(tag).value(),
+                    (*reopened)->Search(tag).value(), "reopened flat");
 }
 
 TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
@@ -553,7 +606,8 @@ TEST(ShardTest, ChurnThenMergeReclaimsNodeIdSpaceAndBytes) {
   auto persisted = [&] {
     size_t sum = 0;
     for (ShardId s : {ShardId{0}, ShardId{1}})
-      if (col->registry(s) != nullptr) sum += col->registry(s)->PersistedBytes();
+      if (col->registry(s, 0) != nullptr)
+        sum += col->registry(s, 0)->PersistedBytes();
     return sum;
   };
   const int64_t leaked_end = high_water();
@@ -599,6 +653,159 @@ TEST(ShardTest, ChurnThenMergeReclaimsNodeIdSpaceAndBytes) {
   ASSERT_TRUE(col->SplitShard(0, 3).ok());
   EXPECT_EQ(col->shard_map().Find(3)->base, deploy.shard_span);
   EXPECT_LE(high_water(), leaked_end);
+}
+
+// ---------------------------------------------------- failed reshapes --
+
+/// Two shards of four 30-node documents over a 3-tag alphabet, plus the
+/// unsharded oracle holding the same documents.
+struct ReshapeFixture {
+  std::map<DocId, XmlNode> docs;
+  std::unique_ptr<FpCollection> oracle;
+  std::unique_ptr<FpShardedCollection> col;
+
+  explicit ReshapeFixture(const std::string& label) {
+    DeterministicPrf seed = DeterministicPrf::FromString(label);
+    for (uint64_t d = 0; d < 8; ++d)
+      docs.emplace(d + 1, MakeDoc(860 + d, 30, 3));
+    oracle = FpCollection::Create(seed).value();
+    ShardDeploy deploy;
+    deploy.num_shards = 2;
+    col = FpShardedCollection::Create(seed, deploy).value();
+    for (const auto& [id, doc] : docs) {
+      EXPECT_TRUE(oracle->Add(id, doc).ok());
+      EXPECT_TRUE(col->Add(id, doc).ok());
+    }
+  }
+
+  void ExpectAnswersHold(const std::string& label) {
+    for (const std::string tag : {"tag0", "tag1", "tag2"}) {
+      for (VerifyMode mode : kAllModes) {
+        auto got = col->Search(tag, mode);
+        ASSERT_TRUE(got.ok()) << label << " //" << tag << ": "
+                              << got.status().ToString();
+        ExpectSameAnswers(oracle->Search(tag, mode).value(), *got,
+                          label + " //" + tag);
+        ExpectMatchesPlaintext(docs, tag, mode, *got, label + " //" + tag);
+      }
+    }
+  }
+};
+
+TEST(ShardTest, SplitFailingPartwayLeavesCollectionSearchable) {
+  ReshapeFixture f("shard-split-fails");
+  // Shard 0's server answers two more calls: the first moving document is
+  // exported and retired, the second export fails. The moved document now
+  // sits at a higher base than documents left behind.
+  FaultInjectingEndpoint* fault = f.col->InjectFaults(0, 0, {});
+  ASSERT_NE(fault, nullptr);
+  fault->config().fail_after_calls = fault->calls() + 2;
+  EXPECT_EQ(f.col->SplitShard(0, 5).code(), StatusCode::kUnavailable);
+  fault->config().fail_after_calls = SIZE_MAX;
+  EXPECT_EQ(f.col->num_shards(), 3u);
+  f.ExpectAnswersHold("after failed split");
+
+  // The half-done layout stays reshapeable: shard 5 drains back into 0.
+  ASSERT_TRUE(f.col->MergeShards(0, 5).ok());
+  f.ExpectAnswersHold("after merging the split back");
+}
+
+TEST(ShardTest, MergeFailingPartwayLeavesCollectionSearchable) {
+  ReshapeFixture f("shard-merge-fails");
+  // Shard 0 drains into shard 1's higher range; its server fails on the
+  // second document's export.
+  FaultInjectingEndpoint* fault = f.col->InjectFaults(0, 0, {});
+  ASSERT_NE(fault, nullptr);
+  fault->config().fail_after_calls = fault->calls() + 2;
+  EXPECT_EQ(f.col->MergeShards(1, 0).code(), StatusCode::kUnavailable);
+  fault->config().fail_after_calls = SIZE_MAX;
+  EXPECT_EQ(f.col->num_shards(), 2u);
+  f.ExpectAnswersHold("after failed merge");
+
+  // Retrying once the server is back finishes the merge.
+  ASSERT_TRUE(f.col->MergeShards(1, 0).ok());
+  EXPECT_EQ(f.col->num_shards(), 1u);
+  f.ExpectAnswersHold("after retried merge");
+}
+
+// ------------------------------------------- cache + Bloom at 4 shards --
+
+TEST(ShardTest, CacheAndBloomPrefilterAtFourShardsMatchColdAnswers) {
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-cache-bloom");
+  std::map<DocId, XmlNode> docs;
+  for (uint64_t d = 0; d < 8; ++d) docs.emplace(d + 1, MakeDoc(880 + d, 8, 8));
+  ShardDeploy deploy;
+  deploy.num_shards = 4;
+  auto cold = FpShardedCollection::Create(seed, deploy).value();
+  auto hot = FpShardedCollection::Create(seed, deploy).value();
+  hot->EnableBloomPrefilter();
+  hot->SetQueryCacheCapacity(64);
+  for (const auto& [id, doc] : docs) {
+    ASSERT_TRUE(cold->Add(id, doc).ok());
+    ASSERT_TRUE(hot->Add(id, doc).ok());
+  }
+
+  // First query per (tag, mode) walks, filtered; the repeat is a cache hit
+  // that touches no server of any shard. Both equal the cold answer.
+  size_t filtered = 0;
+  for (const std::string& tag : AllTags(docs)) {
+    for (VerifyMode mode : kAllModes) {
+      const std::string label =
+          "//" + tag + " mode " + std::to_string(static_cast<int>(mode));
+      auto want = cold->Search(tag, mode).value();
+      auto got = hot->Search(tag, mode).value();
+      filtered += hot->last_prefilter_skipped();
+      ExpectSameAnswers(want, got, label);
+      const TransportCounters before = hot->transport_totals();
+      auto again = hot->Search(tag, mode).value();
+      const TransportCounters after = hot->transport_totals();
+      EXPECT_EQ(after.messages_up, before.messages_up) << label;
+      EXPECT_EQ(after.messages_down, before.messages_down) << label;
+      EXPECT_EQ(after.bytes_up, before.bytes_up) << label;
+      ExpectSameAnswers(want, again, label + " (cached)");
+    }
+  }
+  EXPECT_GT(filtered, 0u) << "the pre-filter never ruled a document out";
+  const std::vector<Query> batch = {{"tag0", VerifyMode::kVerified},
+                                    {"tag3", VerifyMode::kTrustedConstOnly}};
+  auto want_batch = cold->SearchMany(batch).value();
+  auto got_batch = hot->SearchMany(batch).value();
+  for (size_t i = 0; i < batch.size(); ++i)
+    ExpectSameAnswers(want_batch[i], got_batch[i], "batch " + batch[i].tag);
+
+  // Every mutation, fault injection and reshape retires cached answers: a
+  // reshape moves bases and stats even though localized matches stay put.
+  const std::string tag = docs.at(1).DistinctTags().front();
+  auto expect_miss = [&](const std::string& label) {
+    const TransportCounters before = hot->transport_totals();
+    auto got = hot->Search(tag);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    EXPECT_GT(hot->transport_totals().messages_up, before.messages_up)
+        << label << " served a stale cached answer";
+    ExpectSameAnswers(cold->Search(tag).value(), *got, label);
+  };
+  auto warm = [&] { ASSERT_TRUE(hot->Search(tag).ok()); };
+  const XmlNode extra = MakeDoc(899, 8, 8);
+  warm();
+  ASSERT_TRUE(cold->Add(50, extra).ok());
+  ASSERT_TRUE(hot->Add(50, extra).ok());
+  expect_miss("Add");
+  warm();
+  ASSERT_TRUE(cold->Remove(50).ok());
+  ASSERT_TRUE(hot->Remove(50).ok());
+  expect_miss("Remove");
+  warm();
+  ASSERT_NE(hot->InjectFaults(0, 0, {}), nullptr);
+  expect_miss("InjectFaults");
+  warm();
+  ASSERT_TRUE(hot->SplitShard(0, 9).ok());
+  expect_miss("SplitShard");
+  warm();
+  ASSERT_TRUE(hot->MergeShards(0, 9).ok());
+  expect_miss("MergeShards");
+  warm();
+  ASSERT_TRUE(hot->CompactShard(1).ok());
+  expect_miss("CompactShard");
 }
 
 // ------------------------------------------------------------- Z ring --
