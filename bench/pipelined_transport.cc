@@ -2,12 +2,15 @@
 // real loopback TCP link with 3 ms of injected per-request latency (the
 // regime of a WAN hop), three client strategies:
 //
-//   sequential-rr : 16 separate Lookups, legacy request-response frames —
-//                   the natural pre-pipelining baseline.
-//   batched-rr    : one LookupBatch (shared frontier), still
-//                   request-response frames, fetches after the walk.
-//   pipelined     : one LookupBatch over tagged frames — next round's
-//                   Evals overlap the previous rounds' in-flight Fetches.
+//   sequential-rr : 16 separate Lookups, one request in flight at a time
+//                   (the endpoint sits behind a no-fault
+//                   FaultInjectingEndpoint, which hides pipelining) — the
+//                   natural pre-pipelining baseline.
+//   batched-rr    : one LookupBatch (shared frontier) through the same
+//                   decorator: one request at a time, fetches after the walk.
+//   pipelined     : one LookupBatch straight over the pipelined endpoint —
+//                   next round's Evals overlap the previous rounds'
+//                   in-flight Fetches.
 //
 //   pipelined_transport [--json PATH]
 //
@@ -104,15 +107,15 @@ int Run(const std::string& json_path) {
   // carry-over), median wall of 3 after a warmup.
   auto measure = [&](bool pipeline, bool batched) -> RunCost {
     auto one = [&]() -> RunCost {
-      SocketEndpoint::ConnectOptions copts;
-      copts.pipeline = pipeline;
-      auto ep =
-          SocketEndpoint::Connect("127.0.0.1", server->port(), copts).value();
+      auto socket = SocketEndpoint::Connect("127.0.0.1", server->port()).value();
+      FaultInjectingEndpoint one_at_a_time(socket.get(), FaultConfig{});
+      ServerEndpoint* ep =
+          pipeline ? static_cast<ServerEndpoint*>(socket.get()) : &one_at_a_time;
       RunCost cost;
       auto t0 = std::chrono::steady_clock::now();
       if (batched) {
-        QuerySession<FpCyclotomicRing> session(
-            &dep.client, EndpointGroup::TwoParty(ep.get()));
+        QuerySession<FpCyclotomicRing> session(&dep.client,
+                                               EndpointGroup::TwoParty(ep));
         auto r = session.LookupMany(tags, VerifyMode::kVerified).value();
         cost.rounds = r.stats.rounds;
         cost.fetch_rounds = r.stats.fetch_rounds;
@@ -123,8 +126,8 @@ int Run(const std::string& json_path) {
         // Fresh session per query: each pays full price, like 16
         // independent request-response clients sharing one link.
         for (const std::string& tag : tags) {
-          QuerySession<FpCyclotomicRing> session(
-              &dep.client, EndpointGroup::TwoParty(ep.get()));
+          QuerySession<FpCyclotomicRing> session(&dep.client,
+                                                 EndpointGroup::TwoParty(ep));
           auto r = session.Lookup(tag, VerifyMode::kVerified).value();
           cost.rounds += r.stats.rounds;
           cost.fetch_rounds += r.stats.fetch_rounds;

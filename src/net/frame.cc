@@ -56,14 +56,6 @@ void AppendTaggedFrame(std::vector<uint8_t>* out, uint8_t kind, uint32_t tag,
   out->insert(out->end(), payload.begin(), payload.end());
 }
 
-void AppendLegacyFrame(std::vector<uint8_t>* out, uint8_t kind,
-                       std::span<const uint8_t> payload) {
-  out->reserve(out->size() + kLegacyFrameHeaderBytes + payload.size());
-  out->push_back(kind);
-  PutU32Le(out, static_cast<uint32_t>(payload.size()));
-  out->insert(out->end(), payload.begin(), payload.end());
-}
-
 Status WriteFull(int fd, const uint8_t* data, size_t len) {
   while (len > 0) {
     ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);

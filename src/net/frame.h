@@ -1,22 +1,13 @@
-// Wire framing shared by SocketServer and SocketEndpoint, in both protocol
-// generations:
+// Wire framing shared by SocketServer and SocketEndpoint: tagged frames,
 //
-//   legacy (v1, request-response):
-//     request :  [u8 MessageKind][u32le len][len bytes]
-//     response:  [u8 StatusCode ][u32le len][len bytes]
+//   request :  [u8 MessageKind][u32le tag][u32le len][len bytes]
+//   response:  [u8 StatusCode ][u32le tag][u32le len][len bytes]
 //
-//   tagged (v2, pipelined):
-//     request :  [u8 MessageKind][u32le tag][u32le len][len bytes]
-//     response:  [u8 StatusCode ][u32le tag][u32le len][len bytes]
-//
-// A v2 client opens the conversation with a hello frame (kind
-// kHelloFrameKind, tag 0, payload = [protocol version]); the server's first
-// read decides the connection's mode: byte values in the MessageKind range
-// mean a legacy peer (served request-response, responses in request order),
-// the hello byte switches the connection to tagged frames, where any number
-// of requests pipeline and responses return in completion order keyed by
-// tag. The hello byte is outside the MessageKind range, so the negotiation
-// costs legacy clients nothing.
+// A client opens every connection with a hello frame (kind kHelloFrameKind,
+// tag 0, payload = [protocol version]) and waits for the server's ack;
+// after that any number of requests pipeline on the connection and
+// responses return in completion order, keyed by tag. A server closes a
+// connection whose first frame is not the hello.
 //
 // TagRouter is the client half of the tag discipline: it assigns tags,
 // parks a waiter slot per in-flight request (capacity-capped — a
@@ -43,15 +34,14 @@ namespace polysse {
 /// treated as corrupt (alloc-bomb guard, mirrors the codec-level limits).
 inline constexpr uint32_t kMaxSocketFrameBytes = 256u << 20;  // 256 MiB
 
-/// First byte of a v2 client's hello frame. Deliberately outside the
-/// MessageKind range so a server's first read can tell the generations
-/// apart without consuming more than one frame.
+/// Kind byte of the hello frame that must open every connection. Outside
+/// the MessageKind range, so the server can refuse any other first frame
+/// from its first byte.
 inline constexpr uint8_t kHelloFrameKind = 0x50;  // 'P' for pipelined
 
 /// Protocol generation announced in the hello payload.
 inline constexpr uint8_t kPipelineProtocolVersion = 2;
 
-inline constexpr size_t kLegacyFrameHeaderBytes = 5;  // kind + len
 inline constexpr size_t kTaggedFrameHeaderBytes = 9;  // kind + tag + len
 
 /// Decoded tagged-frame header.
@@ -69,10 +59,6 @@ Result<TaggedFrameHeader> DecodeTaggedFrameHeader(
 
 /// Appends one tagged frame to `out`.
 void AppendTaggedFrame(std::vector<uint8_t>* out, uint8_t kind, uint32_t tag,
-                       std::span<const uint8_t> payload);
-
-/// Appends one legacy frame to `out`.
-void AppendLegacyFrame(std::vector<uint8_t>* out, uint8_t kind,
                        std::span<const uint8_t> payload);
 
 /// send() until done (handles partial writes and EINTR). MSG_NOSIGNAL: a

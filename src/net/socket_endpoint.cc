@@ -87,18 +87,13 @@ SocketEndpoint::~SocketEndpoint() {
 
 size_t SocketEndpoint::pending() const {
   std::lock_guard<std::mutex> lock(conn_mu_);
-  return wire_ && wire_->router ? wire_->router->pending() : 0;
+  return wire_ ? wire_->router->pending() : 0;
 }
 
 Result<std::shared_ptr<SocketEndpoint::Wire>> SocketEndpoint::Dial() {
   ASSIGN_OR_RETURN(int fd, DialTcp(host_, port_));
-  auto wire = std::make_shared<Wire>();
-  wire->fd = fd;
-  if (!options_.pipeline) return wire;
-
-  // Version negotiation: hello out, ack back, all before any request. The
-  // hello byte is outside the MessageKind range, so this is what flips the
-  // server's connection state machine into tagged mode.
+  // Version negotiation: hello out, ack back, all before any request — the
+  // server closes a connection whose first frame is anything else.
   std::vector<uint8_t> hello;
   const uint8_t version[] = {kPipelineProtocolVersion};
   AppendTaggedFrame(&hello, kHelloFrameKind, /*tag=*/0, version);
@@ -119,7 +114,8 @@ Result<std::shared_ptr<SocketEndpoint::Wire>> SocketEndpoint::Dial() {
     CloseFd(fd);
     return s;
   }
-  wire->pipelined = true;
+  auto wire = std::make_shared<Wire>();
+  wire->fd = fd;
   wire->router = std::make_shared<TagRouter>(options_.max_pending);
   wire->reader = std::thread([this, wire] { ReaderLoop(wire); });
   return wire;
@@ -227,8 +223,7 @@ Result<std::vector<uint8_t>> SocketEndpoint::AwaitWithRetry(
   if (result.ok() || !h.wire->poisoned.load(std::memory_order_acquire))
     return result;  // success, or a server-reported error (framing intact)
   // Transport failure: the connection died with this request in flight.
-  // One resubmit over a redialed connection, mirroring the legacy
-  // reconnect-once policy.
+  // One resubmit over a redialed connection (the reconnect policy).
   Status first = result.status();
   auto resubmitted = SubmitFrame(kind, payload);
   if (!resubmitted.ok()) {
@@ -238,185 +233,60 @@ Result<std::vector<uint8_t>> SocketEndpoint::AwaitWithRetry(
   return resubmitted->slot->Await();
 }
 
-Result<std::vector<uint8_t>> SocketEndpoint::TryLegacyRoundTrip(
-    const std::shared_ptr<Wire>& wire, MessageKind kind,
-    std::span<const uint8_t> payload) {
-  // Any transport/framing failure poisons the connection: the stream may
-  // hold half a frame, and resynchronizing a length-prefixed protocol
-  // mid-stream is not possible. Server-reported error frames keep it —
-  // the framing stayed aligned.
-  auto poison = [&wire](Status s) {
-    Poison(wire);
-    return s;
-  };
-  std::vector<uint8_t> frame;
-  AppendLegacyFrame(&frame, static_cast<uint8_t>(kind), payload);
-  Status sent = WriteFull(wire->fd, frame.data(), frame.size());
-  if (!sent.ok()) return poison(std::move(sent));
-  CountUp(frame.size());
-
-  uint8_t header[kLegacyFrameHeaderBytes];
-  bool clean_eof = false;
-  Status s = ReadFull(wire->fd, header, sizeof header, &clean_eof);
-  if (!s.ok()) {
-    return poison(clean_eof
-                      ? Status::Unavailable("server closed connection")
-                      : std::move(s));
-  }
-  const uint32_t len = static_cast<uint32_t>(header[1]) |
-                       static_cast<uint32_t>(header[2]) << 8 |
-                       static_cast<uint32_t>(header[3]) << 16 |
-                       static_cast<uint32_t>(header[4]) << 24;
-  if (len > kMaxSocketFrameBytes) {
-    return poison(Status::Corruption(
-        "frame length " + std::to_string(len) + " exceeds the " +
-        std::to_string(kMaxSocketFrameBytes) + "-byte limit"));
-  }
-  std::vector<uint8_t> down(len);
-  if (len > 0) {
-    s = ReadFull(wire->fd, down.data(), down.size(), nullptr);
-    if (!s.ok()) return poison(std::move(s));
-  }
-  CountDown(kLegacyFrameHeaderBytes + down.size());
-  if (header[0] != static_cast<uint8_t>(StatusCode::kOk)) {
-    return StatusFromWire(header[0],
-                          std::string(down.begin(), down.end()));
-  }
-  return down;
-}
-
-Result<std::vector<uint8_t>> SocketEndpoint::RoundTrip(
-    MessageKind kind, std::span<const uint8_t> payload) {
-  if (options_.pipeline) {
-    std::vector<uint8_t> copy(payload.begin(), payload.end());
-    ASSIGN_OR_RETURN(SubmitHandle handle, SubmitFrame(kind, copy));
-    return AwaitWithRetry(kind, copy, std::move(handle));
-  }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  // Up to two exchange attempts per call, each over a live connection:
-  // a poisoned wire (from this call or an earlier one) earns one redial
-  // before the failure surfaces as Unavailable.
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto wire = EnsureWire();
-    if (!wire.ok()) {
-      return last.ok() ? wire.status()
-                       : Status::Unavailable(last.message() +
-                                             "; reconnect failed: " +
-                                             wire.status().message());
-    }
-    Result<std::vector<uint8_t>> result =
-        TryLegacyRoundTrip(*wire, kind, payload);
-    if (result.ok() || !(*wire)->poisoned.load(std::memory_order_acquire))
-      return result;  // success or server-reported error
-    last = result.status();  // transport failure: wire poisoned, retry once
-  }
-  return last;
+template <typename Resp, typename Req>
+Deferred<Resp> SocketEndpoint::Begin(MessageKind kind, const Req& req) {
+  ByteWriter up;
+  req.Serialize(&up);
+  auto payload = std::make_shared<std::vector<uint8_t>>(up.span().begin(),
+                                                        up.span().end());
+  auto submitted = SubmitFrame(kind, *payload);
+  if (!submitted.ok())
+    return Deferred<Resp>(Result<Resp>(submitted.status()));
+  auto handle = std::make_shared<SubmitHandle>(std::move(*submitted));
+  return Deferred<Resp>(std::function<Result<Resp>()>(
+      [this, kind, payload, handle]() -> Result<Resp> {
+        ASSIGN_OR_RETURN(std::vector<uint8_t> down,
+                         AwaitWithRetry(kind, *payload, std::move(*handle)));
+        ByteReader r(down);
+        return Resp::Deserialize(&r);
+      }));
 }
 
 Deferred<EvalResponse> SocketEndpoint::BeginEval(const EvalRequest& req) {
-  if (!options_.pipeline) return Deferred<EvalResponse>(Eval(req));
-  ByteWriter up;
-  req.Serialize(&up);
-  auto payload = std::make_shared<std::vector<uint8_t>>(up.span().begin(),
-                                                        up.span().end());
-  auto submitted = SubmitFrame(MessageKind::kEval, *payload);
-  if (!submitted.ok())
-    return Deferred<EvalResponse>(Result<EvalResponse>(submitted.status()));
-  auto handle = std::make_shared<SubmitHandle>(std::move(*submitted));
-  return Deferred<EvalResponse>(std::function<Result<EvalResponse>()>(
-      [this, payload, handle]() -> Result<EvalResponse> {
-        ASSIGN_OR_RETURN(
-            std::vector<uint8_t> down,
-            AwaitWithRetry(MessageKind::kEval, *payload, std::move(*handle)));
-        ByteReader r(down);
-        return EvalResponse::Deserialize(&r);
-      }));
+  return Begin<EvalResponse>(MessageKind::kEval, req);
 }
 
 Deferred<FetchResponse> SocketEndpoint::BeginFetch(const FetchRequest& req) {
-  if (!options_.pipeline) return Deferred<FetchResponse>(Fetch(req));
-  ByteWriter up;
-  req.Serialize(&up);
-  auto payload = std::make_shared<std::vector<uint8_t>>(up.span().begin(),
-                                                        up.span().end());
-  auto submitted = SubmitFrame(MessageKind::kFetch, *payload);
-  if (!submitted.ok())
-    return Deferred<FetchResponse>(Result<FetchResponse>(submitted.status()));
-  auto handle = std::make_shared<SubmitHandle>(std::move(*submitted));
-  return Deferred<FetchResponse>(std::function<Result<FetchResponse>()>(
-      [this, payload, handle]() -> Result<FetchResponse> {
-        ASSIGN_OR_RETURN(
-            std::vector<uint8_t> down,
-            AwaitWithRetry(MessageKind::kFetch, *payload,
-                           std::move(*handle)));
-        ByteReader r(down);
-        return FetchResponse::Deserialize(&r);
-      }));
+  return Begin<FetchResponse>(MessageKind::kFetch, req);
 }
 
 Result<EvalResponse> SocketEndpoint::Eval(const EvalRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kEval, up.span()));
-  ByteReader r(down);
-  return EvalResponse::Deserialize(&r);
+  return Call<EvalResponse>(MessageKind::kEval, req);
 }
 
 Result<FetchResponse> SocketEndpoint::Fetch(const FetchRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kFetch, up.span()));
-  ByteReader r(down);
-  return FetchResponse::Deserialize(&r);
+  return Call<FetchResponse>(MessageKind::kFetch, req);
 }
 
 Result<AdminAck> SocketEndpoint::AddDoc(const AddDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kAddDoc, up.span()));
-  ByteReader r(down);
-  return AdminAck::Deserialize(&r);
+  return Call<AdminAck>(MessageKind::kAddDoc, req);
 }
 
 Result<AdminAck> SocketEndpoint::RemoveDoc(const RemoveDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kRemoveDoc, up.span()));
-  ByteReader r(down);
-  return AdminAck::Deserialize(&r);
+  return Call<AdminAck>(MessageKind::kRemoveDoc, req);
 }
 
 Result<ExportDocResponse> SocketEndpoint::ExportDoc(
     const ExportDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kExportDoc, up.span()));
-  ByteReader r(down);
-  return ExportDocResponse::Deserialize(&r);
+  return Call<ExportDocResponse>(MessageKind::kExportDoc, req);
 }
 
 Result<AdminAck> SocketEndpoint::RebaseDoc(const RebaseDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kRebaseDoc, up.span()));
-  ByteReader r(down);
-  return AdminAck::Deserialize(&r);
+  return Call<AdminAck>(MessageKind::kRebaseDoc, req);
 }
 
 Result<PingResponse> SocketEndpoint::Ping(const PingRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   RoundTrip(MessageKind::kPing, up.span()));
-  ByteReader r(down);
-  return PingResponse::Deserialize(&r);
+  return Call<PingResponse>(MessageKind::kPing, req);
 }
 
 }  // namespace polysse

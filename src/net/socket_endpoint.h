@@ -4,21 +4,15 @@
 // crosses the trust boundary — exactly the property the serialized dispatch
 // path was built for.
 //
-// Two protocol generations (see net/frame.h for the byte layout):
-//
-//   legacy (v1):  [kind][len][payload], strict request-response — one
-//                 in-flight exchange per connection;
-//   tagged (v2):  [kind][tag][len][payload], pipelined — any number of
-//                 requests overlap on one connection and responses return
-//                 in completion order, routed back by tag.
-//
-// A pipelined endpoint performs a synchronous hello exchange at dial time
-// (version negotiation), then starts a reader thread that routes every
-// response frame to the submitter waiting on its tag. Eval/Fetch/AddDoc/
-// RemoveDoc stay synchronous per call, but concurrent callers now share
-// the connection without queueing behind each other, and BeginEval/
-// BeginFetch expose the submit/await split directly — QuerySession uses it
-// to keep whole BFS rounds in flight.
+// Frames are tagged ([kind][tag][len][payload], see net/frame.h): any
+// number of requests overlap on one connection and responses return in
+// completion order, routed back by tag. Each dial performs a synchronous
+// hello exchange (version negotiation), then starts a reader thread that
+// routes every response frame to the submitter waiting on its tag.
+// Eval/Fetch/AddDoc/RemoveDoc stay synchronous per call, but concurrent
+// callers share the connection without queueing behind each other, and
+// BeginEval/BeginFetch expose the submit/await split directly —
+// QuerySession uses it to keep whole BFS rounds in flight.
 //
 //   // server process
 //   auto server = SocketServer::Listen(&store, /*port=*/0);
@@ -57,15 +51,12 @@ namespace polysse {
 /// Unavailable, which multi-server failover then routes around. Eval and
 /// Fetch are idempotent reads, so retrying a request whose response was
 /// lost is safe; AddDoc/RemoveDoc retries can double-apply, which the
-/// registry reports cleanly (duplicate id / not registered). On a
-/// pipelined connection a transport failure fails every in-flight request;
-/// each affected call retries independently over the redialed connection.
+/// registry reports cleanly (duplicate id / not registered). A transport
+/// failure fails every in-flight request; each affected call retries
+/// independently over the redialed connection.
 class SocketEndpoint final : public ServerEndpoint {
  public:
   struct ConnectOptions {
-    /// Negotiate the tagged (v2) protocol and pipeline requests. Off =
-    /// legacy request-response frames, exactly the v1 client behavior.
-    bool pipeline = true;
     /// Cap on concurrently pending requests (the TagRouter map bound).
     size_t max_pending = TagRouter::kDefaultMaxPending;
   };
@@ -91,18 +82,17 @@ class SocketEndpoint final : public ServerEndpoint {
   Result<PingResponse> Ping(const PingRequest& req) override;
 
   /// Pipelined submit/await: the request goes on the wire before Begin*
-  /// returns; Await blocks until its tagged response arrives. On a
-  /// non-pipelined endpoint these degrade to the synchronous defaults.
+  /// returns; Await blocks until its tagged response arrives.
   Deferred<EvalResponse> BeginEval(const EvalRequest& req) override;
   Deferred<FetchResponse> BeginFetch(const FetchRequest& req) override;
-  bool SupportsPipelining() const override { return options_.pipeline; }
+  bool SupportsPipelining() const override { return true; }
 
   /// Successful automatic reconnects so far (test/diagnostic visibility).
   size_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
 
-  /// Requests currently awaiting responses (pipelined mode; 0 otherwise).
+  /// Requests currently awaiting responses.
   size_t pending() const;
 
  private:
@@ -111,14 +101,13 @@ class SocketEndpoint final : public ServerEndpoint {
   /// teardown/redial by another caller.
   struct Wire {
     int fd = -1;
-    bool pipelined = false;  ///< negotiated, not just requested
     std::atomic<bool> poisoned{false};
     std::mutex write_mu;  ///< serializes frame writes from submitters
-    std::shared_ptr<TagRouter> router;  ///< pipelined only
-    std::thread reader;                 ///< pipelined only
+    std::shared_ptr<TagRouter> router;
+    std::thread reader;
   };
 
-  /// A submitted pipelined request: where to wait and on which wire.
+  /// A submitted request: where to wait and on which wire.
   struct SubmitHandle {
     std::shared_ptr<Wire> wire;
     std::shared_ptr<PendingFrameSlot> slot;
@@ -127,8 +116,7 @@ class SocketEndpoint final : public ServerEndpoint {
   SocketEndpoint(std::string host, uint16_t port, ConnectOptions options)
       : host_(std::move(host)), port_(port), options_(options) {}
 
-  /// Dials, performs the hello exchange when pipelining, and starts the
-  /// reader thread. Pure function of host/port/options — no member state.
+  /// Dials, performs the hello exchange, and starts the reader thread. Pure function of host/port/options — no member state.
   Result<std::shared_ptr<Wire>> Dial();
   /// Returns the live wire, tearing down a poisoned one and dialing a
   /// replacement (counted in reconnects_) when needed.
@@ -151,14 +139,16 @@ class SocketEndpoint final : public ServerEndpoint {
   Result<std::vector<uint8_t>> AwaitWithRetry(
       MessageKind kind, const std::vector<uint8_t>& payload, SubmitHandle h);
 
-  /// Synchronous exchange: pipelined mode submits and awaits; legacy mode
-  /// runs the classic one-at-a-time framed round trip under io_mu_.
-  Result<std::vector<uint8_t>> RoundTrip(MessageKind kind,
-                                         std::span<const uint8_t> payload);
-  /// One legacy exchange over `wire`; poisons it on transport failure.
-  Result<std::vector<uint8_t>> TryLegacyRoundTrip(
-      const std::shared_ptr<Wire>& wire, MessageKind kind,
-      std::span<const uint8_t> payload);
+  /// Serializes `req`, submits it as a `kind` frame, and returns the
+  /// deferred decoded response (an already-failed one if submission
+  /// failed).
+  template <typename Resp, typename Req>
+  Deferred<Resp> Begin(MessageKind kind, const Req& req);
+  /// Synchronous exchange: Begin, then Await.
+  template <typename Resp, typename Req>
+  Result<Resp> Call(MessageKind kind, const Req& req) {
+    return Begin<Resp>(kind, req).Await();
+  }
 
   const std::string host_;
   const uint16_t port_;
@@ -166,8 +156,6 @@ class SocketEndpoint final : public ServerEndpoint {
 
   mutable std::mutex conn_mu_;  ///< guards wire_ (replace/teardown)
   std::shared_ptr<Wire> wire_;
-
-  std::mutex io_mu_;  ///< legacy mode: one in-flight exchange per endpoint
 
   std::atomic<size_t> reconnects_{0};
 };

@@ -33,8 +33,8 @@ bool IsRequestKind(uint8_t kind) {
          kind <= static_cast<uint8_t>(MessageKind::kPing);
 }
 
-/// Frames a dispatch outcome in the connection's protocol generation.
-std::vector<uint8_t> FrameReply(bool tagged, uint32_t tag,
+/// Frames a dispatch outcome as the response to request `tag`.
+std::vector<uint8_t> FrameReply(uint32_t tag,
                                 const Result<std::vector<uint8_t>>& reply) {
   std::vector<uint8_t> frame;
   uint8_t status;
@@ -48,11 +48,7 @@ std::vector<uint8_t> FrameReply(bool tagged, uint32_t tag,
     payload = std::span<const uint8_t>(
         reinterpret_cast<const uint8_t*>(msg.data()), msg.size());
   }
-  if (tagged) {
-    AppendTaggedFrame(&frame, status, tag, payload);
-  } else {
-    AppendLegacyFrame(&frame, status, payload);
-  }
+  AppendTaggedFrame(&frame, status, tag, payload);
   return frame;
 }
 
@@ -141,8 +137,7 @@ void SocketServer::Stop() {
 
 bool SocketServer::FullyDrained() const {
   for (const auto& [id, conn] : conns_) {
-    if (conn->inflight > 0 || !conn->backlog.empty()) return false;
-    if (!conn->out.empty()) return false;
+    if (conn->inflight > 0 || !conn->out.empty()) return false;
   }
   return true;
 }
@@ -263,10 +258,7 @@ void SocketServer::HandleReadable(Connection* conn) {
     return;
   }
   UpdateInterest(conn);
-  if (conn->read_closed && conn->inflight == 0 && conn->backlog.empty() &&
-      conn->out.empty()) {
-    CloseConnection(conn->id);
-  }
+  CloseIfDone(conn);
 }
 
 bool SocketServer::ParseFrames(Connection* conn) {
@@ -275,78 +267,49 @@ bool SocketServer::ParseFrames(Connection* conn) {
   for (;;) {
     const size_t avail = in.size() - pos;
     if (avail == 0) break;
-    if (conn->mode == ConnMode::kUndecided) {
-      // The very first byte picks the protocol generation. Anything that
-      // is not the hello byte is served as legacy — including unknown
-      // kinds, which get a framed error so old clients see what happened.
-      if (in[pos] == kHelloFrameKind) {
-        conn->mode = ConnMode::kTagged;
-        pipelined_connections_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        conn->mode = ConnMode::kLegacy;
-      }
-    }
-    const size_t header_bytes = conn->mode == ConnMode::kTagged
-                                    ? kTaggedFrameHeaderBytes
-                                    : kLegacyFrameHeaderBytes;
-    if (avail < header_bytes) break;
-    uint8_t kind;
-    uint32_t tag = 0;
-    uint32_t len;
-    if (conn->mode == ConnMode::kTagged) {
-      auto header = DecodeTaggedFrameHeader(
-          std::span<const uint8_t>(in.data() + pos, avail));
-      if (!header.ok()) return false;  // oversize announcement: close
-      kind = header->kind;
-      tag = header->tag;
-      len = header->len;
-    } else {
-      kind = in[pos];
-      len = static_cast<uint32_t>(in[pos + 1]) |
-            static_cast<uint32_t>(in[pos + 2]) << 8 |
-            static_cast<uint32_t>(in[pos + 3]) << 16 |
-            static_cast<uint32_t>(in[pos + 4]) << 24;
-      if (len > kMaxSocketFrameBytes) return false;
-    }
-    if (avail < header_bytes + len) break;  // wait for the rest
-    std::vector<uint8_t> payload(in.begin() + pos + header_bytes,
-                                 in.begin() + pos + header_bytes + len);
-    pos += header_bytes + len;
+    // A peer that does not open with the hello is not speaking this
+    // protocol: close before buffering anything it sends.
+    if (!conn->greeted && in[pos] != kHelloFrameKind) return false;
+    if (avail < kTaggedFrameHeaderBytes) break;
+    auto header =
+        DecodeTaggedFrameHeader(std::span<const uint8_t>(in.data() + pos, avail));
+    if (!header.ok()) return false;  // oversize announcement: close
+    const size_t frame_bytes = kTaggedFrameHeaderBytes + header->len;
+    if (avail < frame_bytes) break;  // wait for the rest
+    std::vector<uint8_t> payload(in.begin() + pos + kTaggedFrameHeaderBytes,
+                                 in.begin() + pos + frame_bytes);
+    pos += frame_bytes;
 
-    if (conn->mode == ConnMode::kTagged && kind == kHelloFrameKind) {
+    if (header->kind == kHelloFrameKind) {
       // Version exchange: ack with the server's generation. A mismatched
       // client gets an error frame and decides for itself.
       if (payload.size() == 1 && payload[0] == kPipelineProtocolVersion) {
-        std::vector<uint8_t> ack;
+        if (!conn->greeted)
+          pipelined_connections_.fetch_add(1, std::memory_order_relaxed);
+        conn->greeted = true;
         const uint8_t version[] = {kPipelineProtocolVersion};
-        AppendTaggedFrame(&ack, static_cast<uint8_t>(StatusCode::kOk), tag,
-                          version);
+        std::vector<uint8_t> ack;
+        AppendTaggedFrame(&ack, static_cast<uint8_t>(StatusCode::kOk),
+                          header->tag, version);
         QueueResponse(conn, std::move(ack));
       } else {
-        QueueResponse(conn,
-                      FrameReply(true, tag,
-                                 Status::InvalidArgument(
-                                     "unsupported pipeline protocol version")));
+        QueueResponse(conn, FrameReply(header->tag,
+                                       Status::InvalidArgument(
+                                           "unsupported pipeline protocol "
+                                           "version")));
       }
       continue;
     }
-    if (conn->inflight + conn->backlog.size() >=
-        options_.max_inflight_per_connection) {
+    if (!conn->greeted) return false;  // a refused hello opens nothing
+    if (conn->inflight >= options_.max_inflight_per_connection)
       return false;  // flood guard: the peer is not reading its responses
-    }
-    if (!IsRequestKind(kind)) {
-      QueueResponse(conn, FrameReply(conn->mode == ConnMode::kTagged, tag,
+    if (!IsRequestKind(header->kind)) {
+      QueueResponse(conn, FrameReply(header->tag,
                                      Status::InvalidArgument(
                                          "unknown message kind")));
       continue;
     }
-    if (conn->mode == ConnMode::kLegacy && conn->inflight > 0) {
-      // Legacy responses must keep request order: one dispatch at a time.
-      conn->backlog.push_back(std::move(payload));
-      conn->backlog_kinds.push_back(kind);
-      continue;
-    }
-    DispatchRequest(conn, kind, tag, std::move(payload));
+    DispatchRequest(conn, header->kind, header->tag, std::move(payload));
   }
   conn->in.erase(conn->in.begin(), conn->in.begin() + pos);
   return true;
@@ -356,15 +319,14 @@ void SocketServer::DispatchRequest(Connection* conn, uint8_t kind,
                                    uint32_t tag,
                                    std::vector<uint8_t> payload) {
   ++conn->inflight;
-  const bool tagged = conn->mode == ConnMode::kTagged;
   const uint64_t conn_id = conn->id;
-  workers_->Submit([this, conn_id, tagged, kind, tag,
+  workers_->Submit([this, conn_id, kind, tag,
                     payload = std::move(payload)]() -> int {
     Result<std::vector<uint8_t>> reply = DispatchSerialized(
         handler_, static_cast<MessageKind>(kind), payload);
     {
       std::lock_guard<std::mutex> lock(done_mu_);
-      done_.push_back({conn_id, FrameReply(tagged, tag, reply)});
+      done_.push_back({conn_id, FrameReply(tag, reply)});
     }
     uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
@@ -384,22 +346,7 @@ void SocketServer::DrainCompletions() {
     Connection* conn = it->second.get();
     --conn->inflight;
     QueueResponse(conn, std::move(c.frame));
-    // Legacy pipeline discipline: the next queued request may now run.
-    if (conn->mode == ConnMode::kLegacy && conn->inflight == 0 &&
-        !conn->backlog.empty()) {
-      std::vector<uint8_t> payload = std::move(conn->backlog.front());
-      conn->backlog.pop_front();
-      uint8_t kind = conn->backlog_kinds.front();
-      conn->backlog_kinds.pop_front();
-      DispatchRequest(conn, kind, 0, std::move(payload));
-    }
-    it = conns_.find(c.conn_id);  // QueueResponse may close on write error
-    if (it == conns_.end()) continue;
-    conn = it->second.get();
-    if (conn->read_closed && conn->inflight == 0 && conn->backlog.empty() &&
-        conn->out.empty()) {
-      CloseConnection(conn->id);
-    }
+    CloseIfDone(conn);
   }
 }
 
@@ -445,10 +392,12 @@ void SocketServer::UpdateInterest(Connection* conn) {
 
 void SocketServer::HandleWritable(Connection* conn) {
   FlushWrites(conn);
-  if (conn->read_closed && conn->inflight == 0 && conn->backlog.empty() &&
-      conn->out.empty()) {
+  CloseIfDone(conn);
+}
+
+void SocketServer::CloseIfDone(Connection* conn) {
+  if (conn->read_closed && conn->inflight == 0 && conn->out.empty())
     CloseConnection(conn->id);
-  }
 }
 
 void SocketServer::CloseConnection(uint64_t conn_id) {

@@ -4,20 +4,17 @@
 // written back as they finish, so many requests from one connection execute
 // concurrently and responses return out of order (keyed by frame tag).
 //
-// Connection state machine (first byte of the first frame decides):
+// Connection state machine (net/frame.h has the byte layout):
 //
-//             accept
-//               │
-//          kUndecided ── hello byte (0x50) ──► kTagged   pipelined frames
-//               │                                         [kind][tag][len]
-//               └── MessageKind byte (1..4) ─► kLegacy   request-response
-//                                                         [kind][len]
+//        accept
+//          │
+//     awaiting hello ── hello frame (0x50, v2) ──► serving: ack, then
+//          │                                       pipelined tagged frames
+//          └── any other first byte ─────────────► closed, no reply
 //
-// Legacy connections are served exactly as the retired thread-per-connection
-// server did — one request at a time, responses in request order — so old
-// clients keep working for one release. Tagged connections pipeline: every
-// complete frame is dispatched immediately (up to a per-connection in-flight
-// cap, the tag-flood guard) and each response carries its request's tag.
+// A serving connection dispatches every complete frame immediately (up to
+// a per-connection in-flight cap, the tag-flood guard) and each response
+// carries its request's tag.
 //
 //   auto server = SocketServer::Listen(&store, /*port=*/0);
 //   printf("serving on %u\n", (*server)->port());
@@ -53,9 +50,9 @@ class SocketServer {
   struct Options {
     /// Worker threads executing handler dispatches.
     size_t worker_threads = 4;
-    /// Per-connection cap on dispatched-but-unanswered requests (plus any
-    /// legacy backlog). A connection exceeding it is closed — the
-    /// tag-flood / alloc-bomb guard for the server's in-flight state.
+    /// Per-connection cap on dispatched-but-unanswered requests. A
+    /// connection exceeding it is closed — the tag-flood / alloc-bomb
+    /// guard for the server's in-flight state.
     size_t max_inflight_per_connection = 256;
     /// How long Stop() keeps flushing in-flight responses to clients that
     /// are slow to read before closing their connections anyway.
@@ -82,7 +79,7 @@ class SocketServer {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
 
-  /// Connections that negotiated the tagged (pipelined) protocol.
+  /// Connections that completed the hello exchange.
   size_t pipelined_connections() const {
     return pipelined_connections_.load(std::memory_order_relaxed);
   }
@@ -93,21 +90,15 @@ class SocketServer {
   void Stop();
 
  private:
-  enum class ConnMode { kUndecided, kLegacy, kTagged };
-
   /// One live connection, owned by the event loop.
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
-    ConnMode mode = ConnMode::kUndecided;
+    bool greeted = false;       ///< hello acked: requests may follow
     std::vector<uint8_t> in;    ///< received, not yet parsed
     std::deque<std::vector<uint8_t>> out;  ///< framed responses to write
     size_t out_off = 0;         ///< bytes of out.front() already written
     size_t inflight = 0;        ///< dispatched, response not yet queued
-    /// Legacy mode only: complete frames waiting their turn (one request
-    /// executes at a time so responses keep request order).
-    std::deque<std::vector<uint8_t>> backlog;
-    std::deque<uint8_t> backlog_kinds;
     bool read_closed = false;   ///< EOF seen / reads retired; flush & close
     bool want_write = false;    ///< EPOLLOUT currently armed
   };
@@ -126,16 +117,18 @@ class SocketServer {
   void HandleReadable(Connection* conn);
   void HandleWritable(Connection* conn);
   /// Parses every complete frame in conn->in; returns false when the
-  /// connection must close (framing violation / flood).
+  /// connection must close (no hello first, framing violation, flood).
   bool ParseFrames(Connection* conn);
-  /// Hands one request to the worker pool (or answers it inline for
-  /// protocol-level errors). Tagged mode passes the frame's tag.
+  /// Hands one request to the worker pool; its response carries `tag`.
   void DispatchRequest(Connection* conn, uint8_t kind, uint32_t tag,
                        std::vector<uint8_t> payload);
   void QueueResponse(Connection* conn, std::vector<uint8_t> frame);
   void FlushWrites(Connection* conn);
   void UpdateInterest(Connection* conn);
   void CloseConnection(uint64_t conn_id);
+  /// Closes `conn` once reads are over and nothing is left to answer or
+  /// write (`conn` is dangling afterwards).
+  void CloseIfDone(Connection* conn);
   void DrainCompletions();
   /// True once every connection has neither in-flight dispatches nor
   /// unwritten response bytes.
@@ -155,7 +148,6 @@ class SocketServer {
   // Event-loop-owned state (no locking needed there).
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  std::unordered_map<int, uint64_t> fd_to_conn_;
 
   // Worker -> event loop handoff.
   std::mutex done_mu_;

@@ -1,7 +1,7 @@
 // E2e battery for the tagged-frame pipelined runtime: tag round-trip
-// parity with the sequential protocol, out-of-order completion, kind
-// interleaving on one connection, legacy-client compatibility against the
-// epoll server, flood guards on both sides of the wire, and the
+// parity with the plan-then-fetch schedule, out-of-order completion, kind
+// interleaving on one connection, refusal of connections that skip the
+// hello, flood guards on both sides of the wire, and the
 // Stop()-during-in-flight-writes drain contract. The whole file is also a
 // TSan target (CI runs it under the debug-tsan preset): submitters, the
 // endpoint reader thread, the server event loop and its worker pool all
@@ -111,9 +111,10 @@ class AdminStubHandler : public ServerHandler {
 };
 
 TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
-  // The same queries through three transports — pipelined tagged frames,
-  // legacy request-response frames, in-process loopback — must produce
-  // bit-identical answers.
+  // The same queries three ways — over TCP with per-round fetch overlap,
+  // over TCP behind a decorator that hides pipelining (so the session
+  // plans every fetch and then issues them), and in-process loopback —
+  // must produce bit-identical answers.
   XmlNode doc = MakeDoc(401);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-parity");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
@@ -124,17 +125,15 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
   ASSERT_TRUE((*piped)->SupportsPipelining());
 
-  SocketEndpoint::ConnectOptions legacy_opts;
-  legacy_opts.pipeline = false;
-  auto legacy =
-      SocketEndpoint::Connect("127.0.0.1", (*server)->port(), legacy_opts);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  ASSERT_FALSE((*legacy)->SupportsPipelining());
+  auto second = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  FaultInjectingEndpoint planned(second->get(), FaultConfig{});
+  ASSERT_FALSE(planned.SupportsPipelining());
 
   QuerySession<FpCyclotomicRing> piped_session(
       &dep.client, EndpointGroup::TwoParty(piped->get()));
-  QuerySession<FpCyclotomicRing> legacy_session(
-      &dep.client, EndpointGroup::TwoParty(legacy->get()));
+  QuerySession<FpCyclotomicRing> planned_session(
+      &dep.client, EndpointGroup::TwoParty(&planned));
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
   TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
 
@@ -143,7 +142,7 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
                           VerifyMode::kTrustedConstOnly}) {
     auto p = piped_session.LookupMany(tags, mode);
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    auto l = legacy_session.LookupMany(tags, mode);
+    auto l = planned_session.LookupMany(tags, mode);
     ASSERT_TRUE(l.ok()) << l.status().ToString();
     auto o = oracle.LookupMany(tags, mode);
     ASSERT_TRUE(o.ok()) << o.status().ToString();
@@ -167,7 +166,7 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
     EXPECT_EQ(SortedMatchPaths(p->matches), SortedMatchPaths(o.matches));
   }
   EXPECT_EQ((*server)->connections_accepted(), 2u);
-  EXPECT_EQ((*server)->pipelined_connections(), 1u);
+  EXPECT_EQ((*server)->pipelined_connections(), 2u);
 }
 
 TEST(PipelinedSocketTest, OutOfOrderCompletionSlowFrameFirstFinishesLast) {
@@ -253,25 +252,43 @@ TEST(PipelinedSocketTest, InterleavedKindsOnOneConnection) {
   EXPECT_EQ((*server)->pipelined_connections(), 1u);
 }
 
-TEST(PipelinedSocketTest, LegacyClientAgainstPipelinedServer) {
-  // The compatibility half of the version negotiation: a v1 client (no
-  // hello, untagged frames) served by the new epoll server, responses in
-  // request order.
+TEST(PipelinedSocketTest, ConnectionWithoutHelloIsClosed) {
+  // Refusal drill: a peer whose first frame is not the hello — here an
+  // untagged [kind][len] request — is closed without a reply, and the
+  // server keeps serving the next client.
   XmlNode doc = MakeDoc(404, 40);
-  DeterministicPrf seed = DeterministicPrf::FromString("pipe-legacy");
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-nohello");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
   auto server = SocketServer::Listen(&dep.server, 0);
   ASSERT_TRUE(server.ok());
 
-  SocketEndpoint::ConnectOptions opts;
-  opts.pipeline = false;
-  auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port(), opts);
-  ASSERT_TRUE(ep.ok());
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EvalRequest req;
+  req.points = {1};
+  req.node_ids = {0};
+  ByteWriter up;
+  req.Serialize(&up);
+  std::vector<uint8_t> frame = {static_cast<uint8_t>(MessageKind::kEval),
+                                static_cast<uint8_t>(up.size()), 0, 0, 0};
+  frame.insert(frame.end(), up.span().begin(), up.span().end());
+  ASSERT_TRUE(WriteFull(fd, frame.data(), frame.size()).ok());
+  uint8_t byte;
+  EXPECT_EQ(::read(fd, &byte, 1), 0) << "expected EOF, got a reply";
+  ::close(fd);
+  EXPECT_EQ((*server)->pipelined_connections(), 0u);
+
+  auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(ep.ok()) << ep.status().ToString();
   QuerySession<FpCyclotomicRing> session(&dep.client,
                                          EndpointGroup::TwoParty(ep->get()));
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
   TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
-
   for (const std::string& tag : doc.DistinctTags()) {
     auto got = session.Lookup(tag, VerifyMode::kVerified);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -279,10 +296,8 @@ TEST(PipelinedSocketTest, LegacyClientAgainstPipelinedServer) {
     EXPECT_EQ(SortedMatchPaths(got->matches), SortedMatchPaths(want.matches))
         << "//" << tag;
   }
-  EXPECT_EQ((*server)->pipelined_connections(), 0u);
-  // Legacy framing: 5-byte headers on the wire.
-  auto counters = (*ep)->counters();
-  EXPECT_GT(counters.bytes_down, counters.messages_down * 5);
+  EXPECT_EQ((*server)->connections_accepted(), 2u);
+  EXPECT_EQ((*server)->pipelined_connections(), 1u);
 }
 
 TEST(PipelinedSocketTest, ServerInflightCapClosesFloodingConnection) {

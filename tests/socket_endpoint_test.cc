@@ -72,10 +72,11 @@ TEST(SocketEndpointTest, TwoPartyLookupOverRealTcp) {
           << "//" << tag;
     }
   }
-  // Real bytes crossed the wire (payload + 5-byte frame headers).
+  // Real bytes crossed the wire (payload + tagged frame headers).
   auto counters = (*ep)->counters();
   EXPECT_GT(counters.bytes_up, 0u);
-  EXPECT_GT(counters.bytes_down, counters.messages_down * 5);
+  EXPECT_GT(counters.bytes_down,
+            counters.messages_down * kTaggedFrameHeaderBytes);
   EXPECT_EQ((*server)->connections_accepted(), 1u);
 }
 
@@ -136,9 +137,10 @@ TEST(SocketEndpointTest, ServerSurvivesGarbageAndReportsWireErrors) {
   auto server = SocketServer::Listen(&dep.server, 0);
   ASSERT_TRUE(server.ok());
 
-  // Raw socket, hand-written frames.
-  auto send_raw = [&](const std::vector<uint8_t>& bytes,
-                      bool expect_reply) -> std::vector<uint8_t> {
+  // Raw socket: the hello, then one hand-written tagged frame. Returns the
+  // header of the first response after the hello's ack — empty when the
+  // server closed the connection instead of answering.
+  auto send_raw = [&](const std::vector<uint8_t>& frame) {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
@@ -147,33 +149,42 @@ TEST(SocketEndpointTest, ServerSurvivesGarbageAndReportsWireErrors) {
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
               0);
-    EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
-              static_cast<ssize_t>(bytes.size()));
-    std::vector<uint8_t> reply(4096);
-    ssize_t n = expect_reply ? ::read(fd, reply.data(), reply.size()) : 0;
+    std::vector<uint8_t> bytes;
+    const uint8_t version[] = {kPipelineProtocolVersion};
+    AppendTaggedFrame(&bytes, kHelloFrameKind, /*tag=*/0, version);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    EXPECT_TRUE(WriteFull(fd, bytes.data(), bytes.size()).ok());
+    uint8_t ack[kTaggedFrameHeaderBytes + 1];
+    EXPECT_TRUE(ReadFull(fd, ack, sizeof ack, nullptr).ok());
+    EXPECT_EQ(ack[0], static_cast<uint8_t>(StatusCode::kOk));
+    std::vector<uint8_t> reply(kTaggedFrameHeaderBytes);
+    if (!ReadFull(fd, reply.data(), reply.size(), nullptr).ok()) reply.clear();
     ::close(fd);
-    reply.resize(n > 0 ? static_cast<size_t>(n) : 0);
     return reply;
   };
 
-  // Unknown message kind: framed error response, connection stays sane.
-  std::vector<uint8_t> unknown_kind = {0x77, 0, 0, 0, 0};
-  auto reply = send_raw(unknown_kind, /*expect_reply=*/true);
-  ASSERT_GE(reply.size(), 5u);
+  // Unknown message kind: framed error response under the request's tag,
+  // connection stays sane.
+  std::vector<uint8_t> unknown_kind = {0x77, 1, 0, 0, 0, 0, 0, 0, 0};
+  auto reply = send_raw(unknown_kind);
+  ASSERT_EQ(reply.size(), kTaggedFrameHeaderBytes);
   EXPECT_EQ(reply[0], static_cast<uint8_t>(StatusCode::kInvalidArgument));
+  EXPECT_EQ(reply[1], 1u);
 
   // Garbage payload under a valid kind: dispatch decodes, fails, reports.
   std::vector<uint8_t> garbage = {static_cast<uint8_t>(MessageKind::kEval),
-                                  4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF};
-  reply = send_raw(garbage, /*expect_reply=*/true);
-  ASSERT_GE(reply.size(), 5u);
+                                  2, 0, 0, 0, 4, 0, 0, 0,
+                                  0xFF, 0xFF, 0xFF, 0xFF};
+  reply = send_raw(garbage);
+  ASSERT_EQ(reply.size(), kTaggedFrameHeaderBytes);
   EXPECT_NE(reply[0], static_cast<uint8_t>(StatusCode::kOk));
+  EXPECT_EQ(reply[1], 2u);
 
   // A length announcement beyond the frame cap closes the connection
   // without allocating; the server must keep serving afterwards.
   std::vector<uint8_t> bomb = {static_cast<uint8_t>(MessageKind::kEval),
-                               0xFF, 0xFF, 0xFF, 0xFF};
-  send_raw(bomb, /*expect_reply=*/false);
+                               3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_TRUE(send_raw(bomb).empty());
 
   auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(ep.ok());
