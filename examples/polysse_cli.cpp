@@ -246,7 +246,7 @@ int CmdShamir(const std::string& xml_path, const std::string& xpath,
   return 0;
 }
 
-/// Loads a store file as a servable registry (single tree or container).
+/// Loads a collection store file as a servable registry.
 Result<std::unique_ptr<FpStoreRegistry>> LoadServableStore(
     const std::string& store_path) {
   ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(store_path));
@@ -348,8 +348,7 @@ int InspectKeyFile(const std::string& path,
   ByteReader reader(bytes);
   auto key = ClientSecretFile::Deserialize(&reader);
   if (!key.ok()) return Fail(key.status());
-  std::printf("client key file %s (format v%u — keep secret):\n",
-              path.c_str(), key->version);
+  std::printf("client key file %s (keep secret):\n", path.c_str());
   std::printf("  scheme          : %s, %d server(s)%s per group\n",
               SchemeName(key->scheme), key->num_servers,
               key->scheme == ShareScheme::kShamir

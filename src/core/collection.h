@@ -210,9 +210,8 @@ class Collection {
   /// order, `key.num_servers` endpoints each — endpoint i*k+s is server s
   /// of the i-th shard's group (an unsharded key names one shard). Search
   /// works immediately; Add/Remove manage the remote registries over the
-  /// wire (v3+ keys only — v1/v2 keys lack the document table, so they
-  /// connect read-only with one legacy document). `executor` drives each
-  /// group's per-server fan-out; the shard scatter runs sequentially.
+  /// wire. `executor` drives each group's per-server fan-out; the shard
+  /// scatter runs sequentially.
   static Result<std::unique_ptr<Collection>> Connect(
       const ClientSecretFile& key, std::vector<ServerEndpoint*> endpoints,
       Executor* executor = nullptr) {
@@ -221,12 +220,6 @@ class Collection {
                      FromKey(key, std::move(ring)));
     col->owns_servers_ = false;
     col->external_executor_ = executor;
-    if (key.version < 3) {
-      // Searchable, but Add would need the node-id high-water mark the
-      // old key never recorded.
-      col->AdoptLegacyDoc(0, INT32_MAX);
-      col->can_add_ = false;
-    }
     const size_t per_group = static_cast<size_t>(col->servers_per_group_);
     if (endpoints.size() != col->map_.size() * per_group)
       return Status::InvalidArgument(
@@ -245,9 +238,8 @@ class Collection {
   }
 
   /// Reopens a persisted collection: the client key file plus the store
-  /// file(s) Save wrote, one per (shard, server) at StorePath. v1/v2
-  /// single-document keys (and their single-tree store files) load as a
-  /// one-document collection.
+  /// file(s) Save wrote, one per (shard, server) at StorePath. Every store
+  /// must hold the key's ring and agree with its document table.
   static Result<std::unique_ptr<Collection>> Open(
       const std::string& store_path, const std::string& key_path,
       EndpointKind transport = EndpointKind::kLoopback) {
@@ -256,40 +248,24 @@ class Collection {
     ASSIGN_OR_RETURN(ClientSecretFile key,
                      ClientSecretFile::Deserialize(&key_reader));
 
-    // Stores first: a v1 key carries no ring parameters of its own.
-    const std::vector<ShardId> ids = SortedShardIds(key);
-    const int per_group =
-        key.scheme == ShareScheme::kTwoParty ? 1 : key.num_servers;
-    std::vector<Registries> loaded(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      for (int s = 0; s < per_group; ++s) {
+    ASSIGN_OR_RETURN(Ring ring, RingFromKey(key));
+    ASSIGN_OR_RETURN(std::unique_ptr<Collection> col,
+                     FromKey(key, std::move(ring)));
+    col->transport_ = transport;
+    for (ShardId id : SortedShardIds(key)) {
+      Registries loaded;
+      for (int s = 0; s < col->servers_per_group_; ++s) {
         ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                         ReadFileBytes(StorePath(key, store_path, ids[i], s)));
+                         ReadFileBytes(StorePath(key, store_path, id, s)));
         ASSIGN_OR_RETURN(std::unique_ptr<ServerStoreRegistry<Ring>> registry,
                          LoadStoreRegistry<Ring>(bytes));
-        if (!loaded[0].empty() && !ServerStoreRegistry<Ring>::SameRing(
-                                      registry->ring(), loaded[0][0]->ring()))
+        if (!ServerStoreRegistry<Ring>::SameRing(registry->ring(), col->ring_))
           return Status::Corruption(
               "server stores disagree on ring parameters");
-        loaded[i].push_back(std::move(registry));
+        loaded.push_back(std::move(registry));
       }
-    }
-
-    ASSIGN_OR_RETURN(std::unique_ptr<Collection> col,
-                     FromKey(key, loaded[0][0]->ring()));
-    col->transport_ = transport;
-    if (key.version < 3) {
-      // The legacy document's size comes from the store itself.
-      const auto stored = loaded[0][0]->docs();
-      if (stored.size() != 1 || stored[0].base != 0)
-        return Status::Corruption(
-            "legacy single-document key cannot open a multi-document store");
-      col->AdoptLegacyDoc(stored[0].doc_id,
-                          static_cast<int64_t>(stored[0].nodes));
-    }
-    for (size_t i = 0; i < ids.size(); ++i) {
-      RETURN_IF_ERROR(col->CrossCheckGroup(ids[i], loaded[i]));
-      RETURN_IF_ERROR(col->AttachGroup(ids[i], std::move(loaded[i]), {}));
+      RETURN_IF_ERROR(col->CrossCheckGroup(id, loaded));
+      RETURN_IF_ERROR(col->AttachGroup(id, std::move(loaded), {}));
     }
     return col;
   }
@@ -305,10 +281,6 @@ class Collection {
   /// the ring's tag capacity is exhausted. Same seed + same add order =
   /// same tags, prefixes and shares at every shard count.
   Status Add(DocId doc_id, const XmlNode& document) {
-    if (!can_add_)
-      return Status::FailedPrecondition(
-          "this collection was connected from a pre-collection key and is "
-          "read-only; re-save with a current build to enable Add");
     if (FindDoc(doc_id) != nullptr)
       return Status::InvalidArgument("doc id " + std::to_string(doc_id) +
                                      " is already in the collection");
@@ -778,13 +750,11 @@ class Collection {
   static Result<Ring> RingFromKey(const ClientSecretFile& key) {
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       if (key.ring_kind != static_cast<uint8_t>(StoredRingKind::kFpCyclotomic))
-        return Status::InvalidArgument(
-            "key file lacks F_p ring parameters (re-save with this build)");
+        return Status::InvalidArgument("key file is not for an F_p ring");
       return FpCyclotomicRing::Create(key.fp_p);
     } else {
       if (key.ring_kind != static_cast<uint8_t>(StoredRingKind::kZQuotient))
-        return Status::InvalidArgument(
-            "key file lacks Z-ring parameters (re-save with this build)");
+        return Status::InvalidArgument("key file is not for a Z ring");
       return ZQuotientRing::Create(key.z_modulus);
     }
   }
@@ -862,14 +832,6 @@ class Collection {
     col->SortDocs();
     col->next_epoch_ = key.next_epoch;
     return col;
-  }
-
-  /// The one document a v1/v2 key implies: id `doc_id` at base 0 with the
-  /// legacy "" prefix, occupying the first `size` node ids.
-  void AdoptLegacyDoc(DocId doc_id, int64_t size) {
-    docs_.push_back({doc_id, 0, 0, size, ""});
-    (void)map_.SetNext(0, size);
-    next_epoch_ = 1;
   }
 
   /// The client secret state SaveKey persists.
@@ -1452,7 +1414,6 @@ class Collection {
   EndpointKind transport_ = EndpointKind::kLoopback;  ///< owned groups' kind
   bool legacy_share_paths_ = false;
   bool owns_servers_ = true;
-  bool can_add_ = true;
   std::unique_ptr<ClientContext<Ring>> client_;
   std::unique_ptr<ThreadPool> pool_;
   Executor* external_executor_ = nullptr;

@@ -11,10 +11,7 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'S', 'E'};
 constexpr uint8_t kFormatVersion = 1;
-/// Client key files: v2 appends the deployment-shape trailer, v3 the
-/// collection document table, v4 the shard table; every older version
-/// remains loadable (see the compatibility matrix on ClientSecretFile in
-/// persistence.h).
+/// Client key files (layout on ClientSecretFile in persistence.h).
 constexpr uint8_t kKeyFormatVersion = 4;
 
 void WriteHeader(StoredRingKind kind, ByteWriter* out) {
@@ -155,8 +152,8 @@ void ClientSecretFile::Serialize(ByteWriter* out) const {
   out->PutBytes(std::span<const uint8_t>(seed.data(), seed.size()));
   out->PutVarint64(z_coeff_bits);
   tag_map.Serialize(out);
-  // v2 deployment trailer: how Engine::Open rebuilds the server group, and
-  // the ring parameters a purely networked client needs.
+  // Deployment: how Open rebuilds the server group, and the ring
+  // parameters a purely networked client needs.
   out->PutU8(static_cast<uint8_t>(scheme));
   out->PutVarint64(static_cast<uint64_t>(num_servers));
   out->PutVarint64(static_cast<uint64_t>(threshold));
@@ -166,7 +163,7 @@ void ClientSecretFile::Serialize(ByteWriter* out) const {
   } else if (ring_kind == static_cast<uint8_t>(StoredRingKind::kZQuotient)) {
     z_modulus.Serialize(out);
   }
-  // v3 collection trailer: the document table.
+  // The document table.
   out->PutVarint64(docs.size());
   for (const DocEntry& doc : docs) {
     out->PutVarint64(doc.doc_id);
@@ -176,7 +173,7 @@ void ClientSecretFile::Serialize(ByteWriter* out) const {
   }
   out->PutVarint64(static_cast<uint64_t>(next_base));
   out->PutVarint64(next_epoch);
-  // v4 shard trailer: the shard table (empty for unsharded collections).
+  // The shard table (empty for unsharded collections).
   out->PutVarint64(shards.size());
   for (const ShardEntry& shard : shards) {
     out->PutVarint64(shard.shard_id);
@@ -191,10 +188,10 @@ Result<ClientSecretFile> ClientSecretFile::Deserialize(ByteReader* in) {
   if (std::memcmp(magic.data(), "PKEY", 4) != 0)
     return Status::Corruption("not a polysse client key file");
   ASSIGN_OR_RETURN(uint8_t version, in->GetU8());
-  if (version < 1 || version > kKeyFormatVersion)
-    return Status::Corruption("unsupported key file version");
+  if (version != kKeyFormatVersion)
+    return Status::Corruption("unsupported key file version " +
+                              std::to_string(version));
   ClientSecretFile out;
-  out.version = version;
   ASSIGN_OR_RETURN(std::vector<uint8_t> seed_bytes,
                    in->GetBytes(DeterministicPrf::kSeedSize));
   std::copy(seed_bytes.begin(), seed_bytes.end(), out.seed.begin());
@@ -203,7 +200,6 @@ Result<ClientSecretFile> ClientSecretFile::Deserialize(ByteReader* in) {
     return Status::Corruption("implausible z_coeff_bits");
   out.z_coeff_bits = bits;
   ASSIGN_OR_RETURN(out.tag_map, TagMap::Deserialize(in));
-  if (version == 1) return out;  // legacy key: two-party defaults
 
   ASSIGN_OR_RETURN(uint8_t scheme, in->GetU8());
   if (scheme > static_cast<uint8_t>(ShareScheme::kShamir))
@@ -222,10 +218,9 @@ Result<ClientSecretFile> ClientSecretFile::Deserialize(ByteReader* in) {
   } else if (out.ring_kind ==
              static_cast<uint8_t>(StoredRingKind::kZQuotient)) {
     ASSIGN_OR_RETURN(out.z_modulus, ZPoly::Deserialize(in));
-  } else if (out.ring_kind != 0) {
+  } else {
     return Status::Corruption("unknown ring kind in key file");
   }
-  if (version == 2) return out;  // v2 key: single legacy document
 
   ASSIGN_OR_RETURN(uint64_t doc_count, in->GetVarint64());
   if (doc_count > in->remaining())
@@ -272,7 +267,6 @@ Result<ClientSecretFile> ClientSecretFile::Deserialize(ByteReader* in) {
     return Status::Corruption("implausible next_base in key file");
   out.next_base = static_cast<int64_t>(next_base);
   ASSIGN_OR_RETURN(out.next_epoch, in->GetVarint64());
-  if (version == 3) return out;  // v3 key: unsharded collection
 
   ASSIGN_OR_RETURN(uint64_t shard_count, in->GetVarint64());
   if (shard_count > in->remaining())

@@ -56,47 +56,36 @@ Result<ServerStore<FpCyclotomicRing>> LoadFpServerStore(ByteReader* in);
 Result<ServerStore<ZQuotientRing>> LoadZServerStore(ByteReader* in);
 
 /// Client secret state: master seed + private tag map (+ split options),
-/// plus the deployment shape so Engine/Collection::Open can rebuild a
-/// multi-server group.
+/// plus the deployment shape, document table and shard table a client
+/// needs to Open or Connect a collection.
 ///
-/// Key-file wire format (all versions start "PKEY" | u8 version | seed |
-/// z_coeff_bits varint | tag map):
-///   v1: nothing further — a two-party single-document deployment.
-///   v2: + deployment trailer: scheme u8 | num_servers | threshold |
-///       ring_kind u8 | ring params (fp_p varint, or z_modulus) — enough
-///       for a purely networked client to rebuild its ring and group.
-///   v3: + collection trailer: doc count | per doc {doc_id | base | size |
-///       length-prefixed share_prefix} | next_base | next_epoch — the
-///       document table of a multi-document collection. The share_prefix
-///       namespaces each document's PRF-derived client shares (and is ""
-///       for the single legacy document of an upgraded v1/v2 key, so old
-///       deployments keep deriving identical shares); next_base/next_epoch
-///       let Add continue assigning fresh node-id ranges and prefixes
-///       without ever reusing either.
-///   v4: + shard trailer: shard count | per shard {shard_id | base | span |
-///       next} — the shard table of a collection's server groups. Each
-///       shard owns the disjoint node-id range [base, base + span) and
-///       allocates document bases at base + next; every document range in
-///       the v3 table must sit inside exactly one shard. An empty table
-///       (count 0) is an unsharded collection: one shard owning the whole
-///       id space, allocating at next_base.
-///
-/// Compatibility matrix (loader behavior per stored version):
-///   version | deployment shape | doc table            | shard table
-///   --------+------------------+----------------------+----------------
-///   v1      | two-party defaults | one legacy doc (synthesized) | none
-///   v2      | stored           | one legacy doc (synthesized) | none
-///   v3      | stored           | stored               | none
-///   v4      | stored           | stored               | stored
-/// Serialize always writes v4; every older version still loads.
+/// Key-file wire format (v4, the only one):
+///   "PKEY" | u8 version (4) | seed | z_coeff_bits varint | tag map |
+///   deployment: scheme u8 | num_servers | threshold | ring_kind u8 |
+///     ring params (fp_p varint, or z_modulus) — enough for a purely
+///     networked client to rebuild its ring and group |
+///   documents: doc count | per doc {doc_id | base | size |
+///     length-prefixed share_prefix} | next_base | next_epoch — the
+///     share_prefix namespaces each document's PRF-derived client shares;
+///     next_base/next_epoch let Add continue assigning fresh node-id ranges
+///     and prefixes without ever reusing either |
+///   shards: shard count | per shard {shard_id | base | span | next} —
+///     each shard owns the disjoint node-id range [base, base + span) and
+///     allocates document bases at base + next; every document range must
+///     sit inside exactly one shard. An empty table (count 0) is an
+///     unsharded collection: one shard owning the whole id space,
+///     allocating at next_base.
+/// Deserialize refuses any other version, and a key without ring
+/// parameters, with Corruption.
 struct ClientSecretFile {
-  /// One outsourced document of a collection (v3+).
+  /// One outsourced document of a collection.
   struct DocEntry {
     uint64_t doc_id = 0;
     /// First node id of the document's global range; size = node count.
     int32_t base = 0;
     int64_t size = 0;
-    /// PRF namespace for this document's derived shares ("" = legacy).
+    /// PRF namespace for this document's derived shares ("" for the
+    /// first document the collection ever added).
     std::string share_prefix;
   };
 
@@ -107,13 +96,13 @@ struct ClientSecretFile {
   int num_servers = 1;
   /// Shamir only; 0 otherwise.
   int threshold = 0;
-  /// Ring parameters (v2+): let a purely networked client — no store file
-  /// in reach — rebuild its ring. 0 = absent (legacy v1 keys).
-  uint8_t ring_kind = 0;  ///< StoredRingKind value, or 0
+  /// Ring parameters: let a purely networked client — no store file in
+  /// reach — rebuild its ring. Must be set before Serialize.
+  uint8_t ring_kind = 0;  ///< StoredRingKind value
   uint64_t fp_p = 0;      ///< kFpCyclotomic: the field modulus
   ZPoly z_modulus;        ///< kZQuotient: the quotient polynomial r(x)
 
-  /// One shard of a sharded collection (v4+): the server group
+  /// One shard of a sharded collection: the server group
   /// `shard_id` owns node ids [base, base + span) and hands out document
   /// bases at base + next.
   struct ShardEntry {
@@ -124,16 +113,12 @@ struct ClientSecretFile {
     int64_t next = 0;
   };
 
-  /// Collection document table (v3+). Empty on v1/v2 keys, whose one
-  /// legacy document Open synthesizes as {0, base 0, prefix ""}.
+  /// Collection document table.
   std::vector<DocEntry> docs;
   int64_t next_base = 0;
   uint64_t next_epoch = 0;
-  /// Shard table (v4+). Empty = unsharded collection.
+  /// Shard table. Empty = unsharded collection.
   std::vector<ShardEntry> shards;
-  /// The format the file was read with (1–4); informational — lets Open
-  /// distinguish "v3 empty collection" from "legacy single-doc key".
-  uint8_t version = 4;
 
   void Serialize(ByteWriter* out) const;
   static Result<ClientSecretFile> Deserialize(ByteReader* in);

@@ -368,8 +368,8 @@ using ZStoreRegistry = ServerStoreRegistry<ZQuotientRing>;
 //   doc count | per doc: doc id | base | length-prefixed single-store bytes
 // The inner per-document bytes are the standard "PSSE" single-store format
 // (persistence.h) — the exact bytes an AddDocRequest ships over the wire.
-// A plain "PSSE" single-store file loads as a one-document registry
-// (doc id 0 at base 0), which is how pre-collection deployments reopen.
+// Anything without the "PSSC" magic, a bare "PSSE" file included, is
+// refused with Corruption.
 
 template <typename Ring>
 void SaveStoreRegistry(const ServerStoreRegistry<Ring>& registry,
@@ -405,17 +405,10 @@ Result<std::unique_ptr<ServerStoreRegistry<Ring>>> LoadStoreRegistry(
     else
       return LoadZServerStore(in);
   };
-  if (!IsCollectionStoreFile(bytes)) {
-    // Single-tree file: the degenerate one-document registry.
-    ByteReader reader(bytes);
-    ASSIGN_OR_RETURN(ServerStore<Ring> store, load_store(&reader));
-    Ring ring = store.ring();
-    auto registry = std::make_unique<ServerStoreRegistry<Ring>>(ring);
-    RETURN_IF_ERROR(registry->AddDoc(0, 0, std::move(store)));
-    return registry;
-  }
+  if (!IsCollectionStoreFile(bytes))
+    return Status::Corruption("not a polysse collection store (bad magic)");
   ByteReader reader(bytes);
-  RETURN_IF_ERROR(reader.GetBytes(4).status());  // magic, already sniffed
+  RETURN_IF_ERROR(reader.GetBytes(4).status());  // magic, already checked
   ASSIGN_OR_RETURN(uint8_t version, reader.GetU8());
   if (version != kCollectionStoreVersion)
     return Status::Corruption("unsupported collection store version " +

@@ -344,63 +344,29 @@ TEST(CollectionTest, SaveOpenRoundTripsMultiDocSchemes) {
   }
 }
 
-TEST(CollectionTest, V2SingleDocKeyOpensAsOneDocCollection) {
-  // Hand-write a v2-era key file + v1 single-tree store (the formats an
-  // older build produced) and open them through the collection path: the
-  // legacy document must answer exactly like a legacy two-party session.
+TEST(CollectionTest, BareSingleTreeStoreFileIsRefused) {
+  // Store files are "PSSC" collection containers. A bare "PSSE" share
+  // tree in a store's place is Corruption, both to the registry loader and
+  // to Open, never a collection with a synthesized document.
   XmlNode doc = MakeDoc(981);
-  DeterministicPrf seed = DeterministicPrf::FromString("col-v2compat");
-  auto dep = MakeFpDeployment(doc, seed).value();
+  DeterministicPrf seed = DeterministicPrf::FromString("col-bare-store");
+  auto engine = FpEngine::Outsource(doc, seed).value();
+  const std::string store = "/tmp/polysse_bare_store.bin";
+  const std::string key = "/tmp/polysse_bare_store.key";
+  ASSERT_TRUE(engine->Save(store, key).ok());
+  ASSERT_TRUE(FpCollection::Open(store, key).ok());
 
-  ByteWriter store_bytes;
-  SaveServerStore(dep.server, &store_bytes);
-  ASSERT_TRUE(WriteFileBytes("/tmp/polysse_v2_store.bin", store_bytes.span())
-                  .ok());
+  ByteWriter bare;
+  SaveServerStore(engine->store(), &bare);
+  auto registry = LoadStoreRegistry<FpCyclotomicRing>(bare.span());
+  ASSERT_FALSE(registry.ok());
+  EXPECT_EQ(registry.status().code(), StatusCode::kCorruption);
 
-  // v2 key layout: "PKEY" | 2 | seed | z_coeff_bits | tag map | scheme |
-  // num_servers | threshold | ring_kind | p.
-  ByteWriter key_bytes;
-  // Byte-wise magic: PutString's range-insert into the empty buffer trips
-  // a GCC 12 -Wstringop-overflow false positive at -O2 when inlined here.
-  for (char ch : {'P', 'K', 'E', 'Y'})
-    key_bytes.PutU8(static_cast<uint8_t>(ch));
-  key_bytes.PutU8(2);
-  key_bytes.PutBytes(std::span<const uint8_t>(seed.seed().data(),
-                                              seed.seed().size()));
-  key_bytes.PutVarint64(256);
-  dep.client.tag_map().Serialize(&key_bytes);
-  key_bytes.PutU8(static_cast<uint8_t>(ShareScheme::kTwoParty));
-  key_bytes.PutVarint64(1);
-  key_bytes.PutVarint64(0);
-  key_bytes.PutU8(1);  // kFpCyclotomic
-  key_bytes.PutVarint64(dep.ring.p());
-  ASSERT_TRUE(
-      WriteFileBytes("/tmp/polysse_v2.key", key_bytes.span()).ok());
-
-  auto col = FpCollection::Open("/tmp/polysse_v2_store.bin",
-                                "/tmp/polysse_v2.key");
-  ASSERT_TRUE(col.ok()) << col.status().ToString();
-  EXPECT_EQ((*col)->num_docs(), 1u);
-
-  TestSession<FpCyclotomicRing> oracle(&dep.client, &dep.server);
-  for (const std::string& tag : doc.DistinctTags()) {
-    auto legacy = oracle.Lookup(tag, VerifyMode::kVerified).value();
-    auto r = (*col)->Search(tag).value();
-    std::vector<std::string> got =
-        r.per_doc.count(0) ? SortedMatchPaths(r.per_doc.at(0).matches)
-                           : std::vector<std::string>{};
-    EXPECT_EQ(got, SortedMatchPaths(legacy.matches)) << tag;
-  }
-
-  // Engine::Open accepts the same legacy pair (it wraps the collection).
-  auto engine = FpEngine::Open("/tmp/polysse_v2_store.bin",
-                               "/tmp/polysse_v2.key");
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  const std::string tag = doc.DistinctTags().front();
-  EXPECT_EQ(SortedMatchPaths((*engine)->Lookup(tag).value().matches),
-            SortedMatchPaths(oracle.Lookup(tag, VerifyMode::kVerified)
-                                 .value()
-                                 .matches));
+  ASSERT_TRUE(WriteFileBytes(store, bare.span()).ok());
+  auto col = FpCollection::Open(store, key);
+  ASSERT_FALSE(col.ok());
+  EXPECT_EQ(col.status().code(), StatusCode::kCorruption)
+      << col.status().ToString();
 }
 
 TEST(CollectionTest, LegacySharePrefixNeverReusedAfterRemove) {

@@ -131,8 +131,16 @@ TEST(PersistenceTest, RandomCorruptionNeverCrashes) {
   }
 }
 
-TEST(PersistenceTest, ClientSecretFileRoundTrip) {
+/// A key with the F_p ring parameters every key file must carry.
+ClientSecretFile FpKey() {
   ClientSecretFile key;
+  key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
+  key.fp_p = 11;
+  return key;
+}
+
+TEST(PersistenceTest, ClientSecretFileRoundTrip) {
+  ClientSecretFile key = FpKey();
   key.seed.fill(0xAB);
   key.tag_map = TagMap::FromExplicit(Fig1TagMapping()).value();
   key.z_coeff_bits = 192;
@@ -147,7 +155,7 @@ TEST(PersistenceTest, ClientSecretFileRoundTrip) {
 }
 
 TEST(PersistenceTest, V4KeyRoundTripsShardTable) {
-  ClientSecretFile key;
+  ClientSecretFile key = FpKey();
   key.seed.fill(0xC3);
   key.tag_map = TagMap::FromExplicit(Fig1TagMapping()).value();
   key.scheme = ShareScheme::kAdditive;
@@ -164,7 +172,7 @@ TEST(PersistenceTest, V4KeyRoundTripsShardTable) {
   auto back = ClientSecretFile::Deserialize(&r);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(back->version, 4);
+  EXPECT_EQ(back->fp_p, 11u);
   ASSERT_EQ(back->shards.size(), 2u);
   EXPECT_EQ(back->shards[0].shard_id, 0u);
   EXPECT_EQ(back->shards[1].shard_id, 4u);
@@ -175,33 +183,35 @@ TEST(PersistenceTest, V4KeyRoundTripsShardTable) {
   EXPECT_EQ(back->docs[1].share_prefix, "d9.1");
 }
 
-TEST(PersistenceTest, V3KeyWithoutShardTrailerStillLoads) {
-  // A v3-era key is byte-for-byte a v4 key minus the shard trailer (with
-  // its version byte saying 3). Fabricate one exactly that way from a
-  // fresh v4 encoding: Deserialize must accept it and report an empty,
-  // unsharded table — the compatibility contract in persistence.h.
-  ClientSecretFile key;
+TEST(PersistenceTest, KeysOtherThanV4AreRefused) {
+  // v4 is the only key format: a file whose version byte says 1, 2 or 3
+  // is Corruption, whatever follows it.
+  ClientSecretFile key = FpKey();
   key.seed.fill(0x11);
   key.tag_map = TagMap::FromExplicit(Fig1TagMapping()).value();
   key.docs.push_back({3, 0, 25, "d3.0"});
   key.next_epoch = 1;
-
   ByteWriter w;
   key.Serialize(&w);
-  std::vector<uint8_t> v3 = w.Take();
-  ASSERT_EQ(v3.back(), 0x00);  // the empty shard table's count varint
-  v3.pop_back();
-  ASSERT_EQ(v3[4], 4);
-  v3[4] = 3;
+  const std::vector<uint8_t> v4 = w.Take();
+  ASSERT_EQ(v4[4], 4);
+  for (uint8_t version : {1, 2, 3}) {
+    std::vector<uint8_t> old = v4;
+    old[4] = version;
+    ByteReader r(old);
+    auto back = ClientSecretFile::Deserialize(&r);
+    ASSERT_FALSE(back.ok()) << "v" << int{version};
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  }
 
-  ByteReader r(v3);
+  // A v4 key without ring parameters is refused the same way.
+  key.ring_kind = 0;
+  ByteWriter no_ring;
+  key.Serialize(&no_ring);
+  ByteReader r(no_ring.span());
   auto back = ClientSecretFile::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(back->version, 3);
-  EXPECT_TRUE(back->shards.empty());
-  ASSERT_EQ(back->docs.size(), 1u);
-  EXPECT_EQ(back->docs[0].share_prefix, "d3.0");
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
 // ------------------------------------- Engine::Open failure paths --------
@@ -297,29 +307,22 @@ TEST(PersistenceTest, OpenRejectsServerStoresDisagreeingOnSize) {
 }
 
 TEST(PersistenceTest, OpenRejectsKeyNamingZeroServers) {
-  // A v2-layout key whose deployment trailer claims zero servers must be
-  // rejected while decoding — never reach the store-loading loop.
+  // A key whose deployment section claims zero servers must be rejected
+  // while decoding — never reach the store-loading loop.
   DeterministicPrf seed = DeterministicPrf::FromString("open-zero");
-  auto dep = MakeFpDeployment(OpenFailDoc(605), seed).value();
-  ByteWriter w;
-  for (char ch : {'P', 'K', 'E', 'Y'}) w.PutU8(static_cast<uint8_t>(ch));
-  w.PutU8(2);  // v2
-  w.PutBytes(std::span<const uint8_t>(seed.seed().data(),
-                                      seed.seed().size()));
-  w.PutVarint64(256);
-  dep.client.tag_map().Serialize(&w);
-  w.PutU8(static_cast<uint8_t>(ShareScheme::kAdditive));
-  w.PutVarint64(0);  // zero servers
-  w.PutVarint64(0);
-  w.PutU8(1);
-  w.PutVarint64(dep.ring.p());
-  const std::string key = "/tmp/polysse_open_zero.key";
-  ASSERT_TRUE(WriteFileBytes(key, w.span()).ok());
-
-  ByteWriter store_bytes;
-  SaveServerStore(dep.server, &store_bytes);
+  auto engine = FpEngine::Outsource(OpenFailDoc(605), seed).value();
   const std::string store = "/tmp/polysse_open_zero.bin";
-  ASSERT_TRUE(WriteFileBytes(store, store_bytes.span()).ok());
+  const std::string key = "/tmp/polysse_open_zero.key";
+  ASSERT_TRUE(engine->Save(store, key).ok());
+  ClientSecretFile zero = FpKey();
+  zero.seed = seed.seed();
+  zero.tag_map = engine->client().tag_map();
+  zero.fp_p = engine->ring().p();
+  zero.scheme = ShareScheme::kAdditive;
+  zero.num_servers = 0;
+  ByteWriter w;
+  zero.Serialize(&w);
+  ASSERT_TRUE(WriteFileBytes(key, w.span()).ok());
 
   auto reopened = FpEngine::Open(store, key);
   ASSERT_FALSE(reopened.ok());

@@ -312,6 +312,8 @@ std::vector<uint8_t> SerializeKey(const ClientSecretFile& key) {
 ClientSecretFile SeedShardedKey() {
   ClientSecretFile key;
   key.seed.fill(0x5A);
+  key.ring_kind = static_cast<uint8_t>(StoredRingKind::kFpCyclotomic);
+  key.fp_p = 257;
   key.docs.push_back({1, 0, 10, "d1.0"});
   key.docs.push_back({2, 1 << 20, 12, "d2.1"});
   key.next_epoch = 2;

@@ -517,7 +517,6 @@ TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
   auto key_bytes = ReadFileBytes(key_path).value();
   ByteReader key_reader(key_bytes);
   auto key = ClientSecretFile::Deserialize(&key_reader).value();
-  EXPECT_EQ(key.version, 4);
   ASSERT_EQ(key.shards.size(), 2u);
   auto col = FpShardedCollection::Connect(key, eps);
   ASSERT_TRUE(col.ok()) << col.status().ToString();
