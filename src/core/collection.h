@@ -117,10 +117,6 @@ struct DeployShape {
   /// calls (ThreadPool::ParallelFor is caller-helps, so the nested
   /// fan-outs cannot deadlock).
   int worker_threads = 0;
-  /// Engine compatibility: derive the FIRST document's client shares in the
-  /// pre-collection PRF namespace (prefix ""), so deployments saved by
-  /// older versions keep recombining. Leave false for real collections.
-  bool legacy_share_paths = false;
 };
 
 /// How scatter-gather treats a shard whose group does not answer probes.
@@ -185,7 +181,6 @@ class Collection {
     auto col = std::unique_ptr<Collection>(new Collection(
         std::move(ring), seed, MakeSplitOptions(options)));
     col->map_options_ = BuildMapOptions(col->ring_, options);
-    col->legacy_share_paths_ = deploy.legacy_share_paths;
     col->transport_ = deploy.transport;
     RETURN_IF_ERROR(
         col->SetShape(deploy.scheme, deploy.num_servers, deploy.threshold));
@@ -292,11 +287,13 @@ class Collection {
     const int64_t size = static_cast<int64_t>(data.size());
     ASSIGN_OR_RETURN(ShardId target, map_.PickForAdd(size));
 
-    // The legacy namespace "" belongs to the FIRST document ever added
+    // The root namespace "" belongs to the FIRST document ever added
     // (next_epoch_ 0), not merely the first live one — a remove/re-add
     // cycle must never hand a fresh document an already-used PRF prefix.
+    // So a one-document collection derives exactly the shares of a plain
+    // single-tree deployment of that document.
     const std::string prefix =
-        (next_epoch_ == 0 && legacy_share_paths_)
+        next_epoch_ == 0
             ? ""
             : "d" + std::to_string(doc_id) + "." + std::to_string(next_epoch_);
     for (auto& node : data.nodes) node.path = JoinSharePath(prefix, node.path);
@@ -556,7 +553,7 @@ class Collection {
     return out;
   }
   /// The PRF namespace of one document's derived secrets ("" for the
-  /// legacy single document). Unique per Add — never reused even when a
+  /// first document ever added). Unique per Add — never reused even when a
   /// doc id is removed and re-added — so derived keys never collide.
   Result<std::string> share_prefix(DocId doc_id) const {
     ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
@@ -1412,7 +1409,6 @@ class Collection {
   int servers_per_group_ = 1;
   int threshold_ = 0;  ///< Shamir only
   EndpointKind transport_ = EndpointKind::kLoopback;  ///< owned groups' kind
-  bool legacy_share_paths_ = false;
   bool owns_servers_ = true;
   std::unique_ptr<ClientContext<Ring>> client_;
   std::unique_ptr<ThreadPool> pool_;

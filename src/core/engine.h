@@ -15,10 +15,11 @@
 //
 // Engine is a thin helper over a one-document, unsharded
 // polysse::Collection (core/collection.h) — the single code path for
-// outsourcing, serving and querying. Use a Collection directly when you
-// have more than one document; Engine stays the ergonomic special case
-// (and the compatibility shell for pre-collection key/store files, whose
-// shares it keeps deriving identically via Deploy::legacy_share_paths).
+// outsourcing, serving, querying and persistence. Use a Collection
+// directly when you have more than one document; Engine stays the
+// ergonomic special case. Its document is the collection's first, which
+// takes the root share namespace "", so its shares are byte-identical to
+// a plain single-tree deployment of the same document and seed.
 //
 // The engine owns the demo-grade server side (one ServerStoreRegistry per
 // server, fronted by InProcess or Loopback endpoints); a networked
@@ -63,8 +64,6 @@ class Engine {
       const XmlNode& document, const DeterministicPrf& seed,
       const Deploy& deploy = {}, const OutsourceOptions& options = {}) {
     OutsourceOptions effective = options;
-    Deploy shape = deploy;
-    shape.legacy_share_paths = true;  // pre-collection PRF namespace
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       // The single-document engine sizes the field for exactly this
       // document's alphabet (the historical behavior); Shamir party points
@@ -80,7 +79,7 @@ class Engine {
       }
     }
     ASSIGN_OR_RETURN(std::unique_ptr<Collection<Ring>> collection,
-                     Collection<Ring>::Create(seed, shape, effective));
+                     Collection<Ring>::Create(seed, deploy, effective));
     RETURN_IF_ERROR(collection->Add(kDocId, document));
     return std::unique_ptr<Engine>(new Engine(std::move(collection)));
   }
@@ -89,8 +88,8 @@ class Engine {
   /// (seed + tag map + deployment shape) and the server store file(s) Save
   /// wrote: one file at `store_path` for two-party, one per server at
   /// MultiServerStorePath(store_path, i) for additive/Shamir deployments.
-  /// v1/v2 single-document files load unchanged; a multi-document
-  /// collection opens too (queries then span every document).
+  /// A multi-document collection opens too (queries then span every
+  /// document).
   static Result<std::unique_ptr<Engine>> Open(
       const std::string& store_path, const std::string& key_path,
       EndpointKind transport = EndpointKind::kLoopback) {

@@ -102,8 +102,8 @@ struct TagQuery {
 /// prefix — and every walk descends all of them in one shared frontier.
 struct SessionRoot {
   int32_t node_id = 0;
-  /// The root node's path in the client-share PRF namespace ("" for the
-  /// single legacy document; a collection uses per-document prefixes).
+  /// The root node's path in the client-share PRF namespace ("" for a
+  /// single-tree deployment; a collection uses per-document prefixes).
   std::string path;
 };
 

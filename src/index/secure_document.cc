@@ -8,15 +8,12 @@ Result<std::unique_ptr<SecureDocumentService>> SecureDocumentService::Outsource(
     const XmlNode& document, const DeterministicPrf& seed,
     const FpOutsourceOptions& options) {
   // Size the field for exactly this document's alphabet (the historical
-  // single-document behavior) and keep the pre-collection share namespace.
+  // single-document behavior).
   FpOutsourceOptions effective = options;
   if (effective.p == 0)
     effective.p = PrimeForAlphabet(document.DistinctTags().size());
-  FpCollection::Deploy deploy;
-  deploy.legacy_share_paths = true;
-  ASSIGN_OR_RETURN(
-      std::unique_ptr<SecureCollectionService> service,
-      SecureCollectionService::Create(seed, deploy, effective));
+  ASSIGN_OR_RETURN(std::unique_ptr<SecureCollectionService> service,
+                   SecureCollectionService::Create(seed, {}, effective));
   RETURN_IF_ERROR(service->Add(kDocId, document));
   // Not make_unique: the constructor is private.
   return std::unique_ptr<SecureDocumentService>(

@@ -369,21 +369,21 @@ TEST(CollectionTest, BareSingleTreeStoreFileIsRefused) {
       << col.status().ToString();
 }
 
-TEST(CollectionTest, LegacySharePrefixNeverReusedAfterRemove) {
-  // The engine's legacy mode hands its FIRST document the pre-collection
-  // PRF namespace (prefix ""). After a remove/re-add cycle through the
-  // collection escape hatch, a fresh document must NOT inherit it — a
-  // reused namespace would reuse share masks across different plaintexts.
+TEST(CollectionTest, RootSharePrefixNeverReusedAfterRemove) {
+  // The FIRST document a collection ever adds takes the root PRF
+  // namespace (prefix ""). After a remove/re-add cycle a fresh document
+  // must NOT inherit it — a reused namespace would reuse share masks
+  // across different plaintexts.
   XmlNode doc = MakeDoc(991);
   DeterministicPrf seed = DeterministicPrf::FromString("col-prefix");
-  auto engine = FpEngine::Outsource(doc, seed).value();
-  FpCollection& col = engine->collection();
-  EXPECT_EQ(col.share_prefix(0).value(), "");
+  auto col = FpCollection::Create(seed).value();
+  ASSERT_TRUE(col->Add(0, doc).ok());
+  EXPECT_EQ(col->share_prefix(0).value(), "");
 
-  ASSERT_TRUE(col.Remove(0).ok());
-  ASSERT_TRUE(col.Add(0, doc).ok());
-  EXPECT_NE(col.share_prefix(0).value(), "");
-  auto r = col.SearchDoc(0, doc.DistinctTags().front());
+  ASSERT_TRUE(col->Remove(0).ok());
+  ASSERT_TRUE(col->Add(0, doc).ok());
+  EXPECT_NE(col->share_prefix(0).value(), "");
+  auto r = col->SearchDoc(0, doc.DistinctTags().front());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
