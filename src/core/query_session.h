@@ -25,6 +25,18 @@
 // Executor: sequentially inline by default, concurrently when the group
 // carries a ThreadPool — results are gathered into per-server slots, so the
 // combined answers are bit-identical either way and only wall time changes.
+//
+// Verification fetches follow one of two schedules, chosen per walk by the
+// endpoints. Over pipelined endpoints each BFS round's candidate fetches go
+// on the wire as soon as that round's zeros are known and overlap the rest
+// of the walk; every other endpoint plans all fetches after the walk and
+// issues one const-only and one full round. Both are kept on purpose: per
+// round fetches on a synchronous endpoint only add messages (they would
+// raise msgs_per_op on the in-process lookup workloads), while dropping the
+// overlap would cost pipelined TCP links their latency win (the 14x
+// pipelined_transport row, and batch-tcp-wan). The two share one server
+// chooser (ActiveServers), one response check (Aligned) and one weights
+// helper (Weights).
 #ifndef POLYSSE_CORE_QUERY_SESSION_H_
 #define POLYSSE_CORE_QUERY_SESSION_H_
 
@@ -416,63 +428,80 @@ class QuerySession {
     return results;
   }
 
-  /// Calls `fn` on the scheme's active servers — all of them concurrently
-  /// when the group carries a pooled executor, so k-server wall time is one
-  /// round trip, not k — and reports the combination weight of each answer.
-  /// Additive schemes require every server; Shamir asks the first
-  /// `threshold` live servers, marks failing ones dead and retries with
-  /// replacements as long as at least `threshold` remain, recomputing
-  /// Lagrange weights for whichever subset answered. When `sources` is
-  /// non-null it receives the endpoint index each response came from, so
-  /// callers that detect a malformed answer can attribute it to a server.
+  /// The servers a request goes to: all of them in the additive schemes;
+  /// under Shamir the first `threshold` live ones, or Unavailable when
+  /// fewer remain.
+  Result<std::vector<size_t>> ActiveServers() const {
+    std::vector<size_t> chosen;
+    if (group_.scheme != ShareScheme::kShamir) {
+      for (size_t i = 0; i < group_.endpoints.size(); ++i) chosen.push_back(i);
+      return chosen;
+    }
+    const size_t t = static_cast<size_t>(group_.threshold);
+    for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
+      if (!dead_[i]) chosen.push_back(i);
+    if (chosen.size() < t)
+      return Status::Unavailable(
+          "only " + std::to_string(chosen.size()) + " of the required " +
+          std::to_string(t) + " servers are reachable");
+    return chosen;
+  }
+
+  /// Combination weight of each answer from `servers`: 1 in the additive
+  /// schemes, the Lagrange weights at zero of their x under Shamir.
+  Result<std::vector<uint64_t>> Weights(
+      const std::vector<size_t>& servers) const {
+    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
+      if (group_.scheme == ShareScheme::kShamir) {
+        std::vector<uint64_t> xs;
+        xs.reserve(servers.size());
+        for (size_t idx : servers) xs.push_back(group_.shamir_x[idx]);
+        return LagrangeWeightsAtZero(client_->ring().field(), xs);
+      }
+    }
+    return std::vector<uint64_t>(servers.size(), 1);
+  }
+
+  /// True when `resp` answers exactly `need`: one entry per requested id,
+  /// in request order. Checked before anything indexes into a response.
+  static bool Aligned(const FetchResponse& resp,
+                      const std::vector<int32_t>& need) {
+    if (resp.entries.size() != need.size()) return false;
+    for (size_t j = 0; j < need.size(); ++j)
+      if (resp.entries[j].node_id != need[j]) return false;
+    return true;
+  }
+
+  /// Calls `fn` on the ActiveServers — all of them concurrently when the
+  /// group carries a pooled executor, so k-server wall time is one round
+  /// trip, not k — and reports the combination weight of each answer.
+  /// Additive schemes require every server; under Shamir a failing server
+  /// is marked dead and the call retries with replacements as long as at
+  /// least `threshold` remain. When `sources` is non-null it receives the
+  /// endpoint index each response came from, so callers that detect a
+  /// malformed answer can attribute it to a server.
   template <typename Resp, typename Fn>
   Result<std::vector<Resp>> FanOut(Fn&& fn, std::vector<uint64_t>* weights,
                                    std::vector<size_t>* sources = nullptr) {
-    std::vector<Resp> responses;
-    if (group_.scheme != ShareScheme::kShamir) {
-      std::vector<size_t> all(group_.endpoints.size());
-      for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-      std::vector<Result<Resp>> results = Dispatch<Resp>(all, fn);
-      responses.reserve(results.size());
-      for (Result<Resp>& r : results) {
-        RETURN_IF_ERROR(r.status());
-        responses.push_back(std::move(r).value());
-      }
-      weights->assign(responses.size(), 1);
-      if (sources != nullptr) *sources = std::move(all);
-      return responses;
-    }
-    const size_t t = static_cast<size_t>(group_.threshold);
     for (;;) {
-      std::vector<size_t> chosen;
-      for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
-        if (!dead_[i]) chosen.push_back(i);
-      if (chosen.size() < t)
-        return Status::Unavailable(
-            "only " + std::to_string(chosen.size()) + " of the required " +
-            std::to_string(t) + " servers are reachable");
+      ASSIGN_OR_RETURN(std::vector<size_t> chosen, ActiveServers());
       std::vector<Result<Resp>> results = Dispatch<Resp>(chosen, fn);
-      responses.clear();
-      std::vector<size_t> answered;
-      std::vector<uint64_t> xs;
+      std::vector<Resp> responses;
+      responses.reserve(results.size());
       bool failed = false;
       for (size_t j = 0; j < chosen.size(); ++j) {
-        if (!results[j].ok()) {
-          dead_[chosen[j]] = 1;  // stays dead for the rest of the session
-          ++stats_.server_failovers;
-          failed = true;
+        if (results[j].ok()) {
+          responses.push_back(std::move(results[j]).value());
           continue;
         }
-        responses.push_back(std::move(results[j]).value());
-        answered.push_back(chosen[j]);
-        xs.push_back(group_.shamir_x[chosen[j]]);
+        if (group_.scheme != ShareScheme::kShamir) return results[j].status();
+        dead_[chosen[j]] = 1;  // stays dead for the rest of the session
+        ++stats_.server_failovers;
+        failed = true;
       }
       if (failed) continue;
-      if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-        ASSIGN_OR_RETURN(*weights,
-                         LagrangeWeightsAtZero(client_->ring().field(), xs));
-      }
-      if (sources != nullptr) *sources = std::move(answered);
+      ASSIGN_OR_RETURN(*weights, Weights(chosen));
+      if (sources != nullptr) *sources = std::move(chosen);
       return responses;
     }
   }
@@ -669,10 +698,7 @@ class QuerySession {
       ++stats_.fetch_rounds;
       bool retry = false;
       for (size_t s = 0; s < resps.size(); ++s) {
-        bool bad = resps[s].entries.size() != need.size();
-        for (size_t j = 0; !bad && j < need.size(); ++j)
-          bad = resps[s].entries[j].node_id != need[j];
-        if (!bad) continue;
+        if (Aligned(resps[s], need)) continue;
         if (group_.scheme != ShareScheme::kShamir)
           return Status::Corruption(
               "fetch response misaligned with the request");
@@ -795,23 +821,16 @@ class QuerySession {
     }
     if (need.empty()) return;
 
-    std::vector<size_t> chosen;
-    if (group_.scheme == ShareScheme::kShamir) {
-      const size_t t = static_cast<size_t>(group_.threshold);
-      for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
-        if (!dead_[i]) chosen.push_back(i);
-      if (chosen.size() < t) {
-        for (int32_t id : need) requested.erase(id);
-        return;  // let the synchronous path report Unavailable
-      }
-    } else {
-      for (size_t i = 0; i < group_.endpoints.size(); ++i) chosen.push_back(i);
+    Result<std::vector<size_t>> chosen = ActiveServers();
+    if (!chosen.ok()) {
+      for (int32_t id : need) requested.erase(id);
+      return;  // let the synchronous path report Unavailable
     }
 
     InflightFetchRound round;
     round.mode = mode;
     round.need = std::move(need);
-    round.chosen = std::move(chosen);
+    round.chosen = std::move(*chosen);
     FetchRequest req;
     req.mode = mode;
     req.node_ids = round.need;
@@ -849,12 +868,9 @@ class QuerySession {
     for (size_t s = 0; s < results.size(); ++s) {
       bool bad = !results[s].ok();
       if (bad && first_error.ok()) first_error = results[s].status();
-      if (!bad) {
-        const FetchResponse& resp = results[s].value();
-        bad = resp.entries.size() != round.need.size();
-        for (size_t j = 0; !bad && j < round.need.size(); ++j)
-          bad = resp.entries[j].node_id != round.need[j];
-        if (bad && first_error.ok())
+      if (!bad && !Aligned(results[s].value(), round.need)) {
+        bad = true;
+        if (first_error.ok())
           first_error =
               Status::Corruption("fetch response misaligned with the request");
       }
@@ -878,16 +894,7 @@ class QuerySession {
     resps.reserve(results.size());
     for (Result<FetchResponse>& r : results)
       resps.push_back(std::move(r).value());
-    std::vector<uint64_t> weights(resps.size(), 1);
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (group_.scheme == ShareScheme::kShamir) {
-        std::vector<uint64_t> xs;
-        xs.reserve(round.chosen.size());
-        for (size_t idx : round.chosen) xs.push_back(group_.shamir_x[idx]);
-        ASSIGN_OR_RETURN(weights,
-                         LagrangeWeightsAtZero(client_->ring().field(), xs));
-      }
-    }
+    ASSIGN_OR_RETURN(std::vector<uint64_t> weights, Weights(round.chosen));
     return round.mode == FetchMode::kConstOnly
                ? CombineConstRound(round.need, resps, weights)
                : CombinePolyRound(round.need, resps, weights);
