@@ -6,7 +6,7 @@ namespace polysse {
 
 std::vector<std::array<uint8_t, 32>> BloomIndex::Trapdoors(
     const std::string& word) const {
-  return WordTrapdoors(prf_, options_.num_hashes, word);
+  return BloomWordTrapdoors(prf_, options_.num_hashes, word);
 }
 
 BloomIndex BloomIndex::Build(const XmlNode& document,
@@ -22,7 +22,7 @@ BloomIndex BloomIndex::Build(const XmlNode& document,
     NodeFilter nf{PathToString(path), BloomFilter(options.bits_per_node)};
     for (const std::string& w : TokenizeWords(n.text())) {
       for (const auto& trapdoor : index.Trapdoors(w)) {
-        nf.filter.Set(Position(trapdoor, nf.path));
+        nf.filter.Set(BloomPosition(trapdoor, nf.path));
       }
     }
     index.nodes_.push_back(std::move(nf));
@@ -43,7 +43,7 @@ BloomIndex::QueryResult BloomIndex::Search(const std::string& word,
     ++out.stats.nodes_tested;
     bool positive = true;
     for (const auto& trapdoor : trapdoors) {
-      if (!nf.filter.Test(Position(trapdoor, nf.path))) {
+      if (!nf.filter.Test(BloomPosition(trapdoor, nf.path))) {
         positive = false;
         break;
       }

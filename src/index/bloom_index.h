@@ -62,20 +62,6 @@ class BloomIndex {
 
   size_t PersistedBytes() const;
 
-  /// Goh's level-1 derivation, reusable outside the per-node index:
-  /// HMAC(seed, "bloom/<j>/<word>") for j in [0, num_hashes). Thin wrapper
-  /// over BloomWordTrapdoors (crypto/bloom.h), kept for API stability —
-  /// index_test pins the exact message bytes through this entry point.
-  static std::vector<std::array<uint8_t, 32>> WordTrapdoors(
-      const DeterministicPrf& prf, int num_hashes, const std::string& word) {
-    return BloomWordTrapdoors(prf, num_hashes, word);
-  }
-  /// Level-2 derivation: filter position of a trapdoor under `path`'s salt.
-  static size_t Position(const std::array<uint8_t, 32>& trapdoor,
-                         const std::string& path) {
-    return BloomPosition(trapdoor, path);
-  }
-
  private:
   struct NodeFilter {
     std::string path;

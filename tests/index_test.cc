@@ -201,7 +201,7 @@ TEST(BloomIndexTest, StorageIsLinearInNodes) {
 // the temporary string's NUL terminator into every trapdoor.
 TEST(BloomIndexTest, TrapdoorHashesExactMessageBytes) {
   DeterministicPrf prf = DeterministicPrf::FromString("msg-pin");
-  auto trapdoors = BloomIndex::WordTrapdoors(prf, 2, "diagnosis");
+  auto trapdoors = BloomWordTrapdoors(prf, 2, "diagnosis");
   ASSERT_EQ(trapdoors.size(), 2u);
   for (int j = 0; j < 2; ++j) {
     const std::string message = "bloom/" + std::to_string(j) + "/diagnosis";
