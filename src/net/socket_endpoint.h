@@ -116,7 +116,8 @@ class SocketEndpoint final : public ServerEndpoint {
   SocketEndpoint(std::string host, uint16_t port, ConnectOptions options)
       : host_(std::move(host)), port_(port), options_(options) {}
 
-  /// Dials, performs the hello exchange, and starts the reader thread. Pure function of host/port/options — no member state.
+  /// Dials, performs the hello exchange, and starts the reader thread.
+  /// Pure function of host/port/options — no member state.
   Result<std::shared_ptr<Wire>> Dial();
   /// Returns the live wire, tearing down a poisoned one and dialing a
   /// replacement (counted in reconnects_) when needed.

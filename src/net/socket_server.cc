@@ -281,17 +281,13 @@ bool SocketServer::ParseFrames(Connection* conn) {
     pos += frame_bytes;
 
     if (header->kind == kHelloFrameKind) {
-      // Version exchange: ack with the server's generation. A mismatched
-      // client gets an error frame and decides for itself.
+      // Version exchange: the ack echoes the supported version. A
+      // mismatched client gets an error frame and decides for itself.
       if (payload.size() == 1 && payload[0] == kPipelineProtocolVersion) {
         if (!conn->greeted)
           pipelined_connections_.fetch_add(1, std::memory_order_relaxed);
         conn->greeted = true;
-        const uint8_t version[] = {kPipelineProtocolVersion};
-        std::vector<uint8_t> ack;
-        AppendTaggedFrame(&ack, static_cast<uint8_t>(StatusCode::kOk),
-                          header->tag, version);
-        QueueResponse(conn, std::move(ack));
+        QueueResponse(conn, FrameReply(header->tag, std::move(payload)));
       } else {
         QueueResponse(conn, FrameReply(header->tag,
                                        Status::InvalidArgument(
@@ -300,7 +296,6 @@ bool SocketServer::ParseFrames(Connection* conn) {
       }
       continue;
     }
-    if (!conn->greeted) return false;  // a refused hello opens nothing
     if (conn->inflight >= options_.max_inflight_per_connection)
       return false;  // flood guard: the peer is not reading its responses
     if (!IsRequestKind(header->kind)) {
