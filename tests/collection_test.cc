@@ -6,7 +6,7 @@
 //  * Add/Remove against a live deployment leave the other documents'
 //    answers bit-identical, and never re-outsource them;
 //  * Save/Open round-trips multi-document additive and Shamir collections,
-//    and v1/v2 single-document key/store files still open;
+//    and a bare single-tree store file is refused;
 //  * clean failures: duplicate ids, missing ids, exhausted tag capacity.
 #include <gtest/gtest.h>
 
