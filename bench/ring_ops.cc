@@ -1,6 +1,7 @@
 // E13 — microbenchmarks of the ring kernels every experiment sits on:
 // element multiply / evaluate / share / SolveTag in both rings, BigInt
-// arithmetic, and the PRF share derivation. google-benchmark binary.
+// arithmetic, and the PRF share derivation with the SHA-256 and ChaCha20
+// kernels beneath it. google-benchmark binary.
 #include <benchmark/benchmark.h>
 
 #include "bigint/bigint.h"
@@ -11,6 +12,7 @@
 #include "poly/fp_conv.h"
 #include "ring/fp_cyclotomic_ring.h"
 #include "ring/z_quotient_ring.h"
+#include "util/cpu_features.h"
 
 namespace polysse {
 namespace {
@@ -248,7 +250,8 @@ void BM_FpShareDerive(benchmark::State& state) {
   }
   state.SetLabel("seed-only client cost per node");
 }
-BENCHMARK(BM_FpShareDerive)->Arg(11)->Arg(101)->Arg(1009);
+// 67 is the end-to-end benchmark's ring (bench/e2e).
+BENCHMARK(BM_FpShareDerive)->Arg(11)->Arg(67)->Arg(101)->Arg(1009);
 
 // ------------------------------------------------------------- Z ring --
 
@@ -347,8 +350,23 @@ void BM_Sha256Block(benchmark::State& state) {
     benchmark::DoNotOptimize(Sha256::Hash(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(SimdEnabled(SimdIsa::kShaNi) ? "SHA-NI" : "scalar");
 }
 BENCHMARK(BM_Sha256Block)->Arg(64)->Arg(4096);
+
+void BM_ChaCha20Keystream(benchmark::State& state) {
+  ChaChaRng rng = ChaChaRng::FromString("keystream");
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.Fill(buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(SimdEnabled(SimdIsa::kAvx2) ? "AVX2, 8 blocks per pass"
+                                             : "scalar, 1 block per pass");
+}
+BENCHMARK(BM_ChaCha20Keystream)->Arg(4096);
 
 }  // namespace
 }  // namespace polysse

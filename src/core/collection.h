@@ -139,8 +139,10 @@ struct ShardQueryStats {
 struct CollectionResult {
   std::map<DocId, LookupResult> per_doc;
   /// Collection-level roll-up: counters and traffic sum across shards;
-  /// rounds/fetch_rounds take the max, because shards walk concurrently —
-  /// the collection's latency is the deepest shard's, not the sum. With
+  /// rounds/fetch_rounds take the max, the deepest shard's. That is the
+  /// latency of a concurrent scatter, which needs a collection-owned pool
+  /// (worker_threads > 1); a default or Connect()ed collection walks its
+  /// shards one after another, so its wall time grows with the sum. With
   /// one shard this is exactly that shard's walk.
   QueryStats stats;
   std::vector<ShardQueryStats> per_shard;  ///< ascending shard id

@@ -2,10 +2,17 @@
 //  * the "random sequence generator" of paper §4.2 — the client keeps only a
 //    seed and re-derives its share polynomials deterministically;
 //  * the payload cipher of the content-store extension (src/index).
+//
+// The keystream is produced into a buffer: eight blocks per pass by an AVX2
+// kernel when util/cpu_features.h allows it, one block at a time by the
+// portable block function otherwise. Lane counters run c..c+7 and wrap mod
+// 2^32 exactly like the scalar counter, so both paths emit the same bytes;
+// ReferenceBlock exposes the portable function for the tests.
 #ifndef POLYSSE_CRYPTO_CHACHA20_H_
 #define POLYSSE_CRYPTO_CHACHA20_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -29,12 +36,41 @@ class ChaCha20 {
   /// Convenience: returns data ^ keystream without mutating the input.
   std::vector<uint8_t> Process(std::span<const uint8_t> data);
 
+  /// The next 8 keystream bytes as a little-endian word.
+  uint64_t NextU64() {
+    if (buffer_len_ - pos_ >= 8) {
+      const uint64_t v = LoadLE64(buffer_ + pos_);
+      pos_ += 8;
+      return v;
+    }
+    uint8_t word[8] = {0};
+    XorStream(word);
+    return LoadLE64(word);
+  }
+
+  /// Keystream block `counter` computed by the portable block function.
+  static std::array<uint8_t, kBlockSize> ReferenceBlock(
+      std::span<const uint8_t, kKeySize> key,
+      std::span<const uint8_t, kNonceSize> nonce, uint32_t counter);
+
  private:
-  void RefillBlock();
+  /// Blocks the AVX2 kernel computes per pass.
+  static constexpr size_t kWideBlocks = 8;
+
+  static uint64_t LoadLE64(const uint8_t* p) {
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return v;
+  }
+
+  /// Replaces the buffer with the next kWideBlocks blocks (AVX2) or the
+  /// next one block (portable) and advances the counter past them.
+  void Refill();
 
   uint32_t state_[16];
-  uint8_t block_[kBlockSize];
-  size_t block_pos_;
+  uint8_t buffer_[kWideBlocks * kBlockSize] = {};
+  size_t buffer_len_ = 0;  // keystream bytes in buffer_
+  size_t pos_ = 0;         // next unread byte of buffer_
 };
 
 /// Deterministic uniform random stream backed by ChaCha20; the library's
@@ -46,7 +82,7 @@ class ChaChaRng {
   /// Seeds from an arbitrary label by hashing (convenience for tests).
   static ChaChaRng FromString(std::string_view seed);
 
-  uint64_t NextU64();
+  uint64_t NextU64() { return cipher_.NextU64(); }
   /// Uniform in [0, bound) by rejection sampling; bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
   void Fill(std::span<uint8_t> out);

@@ -2,6 +2,11 @@
 // deterministic streams. This is what lets the client of §4.2 "store only
 // the random seed" — its share polynomial for a node is re-derived from
 // PRF(seed, node-path) whenever a query touches that node.
+//
+// Stream(label) keys ChaCha20 with HMAC-SHA-256(seed, label). The HMAC key
+// schedule is done once, at construction, so one stream for a label under
+// 56 bytes costs two SHA-256 compressions plus the ChaCha20 blocks it
+// reads; see sha256.h and chacha20.h for the SIMD kernels beneath both.
 #ifndef POLYSSE_CRYPTO_PRF_H_
 #define POLYSSE_CRYPTO_PRF_H_
 
@@ -21,7 +26,7 @@ class DeterministicPrf {
   static constexpr size_t kSeedSize = 32;
 
   explicit DeterministicPrf(std::array<uint8_t, kSeedSize> seed)
-      : seed_(seed) {}
+      : seed_(seed), mac_(seed_) {}
   /// Hashes an arbitrary passphrase into a master seed.
   static DeterministicPrf FromString(std::string_view passphrase) {
     return DeterministicPrf(Sha256::Hash(passphrase));
@@ -29,10 +34,8 @@ class DeterministicPrf {
 
   /// Independent uniform stream for `label` (HMAC(seed, label) keys ChaCha20).
   ChaChaRng Stream(std::string_view label) const {
-    auto subkey = HmacSha256(
-        std::span<const uint8_t>(seed_.data(), seed_.size()),
-        std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t*>(label.data()), label.size()));
+    auto subkey = mac_.Mac(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(label.data()), label.size()));
     return ChaChaRng(std::span<const uint8_t, ChaCha20::kKeySize>(subkey));
   }
 
@@ -46,6 +49,7 @@ class DeterministicPrf {
 
  private:
   std::array<uint8_t, kSeedSize> seed_;
+  HmacSha256Key mac_;  // keyed with seed_
 };
 
 /// Fresh unpredictable seed from the OS (examples and key generation only;

@@ -1,6 +1,13 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/cpu_features.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace polysse {
 
@@ -21,6 +28,19 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t RotR(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+// Folds `count` consecutive blocks into `state` with the fastest kernel the
+// CPU allows.
+void Compress(uint32_t state[8], const uint8_t* blocks, size_t count) {
+#if defined(__x86_64__)
+  if (SimdEnabled(SimdIsa::kShaNi)) {
+    Sha256::ProcessBlocksShaNi(state, blocks, count);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < count; ++i)
+    Sha256::ProcessBlock(state, blocks + i * Sha256::kBlockSize);
+}
+
 }  // namespace
 
 void Sha256::Reset() {
@@ -36,7 +56,7 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
+void Sha256::ProcessBlock(uint32_t state[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
@@ -50,8 +70,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
     uint32_t ch = (e & f) ^ (~e & g);
@@ -68,15 +88,74 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+#if defined(__x86_64__)
+
+// The state lives in two registers as the SHA instructions want it:
+// abef = (a, b, e, f) and cdgh = (c, d, g, h), high lane first. Each
+// sha256rnds2 runs two rounds and leaves the old abef as the new cdgh, so
+// the two calls of a four-round group end with both registers back in
+// place. w[g % 4] holds schedule words 4g..4g+3; once group g has used its
+// words, sha256msg1/msg2 overwrite them with group g + 4.
+__attribute__((target("sha,sse4.1"))) void Sha256::ProcessBlocksShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t count) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i badc = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(badc, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, badc, 0xF0);
+
+  for (size_t n = 0; n < count; ++n, blocks += kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kByteSwap);
+    }
+    for (int g = 0; g < 16; ++g) {
+      const __m128i wk = _mm_add_epi32(
+          w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (g < 12) {
+        // W[t..t+3] from W[t-16..t-9] (msg1), W[t-7..t-4] and W[t-4..t-1].
+        const __m128i prev = w[(g + 3) % 4];
+        const __m128i mid = _mm_alignr_epi8(prev, w[(g + 2) % 4], 4);
+        w[g % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]), mid),
+            prev);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // __x86_64__
 
 void Sha256::Update(std::span<const uint8_t> data) {
   bit_count_ += static_cast<uint64_t>(data.size()) * 8;
@@ -87,13 +166,13 @@ void Sha256::Update(std::span<const uint8_t> data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      Compress(state_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += kBlockSize;
+  if (const size_t full = (data.size() - offset) / kBlockSize; full > 0) {
+    Compress(state_, data.data() + offset, full);
+    offset += full * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -135,14 +214,13 @@ std::array<uint8_t, Sha256::kDigestSize> Sha256::Hash(std::string_view s) {
   return h.Finish();
 }
 
-std::array<uint8_t, Sha256::kDigestSize> HmacSha256(
-    std::span<const uint8_t> key, std::span<const uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const uint8_t> key) {
   uint8_t key_block[Sha256::kBlockSize] = {0};
   if (key.size() > Sha256::kBlockSize) {
     auto digest = Sha256::Hash(key);
     std::memcpy(key_block, digest.data(), digest.size());
   } else {
-    std::memcpy(key_block, key.data(), key.size());
+    std::copy(key.begin(), key.end(), key_block);
   }
 
   uint8_t ipad[Sha256::kBlockSize], opad[Sha256::kBlockSize];
@@ -150,16 +228,23 @@ std::array<uint8_t, Sha256::kDigestSize> HmacSha256(
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.Update(std::span<const uint8_t>(ipad, sizeof(ipad)));
+  outer_.Update(std::span<const uint8_t>(opad, sizeof(opad)));
+}
 
-  Sha256 inner;
-  inner.Update(std::span<const uint8_t>(ipad, sizeof(ipad)));
+std::array<uint8_t, Sha256::kDigestSize> HmacSha256Key::Mac(
+    std::span<const uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
-  auto inner_digest = inner.Finish();
-
-  Sha256 outer;
-  outer.Update(std::span<const uint8_t>(opad, sizeof(opad)));
-  outer.Update(std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
+  const auto inner_digest = inner.Finish();
+  Sha256 outer = outer_;
+  outer.Update(inner_digest);
   return outer.Finish();
+}
+
+std::array<uint8_t, Sha256::kDigestSize> HmacSha256(
+    std::span<const uint8_t> key, std::span<const uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 std::array<uint8_t, Sha256::kDigestSize> HmacSha256(std::string_view key,

@@ -85,13 +85,23 @@ class PrimeField {
   /// `next_u64` must return independent uniform 64-bit words.
   template <typename Rng>
   uint64_t Uniform(Rng&& next_u64) const {
+    uint64_t v = 0;
+    UniformFill(next_u64, std::span<uint64_t>(&v, 1));
+    return v;
+  }
+  /// Fills `out` with independent uniform elements, drawing exactly the
+  /// words that out.size() calls of Uniform would draw.
+  template <typename Rng>
+  void UniformFill(Rng&& next_u64, std::span<uint64_t> out) const {
     // Rejection zone keeps the distribution exactly uniform.
     const uint64_t zone = UINT64_MAX - UINT64_MAX % p_;
-    uint64_t v;
-    do {
-      v = next_u64();
-    } while (v >= zone);
-    return v % p_;
+    for (uint64_t& c : out) {
+      uint64_t v;
+      do {
+        v = next_u64();
+      } while (v >= zone);
+      c = v % p_;
+    }
   }
 
   bool operator==(const PrimeField& other) const { return p_ == other.p_; }

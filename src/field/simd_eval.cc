@@ -1,9 +1,9 @@
 #include "field/simd_eval.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "util/check.h"
+#include "util/cpu_features.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -13,26 +13,6 @@ namespace polysse {
 namespace {
 
 std::atomic<BatchEvalPath> g_batch_eval_path{BatchEvalPath::kAuto};
-
-// CPUID and the POLYSSE_DISABLE_AVX2 override, read once per process. The
-// env var cannot meaningfully change after static init anyway (the ctest
-// registration runs the AVX2-disabled variant in a fresh process).
-bool Avx2Available() {
-#if defined(__x86_64__)
-  static const bool available = [] {
-    if (!__builtin_cpu_supports("avx2")) return false;
-    const char* env = std::getenv("POLYSSE_DISABLE_AVX2");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      return false;
-    }
-    return true;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
 
 #if defined(__x86_64__)
 
@@ -92,7 +72,8 @@ BatchEvalPath GetBatchEvalPath() {
 
 bool BatchEvalUsesSimd(const PrimeField& field) {
   const uint64_t p = field.modulus();
-  return GetBatchEvalPath() == BatchEvalPath::kAuto && Avx2Available() &&
+  return GetBatchEvalPath() == BatchEvalPath::kAuto &&
+         SimdEnabled(SimdIsa::kAvx2) &&
          (p & 1) != 0 && p < (uint64_t{1} << 31);
 }
 

@@ -32,9 +32,9 @@ BatchEvalPath SetBatchEvalPath(BatchEvalPath path);
 BatchEvalPath GetBatchEvalPath();
 
 /// True when BatchHornerEval would run the AVX2 lane kernel for this field:
-/// path kAuto, runtime AVX2 (CPUID minus the POLYSSE_DISABLE_AVX2 override,
-/// both read once per process), odd modulus < 2^31. Exposed so tests and
-/// the bench harness can assert which kernel they measured.
+/// path kAuto, SimdEnabled(SimdIsa::kAvx2) (util/cpu_features.h: CPUID
+/// minus the POLYSSE_DISABLE_AVX2 override), odd modulus < 2^31. Exposed so
+/// tests and the bench harness can assert which kernel they measured.
 bool BatchEvalUsesSimd(const PrimeField& field);
 
 /// out[i] = sum_j coeffs[j] * points[i]^j over the field, for every i.

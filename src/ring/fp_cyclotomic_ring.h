@@ -71,14 +71,9 @@ class FpCyclotomicRing {
   /// client share distribution that makes 2-out-of-2 sharing perfectly hiding.
   template <typename Rng>
   Elem Random(Rng&& next_u64) const {
-    std::vector<int64_t> coeffs;
-    const size_t n = DenseCoeffCount();
-    coeffs.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      coeffs.push_back(
-          static_cast<int64_t>(field_.Uniform(next_u64)));
-    }
-    return FpPoly(field_, std::move(coeffs));
+    std::vector<uint64_t> coeffs(DenseCoeffCount());
+    field_.UniformFill(next_u64, coeffs);
+    return FpPoly::FromCanonical(field_, std::move(coeffs));
   }
 
   /// Theorem 1: given a node residue f and the product g of its children,

@@ -1,12 +1,22 @@
 // Known-answer tests (FIPS/RFC vectors) and behavioural tests for the crypto
 // substrate: SHA-256, HMAC-SHA-256, ChaCha20, the deterministic PRF.
+// ctest registers this binary twice, once plain and once with
+// POLYSSE_DISABLE_AVX2=1, so the pins and the differential tests check both
+// the SIMD kernels (SHA-NI, AVX2 ChaCha20) and the portable ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <iterator>
+#include <string>
+#include <vector>
 
+#include "core/sharing.h"
 #include "crypto/chacha20.h"
 #include "crypto/prf.h"
 #include "crypto/sha256.h"
+#include "ring/fp_cyclotomic_ring.h"
+#include "util/cpu_features.h"
 #include "util/hex.h"
 
 namespace polysse {
@@ -65,6 +75,31 @@ TEST(Sha256Test, BoundaryLengths) {
     EXPECT_EQ(HexDigest(one), HexDigest(b.Finish())) << len;
   }
 }
+
+#if defined(__x86_64__)
+TEST(Sha256Test, ShaNiMatchesScalarCompression) {
+  if (!SimdEnabled(SimdIsa::kShaNi)) GTEST_SKIP() << "no SHA-NI kernel";
+  ChaChaRng rng = ChaChaRng::FromString("sha-ni blocks");
+  std::vector<uint8_t> blocks(1000 * Sha256::kBlockSize);
+  rng.Fill(blocks);
+  uint32_t initial[8] = {};
+  for (uint32_t& w : initial) w = static_cast<uint32_t>(rng.NextU64());
+
+  uint32_t scalar[8] = {}, simd[8] = {};
+  std::copy(initial, initial + 8, scalar);
+  std::copy(initial, initial + 8, simd);
+  for (size_t b = 0; b < 1000; ++b) {
+    const uint8_t* block = blocks.data() + b * Sha256::kBlockSize;
+    Sha256::ProcessBlock(scalar, block);
+    Sha256::ProcessBlocksShaNi(simd, block, 1);
+    ASSERT_TRUE(std::equal(scalar, scalar + 8, simd)) << "block " << b;
+  }
+  // All 1000 blocks in one multi-block call land on the same state.
+  std::copy(initial, initial + 8, simd);
+  Sha256::ProcessBlocksShaNi(simd, blocks.data(), 1000);
+  EXPECT_TRUE(std::equal(scalar, scalar + 8, simd));
+}
+#endif
 
 // -------------------------------------------------------- HMAC-SHA-256 --
 
@@ -138,6 +173,42 @@ TEST(ChaCha20Test, EncryptDecryptRoundTrip) {
   EXPECT_EQ(dec.Process(ct), msg);
 }
 
+TEST(ChaCha20Test, KeystreamMatchesReferenceAcrossCounterWrap) {
+  // 4 KiB from counter 0xFFFFFFFA: the first 8-block buffer holds counters
+  // ...FA-FF and 0-1, so the 2^32 wrap falls inside one AVX2 pass.
+  std::array<uint8_t, 32> key{};
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<uint8_t>(7 * i + 3);
+  const std::array<uint8_t, 12> nonce = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  constexpr uint32_t kFirst = 0xFFFFFFFAu;
+  constexpr size_t kBytes = 4096;
+  std::vector<uint8_t> expected;
+  for (uint32_t c = kFirst; expected.size() < kBytes; ++c) {
+    const auto block = ChaCha20::ReferenceBlock(key, nonce, c);
+    expected.insert(expected.end(), block.begin(), block.end());
+  }
+
+  // Odd-sized pieces straddle every buffer boundary; the 8-byte pieces go
+  // through NextU64, which reads the buffer directly unless a word spans
+  // two refills.
+  ChaCha20 cipher(key, nonce, kFirst);
+  std::vector<uint8_t> got;
+  const size_t pieces[] = {1, 8, 3, 61, 8, 13, 97, 8, 5, 127};
+  for (size_t i = 0; got.size() < kBytes; ++i) {
+    const size_t n =
+        std::min(pieces[i % std::size(pieces)], kBytes - got.size());
+    std::vector<uint8_t> piece(n, 0);
+    if (n == 8) {
+      const uint64_t word = cipher.NextU64();
+      for (size_t b = 0; b < 8; ++b)
+        piece[b] = static_cast<uint8_t>(word >> (8 * b));
+    } else {
+      cipher.XorStream(piece);
+    }
+    got.insert(got.end(), piece.begin(), piece.end());
+  }
+  EXPECT_EQ(ToHex(got), ToHex(expected));
+}
+
 TEST(ChaChaRngTest, DeterministicAndSeedSensitive) {
   ChaChaRng a = ChaChaRng::FromString("seed");
   ChaChaRng b = ChaChaRng::FromString("seed");
@@ -192,6 +263,53 @@ TEST(PrfTest, SeedsAreIndependent) {
   DeterministicPrf a = DeterministicPrf::FromString("master-a");
   DeterministicPrf b = DeterministicPrf::FromString("master-b");
   EXPECT_NE(a.ValueU64("x"), b.ValueU64("x"));
+}
+
+// Pinned outputs: the same at every commit and on every kernel, since key
+// files, stores and golden vectors all hang off these bytes. The labels
+// cover an empty message, a share path, and one long enough (66 bytes) to
+// take two inner SHA-256 blocks.
+TEST(PrfTest, StreamKnownAnswers) {
+  std::array<uint8_t, 32> counting{};
+  for (int i = 0; i < 32; ++i) counting[i] = static_cast<uint8_t>(i);
+  const DeterministicPrf seeds[] = {DeterministicPrf::FromString("pin-seed"),
+                                    DeterministicPrf(counting)};
+  const std::string labels[] = {"", "share/d3.1/0/2",
+                                "share/" + std::string(60, 'x')};
+  const uint64_t expected[2][3][4] = {
+      {{0xb82aec36a87e2979ull, 0xc6b03876741daa7aull, 0xe49ad90c6ac21fe4ull,
+        0x517fe90c8a60dcb4ull},
+       {0x641d3cbd20df39a0ull, 0xede2779a0f12a0c9ull, 0xb022e34bfa6a410dull,
+        0x1156183265b68d4full},
+       {0x5f51ca53a618dbb0ull, 0xebba6e3036ee5665ull, 0xb3b9f1ac9debaaf6ull,
+        0xc37e44a696af8a6full}},
+      {{0xda26c29ec7e92765ull, 0x180774273c32137eull, 0x3a2e0cbba16a2f6eull,
+        0x9d5a1138a4b71083ull},
+       {0x62181189f7d94fa7ull, 0xcaea0ed349e0c274ull, 0x0a0eec4a07ee724dull,
+        0x2c84ad6514c46e51ull},
+       {0x26a1d1cfddcfd289ull, 0x9f36666340b46cc9ull, 0x3302daa40d845023ull,
+        0xe3a209a309bfc4f4ull}}};
+  for (int s = 0; s < 2; ++s) {
+    for (int l = 0; l < 3; ++l) {
+      ChaChaRng stream = seeds[s].Stream(labels[l]);
+      for (int w = 0; w < 4; ++w) {
+        EXPECT_EQ(stream.NextU64(), expected[s][l][w])
+            << "seed " << s << " label " << l << " word " << w;
+      }
+    }
+  }
+}
+
+TEST(PrfTest, DerivedShareKnownAnswer) {
+  const FpCyclotomicRing ring = FpCyclotomicRing::Create(67).value();
+  const FpPoly share = DeriveClientShare(
+      ring, DeterministicPrf::FromString("pin-seed"), "0/1/2", {});
+  const std::vector<uint64_t> expected = {
+      14, 66, 62, 39, 37, 65, 28, 13, 54, 39, 8,  22, 30, 21, 3,  38, 62,
+      44, 65, 62, 58, 38, 35, 65, 3,  0,  22, 55, 51, 34, 12, 58, 31, 29,
+      19, 18, 23, 31, 7,  43, 18, 11, 48, 45, 30, 16, 25, 63, 65, 47, 22,
+      58, 63, 20, 47, 1,  59, 53, 49, 0,  2,  29, 24, 59, 50, 31};
+  EXPECT_EQ(share.coeffs(), expected);
 }
 
 TEST(PrfTest, RandomSeedProducesDistinctSeeds) {
