@@ -79,15 +79,6 @@
 
 namespace polysse {
 
-/// Which transport fronts collection-owned in-process servers.
-enum class EndpointKind {
-  /// Serialize every message both ways: real byte counters, codecs
-  /// exercised on every query (the measured-deployment default).
-  kLoopback,
-  /// Direct handler calls — zero-copy fast path for embedded use.
-  kInProcess,
-};
-
 /// Facade-level name for one element lookup of a batch.
 using Query = TagQuery;
 
@@ -96,14 +87,14 @@ using DocId = uint64_t;
 
 /// Server-side deployment shape of a collection (and, via the Engine
 /// helper, of a single-document deployment): `num_shards` identical server
-/// groups, each of `num_servers` servers running `scheme`.
+/// groups, each of `num_servers` servers running `scheme`. Every
+/// collection-owned server sits behind a LoopbackEndpoint.
 struct DeployShape {
   ShareScheme scheme = ShareScheme::kTwoParty;
   /// Servers PER GROUP (additive: k, Shamir: n; two-party groups have 1).
   int num_servers = 1;
   /// Shamir: t servers per group needed to answer; 0 means all of them.
   int threshold = 0;
-  EndpointKind transport = EndpointKind::kLoopback;
   /// Server groups. One (the default) is the unsharded collection, whose
   /// single shard owns the whole node-id space.
   int num_shards = 1;
@@ -169,6 +160,16 @@ class Collection {
 
   static constexpr uint64_t kDefaultTagCapacity = 64;
 
+  /// The F_p modulus picked when options.p is 0: the smallest safe prime
+  /// for `distinct_tags` tags (PrimeForAlphabet), bumped past the Shamir
+  /// party points x = 1..n so every server's point lies in F_p.
+  static uint64_t AutoPrime(uint64_t distinct_tags, const Deploy& deploy) {
+    const uint64_t p = PrimeForAlphabet(distinct_tags);
+    if (deploy.scheme != ShareScheme::kShamir) return p;
+    return NextPrime(
+        std::max(p, static_cast<uint64_t>(deploy.num_servers) + 1));
+  }
+
   Collection(const Collection&) = delete;
   Collection& operator=(const Collection&) = delete;
 
@@ -182,8 +183,12 @@ class Collection {
     ASSIGN_OR_RETURN(Ring ring, MakeRing(deploy, options));
     auto col = std::unique_ptr<Collection>(new Collection(
         std::move(ring), seed, MakeSplitOptions(options)));
-    col->map_options_ = BuildMapOptions(col->ring_, options);
-    col->transport_ = deploy.transport;
+    uint64_t z_range = 0;
+    if constexpr (std::is_same_v<Ring, ZQuotientRing>)
+      z_range = options.max_tag_value;
+    col->map_options_ = MapOptions(col->ring_, z_range);
+    // Extending by no tags records the value range in the still-empty map.
+    RETURN_IF_ERROR(col->tag_map_.Extend({}, col->map_options_, seed));
     RETURN_IF_ERROR(
         col->SetShape(deploy.scheme, deploy.num_servers, deploy.threshold));
     col->SetUpPool(deploy.worker_threads);
@@ -238,8 +243,7 @@ class Collection {
   /// file(s) Save wrote, one per (shard, server) at StorePath. Every store
   /// must hold the key's ring and agree with its document table.
   static Result<std::unique_ptr<Collection>> Open(
-      const std::string& store_path, const std::string& key_path,
-      EndpointKind transport = EndpointKind::kLoopback) {
+      const std::string& store_path, const std::string& key_path) {
     ASSIGN_OR_RETURN(std::vector<uint8_t> key_bytes, ReadFileBytes(key_path));
     ByteReader key_reader(key_bytes);
     ASSIGN_OR_RETURN(ClientSecretFile key,
@@ -248,7 +252,6 @@ class Collection {
     ASSIGN_OR_RETURN(Ring ring, RingFromKey(key));
     ASSIGN_OR_RETURN(std::unique_ptr<Collection> col,
                      FromKey(key, std::move(ring)));
-    col->transport_ = transport;
     for (ShardId id : SortedShardIds(key)) {
       Registries loaded;
       for (int s = 0; s < col->servers_per_group_; ++s) {
@@ -339,10 +342,8 @@ class Collection {
     // document's pre-filter; docs outsourced before the knob was turned on
     // simply have none and are always walked.
     if (prefilter_enabled_) {
-      filters_.emplace(doc_id,
-                       DocBloomFilter::Build(seed_, prefix,
-                                             document.DistinctTags(),
-                                             prefilter_options_));
+      filters_.emplace(doc_id, DocBloomFilter::Build(
+                                   seed_, prefix, document.DistinctTags(), {}));
     }
     ++generation_;
     session_.reset();
@@ -680,10 +681,7 @@ class Collection {
   /// negatives, so answers stay bit-identical; false positives only cost
   /// walk work. Unfiltered documents (added before this call, or loaded
   /// via Connect/Open) are always walked.
-  void EnableBloomPrefilter(DocBloomFilter::Options options = {}) {
-    prefilter_enabled_ = true;
-    prefilter_options_ = options;
-  }
+  void EnableBloomPrefilter() { prefilter_enabled_ = true; }
   /// Documents the pre-filter excluded from the last lookup's frontiers.
   size_t last_prefilter_skipped() const { return last_prefilter_skipped_; }
 
@@ -731,16 +729,9 @@ class Collection {
   static Result<Ring> MakeRing(const Deploy& deploy,
                                const OutsourceOptions& options) {
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      uint64_t p = options.p;
-      if (p == 0) {
-        // No document in sight yet: size the field for the default tag
-        // capacity, leaving room for Shamir party points at x = 1..n.
-        p = PrimeForAlphabet(kDefaultTagCapacity);
-        if (deploy.scheme == ShareScheme::kShamir)
-          p = NextPrime(std::max(
-              p, static_cast<uint64_t>(deploy.num_servers) + 1));
-      }
-      return FpCyclotomicRing::Create(p);
+      // No document in sight yet: size the field for the default capacity.
+      return FpCyclotomicRing::Create(
+          options.p != 0 ? options.p : AutoPrime(kDefaultTagCapacity, deploy));
     } else {
       return ZQuotientRing::Create(options.r);
     }
@@ -758,19 +749,19 @@ class Collection {
     }
   }
 
-  /// Map options for a freshly created collection.
-  static TagMap::Options BuildMapOptions(const Ring& ring,
-                                         const OutsourceOptions& options) {
+  /// The collection's one tag-map rule, for new and reopened collections
+  /// alike. F_p tags take values in {1..p-2} (Lemma 3 excludes p-1). Z tags
+  /// come from the ring's safe-value pool below `z_range`: Create's
+  /// max_tag_value, which it records in the still-empty map so the key
+  /// file carries it to every reopen.
+  static TagMap::Options MapOptions(const Ring& ring, uint64_t z_range) {
     TagMap::Options out;
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring.MaxTagValue();  // Lemma 3: exclude p-1
-      out.assignment = options.assignment;
+      out.max_value = ring.MaxTagValue();
     } else {
-      out.max_value = options.max_tag_value;
-      if (options.safe_tag_values)
-        out.allowed_values = ring.SafeTagValues(
-            options.max_tag_value,
-            /*max_tag_distance=*/options.max_tag_value);
+      out.max_value = z_range;
+      out.allowed_values =
+          ring.SafeTagValues(z_range, /*max_tag_distance=*/z_range);
     }
     return out;
   }
@@ -779,25 +770,6 @@ class Collection {
     ShareSplitOptions out;
     if constexpr (std::is_same_v<Ring, ZQuotientRing>)
       out.z_coeff_bits = options.coeff_bits;
-    return out;
-  }
-
-  /// Map options for Extend, derived from the ring (Fp) or the persisted
-  /// map's value range (Z reopened collections). The Create-time knobs are
-  /// not persisted, so a reopened collection extends with the defaults:
-  /// keyed-random assignment (the debug-only sequential mode is not
-  /// restored) and, for Z, the safe-tag-value pool (recommended; a
-  /// collection created with safe_tag_values=false draws new tags from
-  /// the stricter pool after reopening).
-  TagMap::Options ReconstructMapOptions() const {
-    TagMap::Options out;
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      out.max_value = ring_.MaxTagValue();
-    } else {
-      out.max_value = tag_map_.max_value();
-      out.allowed_values =
-          ring_.SafeTagValues(out.max_value, /*max_tag_distance=*/out.max_value);
-    }
     return out;
   }
 
@@ -810,7 +782,7 @@ class Collection {
         std::move(ring), DeterministicPrf(key.seed),
         ShareSplitOptions{key.z_coeff_bits}));
     col->tag_map_ = key.tag_map;
-    col->map_options_ = col->ReconstructMapOptions();
+    col->map_options_ = MapOptions(col->ring_, key.tag_map.max_value());
     col->RebuildClient();
     RETURN_IF_ERROR(
         col->SetShape(key.scheme, key.num_servers, key.threshold));
@@ -954,21 +926,15 @@ class Collection {
   }
 
   /// Registers shard `id`'s server group: owned `registries` fronted by
-  /// endpoints of the collection's transport, or the borrowed external
-  /// `endpoints`.
+  /// LoopbackEndpoints, or the borrowed external `endpoints`.
   Status AttachGroup(ShardId id, Registries registries,
                      std::vector<ServerEndpoint*> endpoints) {
     auto group = std::make_unique<ShardGroup>();
     group->id = id;
     group->registries = std::move(registries);
     for (const auto& registry : group->registries) {
-      if (transport_ == EndpointKind::kLoopback) {
-        group->owned.push_back(
-            std::make_unique<LoopbackEndpoint>(registry.get()));
-      } else {
-        group->owned.push_back(
-            std::make_unique<InProcessEndpoint>(registry.get()));
-      }
+      group->owned.push_back(
+          std::make_unique<LoopbackEndpoint>(registry.get()));
       endpoints.push_back(group->owned.back().get());
     }
     switch (scheme_) {
@@ -1027,8 +993,7 @@ class Collection {
 
   /// The Bloom pre-filter's admission test for one lookup batch (null when
   /// the filter is off): a document stays in the frontier if it has no
-  /// filter, a filter built under different num_hashes (untestable, so
-  /// conservatively walked), or one that admits at least one queried tag.
+  /// filter or one that admits at least one queried tag.
   std::function<bool(const Doc&)> PrefilterFor(
       std::span<const Query> queries) {
     last_prefilter_skipped_ = 0;
@@ -1036,12 +1001,10 @@ class Collection {
     std::vector<std::vector<std::array<uint8_t, 32>>> trapdoors;
     trapdoors.reserve(queries.size());
     for (const Query& q : queries)
-      trapdoors.push_back(
-          DocBloomFilter::QueryTrapdoors(seed_, q.tag, prefilter_options_));
+      trapdoors.push_back(DocBloomFilter::QueryTrapdoors(seed_, q.tag, {}));
     return [this, trapdoors = std::move(trapdoors)](const Doc& doc) {
       auto it = filters_.find(doc.id);
-      bool include = it == filters_.end() ||
-                     it->second.num_hashes() != prefilter_options_.num_hashes;
+      bool include = it == filters_.end();
       for (size_t i = 0; !include && i < trapdoors.size(); ++i)
         include = it->second.MayContain(trapdoors[i]);
       if (!include) ++last_prefilter_skipped_;
@@ -1410,7 +1373,6 @@ class Collection {
   ShareScheme scheme_ = ShareScheme::kTwoParty;
   int servers_per_group_ = 1;
   int threshold_ = 0;  ///< Shamir only
-  EndpointKind transport_ = EndpointKind::kLoopback;  ///< owned groups' kind
   bool owns_servers_ = true;
   std::unique_ptr<ClientContext<Ring>> client_;
   std::unique_ptr<ThreadPool> pool_;
@@ -1434,7 +1396,6 @@ class Collection {
 
   // Bloom pre-filter (off until EnableBloomPrefilter).
   bool prefilter_enabled_ = false;
-  DocBloomFilter::Options prefilter_options_;
   std::map<DocId, DocBloomFilter> filters_;
   size_t last_prefilter_skipped_ = 0;
 };

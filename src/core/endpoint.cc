@@ -80,142 +80,47 @@ Status ServerEndpoint::Probe() {
   return Status::Ok();
 }
 
-// ------------------------------------------------------------- in-process
-
-Result<EvalResponse> InProcessEndpoint::Eval(const EvalRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(EvalResponse resp, handler_->HandleEval(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<FetchResponse> InProcessEndpoint::Fetch(const FetchRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(FetchResponse resp, handler_->HandleFetch(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<AdminAck> InProcessEndpoint::AddDoc(const AddDocRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(AdminAck resp, handler_->HandleAddDoc(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<AdminAck> InProcessEndpoint::RemoveDoc(const RemoveDocRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(AdminAck resp, handler_->HandleRemoveDoc(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<ExportDocResponse> InProcessEndpoint::ExportDoc(
-    const ExportDocRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(ExportDocResponse resp, handler_->HandleExportDoc(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<AdminAck> InProcessEndpoint::RebaseDoc(const RebaseDocRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(AdminAck resp, handler_->HandleRebaseDoc(req));
-  CountDown(0);
-  return resp;
-}
-
-Result<PingResponse> InProcessEndpoint::Ping(const PingRequest& req) {
-  CountUp(0);
-  ASSIGN_OR_RETURN(PingResponse resp, handler_->HandlePing(req));
-  CountDown(0);
-  return resp;
-}
-
 // --------------------------------------------------------------- loopback
 
-Result<EvalResponse> LoopbackEndpoint::Eval(const EvalRequest& req) {
+template <typename Resp, typename Req>
+Result<Resp> LoopbackEndpoint::Call(MessageKind kind, const Req& req) {
   ByteWriter up;
   req.Serialize(&up);
   CountUp(up.size());
   ASSIGN_OR_RETURN(std::vector<uint8_t> down,
-                   DispatchSerialized(handler_, MessageKind::kEval, up.span()));
+                   DispatchSerialized(handler_, kind, up.span()));
   CountDown(down.size());
   ByteReader down_r(down);
-  return EvalResponse::Deserialize(&down_r);
+  return Resp::Deserialize(&down_r);
+}
+
+Result<EvalResponse> LoopbackEndpoint::Eval(const EvalRequest& req) {
+  return Call<EvalResponse>(MessageKind::kEval, req);
 }
 
 Result<FetchResponse> LoopbackEndpoint::Fetch(const FetchRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kFetch, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return FetchResponse::Deserialize(&down_r);
+  return Call<FetchResponse>(MessageKind::kFetch, req);
 }
 
 Result<AdminAck> LoopbackEndpoint::AddDoc(const AddDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kAddDoc, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return AdminAck::Deserialize(&down_r);
+  return Call<AdminAck>(MessageKind::kAddDoc, req);
 }
 
 Result<AdminAck> LoopbackEndpoint::RemoveDoc(const RemoveDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kRemoveDoc, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return AdminAck::Deserialize(&down_r);
+  return Call<AdminAck>(MessageKind::kRemoveDoc, req);
 }
 
 Result<ExportDocResponse> LoopbackEndpoint::ExportDoc(
     const ExportDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kExportDoc, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return ExportDocResponse::Deserialize(&down_r);
+  return Call<ExportDocResponse>(MessageKind::kExportDoc, req);
 }
 
 Result<AdminAck> LoopbackEndpoint::RebaseDoc(const RebaseDocRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kRebaseDoc, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return AdminAck::Deserialize(&down_r);
+  return Call<AdminAck>(MessageKind::kRebaseDoc, req);
 }
 
 Result<PingResponse> LoopbackEndpoint::Ping(const PingRequest& req) {
-  ByteWriter up;
-  req.Serialize(&up);
-  CountUp(up.size());
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> down,
-      DispatchSerialized(handler_, MessageKind::kPing, up.span()));
-  CountDown(down.size());
-  ByteReader down_r(down);
-  return PingResponse::Deserialize(&down_r);
+  return Call<PingResponse>(MessageKind::kPing, req);
 }
 
 // --------------------------------------------------------- fault injection

@@ -3,20 +3,21 @@
 // The §4.3 protocol is a message exchange, and §4.2 generalizes it to
 // k-of-n multi-server deployments — so the client-side query logic talks to
 // a ServerEndpoint (a message port carrying the EvalRequest/FetchRequest
-// codecs) instead of a concrete in-process store. Three implementations:
+// codecs) instead of a concrete in-process store. Two transports and one
+// decorator:
 //
-//   * InProcessEndpoint      — direct handler calls, zero-copy fast path
-//                              (messages counted, no bytes serialized);
-//   * LoopbackEndpoint       — serializes every message both ways, so byte
-//                              counters report real wire costs and the codecs
-//                              are exercised on every query (the historical
-//                              behavior of QuerySession);
+//   * LoopbackEndpoint       — serializes every message both ways through
+//                              DispatchSerialized, so byte counters report
+//                              real wire costs and the codecs run on every
+//                              query; fronts every collection-owned server;
+//   * SocketEndpoint         — the same frames over TCP
+//                              (net/socket_endpoint.h);
 //   * FaultInjectingEndpoint — decorator adding latency, hard failures and
 //                              response tampering for cheating-server and
 //                              k-of-n-with-failures scenarios.
 //
-// A real network server would pair a socket loop with DispatchSerialized():
-// bytes in, bytes out, nothing else crosses the trust boundary.
+// A network server pairs a socket loop with DispatchSerialized(): bytes in,
+// bytes out, nothing else crosses the trust boundary.
 #ifndef POLYSSE_CORE_ENDPOINT_H_
 #define POLYSSE_CORE_ENDPOINT_H_
 
@@ -198,8 +199,8 @@ class ServerEndpoint {
   }
 
  protected:
-  /// Records one sent request (byte count 0 on zero-copy paths). A request
-  /// whose handler fails is still counted — it crossed the wire.
+  /// Records one sent request. A request whose handler fails is still
+  /// counted — it crossed the wire.
   void CountUp(size_t bytes) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     counters_.bytes_up += bytes;
@@ -217,26 +218,9 @@ class ServerEndpoint {
   TransportCounters counters_;
 };
 
-/// Direct handler calls — the zero-copy fast path for servers living in the
-/// client's process. Messages are counted; no bytes are moved.
-class InProcessEndpoint final : public ServerEndpoint {
- public:
-  explicit InProcessEndpoint(ServerHandler* handler) : handler_(handler) {}
-
-  Result<EvalResponse> Eval(const EvalRequest& req) override;
-  Result<FetchResponse> Fetch(const FetchRequest& req) override;
-  Result<AdminAck> AddDoc(const AddDocRequest& req) override;
-  Result<AdminAck> RemoveDoc(const RemoveDocRequest& req) override;
-  Result<ExportDocResponse> ExportDoc(const ExportDocRequest& req) override;
-  Result<AdminAck> RebaseDoc(const RebaseDocRequest& req) override;
-  Result<PingResponse> Ping(const PingRequest& req) override;
-
- private:
-  ServerHandler* handler_;
-};
-
 /// Serializes every message in both directions through DispatchSerialized,
-/// so byte counters are real and the codecs run on every query.
+/// so byte counters are real and the codecs run on every query. The
+/// transport in front of every collection-owned server.
 class LoopbackEndpoint final : public ServerEndpoint {
  public:
   explicit LoopbackEndpoint(ServerHandler* handler) : handler_(handler) {}
@@ -250,6 +234,11 @@ class LoopbackEndpoint final : public ServerEndpoint {
   Result<PingResponse> Ping(const PingRequest& req) override;
 
  private:
+  /// One exchange: encode `req`, dispatch it as a `kind` message, decode
+  /// the response.
+  template <typename Resp, typename Req>
+  Result<Resp> Call(MessageKind kind, const Req& req);
+
   ServerHandler* handler_;
 };
 
@@ -271,7 +260,7 @@ struct FaultConfig {
 };
 
 /// Decorator over another endpoint adding configurable faults. Composes
-/// over either transport kind.
+/// over any endpoint, including another decorator.
 class FaultInjectingEndpoint final : public ServerEndpoint {
  public:
   FaultInjectingEndpoint(ServerEndpoint* inner, FaultConfig config)

@@ -22,7 +22,7 @@
 // a plain single-tree deployment of the same document and seed.
 //
 // The engine owns the demo-grade server side (one ServerStoreRegistry per
-// server, fronted by InProcess or Loopback endpoints); a networked
+// server, each fronted by a LoopbackEndpoint); a networked
 // deployment instead hands QuerySession endpoints that speak to remote
 // processes (see net/socket_endpoint.h for the TCP transport over
 // DispatchSerialized). With Deploy::worker_threads > 1 the engine owns a
@@ -66,17 +66,10 @@ class Engine {
     OutsourceOptions effective = options;
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       // The single-document engine sizes the field for exactly this
-      // document's alphabet (the historical behavior); Shamir party points
-      // live at x = 1..n inside F_p, so the auto-selected field must leave
-      // room for every server too.
-      if (effective.p == 0) {
-        effective.p = PrimeForAlphabet(document.DistinctTags().size());
-        if (deploy.scheme == ShareScheme::kShamir) {
-          effective.p = NextPrime(
-              std::max(effective.p,
-                       static_cast<uint64_t>(deploy.num_servers) + 1));
-        }
-      }
+      // document's alphabet.
+      if (effective.p == 0)
+        effective.p = Collection<Ring>::AutoPrime(
+            document.DistinctTags().size(), deploy);
     }
     ASSIGN_OR_RETURN(std::unique_ptr<Collection<Ring>> collection,
                      Collection<Ring>::Create(seed, deploy, effective));
@@ -91,10 +84,9 @@ class Engine {
   /// A multi-document collection opens too (queries then span every
   /// document).
   static Result<std::unique_ptr<Engine>> Open(
-      const std::string& store_path, const std::string& key_path,
-      EndpointKind transport = EndpointKind::kLoopback) {
+      const std::string& store_path, const std::string& key_path) {
     ASSIGN_OR_RETURN(std::unique_ptr<Collection<Ring>> collection,
-                     Collection<Ring>::Open(store_path, key_path, transport));
+                     Collection<Ring>::Open(store_path, key_path));
     if (collection->num_docs() == 0)
       return Status::FailedPrecondition(
           "the engine facade needs at least one document; open empty "

@@ -29,74 +29,4 @@ Result<std::vector<PolyTree<FpCyclotomicRing>>> SplitSharesShamir(
   return servers;
 }
 
-Result<ShamirMultiServer> ShamirMultiServer::Setup(
-    const FpCyclotomicRing& ring, const PolyTree<FpCyclotomicRing>& data,
-    int threshold, int num_servers, ChaChaRng& rng) {
-  ASSIGN_OR_RETURN(ShamirScheme scheme,
-                   ShamirScheme::Create(ring.field(), threshold, num_servers));
-  ShamirMultiServer out(ring, threshold);
-  out.num_nodes_ = data.size();
-  out.servers_.resize(num_servers);
-  for (int s = 0; s < num_servers; ++s) {
-    out.servers_[s].x = static_cast<uint64_t>(s + 1);
-    out.servers_[s].node_coeff_shares.resize(data.size());
-  }
-  const size_t width = ring.DenseCoeffCount();
-  for (size_t id = 0; id < data.size(); ++id) {
-    for (int s = 0; s < num_servers; ++s)
-      out.servers_[s].node_coeff_shares[id].resize(width);
-    for (size_t j = 0; j < width; ++j) {
-      std::vector<ShamirShare> shares =
-          scheme.Share(data.nodes[id].poly.coeff(j), rng);
-      for (int s = 0; s < num_servers; ++s)
-        out.servers_[s].node_coeff_shares[id][j] = shares[s].y;
-    }
-  }
-  return out;
-}
-
-Result<uint64_t> ShamirMultiServer::ServerEval(int server, int node_id,
-                                               uint64_t e) const {
-  if (server < 0 || server >= num_servers())
-    return Status::InvalidArgument("server index out of range");
-  if (node_id < 0 || static_cast<size_t>(node_id) >= num_nodes_)
-    return Status::InvalidArgument("node id out of range");
-  RETURN_IF_ERROR(ring_.QueryModulus(e).status());
-  const PrimeField& f = ring_.field();
-  const std::vector<uint64_t>& coeffs =
-      servers_[server].node_coeff_shares[node_id];
-  uint64_t x = f.FromUInt64(e);
-  uint64_t acc = 0;
-  for (size_t j = coeffs.size(); j-- > 0;) acc = f.Add(f.Mul(acc, x), coeffs[j]);
-  return acc;
-}
-
-Result<uint64_t> ShamirMultiServer::CombineEvals(
-    const std::vector<int>& server_ids, const std::vector<uint64_t>& evals) const {
-  if (server_ids.size() != evals.size())
-    return Status::InvalidArgument("ids/evals size mismatch");
-  ASSIGN_OR_RETURN(ShamirScheme scheme,
-                   ShamirScheme::Create(ring_.field(), threshold_,
-                                        num_servers()));
-  std::vector<ShamirShare> shares;
-  shares.reserve(evals.size());
-  for (size_t i = 0; i < evals.size(); ++i) {
-    if (server_ids[i] < 0 || server_ids[i] >= num_servers())
-      return Status::InvalidArgument("server index out of range");
-    shares.push_back({servers_[server_ids[i]].x, evals[i]});
-  }
-  return scheme.Reconstruct(std::move(shares));
-}
-
-Result<uint64_t> ShamirMultiServer::Eval(int node_id, uint64_t e) const {
-  std::vector<int> ids;
-  std::vector<uint64_t> evals;
-  for (int s = 0; s < threshold_; ++s) {
-    ASSIGN_OR_RETURN(uint64_t v, ServerEval(s, node_id, e));
-    ids.push_back(s);
-    evals.push_back(v);
-  }
-  return CombineEvals(ids, evals);
-}
-
 }  // namespace polysse

@@ -3,10 +3,11 @@
 // with k out of n servers (or any other access structure) can reconstruct
 // the shared secret polynomial."
 //
-// Two instantiations:
-//  * AdditiveMultiServer — client + k servers, all of them needed
+// Two share splits, each producing ordinary share trees that ServerStores
+// serve over the wire protocol:
+//  * SplitSharesAcrossServers — client + k servers, all of them needed
 //    (k+1-of-k+1 additive sharing; generalizes the 2-party scheme).
-//  * ShamirMultiServer — pure t-of-n over the F_p ring: every coefficient is
+//  * SplitSharesShamir — pure t-of-n over the F_p ring: every coefficient is
 //    Shamir-shared, so any t servers reconstruct evaluations by Lagrange
 //    interpolation and t-1 servers learn nothing. The client holds no share
 //    at all (only the tag map).
@@ -60,14 +61,6 @@ Result<std::vector<PolyTree<Ring>>> SplitSharesAcrossServers(
   return servers;
 }
 
-/// Combines the client's own evaluation with one evaluation per server.
-inline uint64_t CombineAdditiveEvals(uint64_t modulus, uint64_t client_eval,
-                                     const std::vector<uint64_t>& server_evals) {
-  unsigned __int128 sum = client_eval % modulus;
-  for (uint64_t v : server_evals) sum += v % modulus;
-  return static_cast<uint64_t>(sum % modulus);
-}
-
 /// Shamir t-of-n split of an F_p data tree into n ordinary share trees —
 /// the form every ServerStore serves over the wire protocol. Server s
 /// (s = 0..n-1, evaluation point x = s+1) receives, per node, the
@@ -79,52 +72,6 @@ inline uint64_t CombineAdditiveEvals(uint64_t modulus, uint64_t client_eval,
 Result<std::vector<PolyTree<FpCyclotomicRing>>> SplitSharesShamir(
     const FpCyclotomicRing& ring, const PolyTree<FpCyclotomicRing>& data,
     int threshold, int num_servers, ChaChaRng& rng);
-
-/// Pure t-of-n Shamir sharing of an F_p polynomial tree.
-/// DEPRECATED: superseded by SplitSharesShamir + ServerStore + endpoints
-/// (see core/engine.h), which run t-of-n through the real wire protocol.
-class ShamirMultiServer {
- public:
-  /// One server's view: a tree of share polynomials (same shape as data).
-  struct ServerShareTree {
-    /// share_polys[node][j] = Shamir share (at this server's x) of the
-    /// node polynomial's j-th coefficient — equivalently a polynomial whose
-    /// evaluation at e is this server's share of f(e).
-    std::vector<std::vector<uint64_t>> node_coeff_shares;
-    uint64_t x = 0;  ///< this server's Shamir evaluation point
-  };
-
-  /// Splits `data` across n servers with reconstruction threshold t.
-  static Result<ShamirMultiServer> Setup(const FpCyclotomicRing& ring,
-                                         const PolyTree<FpCyclotomicRing>& data,
-                                         int threshold, int num_servers,
-                                         ChaChaRng& rng);
-
-  int threshold() const { return threshold_; }
-  int num_servers() const { return static_cast<int>(servers_.size()); }
-  size_t num_nodes() const { return num_nodes_; }
-
-  /// Server s evaluates its share of node `id` at point e (mod p).
-  Result<uint64_t> ServerEval(int server, int node_id, uint64_t e) const;
-
-  /// Client-side: Lagrange-combines evaluations from any >= t servers.
-  /// `server_ids` are 0-based server indices aligned with `evals`.
-  Result<uint64_t> CombineEvals(const std::vector<int>& server_ids,
-                                const std::vector<uint64_t>& evals) const;
-
-  /// Convenience for tests/benches: true combined evaluation of node `id` at
-  /// e using the first `threshold` servers.
-  Result<uint64_t> Eval(int node_id, uint64_t e) const;
-
- private:
-  ShamirMultiServer(const FpCyclotomicRing& ring, int threshold)
-      : ring_(ring), threshold_(threshold) {}
-
-  FpCyclotomicRing ring_;
-  int threshold_;
-  size_t num_nodes_ = 0;
-  std::vector<ServerShareTree> servers_;
-};
 
 }  // namespace polysse
 

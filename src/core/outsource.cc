@@ -15,7 +15,6 @@ Result<PreparedOutsource<FpCyclotomicRing>> PrepareOutsource(
 
   TagMap::Options map_options;
   map_options.max_value = ring.MaxTagValue();  // Lemma 3: exclude p-1
-  map_options.assignment = options.assignment;
   ASSIGN_OR_RETURN(TagMap tag_map, TagMap::Build(tags, map_options, seed));
 
   ASSIGN_OR_RETURN(PolyTree<FpCyclotomicRing> data,
@@ -32,17 +31,15 @@ Result<PreparedOutsource<ZQuotientRing>> PrepareOutsource(
   std::vector<std::string> tags = document.DistinctTags();
   TagMap::Options map_options;
   map_options.max_value = options.max_tag_value;
-  if (options.safe_tag_values) {
-    map_options.allowed_values =
-        ring.SafeTagValues(options.max_tag_value,
-                           /*max_tag_distance=*/options.max_tag_value);
-    if (map_options.allowed_values.size() < tags.size())
-      return Status::InvalidArgument(
-          "not enough safe tag values below " +
-          std::to_string(options.max_tag_value) + " for " +
-          std::to_string(tags.size()) +
-          " tags; raise max_tag_value or use a different r(x)");
-  }
+  map_options.allowed_values =
+      ring.SafeTagValues(options.max_tag_value,
+                         /*max_tag_distance=*/options.max_tag_value);
+  if (map_options.allowed_values.size() < tags.size())
+    return Status::InvalidArgument(
+        "not enough safe tag values below " +
+        std::to_string(options.max_tag_value) + " for " +
+        std::to_string(tags.size()) +
+        " tags; raise max_tag_value or use a different r(x)");
   ASSIGN_OR_RETURN(TagMap tag_map, TagMap::Build(tags, map_options, seed));
 
   ASSIGN_OR_RETURN(PolyTree<ZQuotientRing> data,

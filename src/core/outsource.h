@@ -1,8 +1,10 @@
-// Document preparation for outsourcing: ring selection, private tag map and
-// the reduced data tree, before any share split. polysse::Engine
-// (core/engine.h) is the library's front door — it feeds PrepareOutsource
-// into whichever server scheme the deployment requests. The historical
-// OutsourceFp/OutsourceZ one-call shims are gone; callers use the Engine.
+// The outsourcing options of both rings, and PrepareOutsource: ring
+// selection, private tag map and the reduced data tree of one document,
+// before any share split. The library's front doors, polysse::Collection
+// and polysse::Engine (core/collection.h, core/engine.h), take the options
+// and apply the same rules themselves; PrepareOutsource is what the tests'
+// white-box deployment builders (tests/testing/deploy_helpers.h) start
+// from, an independent oracle for the collection's answers.
 #ifndef POLYSSE_CORE_OUTSOURCE_H_
 #define POLYSSE_CORE_OUTSOURCE_H_
 
@@ -22,14 +24,10 @@ struct FpOutsourceOptions {
   /// Field modulus; 0 auto-selects the smallest safe prime for the
   /// document's tag alphabet (PrimeForAlphabet).
   uint64_t p = 0;
-  /// Keyed-random mapping hides tag structure; sequential is for debugging.
-  TagMap::Options::Assignment assignment =
-      TagMap::Options::Assignment::kKeyedRandom;
 };
 
-/// The plaintext-side artifacts every deployment shape starts from: ring,
-/// private tag map and the reduced data tree, before any share split. The
-/// Engine uses this to split across whichever server scheme is requested.
+/// The plaintext-side artifacts of one document: ring, private tag map and
+/// the reduced data tree, before any share split.
 template <typename Ring>
 struct PreparedOutsource {
   Ring ring;
@@ -49,11 +47,9 @@ struct ZOutsourceOptions {
   ZPoly r = ZPoly({1, 0, 1});
   /// Client-share coefficient width (statistical hiding margin).
   size_t coeff_bits = 256;
-  /// Restrict tag values to points where r(t) is prime and large enough to
-  /// rule out evaluation-filter false positives (recommended; see
-  /// ZQuotientRing::SafeTagValues).
-  bool safe_tag_values = true;
-  /// Highest candidate tag value considered when building the map.
+  /// Highest candidate tag value. Tags take only the safe values below it:
+  /// points where r(t) is prime and large enough to rule out
+  /// evaluation-filter false positives (ZQuotientRing::SafeTagValues).
   uint64_t max_tag_value = 4096;
 };
 

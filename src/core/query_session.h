@@ -307,9 +307,6 @@ class QuerySession {
     return result;
   }
 
-  /// Stats of the most recent query.
-  const QueryStats& last_stats() const { return stats_; }
-
   /// The transport configuration this session talks through.
   const EndpointGroup& endpoint_group() const { return group_; }
 

@@ -85,15 +85,6 @@ SharedTrees<Ring> SplitShares(const Ring& ring, const PolyTree<Ring>& data,
   return out;
 }
 
-/// Recombines one node (client + server share) — the reconstruction step of
-/// the verification path.
-template <typename Ring>
-typename Ring::Elem CombineShares(const Ring& ring,
-                                  const typename Ring::Elem& client_part,
-                                  const typename Ring::Elem& server_part) {
-  return ring.Add(client_part, server_part);
-}
-
 }  // namespace polysse
 
 #endif  // POLYSSE_CORE_SHARING_H_

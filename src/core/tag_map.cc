@@ -69,23 +69,16 @@ Status TagMap::Extend(const std::vector<std::string>& tags,
   used.reserve(next.to_tag_.size());
   for (const auto& [value, tag] : next.to_tag_) used.insert(value);
   for (const std::string& tag : fresh) {
+    // Rejection-sample an unused value; with load <= 1 the expected number
+    // of draws per tag is below 1/(1 - load) and bounded by the guard.
     uint64_t value = 0;
-    if (options.assignment == Options::Assignment::kSequential) {
-      value = pool.empty() ? used.size() + 1 : pool[used.size()];
-      if (used.count(value))
-        return Status::InvalidArgument(
-            "TagMap: sequential extension collides with an assigned value");
-    } else {
-      // Rejection-sample an unused value; with load <= 1 the expected number
-      // of draws per tag is below 1/(1 - load) and bounded by the guard.
-      int guard = 0;
-      do {
-        value = pool.empty() ? 1 + rng.NextBelow(next.max_value_)
-                             : pool[rng.NextBelow(pool.size())];
-        if (++guard > 100000)
-          return Status::Internal("TagMap: sampler failed to find a free value");
-      } while (used.count(value));
-    }
+    int guard = 0;
+    do {
+      value = pool.empty() ? 1 + rng.NextBelow(next.max_value_)
+                           : pool[rng.NextBelow(pool.size())];
+      if (++guard > 100000)
+        return Status::Internal("TagMap: sampler failed to find a free value");
+    } while (used.count(value));
     used.insert(value);
     next.to_value_[tag] = value;
     next.to_tag_[value] = tag;

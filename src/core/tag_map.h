@@ -16,7 +16,8 @@
 
 namespace polysse {
 
-/// Injective tagname -> value map with keyed-random or sequential assignment.
+/// Injective tagname -> value map, drawn as a keyed-random injection: the
+/// PRF hides tag-to-point structure from the servers.
 class TagMap {
  public:
   /// An empty map (placeholder for deserialization targets).
@@ -26,11 +27,6 @@ class TagMap {
     /// Values are drawn from {1..max_value}. For the F_p ring the safe
     /// bound is p-2 (Lemma 3 excludes p-1; 0 is reserved).
     uint64_t max_value = 0;
-    /// kKeyedRandom draws a pseudorandom injection from the PRF (the
-    /// production setting: hides tag-to-point structure). kSequential
-    /// assigns 1, 2, 3, ... in the given tag order (figure reproduction).
-    enum class Assignment { kKeyedRandom, kSequential } assignment =
-        Assignment::kKeyedRandom;
     /// Optional whitelist of usable values (e.g. ZQuotientRing::SafeTagValues
     /// output); when non-empty, values come only from here.
     std::vector<uint64_t> allowed_values;

@@ -44,7 +44,7 @@ DocBloomFilter DocBloomFilter::Build(const DeterministicPrf& seed,
                                      const std::string& salt,
                                      const std::vector<std::string>& words,
                                      const Options& options) {
-  DocBloomFilter out(salt, options, BloomFilter(options.bits_per_doc));
+  DocBloomFilter out(salt, BloomFilter(options.bits_per_doc));
   for (const std::string& w : words) {
     for (const auto& trapdoor :
          BloomWordTrapdoors(seed, options.num_hashes, w)) {

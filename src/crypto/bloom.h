@@ -79,15 +79,12 @@ class DocBloomFilter {
       const std::vector<std::array<uint8_t, 32>>& trapdoors) const;
 
   size_t bit_count() const { return filter_.bit_count(); }
-  /// How many trapdoors one membership test expects (the build-time r).
-  int num_hashes() const { return options_.num_hashes; }
 
  private:
-  DocBloomFilter(std::string salt, Options options, BloomFilter filter)
-      : salt_(std::move(salt)), options_(options), filter_(std::move(filter)) {}
+  DocBloomFilter(std::string salt, BloomFilter filter)
+      : salt_(std::move(salt)), filter_(std::move(filter)) {}
 
   std::string salt_;
-  Options options_;
   BloomFilter filter_;
 };
 

@@ -1,7 +1,5 @@
 #include "index/secure_document.h"
 
-#include "nt/primes.h"
-
 namespace polysse {
 
 Result<std::unique_ptr<SecureDocumentService>> SecureDocumentService::Outsource(
@@ -11,7 +9,7 @@ Result<std::unique_ptr<SecureDocumentService>> SecureDocumentService::Outsource(
   // single-document behavior).
   FpOutsourceOptions effective = options;
   if (effective.p == 0)
-    effective.p = PrimeForAlphabet(document.DistinctTags().size());
+    effective.p = FpCollection::AutoPrime(document.DistinctTags().size(), {});
   ASSIGN_OR_RETURN(std::unique_ptr<SecureCollectionService> service,
                    SecureCollectionService::Create(seed, {}, effective));
   RETURN_IF_ERROR(service->Add(kDocId, document));

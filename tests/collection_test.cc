@@ -6,7 +6,8 @@
 //  * Add/Remove against a live deployment leave the other documents'
 //    answers bit-identical, and never re-outsource them;
 //  * Save/Open round-trips multi-document additive and Shamir collections,
-//    and a bare single-tree store file is refused;
+//    an empty Z collection reopens and grows like a never-saved one, and a
+//    bare single-tree store file is refused;
 //  * clean failures: duplicate ids, missing ids, exhausted tag capacity.
 #include <gtest/gtest.h>
 
@@ -405,6 +406,47 @@ TEST(CollectionTest, ZRingCollectionWorks) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   auto again = (*back)->Search("a").value();
   EXPECT_EQ(again.per_doc.at(2).matches.size(), 2u);
+}
+
+TEST(CollectionTest, EmptyZCollectionReopensAndGrows) {
+  // A Z collection saved before its first Add reopens with the tag-value
+  // range Create chose: the still-empty map in the key file carries it.
+  // The reopened collection then maps, shares and answers exactly like
+  // one that was never saved.
+  DeterministicPrf seed = DeterministicPrf::FromString("col-z-empty");
+  XmlNode doc = MakeDoc(996, 30, 5);
+  const std::string store = "/tmp/polysse_colz_empty.bin";
+  ASSERT_TRUE(
+      ZCollection::Create(seed).value()->Save(store, store + ".key").ok());
+  auto back = ZCollection::Open(store, store + ".key");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  Status added = (*back)->Add(1, doc);
+  ASSERT_TRUE(added.ok()) << added.ToString();
+
+  auto fresh = ZCollection::Create(seed).value();
+  ASSERT_TRUE(fresh->Add(1, doc).ok());
+  EXPECT_EQ((*back)->client().tag_map().Entries(),
+            fresh->client().tag_map().Entries());
+  for (const std::string& tag : doc.DistinctTags()) {
+    for (VerifyMode mode : kAllModes) {
+      auto got = (*back)->Search(tag, mode);
+      auto want = fresh->Search(tag, mode);
+      ASSERT_TRUE(got.ok() && want.ok()) << "//" << tag;
+      ASSERT_EQ(got->per_doc.count(1), want->per_doc.count(1)) << "//" << tag;
+      if (want->per_doc.count(1) == 0) continue;
+      EXPECT_EQ(SortedMatchPaths(got->per_doc.at(1).matches),
+                SortedMatchPaths(want->per_doc.at(1).matches))
+          << "//" << tag << " mode " << static_cast<int>(mode);
+      EXPECT_EQ(SortedMatchPaths(got->per_doc.at(1).possible),
+                SortedMatchPaths(want->per_doc.at(1).possible))
+          << "//" << tag << " mode " << static_cast<int>(mode);
+    }
+  }
+  // Same client secret state, byte for byte.
+  ASSERT_TRUE((*back)->SaveKey(store + ".back.key").ok());
+  ASSERT_TRUE(fresh->SaveKey(store + ".fresh.key").ok());
+  EXPECT_EQ(ReadFileBytes(store + ".back.key").value(),
+            ReadFileBytes(store + ".fresh.key").value());
 }
 
 TEST(CollectionTest, SecureCollectionServiceDecryptsPerDocument) {

@@ -1,6 +1,6 @@
-// Unit tests of the transport layer: the three ServerEndpoint
-// implementations, the serialized dispatch path, counters, and the
-// EndpointGroup validation rules.
+// Unit tests of the transport layer: the loopback endpoint against direct
+// handler calls, the serialized dispatch path, counters, the fault
+// decorator, and the EndpointGroup validation rules.
 #include <gtest/gtest.h>
 
 #include "core/endpoint.h"
@@ -29,13 +29,19 @@ EvalRequest RootEval(uint64_t point) {
   return req;
 }
 
-TEST(EndpointTest, InProcessAndLoopbackAnswerIdentically) {
+FetchRequest RootFetch() {
+  FetchRequest req;
+  req.mode = FetchMode::kFull;
+  req.node_ids = {0};
+  return req;
+}
+
+TEST(EndpointTest, LoopbackAnswersLikeDirectHandlerCalls) {
   FpDeployment dep = MakeDeployment("ep-ident");
-  InProcessEndpoint direct(&dep.server);
   LoopbackEndpoint wire(&dep.server);
 
   EvalRequest req = RootEval(1);
-  EvalResponse a = direct.Eval(req).value();
+  EvalResponse a = dep.server.HandleEval(req).value();
   EvalResponse b = wire.Eval(req).value();
   ASSERT_EQ(a.entries.size(), 1u);
   ASSERT_EQ(b.entries.size(), 1u);
@@ -44,35 +50,38 @@ TEST(EndpointTest, InProcessAndLoopbackAnswerIdentically) {
   EXPECT_EQ(a.entries[0].children, b.entries[0].children);
   EXPECT_EQ(a.entries[0].subtree_size, b.entries[0].subtree_size);
 
-  FetchRequest freq;
-  freq.mode = FetchMode::kFull;
-  freq.node_ids = {0};
-  FetchResponse fa = direct.Fetch(freq).value();
-  FetchResponse fb = wire.Fetch(freq).value();
+  FetchResponse fa = dep.server.HandleFetch(RootFetch()).value();
+  FetchResponse fb = wire.Fetch(RootFetch()).value();
   ASSERT_EQ(fa.entries.size(), 1u);
   ASSERT_EQ(fb.entries.size(), 1u);
   EXPECT_EQ(fa.entries[0].payload, fb.entries[0].payload);
 }
 
-TEST(EndpointTest, CountersReflectTransportKind) {
+TEST(EndpointTest, LoopbackCountsRealBytesAndMessages) {
   FpDeployment dep = MakeDeployment("ep-count");
-  InProcessEndpoint direct(&dep.server);
   LoopbackEndpoint wire(&dep.server);
 
-  EvalRequest req = RootEval(1);
-  ASSERT_TRUE(direct.Eval(req).ok());
-  ASSERT_TRUE(wire.Eval(req).ok());
+  // Each exchange counts one message per direction, sized as its encoding.
+  EvalResponse eval = wire.Eval(RootEval(1)).value();
+  FetchResponse fetch = wire.Fetch(RootFetch()).value();
+  ByteWriter up;
+  RootEval(1).Serialize(&up);
+  RootFetch().Serialize(&up);
+  ByteWriter down;
+  eval.Serialize(&down);
+  fetch.Serialize(&down);
+  EXPECT_EQ(wire.counters().messages_up, 2u);
+  EXPECT_EQ(wire.counters().messages_down, 2u);
+  EXPECT_EQ(wire.counters().bytes_up, up.size());
+  EXPECT_EQ(wire.counters().bytes_down, down.size());
 
-  // Zero-copy path: messages counted, no bytes moved.
-  EXPECT_EQ(direct.counters().messages_up, 1u);
-  EXPECT_EQ(direct.counters().messages_down, 1u);
-  EXPECT_EQ(direct.counters().bytes_up, 0u);
-  EXPECT_EQ(direct.counters().bytes_down, 0u);
-  // Serialized path: real wire sizes.
-  EXPECT_EQ(wire.counters().messages_up, 1u);
-  EXPECT_EQ(wire.counters().messages_down, 1u);
-  EXPECT_GT(wire.counters().bytes_up, 0u);
-  EXPECT_GT(wire.counters().bytes_down, 0u);
+  // A request the handler refuses still crossed the wire; no response did.
+  EvalRequest bad = RootEval(1);
+  bad.node_ids = {1 << 20};
+  ASSERT_FALSE(wire.Eval(bad).ok());
+  EXPECT_EQ(wire.counters().messages_up, 3u);
+  EXPECT_EQ(wire.counters().messages_down, 2u);
+  EXPECT_EQ(wire.counters().bytes_down, down.size());
 }
 
 TEST(EndpointTest, DispatchSerializedRejectsGarbageCleanly) {

@@ -92,9 +92,6 @@ TEST(EngineTest, FpAllSchemesMatchPreRedesignAnswers) {
   };
   std::vector<Case> cases;
   cases.push_back({"2party-loopback", {}});
-  Case inproc{"2party-inprocess", {}};
-  inproc.deploy.transport = EndpointKind::kInProcess;
-  cases.push_back(inproc);
   Case additive{"additive-3", {}};
   additive.deploy.scheme = ShareScheme::kAdditive;
   additive.deploy.num_servers = 3;

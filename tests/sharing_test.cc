@@ -4,6 +4,7 @@
 
 #include "core/multi_server.h"
 #include "core/sharing.h"
+#include "mpc/shamir.h"
 #include "xml/xml_generator.h"
 
 namespace polysse {
@@ -157,15 +158,14 @@ TEST(MultiServerTest, AdditiveKServerSplitSums) {
       for (int s = 0; s < k; ++s) sum = ring.Add(sum, servers[s].nodes[i].poly);
       EXPECT_TRUE(ring.Equal(sum, data.nodes[i].poly)) << "k=" << k;
     }
-    // Evaluation combining helper agrees.
+    // Evaluations combine the same way: client + sum of servers.
+    const PrimeField& f = ring.field();
     for (uint64_t e = 1; e <= 9; ++e) {
-      std::vector<uint64_t> evals;
-      for (int s = 0; s < k; ++s)
-        evals.push_back(ring.EvalAt(servers[s].nodes[0].poly, e).value());
-      uint64_t client_eval =
+      uint64_t sum =
           ring.EvalAt(DeriveClientShare(ring, prf, "", {}), e).value();
-      EXPECT_EQ(CombineAdditiveEvals(11, client_eval, evals),
-                ring.EvalAt(data.nodes[0].poly, e).value());
+      for (int s = 0; s < k; ++s)
+        sum = f.Add(sum, ring.EvalAt(servers[s].nodes[0].poly, e).value());
+      EXPECT_EQ(sum, ring.EvalAt(data.nodes[0].poly, e).value());
     }
   }
 }
@@ -183,19 +183,35 @@ TEST(MultiServerTest, ShamirTOfNReconstructsEvaluations) {
   PolyTree<FpCyclotomicRing> data = BuildPolyTree(ring, map, doc).value();
 
   ChaChaRng rng = ChaChaRng::FromString("shamir-ms-rng");
-  ShamirMultiServer ms = ShamirMultiServer::Setup(ring, data, 3, 5, rng).value();
-  for (int node = 0; node < static_cast<int>(data.size()); ++node) {
-    for (uint64_t e : {1ull, 7ull, 50ull}) {
-      EXPECT_EQ(ms.Eval(node, e).value(),
-                ring.EvalAt(data.nodes[node].poly, e).value());
+  auto servers = SplitSharesShamir(ring, data, 3, 5, rng).value();
+  ASSERT_EQ(servers.size(), 5u);
+  // Any 3 of the 5 share trees (server s sits at x = s+1) reconstruct
+  // every node's evaluation through the Lagrange weights at zero.
+  const PrimeField& f = ring.field();
+  int subsets = 0;
+  for (int a = 0; a < 5; ++a) {
+    for (int b = a + 1; b < 5; ++b) {
+      for (int c = b + 1; c < 5; ++c) {
+        const std::vector<int> ids = {a, b, c};
+        const std::vector<uint64_t> xs = {a + 1ull, b + 1ull, c + 1ull};
+        std::vector<uint64_t> w = LagrangeWeightsAtZero(f, xs).value();
+        for (size_t node = 0; node < data.size(); ++node) {
+          for (uint64_t e : {1ull, 7ull, 50ull}) {
+            uint64_t combined = 0;
+            for (size_t i = 0; i < ids.size(); ++i) {
+              const uint64_t v =
+                  ring.EvalAt(servers[ids[i]].nodes[node].poly, e).value();
+              combined = f.Add(combined, f.Mul(w[i], v));
+            }
+            EXPECT_EQ(combined, ring.EvalAt(data.nodes[node].poly, e).value())
+                << "servers " << a << b << c << " node " << node << " e " << e;
+          }
+        }
+        ++subsets;
+      }
     }
   }
-  // Any 3 of 5 servers suffice.
-  std::vector<int> ids = {1, 3, 4};
-  std::vector<uint64_t> evals;
-  for (int s : ids) evals.push_back(ms.ServerEval(s, 0, 7).value());
-  EXPECT_EQ(ms.CombineEvals(ids, evals).value(),
-            ring.EvalAt(data.nodes[0].poly, 7).value());
+  EXPECT_EQ(subsets, 10);
 }
 
 TEST(MultiServerTest, ShamirValidation) {
@@ -205,11 +221,14 @@ TEST(MultiServerTest, ShamirValidation) {
                     XmlNode("a"))
           .value();
   ChaChaRng rng = ChaChaRng::FromString("v");
-  EXPECT_FALSE(ShamirMultiServer::Setup(ring, data, 6, 5, rng).ok());
-  ShamirMultiServer ms = ShamirMultiServer::Setup(ring, data, 2, 3, rng).value();
-  EXPECT_FALSE(ms.ServerEval(5, 0, 1).ok());
-  EXPECT_FALSE(ms.ServerEval(0, 9, 1).ok());
-  EXPECT_FALSE(ms.CombineEvals({0}, {1, 2}).ok());
+  EXPECT_FALSE(SplitSharesShamir(ring, data, 6, 5, rng).ok());  // t > n
+  EXPECT_FALSE(SplitSharesShamir(ring, data, 0, 5, rng).ok());
+  EXPECT_EQ(SplitSharesShamir(ring, data, 2, 3, rng).value().size(), 3u);
+  // Combining needs distinct, nonzero party points.
+  const std::vector<uint64_t> repeated = {1, 1};
+  const std::vector<uint64_t> zero = {0, 2};
+  EXPECT_FALSE(LagrangeWeightsAtZero(ring.field(), repeated).ok());
+  EXPECT_FALSE(LagrangeWeightsAtZero(ring.field(), zero).ok());
 }
 
 }  // namespace

@@ -63,16 +63,6 @@ TEST(TagMapTest, KeyedRandomIsInjectiveAndDeterministic) {
   EXPECT_GT(diffs, 10);
 }
 
-TEST(TagMapTest, SequentialAssignment) {
-  TagMap::Options opt;
-  opt.max_value = 10;
-  opt.assignment = TagMap::Options::Assignment::kSequential;
-  TagMap map = TagMap::Build({"x", "y", "z"}, opt, Prf()).value();
-  EXPECT_EQ(map.Value("x").value(), 1u);
-  EXPECT_EQ(map.Value("y").value(), 2u);
-  EXPECT_EQ(map.Value("z").value(), 3u);
-}
-
 TEST(TagMapTest, AllowedValuesWhitelist) {
   TagMap::Options opt;
   opt.allowed_values = {4, 6, 10};

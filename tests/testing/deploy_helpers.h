@@ -1,9 +1,10 @@
 // White-box deployment builders for tests and benches. The product API is
-// polysse::Engine (core/engine.h); suites that assert on the individual
-// pieces — the ring, the thin client, a raw ServerStore, an explicitly
-// wired endpoint — build them here from the same public primitives the
-// engine uses (PrepareOutsource + SplitShares), with none of the engine's
-// ownership wrapping in the way.
+// polysse::Collection / polysse::Engine (core/collection.h,
+// core/engine.h); suites that assert on the individual pieces — the ring,
+// the thin client, a raw ServerStore, an explicitly wired endpoint — build
+// them here from the public primitives PrepareOutsource + SplitShares,
+// with none of the collection's ownership wrapping in the way. Built
+// independently of the collection, they double as its answer oracle.
 #ifndef POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 #define POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 

@@ -44,8 +44,8 @@ template <typename Ring>
              << "node " << i << " (path '" << node.path
              << "'): share carries a tag value";
     }
-    typename Ring::Elem combined = CombineShares(
-        ring, shares.client.nodes[i].poly, shares.server.nodes[i].poly);
+    typename Ring::Elem combined =
+        ring.Add(shares.client.nodes[i].poly, shares.server.nodes[i].poly);
     if (!ring.Equal(combined, node.poly)) {
       return ::testing::AssertionFailure()
              << "node " << i << " (path '" << node.path
