@@ -5,7 +5,8 @@
 // holds the collection fixed (D documents) and sweeps the shard count,
 // reporting the deterministic protocol costs (roll-up rounds = deepest
 // shard, messages = sum) and wall time at simulated per-message latency
-// for sequential vs pooled shard fan-out.
+// for sequential vs pooled shard fan-out, and for the same documents
+// Connect()ed as a networked client would hold them (conn).
 //
 //   shard_scaling [--json PATH]
 //
@@ -15,10 +16,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/persistence.h"
 #include "shard/sharded_collection.h"
+#include "util/thread_pool.h"
 #include "xml/xml_generator.h"
 
 namespace polysse {
@@ -77,6 +82,43 @@ double MedianWallUs(FpShardedCollection* col) {
   return walls[walls.size() / 2];
 }
 
+/// The collection's documents as a networked client sees them: Connect()ed
+/// from the key file the collection writes, over one loopback endpoint per
+/// server handler, each behind the same per-message latency, with the
+/// scatter and fan-out on an external pool.
+double ConnectedWallUs(FpShardedCollection* owner) {
+  const std::string key_path =
+      (std::filesystem::temp_directory_path() / "polysse_shard_scaling.key")
+          .string();
+  Status saved = owner->SaveKey(key_path);
+  auto key_bytes = ReadFileBytes(key_path);
+  if (!saved.ok() || !key_bytes.ok()) {
+    std::fprintf(stderr, "cannot write the key file %s\n", key_path.c_str());
+    std::abort();
+  }
+  ByteReader key_reader(*key_bytes);
+  ClientSecretFile key = ClientSecretFile::Deserialize(&key_reader).value();
+
+  std::vector<ShardId> ids;
+  for (const ShardRange& s : owner->shard_map().shards())
+    ids.push_back(s.shard_id);
+  std::sort(ids.begin(), ids.end());  // Connect's shard-major order
+  FaultConfig lag;
+  lag.latency_us = kLatencyUs;
+  std::vector<std::unique_ptr<LoopbackEndpoint>> wires;
+  std::vector<std::unique_ptr<FaultInjectingEndpoint>> lagged;
+  std::vector<ServerEndpoint*> eps;
+  for (ShardId id : ids) {
+    wires.push_back(std::make_unique<LoopbackEndpoint>(owner->handler(id, 0)));
+    lagged.push_back(
+        std::make_unique<FaultInjectingEndpoint>(wires.back().get(), lag));
+    eps.push_back(lagged.back().get());
+  }
+  ThreadPool pool(8);
+  auto connected = FpShardedCollection::Connect(key, eps, &pool).value();
+  return MedianWallUs(connected.get());
+}
+
 int Run(const std::string& json_path) {
   std::string json_entries;
   auto add_entry = [&](const std::string& name, double value) {
@@ -92,10 +134,12 @@ int Run(const std::string& json_path) {
       "the sum across shards. Wall times re-run the search with %uus\n"
       "injected per message: 'seq' walks shards one after another, 'par'\n"
       "fans them out on a worker pool — the latency the shard layout is\n"
-      "supposed to hide.\n\n",
+      "supposed to hide — and 'conn' is the same collection Connect()ed\n"
+      "over loopback endpoints with an external pool.\n\n",
       kQueryTag, kDocs, kLatencyUs);
-  std::printf("%6s | %6s %8s | %12s %12s | %7s\n", "shards", "rounds",
-              "messages", "seq ms @lat", "par ms @lat", "speedup");
+  std::printf("%6s | %6s %8s | %12s %12s %12s | %7s\n", "shards", "rounds",
+              "messages", "seq ms @lat", "par ms @lat", "conn ms @lat",
+              "speedup");
 
   for (int shards : {1, 2, 4, 8}) {
     auto col = Build(shards, /*workers=*/8);
@@ -115,6 +159,7 @@ int Run(const std::string& json_path) {
       }
     }
 
+    const double conn_wall = ConnectedWallUs(col.get());
     AddLatency(col.get());
     const double par_wall = MedianWallUs(col.get());
     auto seq = Build(shards, /*workers=*/0);
@@ -124,10 +169,13 @@ int Run(const std::string& json_path) {
               seq_wall);
     add_entry("wall_us_par" + suffix + "_lat" + std::to_string(kLatencyUs),
               par_wall);
+    add_entry("wall_us_conn" + suffix + "_lat" + std::to_string(kLatencyUs),
+              conn_wall);
 
-    std::printf("%6d | %6zu %8zu | %12.1f %12.1f | %6.1fx\n", shards,
+    std::printf("%6d | %6zu %8zu | %12.1f %12.1f %12.1f | %6.1fx\n", shards,
                 r.stats.rounds, r.stats.transport.messages_up,
-                seq_wall / 1000.0, par_wall / 1000.0, seq_wall / par_wall);
+                seq_wall / 1000.0, par_wall / 1000.0, conn_wall / 1000.0,
+                seq_wall / par_wall);
   }
 
   if (!json_path.empty()) {

@@ -25,9 +25,10 @@
 // unsharded collection, with one shared frontier and the historical
 // persisted layout. With DeployShape::num_shards > 1, Add routes each
 // document to the emptiest shard and Search is scatter-gather — one
-// shared-frontier walk per shard, run concurrently on the owned worker
-// pool and merged — so wall time tracks the deepest shard, while every
-// answer stays bit-identical to the same documents in one shard:
+// shared-frontier walk per shard, run concurrently on the collection's
+// executor (its own worker pool, or the executor passed to Connect) and
+// merged — so wall time tracks the deepest shard, while every answer stays
+// bit-identical to the same documents in one shard:
 //
 //   deploy.num_shards = 4;
 //   auto col = FpCollection::Create(seed, deploy).value();
@@ -131,10 +132,11 @@ struct CollectionResult {
   std::map<DocId, LookupResult> per_doc;
   /// Collection-level roll-up: counters and traffic sum across shards;
   /// rounds/fetch_rounds take the max, the deepest shard's. That is the
-  /// latency of a concurrent scatter, which needs a collection-owned pool
-  /// (worker_threads > 1); a default or Connect()ed collection walks its
-  /// shards one after another, so its wall time grows with the sum. With
-  /// one shard this is exactly that shard's walk.
+  /// latency of a concurrent scatter, which needs an executor — a
+  /// collection-owned pool (worker_threads > 1) or the one passed to
+  /// Connect; without one the shards are walked one after another and wall
+  /// time grows with the sum. With one shard this is exactly that shard's
+  /// walk.
   QueryStats stats;
   std::vector<ShardQueryStats> per_shard;  ///< ascending shard id
   /// Shards skipped as dead (skip_dead_shards mode only). Non-empty means
@@ -212,8 +214,8 @@ class Collection {
   /// order, `key.num_servers` endpoints each — endpoint i*k+s is server s
   /// of the i-th shard's group (an unsharded key names one shard). Search
   /// works immediately; Add/Remove manage the remote registries over the
-  /// wire. `executor` drives each group's per-server fan-out; the shard
-  /// scatter runs sequentially.
+  /// wire. `executor` runs the shard scatter and each group's per-server
+  /// fan-out alike (null: both sequential on the calling thread).
   static Result<std::unique_ptr<Collection>> Connect(
       const ClientSecretFile& key, std::vector<ServerEndpoint*> endpoints,
       Executor* executor = nullptr) {
@@ -459,7 +461,7 @@ class Collection {
                                  VerifyMode mode = VerifyMode::kVerified) {
     ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
     QuerySession<Ring> session(client_.get(), FindGroup(doc->shard)->group,
-                               {{doc->base, doc->prefix}});
+                               {Root(*doc)});
     ASSIGN_OR_RETURN(LookupResult r, session.Lookup(tag, mode));
     for (MatchedNode& m : r.matches) m = Localize(*doc, std::move(m));
     for (MatchedNode& m : r.possible) m = Localize(*doc, std::move(m));
@@ -609,8 +611,7 @@ class Collection {
     if (session_ == nullptr) {
       std::vector<SessionRoot> roots;
       for (const Doc& doc : docs_)
-        if (doc.shard == groups_.front()->id)
-          roots.push_back({doc.base, doc.prefix});
+        if (doc.shard == groups_.front()->id) roots.push_back(Root(doc));
       session_ = std::make_unique<QuerySession<Ring>>(
           client_.get(), groups_.front()->group, std::move(roots));
     }
@@ -655,7 +656,9 @@ class Collection {
     session_.reset();
   }
 
-  /// The executor fan-out currently runs on (null = sequential inline).
+  /// The executor the shard scatter and each group's per-server fan-out
+  /// run on: the owned pool, else Connect's executor (null = sequential
+  /// inline).
   Executor* executor() const {
     return pool_ != nullptr ? pool_.get() : external_executor_;
   }
@@ -1013,11 +1016,13 @@ class Collection {
   }
 
   /// Runs `walk` on one session per document-bearing shard, rooted at the
-  /// shard's documents that `admit` lets through (all when null) —
-  /// concurrently on the owned pool when there is one — and gathers
-  /// `num_answers` per-document answers plus the stats roll-up. A session
-  /// lives for one walk, so a sequential scatter holds one shard's query
-  /// state at a time.
+  /// shard's documents that `admit` lets through (all when null), on
+  /// executor() — concurrently when the collection has one, owned or
+  /// passed to Connect, and in shard order on the calling thread otherwise
+  /// — and gathers `num_answers` per-document answers plus the stats
+  /// roll-up. The same executor runs each group's per-server calls inside
+  /// the walks; Executor::ParallelFor allows that nesting. A session lives
+  /// for one walk, so each shard in flight holds one walk's state.
   template <typename Walk>
   Result<std::vector<CollectionResult>> ScatterGather(
       size_t num_answers, ShardSearchOptions options,
@@ -1035,7 +1040,7 @@ class Collection {
       part.group = group.get();
       for (const Doc& doc : docs_)
         if (doc.shard == group->id && (admit == nullptr || admit(doc)))
-          part.roots.push_back({doc.base, doc.prefix});
+          part.roots.push_back(Root(doc));
       if (part.roots.empty()) continue;  // nothing to walk, nothing to probe
       if (options.skip_dead_shards && !ShardAlive(*group)) {
         skipped.push_back(group->id);
@@ -1055,11 +1060,9 @@ class Collection {
         part.status = r.status();
       }
     };
-    if (pool_ != nullptr && parts.size() > 1) {
-      pool_->ParallelFor(parts.size(), run_one);
-    } else {
-      for (size_t i = 0; i < parts.size(); ++i) run_one(i);
-    }
+    Executor* scatter = executor();
+    (scatter != nullptr ? scatter : GlobalInlineExecutor())
+        ->ParallelFor(parts.size(), run_one);
 
     QueryStats rollup;
     std::vector<ShardQueryStats> per_shard;
@@ -1119,6 +1122,11 @@ class Collection {
           .push_back(Localize(*doc, std::move(m)));
     }
     return Status::Ok();
+  }
+
+  /// A document's starting point for a walk session.
+  static SessionRoot Root(const Doc& doc) {
+    return {doc.base, doc.prefix, static_cast<int32_t>(doc.size)};
   }
 
   /// A session-global match as its document sees it: document-local node

@@ -105,6 +105,12 @@ Result<FetchRequest> FetchRequest::Deserialize(ByteReader* in) {
 }
 
 void FetchResponse::Serialize(ByteWriter* out) const {
+  // Full-polynomial responses run to hundreds of KiB: size the buffer once.
+  size_t bytes = ByteWriter::VarintSize(entries.size());
+  for (const FetchEntry& e : entries)
+    bytes += ByteWriter::VarintSize(static_cast<uint32_t>(e.node_id)) +
+             ByteWriter::VarintSize(e.payload.size()) + e.payload.size();
+  out->Reserve(bytes);
   out->PutVarint64(entries.size());
   for (const FetchEntry& e : entries) {
     out->PutVarint64(static_cast<uint32_t>(e.node_id));

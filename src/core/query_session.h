@@ -25,6 +25,21 @@
 // Executor: sequentially inline by default, concurrently when the group
 // carries a ThreadPool — results are gathered into per-server slots, so the
 // combined answers are bit-identical either way and only wall time changes.
+// A collection runs one session per shard walk and scatters those walks on
+// the same executor (the one it owns or the one passed to Connect), so a
+// caller-helps pool drives both levels at once.
+//
+// Walk state is compact because concurrent walks each hold their own: one
+// flat node table in discovery order (the roots first, then each learned
+// node's children as one contiguous run) with the node's evaluations
+// inline, plus one byte arena for the client shares and combined
+// polynomials in their wire encoding. Both are dropped when the query
+// returns. A node's path exists only as (parent, child index) until a share
+// derivation or an answer needs it as a string. Node ids and subtree sizes
+// come from the servers and stay untrusted: every learned node must tile
+// its parent's preorder id range exactly (a root's range is its document's,
+// from the client's own table), so a lie about the tree shape is
+// Corruption and the table never outgrows the ids the responses carried.
 //
 // Verification fetches follow one of two schedules, chosen per walk by the
 // endpoints. Over pipelined endpoints each BFS round's candidate fetches go
@@ -41,14 +56,14 @@
 #define POLYSSE_CORE_QUERY_SESSION_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <memory>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,6 +72,7 @@
 #include "core/protocol.h"
 #include "mpc/shamir.h"
 #include "nt/modular.h"
+#include "util/byte_arena.h"
 #include "xpath/xpath.h"
 
 namespace polysse {
@@ -110,13 +126,19 @@ struct TagQuery {
 
 /// One starting point of a session's walks. A single-document deployment
 /// has the one root {0, ""}; a collection session carries one root per
-/// document — the document's global root id plus its client-share path
-/// prefix — and every walk descends all of them in one shared frontier.
+/// document — the document's global root id, its client-share path prefix
+/// and its node count — and every walk descends all of them in one shared
+/// frontier.
 struct SessionRoot {
   int32_t node_id = 0;
   /// The root node's path in the client-share PRF namespace ("" for a
   /// single-tree deployment; a collection uses per-document prefixes).
   std::string path;
+  /// The document's node count from the client's own document table: the
+  /// root's reported subtree size must equal it. 0 when the client does
+  /// not know it (a bare single-tree session), which takes the root's
+  /// report as the document's extent.
+  int32_t size = 0;
 };
 
 /// Result of a batched multi-tag lookup: one entry per requested tag, plus
@@ -144,7 +166,6 @@ class QuerySession {
       init_status_ =
           Status::Unimplemented("Shamir t-of-n requires the F_p ring");
     }
-    for (const SessionRoot& r : roots_) root_ids_.insert(r.node_id);
     dead_.assign(group_.endpoints.size(), 0);
   }
 
@@ -192,6 +213,8 @@ class QuerySession {
       FinishStats(&out.stats);
       return out;
     }
+    // The walk's points are its table columns, in request order.
+    for (uint64_t e : points) Column(e);
 
     // Shared BFS: expand while ANY point vanishes. Over a pipelined
     // transport the verification fetches for each round's zero candidates
@@ -201,29 +224,25 @@ class QuerySession {
     // transports skip this: they'd gain nothing and the classic
     // plan-then-fetch shape keeps their round/message counts bit-stable.
     const bool overlap = AllEndpointsPipelined();
-    std::vector<int32_t> frontier = RootIds();
-    std::unordered_set<int32_t> seen(frontier.begin(), frontier.end());
-    std::vector<std::vector<int32_t>> zeros_per_point(points.size());
+    std::vector<uint32_t> frontier = RootSlots();
+    std::vector<std::vector<uint32_t>> zeros_per_point(points.size());
     while (!frontier.empty()) {
       RETURN_IF_ERROR(EnsureEvals(frontier, points));
-      std::vector<int32_t> next;
-      std::vector<std::vector<int32_t>> round_zeros(points.size());
-      for (int32_t id : frontier) {
+      std::vector<uint32_t> next;
+      std::vector<std::vector<uint32_t>> round_zeros(points.size());
+      for (uint32_t s : frontier) {
         bool any_zero = false;
         for (size_t k = 0; k < points.size(); ++k) {
-          if (combined_evals_.at({id, points[k]}) == 0) {
-            zeros_per_point[k].push_back(id);
-            round_zeros[k].push_back(id);
+          if (EvalCell(s, k) == kZero) {
+            zeros_per_point[k].push_back(s);
+            round_zeros[k].push_back(s);
             any_zero = true;
           }
         }
-        if (!any_zero) continue;
-        for (int32_t c : info_[id].children) {
-          if (seen.insert(c).second) next.push_back(c);
-        }
+        if (any_zero) AppendChildren(s, &next);
       }
       if (overlap) {
-        std::vector<int32_t> round_consts, round_polys;
+        std::vector<uint32_t> round_consts, round_polys;
         for (size_t i = 0; i < queries.size(); ++i) {
           if (tag_point[i] < 0) continue;
           RETURN_IF_ERROR(PlanCandidateFetches(round_zeros[tag_point[i]],
@@ -241,18 +260,18 @@ class QuerySession {
     // All queries' verification needs are planned into shared batched fetch
     // rounds up front (one const-only, one full, per server); with the
     // pipelined overlap above these are cache hits and cost no round.
-    std::vector<int32_t> consts, polys;
+    std::vector<uint32_t> consts, polys;
     for (size_t i = 0; i < queries.size(); ++i) {
       if (tag_point[i] < 0) continue;
       RETURN_IF_ERROR(PlanCandidateFetches(zeros_per_point[tag_point[i]],
                                            queries[i].mode, &consts, &polys));
     }
-    RETURN_IF_ERROR(PrefetchConsts(consts));
-    RETURN_IF_ERROR(PrefetchPolys(polys));
+    RETURN_IF_ERROR(Prefetch(FetchMode::kConstOnly, consts));
+    RETURN_IF_ERROR(Prefetch(FetchMode::kFull, polys));
     for (size_t i = 0; i < queries.size(); ++i) {
       if (tag_point[i] < 0) continue;  // unmapped
       const uint64_t e = points[tag_point[i]];
-      for (int32_t z : zeros_per_point[tag_point[i]]) {
+      for (uint32_t z : zeros_per_point[tag_point[i]]) {
         RETURN_IF_ERROR(ResolveCandidate(z, e, queries[i].mode,
                                          &out.per_tag[i].matches,
                                          &out.per_tag[i].possible));
@@ -292,17 +311,18 @@ class QuerySession {
       points[i] = *e_or;
       RETURN_IF_ERROR(client_->ring().QueryModulus(points[i]).status());
     }
+    for (uint64_t e : points) Column(e);
 
-    std::set<int32_t> final_ids;
+    NodeSet final_nodes;
     if (strategy == XPathStrategy::kLeftToRight) {
-      RETURN_IF_ERROR(RunLeftToRight(query, points, mode, &final_ids));
+      RETURN_IF_ERROR(RunLeftToRight(query, points, mode, &final_nodes));
     } else {
-      std::set<std::pair<int32_t, size_t>> memo;
-      RETURN_IF_ERROR(
-          RunAllAtOnce(query, points, mode, kVirtualRoot, 0, &memo, &final_ids));
+      std::set<std::pair<uint32_t, size_t>> memo;
+      RETURN_IF_ERROR(RunAllAtOnce(query, points, mode, kNoSlot, 0, &memo,
+                                   &final_nodes));
     }
-    for (int32_t id : final_ids) result.matches.push_back({id, info_[id].path});
-    SortMatches(&result.matches);
+    for (const auto& [id, slot] : final_nodes)
+      result.matches.push_back({id, Path(slot)});
     FinishStats(&result.stats);
     return result;
   }
@@ -313,16 +333,70 @@ class QuerySession {
  private:
   using Elem = typename Ring::Elem;
   using Scalar = typename Ring::Scalar;
+  using Ref = ByteArena::Ref;
 
-  static constexpr int32_t kVirtualRoot = -1;
+  /// No row: a root's parent, and XPath's virtual context above the roots.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  /// Client-side picture of a server node, learned from EvalResponses.
-  struct NodeInfo {
-    std::string path;
-    std::vector<int32_t> children;
-    int32_t subtree_size = 0;
-    bool known = false;
+  /// A combined evaluation as the walk keeps it: pruning and answer
+  /// determination only ever ask whether it vanishes.
+  enum EvalCellValue : uint8_t { kNoEval = 0, kNonZero = 1, kZero = 2 };
+  /// A row whose tag no full reconstruction has recovered yet.
+  static constexpr uint64_t kNoTag = UINT64_MAX;
+
+  enum NodeFlag : uint8_t {
+    kKnown = 1,           ///< children and subtree size learned
+    kConstRequested = 2,  ///< in a pipelined const-only round
+    kPolyRequested = 4,   ///< in a pipelined full round
+    kQueued = 8,          ///< already in the fetch list being built
   };
+
+  /// One row of the walk's node table. A learned node's children are the
+  /// contiguous rows [first_child, first_child + num_children), so a
+  /// child's index under its parent is its row minus first_child.
+  struct Node {
+    int32_t id = 0;  ///< server node id
+    /// One past the node's subtree in preorder ids: its next sibling's id,
+    /// or its parent's end for a last child; for a root, the end of its
+    /// document's range (0 while a root of unknown size is unlearned).
+    uint32_t end = 0;
+    uint32_t parent = kNoSlot;
+    uint32_t first_child = 0;
+    uint32_t num_children = 0;
+    Ref share = ByteArena::kNone;  ///< client share, wire form
+    Ref poly = ByteArena::kNone;   ///< combined polynomial, wire form
+    Ref konst = ByteArena::kNone;  ///< combined constant term, wire form
+    uint8_t flags = 0;
+  };
+
+  /// One fetch round submitted on the wire but not yet awaited.
+  struct InflightFetchRound {
+    FetchMode mode = FetchMode::kFull;
+    std::vector<uint32_t> need;     ///< rows fetched
+    std::vector<int32_t> node_ids;  ///< their ids, as requested
+    std::vector<size_t> chosen;     ///< endpoint indices asked
+    std::vector<Deferred<FetchResponse>> deferred;  ///< aligned with chosen
+  };
+
+  /// Everything one query learns. BeginQuery starts it with one row per
+  /// root; FinishStats drops it.
+  struct Walk {
+    std::vector<Node> nodes;
+    std::vector<uint64_t> points;  ///< the columns of `evals`
+    /// Combined evaluations, nodes.size() x points.size(), row-major.
+    std::vector<uint8_t> evals;
+    ByteArena arena;
+    /// Tags recovered by full reconstruction, by row (kNoTag otherwise);
+    /// sized at the first one, after the walk.
+    std::vector<uint64_t> tags;
+    size_t known = 0;  ///< rows with kKnown set (nodes visited)
+    /// Pipelined fetch overlap: rounds on the wire.
+    std::vector<InflightFetchRound> inflight;
+  };
+
+  /// XPath context and answer sets, ordered by node id (document order)
+  /// so later steps issue their requests in the same order every time.
+  using NodeSet = std::map<int32_t, uint32_t>;  ///< id -> row
 
   /// Whether the client's own PRF share participates in combination
   /// (everything but Shamir, where the client holds no share).
@@ -330,35 +404,32 @@ class QuerySession {
     return group_.scheme != ShareScheme::kShamir;
   }
 
-  /// The node ids every walk starts from (one per document).
-  std::vector<int32_t> RootIds() const {
-    std::vector<int32_t> ids;
-    ids.reserve(roots_.size());
-    for (const SessionRoot& r : roots_) ids.push_back(r.node_id);
-    return ids;
+  /// The rows every walk starts from (one per document root).
+  std::vector<uint32_t> RootSlots() const {
+    std::vector<uint32_t> slots(roots_.size());
+    std::iota(slots.begin(), slots.end(), 0u);
+    return slots;
   }
 
   Status BeginQuery() {
     RETURN_IF_ERROR(init_status_);
     stats_ = QueryStats();
     counters_before_ = SumCounters();
-    info_.clear();
-    // Root paths are known a priori (the client assigned them at
-    // outsourcing time); everything else is learned from EvalResponses.
-    for (const SessionRoot& r : roots_) info_[r.node_id].path = r.path;
-    combined_evals_.clear();
-    combined_polys_.clear();
-    combined_consts_.clear();
-    client_shares_.clear();
-    visited_.clear();
-    inflight_fetches_.clear();
-    early_consts_requested_.clear();
-    early_polys_requested_.clear();
+    walk_ = Walk();
+    // Roots are the first rows; their paths and (when the client knows
+    // them) their extents come from the client, not from any server.
+    for (const SessionRoot& r : roots_) {
+      const uint32_t end =
+          r.size > 0 ? static_cast<uint32_t>(r.node_id) +
+                           static_cast<uint32_t>(r.size)
+                     : 0;
+      AppendNode(r.node_id, end, kNoSlot);
+    }
     return Status::Ok();
   }
 
   void FinishStats(QueryStats* out) {
-    stats_.nodes_visited = visited_.size();
+    stats_.nodes_visited = walk_.known;
     const TransportCounters now = SumCounters();
     stats_.transport.bytes_up = now.bytes_up - counters_before_.bytes_up;
     stats_.transport.bytes_down = now.bytes_down - counters_before_.bytes_down;
@@ -367,6 +438,7 @@ class QuerySession {
     stats_.transport.messages_down =
         now.messages_down - counters_before_.messages_down;
     *out = stats_;
+    walk_ = Walk();  // the walk's state dies with the query
   }
 
   TransportCounters SumCounters() const {
@@ -382,22 +454,155 @@ class QuerySession {
               });
   }
 
+  // ------------------------------------------------------------ the table
+
+  Node& node(uint32_t slot) { return walk_.nodes[slot]; }
+
+  void AppendNode(int32_t id, uint32_t end, uint32_t parent) {
+    Node n;
+    n.id = id;
+    n.end = end;
+    n.parent = parent;
+    walk_.nodes.push_back(n);
+    walk_.evals.resize(walk_.evals.size() + walk_.points.size(), kNoEval);
+  }
+
+  /// The combined evaluation of row `slot` in column `col`.
+  uint8_t& EvalCell(uint32_t slot, size_t col) {
+    return walk_.evals[static_cast<size_t>(slot) * walk_.points.size() + col];
+  }
+
+  /// The table column of point `e`, adding one when the walk has not seen
+  /// `e` yet. A query adds its own points while the table holds only the
+  /// roots, so the copy below is cheap unless a later step asks for a new
+  /// point.
+  size_t Column(uint64_t e) {
+    std::vector<uint64_t>& pts = walk_.points;
+    for (size_t c = 0; c < pts.size(); ++c)
+      if (pts[c] == e) return c;
+    const size_t old = pts.size();
+    std::vector<uint8_t> evals(walk_.nodes.size() * (old + 1), kNoEval);
+    for (size_t s = 0; s < walk_.nodes.size(); ++s)
+      std::copy_n(walk_.evals.begin() + s * old, old,
+                  evals.begin() + s * (old + 1));
+    walk_.evals = std::move(evals);
+    pts.push_back(e);
+    return old;
+  }
+
+  /// Appends the child rows of learned row `slot` to `out`, in child order.
+  void AppendChildren(uint32_t slot, std::vector<uint32_t>* out) {
+    const Node& n = node(slot);
+    for (uint32_t c = 0; c < n.num_children; ++c)
+      out->push_back(n.first_child + c);
+  }
+  std::vector<uint32_t> Children(uint32_t slot) {
+    std::vector<uint32_t> out;
+    AppendChildren(slot, &out);
+    return out;
+  }
+
+  /// Node count of a learned row's subtree.
+  int64_t SubtreeSize(uint32_t slot) {
+    return static_cast<int64_t>(node(slot).end) - node(slot).id;
+  }
+
+  /// The row's child-index path below its root's prefix ("0/2", or
+  /// "d7.1/0/2" in a collection) — the key of its client share. Parent rows
+  /// always precede their children, so the climb ends at a root.
+  std::string Path(uint32_t slot) {
+    path_indices_.clear();
+    while (node(slot).parent != kNoSlot) {
+      const uint32_t parent = node(slot).parent;
+      path_indices_.push_back(slot - node(parent).first_child);
+      slot = parent;
+    }
+    std::string out = roots_[slot].path;
+    for (auto it = path_indices_.rbegin(); it != path_indices_.rend(); ++it) {
+      if (!out.empty()) out += '/';
+      out += std::to_string(*it);
+    }
+    return out;
+  }
+
+  /// Records what the first EvalEntry for row `slot` says about its shape.
+  /// The entry must tile the row's id range exactly, as a preorder tree
+  /// does: the subtree ends where the row's range ends, the first child is
+  /// the next id, the children ascend strictly inside the range, and each
+  /// child's range runs to the next sibling (the last one to the row's
+  /// end). Anything else — a child outside the document, a child listed
+  /// twice, one pointing back up the tree, a root size that disagrees with
+  /// the document table — is a lying or corrupt server.
+  Status Learn(uint32_t slot, const EvalEntry& entry) {
+    const Node n = node(slot);  // copy: appending children moves the table
+    const int64_t id = n.id;
+    const int64_t end =
+        n.end != 0 ? n.end : id + static_cast<int64_t>(entry.subtree_size);
+    if (entry.subtree_size < 1 || id + entry.subtree_size != end)
+      return Status::Corruption(
+          n.parent == kNoSlot
+              ? "server subtree size disagrees with the document table"
+              : "server subtree size disagrees with the node's id range");
+    const std::vector<int32_t>& kids = entry.children;
+    if (kids.empty() && entry.subtree_size != 1)
+      return Status::Corruption("server reports a childless subtree");
+    for (size_t i = 0; i < kids.size(); ++i) {
+      if (kids[i] <= id || kids[i] >= end)
+        return Status::Corruption("server child outside its parent's range");
+      if (i == 0 ? kids[0] != id + 1 : kids[i] <= kids[i - 1])
+        return Status::Corruption("server children out of preorder");
+    }
+    const uint32_t first = static_cast<uint32_t>(walk_.nodes.size());
+    for (size_t i = 0; i < kids.size(); ++i)
+      AppendNode(kids[i],
+                 static_cast<uint32_t>(i + 1 < kids.size() ? kids[i + 1] : end),
+                 slot);
+    Node& learned = node(slot);
+    learned.end = static_cast<uint32_t>(end);
+    learned.first_child = first;
+    learned.num_children = static_cast<uint32_t>(kids.size());
+    learned.flags |= kKnown;
+    ++walk_.known;
+    // A root's subtree is its whole document: summed over the roots, the
+    // client's only honest view of the server-side node count.
+    if (n.parent == kNoSlot)
+      stats_.total_server_nodes += static_cast<size_t>(entry.subtree_size);
+    return Status::Ok();
+  }
+
+  // ------------------------------------------------------- the byte arena
+
+  Result<Ref> StoreElem(const Elem& e) {
+    scratch_.Clear();
+    client_->ring().Serialize(e, &scratch_);
+    return walk_.arena.Put(scratch_.span());
+  }
+  Result<Elem> LoadElem(Ref ref) {
+    ByteReader in(walk_.arena.Get(ref));
+    return client_->ring().Deserialize(&in);
+  }
+  Result<Ref> StoreScalar(const Scalar& c) {
+    scratch_.Clear();
+    client_->ring().SerializeScalar(c, &scratch_);
+    return walk_.arena.Put(scratch_.span());
+  }
+  Result<Scalar> LoadScalar(Ref ref) {
+    ByteReader in(walk_.arena.Get(ref));
+    return client_->ring().DeserializeScalar(&in);
+  }
+
   /// Shared per-candidate answer determination of Lookup / LookupBatch.
-  Status ResolveCandidate(int32_t z, uint64_t e, VerifyMode mode,
+  Status ResolveCandidate(uint32_t z, uint64_t e, VerifyMode mode,
                           std::vector<MatchedNode>* matches,
                           std::vector<MatchedNode>* possible) {
     ASSIGN_OR_RETURN(bool definite, HasNoZeroChild(z, e));
     if (mode == VerifyMode::kOptimistic) {
-      if (definite) {
-        matches->push_back({z, info_[z].path});
-      } else {
-        possible->push_back({z, info_[z].path});
-      }
+      (definite ? matches : possible)->push_back({node(z).id, Path(z)});
       return Status::Ok();
     }
     ASSIGN_OR_RETURN(uint64_t t, ReconstructTag(z, mode));
     if (t == e) {
-      matches->push_back({z, info_[z].path});
+      matches->push_back({node(z).id, Path(z)});
     } else if (definite) {
       // The evaluation filter said "match" but the tag differs: a Z-ring
       // false positive (or a cheating server, which kVerified rejects
@@ -522,35 +727,38 @@ class QuerySession {
 
   // ------------------------------------------------------ combined evals
 
-  Result<const Elem*> ClientShare(int32_t id) {
-    auto it = client_shares_.find(id);
-    if (it == client_shares_.end()) {
-      ASSIGN_OR_RETURN(Elem share, client_->ShareForPath(info_[id].path));
-      ++stats_.client_share_derivations;
-      it = client_shares_.emplace(id, std::move(share)).first;
-    }
-    return &it->second;
+  /// Row `slot`'s client share: derived from its path the first time and
+  /// kept in wire form for the combination steps after the walk.
+  Result<Elem> ClientShare(uint32_t slot) {
+    if (node(slot).share != ByteArena::kNone) return LoadElem(node(slot).share);
+    ASSIGN_OR_RETURN(Elem share, client_->ShareForPath(Path(slot)));
+    ++stats_.client_share_derivations;
+    ASSIGN_OR_RETURN(node(slot).share, StoreElem(share));
+    return share;
   }
 
-  /// Requests server evaluations for any (id, point) not yet cached from
+  /// Requests server evaluations for any (row, point) not yet filled from
   /// every active server, then combines them (plus the client's own share
-  /// evaluations where the scheme includes one). All ids must have known
-  /// paths (the root, or discovered via a parent's EvalEntry).
-  Status EnsureEvals(const std::vector<int32_t>& ids,
+  /// evaluations where the scheme includes one). Rows come from the roots
+  /// or a learned parent; an unlearned row learns its shape from the
+  /// answer (Learn).
+  Status EnsureEvals(const std::vector<uint32_t>& slots,
                      const std::vector<uint64_t>& points) {
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      bool missing = !info_[id].known;
-      for (uint64_t e : points) {
-        if (!combined_evals_.count({id, e})) missing = true;
-      }
-      if (missing) need.push_back(id);
+    std::vector<size_t> cols;
+    cols.reserve(points.size());
+    for (uint64_t e : points) cols.push_back(Column(e));
+    std::vector<uint32_t> need;
+    for (uint32_t s : slots) {
+      bool missing = !(node(s).flags & kKnown);
+      for (size_t c : cols) missing = missing || EvalCell(s, c) == kNoEval;
+      if (missing) need.push_back(s);
     }
     if (need.empty()) return Status::Ok();
 
     EvalRequest req;
     req.points = points;
-    req.node_ids = need;
+    req.node_ids.reserve(need.size());
+    for (uint32_t s : need) req.node_ids.push_back(node(s).id);
     std::vector<uint64_t> weights;
     ASSIGN_OR_RETURN(
         std::vector<EvalResponse> resps,
@@ -575,31 +783,15 @@ class QuerySession {
             other.values.size() != entry.values.size())
           return Status::Corruption("servers disagree on tree structure");
       }
-      visited_.insert(entry.node_id);
-      NodeInfo& info = info_[entry.node_id];
-      if (!info.known) {
-        info.children = entry.children;
-        info.subtree_size = entry.subtree_size;
-        info.known = true;
-        if (root_ids_.count(entry.node_id)) {
-          // A root's subtree is its whole document: summed over the roots,
-          // the client's only honest view of the server-side node count.
-          stats_.total_server_nodes += static_cast<size_t>(entry.subtree_size);
-        }
-        for (size_t i = 0; i < entry.children.size(); ++i) {
-          NodeInfo& child = info_[entry.children[i]];
-          if (child.path.empty() && !root_ids_.count(entry.children[i])) {
-            child.path = info.path.empty()
-                             ? std::to_string(i)
-                             : info.path + "/" + std::to_string(i);
-          }
-        }
-      }
+      if (entry.node_id != req.node_ids[j])
+        return Status::Corruption("server answered for a node not asked for");
+      const uint32_t slot = need[j];
+      if (!(node(slot).flags & kKnown)) RETURN_IF_ERROR(Learn(slot, entry));
       if (entry.values.size() != points.size())
         return Status::Corruption("server returned wrong value count");
-      const Elem* share = nullptr;
+      std::optional<Elem> share;
       if (include_client()) {
-        ASSIGN_OR_RETURN(share, ClientShare(entry.node_id));
+        ASSIGN_OR_RETURN(share, ClientShare(slot));
       }
       for (size_t k = 0; k < points.size(); ++k) {
         const uint64_t e = points[k];
@@ -611,46 +803,41 @@ class QuerySession {
             return Status::Corruption("server evaluation outside Z_m");
           sum = AddMod(sum, weights[s] == 1 ? v : MulMod(weights[s], v, m), m);
         }
-        if (share != nullptr) {
+        if (share.has_value()) {
           ASSIGN_OR_RETURN(uint64_t cv, client_->ring().EvalAt(*share, e));
           ++stats_.client_evals;
           sum = AddMod(sum, cv, m);
         }
-        combined_evals_[{entry.node_id, e}] = sum;
+        EvalCell(slot, cols[k]) = sum == 0 ? kZero : kNonZero;
         if (sum == 0) ++stats_.zero_candidates;
       }
     }
     return Status::Ok();
   }
 
-  Result<uint64_t> CombinedEval(int32_t id, uint64_t e) {
-    RETURN_IF_ERROR(EnsureEvals({id}, {e}));
-    return combined_evals_.at({id, e});
+  /// Whether row `slot`'s combined evaluation at `e` is zero.
+  Result<bool> Vanishes(uint32_t slot, uint64_t e) {
+    RETURN_IF_ERROR(EnsureEvals({slot}, {e}));
+    return EvalCell(slot, Column(e)) == kZero;
   }
 
-  /// BFS from `roots` keeping only nodes whose combined evaluation vanishes
-  /// at *all* points; returns those nodes (the paper's alive region).
-  Result<std::vector<int32_t>> PrunedDescend(std::vector<int32_t> roots,
-                                             const std::vector<uint64_t>& points) {
-    std::vector<int32_t> alive;
-    std::vector<int32_t> frontier = std::move(roots);
-    std::unordered_set<int32_t> seen(frontier.begin(), frontier.end());
+  /// BFS from `roots` keeping only rows whose combined evaluation vanishes
+  /// at *all* points; returns those rows (the paper's alive region).
+  Result<std::vector<uint32_t>> PrunedDescend(
+      std::vector<uint32_t> roots, const std::vector<uint64_t>& points) {
+    std::vector<size_t> cols;
+    for (uint64_t e : points) cols.push_back(Column(e));
+    std::vector<uint32_t> alive;
+    std::vector<uint32_t> frontier = std::move(roots);
     while (!frontier.empty()) {
       RETURN_IF_ERROR(EnsureEvals(frontier, points));
-      std::vector<int32_t> next;
-      for (int32_t id : frontier) {
+      std::vector<uint32_t> next;
+      for (uint32_t s : frontier) {
         bool all_zero = true;
-        for (uint64_t e : points) {
-          if (combined_evals_.at({id, e}) != 0) {
-            all_zero = false;
-            break;
-          }
-        }
+        for (size_t c : cols) all_zero = all_zero && EvalCell(s, c) == kZero;
         if (!all_zero) continue;  // dead branch: never expanded (pruning)
-        alive.push_back(id);
-        for (int32_t c : info_[id].children) {
-          if (seen.insert(c).second) next.push_back(c);
-        }
+        alive.push_back(s);
+        AppendChildren(s, &next);
       }
       frontier = std::move(next);
     }
@@ -659,18 +846,26 @@ class QuerySession {
 
   /// True when no child of `z` evaluates to zero at e — the paper's
   /// "zero element without zero sub element" definite-answer test.
-  Result<bool> HasNoZeroChild(int32_t z, uint64_t e) {
+  Result<bool> HasNoZeroChild(uint32_t z, uint64_t e) {
     RETURN_IF_ERROR(EnsureEvals({z}, {e}));
-    const std::vector<int32_t>& children = info_[z].children;
+    const std::vector<uint32_t> children = Children(z);
     if (children.empty()) return true;
     RETURN_IF_ERROR(EnsureEvals(children, {e}));
-    for (int32_t c : children) {
-      if (combined_evals_.at({c, e}) == 0) return false;
+    const size_t col = Column(e);
+    for (uint32_t c : children) {
+      if (EvalCell(c, col) == kZero) return false;
     }
     return true;
   }
 
   // -------------------------------------------------------- reconstruction
+
+  /// Whether row `slot` already holds what a `mode` fetch would bring.
+  bool Fetched(uint32_t slot, FetchMode mode) {
+    return (mode == FetchMode::kConstOnly ? node(slot).konst
+                                          : node(slot).poly) !=
+           ByteArena::kNone;
+  }
 
   /// Issues ONE FetchRequest for `need` to every active server and checks
   /// the response shape before anything indexes into it: every server must
@@ -680,10 +875,11 @@ class QuerySession {
   /// and the round retries with a replacement, while the all-servers
   /// schemes must refuse with Corruption.
   Result<std::pair<std::vector<FetchResponse>, std::vector<uint64_t>>>
-  FetchRound(FetchMode mode, const std::vector<int32_t>& need) {
+  FetchRound(FetchMode mode, const std::vector<uint32_t>& need) {
     FetchRequest req;
     req.mode = mode;
-    req.node_ids = need;
+    req.node_ids.reserve(need.size());
+    for (uint32_t s : need) req.node_ids.push_back(node(s).id);
     for (;;) {
       std::vector<uint64_t> weights;
       std::vector<size_t> sources;
@@ -695,7 +891,7 @@ class QuerySession {
       ++stats_.fetch_rounds;
       bool retry = false;
       for (size_t s = 0; s < resps.size(); ++s) {
-        if (Aligned(resps[s], need)) continue;
+        if (Aligned(resps[s], req.node_ids)) continue;
         if (group_.scheme != ShareScheme::kShamir)
           return Status::Corruption(
               "fetch response misaligned with the request");
@@ -707,10 +903,11 @@ class QuerySession {
     }
   }
 
-  /// Folds one answered full-polynomial round into the combined-poly cache
-  /// (shared by the synchronous prefetch and the pipelined overlap path).
-  Status CombinePolyRound(const std::vector<int32_t>& need,
-                          std::vector<FetchResponse>& resps,
+  /// Folds one answered full-polynomial round into the walk's combined
+  /// polynomials (shared by the synchronous prefetch and the pipelined
+  /// overlap path).
+  Status CombinePolyRound(const std::vector<uint32_t>& need,
+                          const std::vector<FetchResponse>& resps,
                           const std::vector<uint64_t>& weights) {
     stats_.polys_fetched_full += need.size();
     const Ring& ring = client_->ring();
@@ -722,17 +919,19 @@ class QuerySession {
         combined = ring.Add(combined, ScaledPart(std::move(part), weights[s]));
       }
       if (include_client()) {
-        ASSIGN_OR_RETURN(const Elem* share, ClientShare(need[j]));
-        combined = ring.Add(combined, *share);
+        ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
+        combined = ring.Add(combined, share);
       }
-      combined_polys_.emplace(need[j], std::move(combined));
+      if (node(need[j]).poly == ByteArena::kNone) {
+        ASSIGN_OR_RETURN(node(need[j]).poly, StoreElem(combined));
+      }
     }
     return Status::Ok();
   }
 
   /// Const-coefficient counterpart of CombinePolyRound.
-  Status CombineConstRound(const std::vector<int32_t>& need,
-                           std::vector<FetchResponse>& resps,
+  Status CombineConstRound(const std::vector<uint32_t>& need,
+                           const std::vector<FetchResponse>& resps,
                            const std::vector<uint64_t>& weights) {
     stats_.consts_fetched += need.size();
     const Ring& ring = client_->ring();
@@ -745,39 +944,31 @@ class QuerySession {
             ring.AddScalars(combined, ScaledScalar(std::move(c0), weights[s]));
       }
       if (include_client()) {
-        ASSIGN_OR_RETURN(const Elem* share, ClientShare(need[j]));
-        combined = ring.AddScalars(combined, ring.ConstTerm(*share));
+        ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
+        combined = ring.AddScalars(combined, ring.ConstTerm(share));
       }
-      combined_consts_.emplace(need[j], std::move(combined));
+      if (node(need[j]).konst == ByteArena::kNone) {
+        ASSIGN_OR_RETURN(node(need[j]).konst, StoreScalar(combined));
+      }
     }
     return Status::Ok();
   }
 
-  /// Fetches and combines the full share polynomials of every id in `ids`
-  /// not already cached, in ONE FetchRequest per server.
-  Status PrefetchPolys(const std::vector<int32_t>& ids) {
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      if (combined_polys_.count(id)) continue;
-      if (std::find(need.begin(), need.end(), id) == need.end())
-        need.push_back(id);
+  /// Fetches and combines what `mode` brings for every row of `slots` not
+  /// already held, in ONE FetchRequest per server (first occurrence order).
+  Status Prefetch(FetchMode mode, const std::vector<uint32_t>& slots) {
+    std::vector<uint32_t> need;
+    for (uint32_t s : slots) {
+      if (Fetched(s, mode) || (node(s).flags & kQueued)) continue;
+      node(s).flags |= kQueued;
+      need.push_back(s);
     }
+    for (uint32_t s : need) node(s).flags &= ~kQueued;
     if (need.empty()) return Status::Ok();
-    ASSIGN_OR_RETURN(auto round, FetchRound(FetchMode::kFull, need));
-    return CombinePolyRound(need, round.first, round.second);
-  }
-
-  /// Const-coefficient counterpart of PrefetchPolys (trusted mode).
-  Status PrefetchConsts(const std::vector<int32_t>& ids) {
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      if (combined_consts_.count(id)) continue;
-      if (std::find(need.begin(), need.end(), id) == need.end())
-        need.push_back(id);
-    }
-    if (need.empty()) return Status::Ok();
-    ASSIGN_OR_RETURN(auto round, FetchRound(FetchMode::kConstOnly, need));
-    return CombineConstRound(need, round.first, round.second);
+    ASSIGN_OR_RETURN(auto round, FetchRound(mode, need));
+    return mode == FetchMode::kConstOnly
+               ? CombineConstRound(need, round.first, round.second)
+               : CombinePolyRound(need, round.first, round.second);
   }
 
   // ------------------------------------------------- pipelined fetch overlap
@@ -792,35 +983,26 @@ class QuerySession {
     return true;
   }
 
-  /// One fetch round submitted on the wire but not yet awaited.
-  struct InflightFetchRound {
-    FetchMode mode = FetchMode::kFull;
-    std::vector<int32_t> need;
-    std::vector<size_t> chosen;  ///< endpoint indices asked
-    std::vector<Deferred<FetchResponse>> deferred;  ///< aligned with chosen
-  };
-
-  /// Submits one batched FetchRequest per active server for every id of
-  /// `ids` that is neither cached nor already requested by an earlier
+  /// Submits one batched FetchRequest per active server for every row of
+  /// `slots` that is neither held nor already requested by an earlier
   /// in-flight round, and parks the deferred responses. Failures (if any)
   /// surface in AwaitInflightFetches. No-op when nothing new is needed or
   /// (under Shamir) too few servers are live — the synchronous catch-all
   /// pass after the walk handles both.
-  void StartFetchRound(FetchMode mode, const std::vector<int32_t>& ids) {
-    const bool const_mode = mode == FetchMode::kConstOnly;
-    auto& requested = const_mode ? early_consts_requested_ : early_polys_requested_;
-    std::vector<int32_t> need;
-    for (int32_t id : ids) {
-      const bool cached = const_mode ? combined_consts_.count(id) > 0
-                                     : combined_polys_.count(id) > 0;
-      if (cached || !requested.insert(id).second) continue;
-      need.push_back(id);
+  void StartFetchRound(FetchMode mode, const std::vector<uint32_t>& slots) {
+    const uint8_t requested =
+        mode == FetchMode::kConstOnly ? kConstRequested : kPolyRequested;
+    std::vector<uint32_t> need;
+    for (uint32_t s : slots) {
+      if (Fetched(s, mode) || (node(s).flags & requested)) continue;
+      node(s).flags |= requested;
+      need.push_back(s);
     }
     if (need.empty()) return;
 
     Result<std::vector<size_t>> chosen = ActiveServers();
     if (!chosen.ok()) {
-      for (int32_t id : need) requested.erase(id);
+      for (uint32_t s : need) node(s).flags &= ~requested;
       return;  // let the synchronous path report Unavailable
     }
 
@@ -830,22 +1012,24 @@ class QuerySession {
     round.chosen = std::move(*chosen);
     FetchRequest req;
     req.mode = mode;
-    req.node_ids = round.need;
+    req.node_ids.reserve(round.need.size());
+    for (uint32_t s : round.need) req.node_ids.push_back(node(s).id);
     round.deferred.reserve(round.chosen.size());
     for (size_t idx : round.chosen)
       round.deferred.push_back(group_.endpoints[idx]->BeginFetch(req));
-    inflight_fetches_.push_back(std::move(round));
+    round.node_ids = std::move(req.node_ids);
+    walk_.inflight.push_back(std::move(round));
   }
 
   /// Awaits every in-flight fetch round (always all of them — nothing may
-  /// stay pending) and folds the answers into the combined caches. A round
-  /// that failed or misbehaved falls back to the synchronous prefetch path:
+  /// stay pending) and folds the answers into the walk. A round that
+  /// failed or misbehaved falls back to the synchronous prefetch path:
   /// under Shamir the offender is first marked dead (failover), so the
   /// retry picks a replacement; the all-servers schemes surface the error
   /// exactly as the synchronous path would.
   Status AwaitInflightFetches() {
     std::vector<InflightFetchRound> rounds;
-    rounds.swap(inflight_fetches_);
+    rounds.swap(walk_.inflight);
     Status overall = Status::Ok();
     for (InflightFetchRound& round : rounds) {
       Status s = SettleFetchRound(round);
@@ -865,7 +1049,7 @@ class QuerySession {
     for (size_t s = 0; s < results.size(); ++s) {
       bool bad = !results[s].ok();
       if (bad && first_error.ok()) first_error = results[s].status();
-      if (!bad && !Aligned(results[s].value(), round.need)) {
+      if (!bad && !Aligned(results[s].value(), round.node_ids)) {
         bad = true;
         if (first_error.ok())
           first_error =
@@ -880,10 +1064,9 @@ class QuerySession {
     }
     if (trouble) {
       if (group_.scheme != ShareScheme::kShamir) return first_error;
-      // Retry with replacements through the synchronous path (the ids are
-      // not cached yet, so this issues a fresh round).
-      return round.mode == FetchMode::kConstOnly ? PrefetchConsts(round.need)
-                                                 : PrefetchPolys(round.need);
+      // Retry with replacements through the synchronous path (the rows do
+      // not hold the answer yet, so this issues a fresh round).
+      return Prefetch(round.mode, round.need);
     }
 
     ++stats_.fetch_rounds;
@@ -897,74 +1080,68 @@ class QuerySession {
                : CombinePolyRound(round.need, resps, weights);
   }
 
-  Result<const Elem*> FetchCombinedPoly(int32_t id) {
-    auto it = combined_polys_.find(id);
-    if (it == combined_polys_.end()) {
-      RETURN_IF_ERROR(PrefetchPolys({id}));
-      it = combined_polys_.find(id);
-    }
-    return &it->second;
+  Result<Elem> FetchCombinedPoly(uint32_t slot) {
+    if (node(slot).poly == ByteArena::kNone)
+      RETURN_IF_ERROR(Prefetch(FetchMode::kFull, {slot}));
+    return LoadElem(node(slot).poly);
   }
 
-  Result<const Scalar*> FetchCombinedConst(int32_t id) {
-    auto it = combined_consts_.find(id);
-    if (it == combined_consts_.end()) {
-      RETURN_IF_ERROR(PrefetchConsts({id}));
-      it = combined_consts_.find(id);
-    }
-    return &it->second;
+  Result<Scalar> FetchCombinedConst(uint32_t slot) {
+    if (node(slot).konst == ByteArena::kNone)
+      RETURN_IF_ERROR(Prefetch(FetchMode::kConstOnly, {slot}));
+    return LoadScalar(node(slot).konst);
   }
 
-  /// Collects every node id the verification of `zeros` will need — each
+  /// Collects every row the verification of `zeros` will need — each
   /// candidate plus its direct children, routed to the const-only set for
   /// wrap-free nodes under the trusted mode and to the full-polynomial set
   /// otherwise. Appends to the caller's sets so several queries of a batch
   /// plan into the same fetch rounds.
-  Status PlanCandidateFetches(const std::vector<int32_t>& zeros,
-                              VerifyMode mode, std::vector<int32_t>* consts,
-                              std::vector<int32_t>* polys) {
+  Status PlanCandidateFetches(const std::vector<uint32_t>& zeros,
+                              VerifyMode mode, std::vector<uint32_t>* consts,
+                              std::vector<uint32_t>* polys) {
     if (mode == VerifyMode::kOptimistic) return Status::Ok();
-    for (int32_t z : zeros) {
+    for (uint32_t z : zeros) {
       RETURN_IF_ERROR(EnsureStructure(z));
       const bool const_only =
           mode == VerifyMode::kTrustedConstOnly &&
-          static_cast<size_t>(info_[z].subtree_size) <=
+          static_cast<size_t>(SubtreeSize(z)) <=
               MaxResidueDegree(client_->ring());
-      std::vector<int32_t>* dst = const_only ? consts : polys;
+      std::vector<uint32_t>* dst = const_only ? consts : polys;
       dst->push_back(z);
-      for (int32_t c : info_[z].children) dst->push_back(c);
+      AppendChildren(z, dst);
     }
     return Status::Ok();
   }
 
-  /// Theorem 1/2 tag recovery for node `id` ("reconstruct the non-shared
+  /// Theorem 1/2 tag recovery for row `slot` ("reconstruct the non-shared
   /// polynomials of both the element and all its direct children"). The
   /// node's and its children's shares arrive in ONE batched FetchRequest
-  /// per server per round — cache-deduped, so a caller that already
-  /// prefetched (PlanCandidateFetches) pays no further round.
-  Result<uint64_t> ReconstructTag(int32_t id, VerifyMode mode) {
-    RETURN_IF_ERROR(EnsureStructure(id));
+  /// per server per round — deduplicated against what the walk holds, so a
+  /// caller that already prefetched (PlanCandidateFetches) pays no further
+  /// round.
+  Result<uint64_t> ReconstructTag(uint32_t slot, VerifyMode mode) {
+    RETURN_IF_ERROR(EnsureStructure(slot));
     ++stats_.reconstructions;
     const Ring& ring = client_->ring();
+    std::vector<uint32_t> need = {slot};
+    AppendChildren(slot, &need);
+    const std::span<const uint32_t> children(need.begin() + 1, need.end());
 
     if (mode == VerifyMode::kTrustedConstOnly) {
       // Wrap-free nodes satisfy f_0 = -t * g_0 with g_0 the plain product of
       // the children's constant terms; wrapped nodes need the full Eq. 2.
       const bool wrap_free =
-          static_cast<size_t>(info_[id].subtree_size) <= MaxResidueDegree(ring);
+          static_cast<size_t>(SubtreeSize(slot)) <= MaxResidueDegree(ring);
       if (wrap_free) {
-        std::vector<int32_t> need = {id};
-        need.insert(need.end(), info_[id].children.begin(),
-                    info_[id].children.end());
-        RETURN_IF_ERROR(PrefetchConsts(need));
-        ASSIGN_OR_RETURN(const Scalar* f0, FetchCombinedConst(id));
-        Scalar f0_copy = *f0;  // later fetches may rehash the cache
+        RETURN_IF_ERROR(Prefetch(FetchMode::kConstOnly, need));
+        ASSIGN_OR_RETURN(Scalar f0, FetchCombinedConst(slot));
         Scalar g0 = ring.OneScalar();
-        for (int32_t c : info_[id].children) {
-          ASSIGN_OR_RETURN(const Scalar* c0, FetchCombinedConst(c));
-          g0 = ring.MulScalars(g0, *c0);
+        for (uint32_t c : children) {
+          ASSIGN_OR_RETURN(Scalar c0, FetchCombinedConst(c));
+          g0 = ring.MulScalars(g0, c0);
         }
-        auto t = ring.SolveTagTrusted(f0_copy, g0);
+        auto t = ring.SolveTagTrusted(f0, g0);
         if (t.ok()) return *t;
         // g_0 not invertible or inconsistent: fall back to a full fetch.
       }
@@ -972,27 +1149,30 @@ class QuerySession {
       // fall through to the full reconstruction below
     }
 
-    std::vector<int32_t> need = {id};
-    need.insert(need.end(), info_[id].children.begin(),
-                info_[id].children.end());
-    RETURN_IF_ERROR(PrefetchPolys(need));
-    ASSIGN_OR_RETURN(const Elem* f_ptr, FetchCombinedPoly(id));
-    Elem f = *f_ptr;  // copy: subsequent fetches may invalidate the pointer
+    // A node's tag does not depend on which query asks: a batch whose tags
+    // vanish at the same node solves Eq. 2 for it once.
+    if (slot < walk_.tags.size() && walk_.tags[slot] != kNoTag)
+      return walk_.tags[slot];
+    RETURN_IF_ERROR(Prefetch(FetchMode::kFull, need));
+    ASSIGN_OR_RETURN(Elem f, FetchCombinedPoly(slot));
     Elem g = ring.One();
-    for (int32_t c : info_[id].children) {
-      ASSIGN_OR_RETURN(const Elem* q, FetchCombinedPoly(c));
-      g = ring.Mul(g, *q);
+    for (uint32_t c : children) {
+      ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(c));
+      g = ring.Mul(g, q);
     }
-    return ring.SolveTag(f, g);
+    ASSIGN_OR_RETURN(uint64_t t, ring.SolveTag(f, g));
+    walk_.tags.resize(walk_.nodes.size(), kNoTag);
+    walk_.tags[slot] = t;
+    return t;
   }
 
   /// Structure (children / subtree size) without caring about values: reuse
   /// the eval path with the node's own cheap point when unknown.
-  Status EnsureStructure(int32_t id) {
-    if (info_[id].known) return Status::Ok();
+  Status EnsureStructure(uint32_t slot) {
+    if (node(slot).flags & kKnown) return Status::Ok();
     // Any valid point works; use 1 if the ring accepts it, else 2.
     uint64_t probe = client_->ring().QueryModulus(1).ok() ? 1 : 2;
-    return EnsureEvals({id}, {probe});
+    return EnsureEvals({slot}, {probe});
   }
 
   static size_t MaxResidueDegree(const FpCyclotomicRing& ring) {
@@ -1002,68 +1182,66 @@ class QuerySession {
     return static_cast<size_t>(ring.degree()) - 1;  // deg r - 1
   }
 
-  /// Tag-equality test used by XPath stepping: does node `id` carry exactly
-  /// tag point `e`?
-  Result<bool> NodeTagEquals(int32_t id, uint64_t e, VerifyMode mode) {
-    ASSIGN_OR_RETURN(uint64_t v, CombinedEval(id, e));
-    if (v != 0) return false;  // (x - e) not among the factors
+  /// Tag-equality test used by XPath stepping: does row `slot` carry
+  /// exactly tag point `e`?
+  Result<bool> NodeTagEquals(uint32_t slot, uint64_t e, VerifyMode mode) {
+    ASSIGN_OR_RETURN(bool zero, Vanishes(slot, e));
+    if (!zero) return false;  // (x - e) not among the factors
     // Cheap certificate: zero with no zero child means the node itself
     // matches (in F_p exactly; Z-ring FPs are caught by reconstruction
     // below only in verified/trusted modes — XPath always runs those).
-    ASSIGN_OR_RETURN(bool definite, HasNoZeroChild(id, e));
+    ASSIGN_OR_RETURN(bool definite, HasNoZeroChild(slot, e));
     if (definite && std::is_same_v<Ring, FpCyclotomicRing>) return true;
-    ASSIGN_OR_RETURN(uint64_t t, ReconstructTag(id, mode));
+    ASSIGN_OR_RETURN(uint64_t t, ReconstructTag(slot, mode));
     if (definite && t != e) ++stats_.false_positives_removed;
     return t == e;
   }
 
   // ----------------------------------------------------------- strategies
 
+  /// The candidates below XPath context `ctx`: the roots for the virtual
+  /// context above them, else the context's children.
+  Result<std::vector<uint32_t>> StepRoots(uint32_t ctx) {
+    if (ctx == kNoSlot) return RootSlots();
+    RETURN_IF_ERROR(EnsureStructure(ctx));
+    return Children(ctx);
+  }
+
   Status RunLeftToRight(const XPathQuery& query,
                         const std::vector<uint64_t>& points, VerifyMode mode,
-                        std::set<int32_t>* out) {
-    std::vector<int32_t> contexts = {kVirtualRoot};
+                        NodeSet* out) {
+    std::vector<uint32_t> contexts = {kNoSlot};
     for (size_t i = 0; i < query.steps().size(); ++i) {
       const XPathStep& step = query.steps()[i];
       const uint64_t e = points[i];
-      std::set<int32_t> next;
-      for (int32_t ctx : contexts) {
-        std::vector<int32_t> roots;
-        if (ctx == kVirtualRoot) {
-          roots = RootIds();
-        } else {
-          RETURN_IF_ERROR(EnsureStructure(ctx));
-          roots.assign(info_[ctx].children.begin(), info_[ctx].children.end());
+      NodeSet next;
+      for (uint32_t ctx : contexts) {
+        ASSIGN_OR_RETURN(std::vector<uint32_t> cands, StepRoots(ctx));
+        if (step.axis != XPathStep::Axis::kChild) {
+          ASSIGN_OR_RETURN(cands, PrunedDescend(std::move(cands), {e}));
         }
-        if (step.axis == XPathStep::Axis::kChild) {
-          for (int32_t cand : roots) {
-            ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
-            if (match) next.insert(cand);
-          }
-        } else {
-          ASSIGN_OR_RETURN(std::vector<int32_t> zeros,
-                           PrunedDescend(roots, {e}));
-          for (int32_t z : zeros) {
-            ASSIGN_OR_RETURN(bool match, NodeTagEquals(z, e, mode));
-            if (match) next.insert(z);
-          }
+        for (uint32_t cand : cands) {
+          ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
+          if (match) next.emplace(node(cand).id, cand);
         }
       }
-      contexts.assign(next.begin(), next.end());
+      contexts.clear();
+      for (const auto& [id, slot] : next) contexts.push_back(slot);
       if (contexts.empty()) break;
     }
-    for (int32_t id : contexts) out->insert(id);
+    for (uint32_t slot : contexts)
+      if (slot != kNoSlot) out->emplace(node(slot).id, slot);
     return Status::Ok();
   }
 
   Status RunAllAtOnce(const XPathQuery& query,
                       const std::vector<uint64_t>& points, VerifyMode mode,
-                      int32_t ctx, size_t step_index,
-                      std::set<std::pair<int32_t, size_t>>* memo,
-                      std::set<int32_t>* out) {
+                      uint32_t ctx, size_t step_index,
+                      std::set<std::pair<uint32_t, size_t>>* memo,
+                      NodeSet* out) {
     if (!memo->insert({ctx, step_index}).second) return Status::Ok();
     if (step_index == query.steps().size()) {
-      out->insert(ctx);
+      if (ctx != kNoSlot) out->emplace(node(ctx).id, ctx);
       return Status::Ok();
     }
     const XPathStep& step = query.steps()[step_index];
@@ -1079,39 +1257,23 @@ class QuerySession {
         suffix_points.push_back(points[k]);
     }
 
-    std::vector<int32_t> roots;
-    if (ctx == kVirtualRoot) {
-      roots = RootIds();
-    } else {
-      RETURN_IF_ERROR(EnsureStructure(ctx));
-      roots.assign(info_[ctx].children.begin(), info_[ctx].children.end());
+    const bool child_axis = step.axis == XPathStep::Axis::kChild;
+    ASSIGN_OR_RETURN(std::vector<uint32_t> cands, StepRoots(ctx));
+    if (!child_axis) {
+      ASSIGN_OR_RETURN(cands, PrunedDescend(std::move(cands), suffix_points));
     }
-
-    if (step.axis == XPathStep::Axis::kChild) {
-      for (int32_t cand : roots) {
+    for (uint32_t cand : cands) {
+      if (child_axis) {
         RETURN_IF_ERROR(EnsureEvals({cand}, suffix_points));
         bool all_zero = true;
-        for (uint64_t pt : suffix_points) {
-          if (combined_evals_.at({cand, pt}) != 0) {
-            all_zero = false;
-            break;
-          }
-        }
+        for (uint64_t pt : suffix_points)
+          all_zero = all_zero && EvalCell(cand, Column(pt)) == kZero;
         if (!all_zero) continue;
-        ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
-        if (match)
-          RETURN_IF_ERROR(
-              RunAllAtOnce(query, points, mode, cand, step_index + 1, memo, out));
       }
-    } else {
-      ASSIGN_OR_RETURN(std::vector<int32_t> zeros,
-                       PrunedDescend(roots, suffix_points));
-      for (int32_t z : zeros) {
-        ASSIGN_OR_RETURN(bool match, NodeTagEquals(z, e, mode));
-        if (match)
-          RETURN_IF_ERROR(
-              RunAllAtOnce(query, points, mode, z, step_index + 1, memo, out));
-      }
+      ASSIGN_OR_RETURN(bool match, NodeTagEquals(cand, e, mode));
+      if (match)
+        RETURN_IF_ERROR(
+            RunAllAtOnce(query, points, mode, cand, step_index + 1, memo, out));
     }
     return Status::Ok();
   }
@@ -1119,24 +1281,14 @@ class QuerySession {
   ClientContext<Ring>* client_;
   EndpointGroup group_;
   std::vector<SessionRoot> roots_;
-  std::unordered_set<int32_t> root_ids_;
   Status init_status_;
   std::vector<char> dead_;  ///< Shamir: endpoints that stopped answering
 
   QueryStats stats_;
   TransportCounters counters_before_;
-  std::unordered_map<int32_t, NodeInfo> info_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> combined_evals_;
-  std::unordered_map<int32_t, Elem> combined_polys_;
-  std::unordered_map<int32_t, Scalar> combined_consts_;
-  std::unordered_map<int32_t, Elem> client_shares_;
-  std::unordered_set<int32_t> visited_;
-
-  // Pipelined fetch overlap (cleared per query): rounds on the wire, plus
-  // the ids they cover so later rounds don't re-request them.
-  std::vector<InflightFetchRound> inflight_fetches_;
-  std::unordered_set<int32_t> early_consts_requested_;
-  std::unordered_set<int32_t> early_polys_requested_;
+  Walk walk_;
+  ByteWriter scratch_;                  ///< encodes one blob at a time
+  std::vector<uint32_t> path_indices_;  ///< Path's climb, reused
 };
 
 }  // namespace polysse

@@ -91,17 +91,18 @@ class ServerStore : public ServerHandler {
   Result<FetchResponse> HandleFetch(const FetchRequest& req) override {
     FetchResponse resp;
     resp.entries.reserve(req.node_ids.size());
+    ByteWriter w;  // one encoder; each payload is copied out at its size
     for (int32_t id : req.node_ids) {
       RETURN_IF_ERROR(CheckId(id));
       FetchEntry entry;
       entry.node_id = id;
-      ByteWriter w;
+      w.Clear();
       if (req.mode == FetchMode::kFull) {
         ring_.Serialize(tree_.nodes[id].poly, &w);
       } else {
         ring_.SerializeScalar(ring_.ConstTerm(tree_.nodes[id].poly), &w);
       }
-      entry.payload = w.Take();
+      entry.payload.assign(w.bytes().begin(), w.bytes().end());
       resp.entries.push_back(std::move(entry));
     }
     {

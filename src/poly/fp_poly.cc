@@ -246,6 +246,10 @@ Result<FpPoly> FpPoly::Deserialize(const PrimeField& field, ByteReader* in) {
   ASSIGN_OR_RETURN(uint64_t n, in->GetVarint64());
   if (n > (1ull << 32))
     return Status::Corruption("FpPoly: absurd coefficient count");
+  // Each coefficient is at least one varint byte, so a count beyond the
+  // bytes left is corrupt — and must not size the allocation below.
+  if (n > in->remaining())
+    return Status::Corruption("FpPoly: coefficient count exceeds remaining bytes");
   std::vector<uint64_t> coeffs(n);
   for (uint64_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(coeffs[i], in->GetVarint64());

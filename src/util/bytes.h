@@ -54,6 +54,22 @@ class ByteWriter {
 
   /// Moves the accumulated bytes out, leaving the writer empty.
   std::vector<uint8_t> Take() { return std::move(buf_); }
+  /// Empties the writer but keeps its buffer, so one writer can encode many
+  /// short strings without reallocating.
+  void Clear() { buf_.clear(); }
+  /// Makes room for `n` more bytes up front (a large message then grows
+  /// its buffer once instead of doubling its way there).
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
+  /// Bytes PutVarint64(v) writes.
+  static size_t VarintSize(uint64_t v) {
+    size_t n = 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++n;
+    }
+    return n;
+  }
 
  private:
   void PutLittleEndian(uint64_t v, int n) {

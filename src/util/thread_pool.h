@@ -84,6 +84,11 @@ class Executor {
 
   /// Runs body(0) .. body(n-1), returning only when all calls finished.
   /// Distinct indices may run concurrently; the same index runs once.
+  /// A body may itself call ParallelFor on the same executor, and the outer
+  /// call must still finish: a collection scatters its shard walks with
+  /// one call and each walk fans out to its servers with another.
+  /// ThreadPool meets this because every caller runs the indices of its
+  /// own call that no worker has claimed (NestedParallelForDoesNotDeadlock).
   virtual void ParallelFor(size_t n,
                            const std::function<void(size_t)>& body) = 0;
 

@@ -8,10 +8,12 @@
 //  * Save/Open round-trips multi-document additive and Shamir collections,
 //    an empty Z collection reopens and grows like a never-saved one, and a
 //    bare single-tree store file is refused;
-//  * clean failures: duplicate ids, missing ids, exhausted tag capacity.
+//  * clean failures: duplicate ids, missing ids, exhausted tag capacity;
+//    servers lying about the tree's shape are Corruption in every scheme.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -695,6 +697,67 @@ TEST(CollectionTest, ShamirFailsOverShortFetchResponse) {
   EXPECT_EQ(SortedMatchPaths(r->per_doc.at(1).matches),
             PlaintextMatches(doc, "a"));
   EXPECT_GE(r->stats.server_failovers, 1u);
+}
+
+TEST(CollectionTest, HostileTreeStructureIsCorruption) {
+  // Doc 1 is ids 0..6 — r(0) { a(1) { b(2) a(3) } b(4) { a(5) } a(6) } —
+  // and doc 2 is ids 7..8. Every server of the group tells the same lie,
+  // so the servers agree and only the client's own checks of each answer
+  // against the tree it is walking can catch it.
+  auto parse = [](const std::string& s) { return ParseXml(s).value(); };
+  using Tamper = std::function<void(EvalEntry&)>;
+  const std::vector<std::pair<std::string, std::pair<int32_t, Tamper>>> lies = {
+      {"child outside its document",
+       {0, [](EvalEntry& e) { e.children.back() = 7; }}},
+      {"same child twice",
+       {0, [](EvalEntry& e) { e.children.push_back(e.children.back()); }}},
+      {"child pointing back to an ancestor",
+       {1, [](EvalEntry& e) { e.children.back() = 0; }}},
+      {"root size disagreeing with the document table",
+       {0, [](EvalEntry& e) { e.subtree_size += 2; }}},
+      {"answer for a node not asked for",
+       {0, [](EvalEntry& e) { e.node_id = 1; }}},
+  };
+  struct Shape {
+    ShareScheme scheme;
+    int servers;
+    int threshold;
+  };
+  for (const Shape& shape : {Shape{ShareScheme::kTwoParty, 1, 0},
+                             Shape{ShareScheme::kAdditive, 3, 0},
+                             Shape{ShareScheme::kShamir, 3, 2}}) {
+    for (const auto& [lie, target] : lies) {
+      FpCollection::Deploy deploy;
+      deploy.scheme = shape.scheme;
+      deploy.num_servers = shape.servers;
+      deploy.threshold = shape.threshold;
+      auto col =
+          FpCollection::Create(DeterministicPrf::FromString("col-hostile"),
+                               deploy)
+              .value();
+      ASSERT_TRUE(
+          col->Add(1, parse("<r><a><b/><a/></a><b><a/></b><a/></r>")).ok());
+      ASSERT_TRUE(col->Add(2, parse("<s><a/></s>")).ok());
+      const auto& [id, rewrite] = target;
+      for (int s = 0; s < shape.servers; ++s) {
+        FaultConfig fc;
+        fc.tamper_eval = [id, rewrite](EvalResponse& resp) {
+          for (EvalEntry& e : resp.entries)
+            if (e.node_id == id) rewrite(e);
+        };
+        ASSERT_NE(col->InjectFaults(static_cast<size_t>(s), std::move(fc)),
+                  nullptr);
+      }
+      for (VerifyMode mode : kAllModes) {
+        auto r = col->Search("a", mode);
+        ASSERT_FALSE(r.ok()) << lie << ", scheme "
+                             << static_cast<int>(shape.scheme);
+        EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+            << lie << ", scheme " << static_cast<int>(shape.scheme) << ": "
+            << r.status().ToString();
+      }
+    }
+  }
 }
 
 TEST(CollectionTest, RegistryHandlesBatchSpanningDocsOutOfOrder) {

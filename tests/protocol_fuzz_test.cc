@@ -13,6 +13,7 @@
 #include "core/persistence.h"
 #include "core/protocol.h"
 #include "net/frame.h"
+#include "poly/fp_poly.h"
 #include "testing/deterministic_rng.h"
 #include "util/bytes.h"
 
@@ -517,6 +518,23 @@ TEST(ProtocolFuzzTest, ElementCountsAreBoundedByInputSize) {
   auto r = EvalRequest::Deserialize(&in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+}
+
+TEST(ProtocolFuzzTest, FetchedPolynomialCountsAreBoundedByInputSize) {
+  // A fetch payload is a server-chosen FpPoly encoding: a 2-byte coefficient
+  // list claiming 2^24 entries is refused by the count check itself, before
+  // a vector of that size exists, not by running out of input later.
+  const PrimeField field = PrimeField::Create(67).value();
+  ByteWriter w;
+  w.PutVarint64(1ull << 24);
+  w.PutU8(1);
+  ByteReader in(w.span());
+  auto r = FpPoly::Deserialize(field, &in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("exceeds remaining bytes"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

@@ -4,13 +4,20 @@
 // every share scheme and verify mode, before AND after online shard splits
 // and merges — including ones that fail partway; per-shard stats roll-ups;
 // the hot-query cache and Bloom pre-filter at four shards; dead-shard
-// handling; Save/Open and Connect (over real TCP) round trips; and node-id
-// space reclamation under a remove-heavy churn loop.
+// handling; Save/Open and Connect (over real TCP) round trips; a
+// Connect()ed collection walking its shards concurrently on the executor
+// it was given; and node-id space reclamation under a remove-heavy churn
+// loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -563,6 +570,110 @@ TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
   auto again = (*col2)->Search(tag).value();
   for (const auto& [id, r] : want.per_doc)
     EXPECT_EQ(r.matches, again.per_doc.at(id).matches) << "doc " << id;
+}
+
+/// Where the shards of one collection meet: each shard's first Eval waits
+/// here until every shard has sent one, or until the deadline — so all of
+/// them arrive only when the walks run at the same time.
+struct ShardMeeting {
+  explicit ShardMeeting(size_t shards) : expected(shards) {}
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return arrived >= expected || missed; }))
+      missed = true;
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  const size_t expected;
+  size_t arrived = 0;
+  bool missed = false;  ///< a wait ran out: the shards never overlapped
+};
+
+/// A shard's endpoint whose first Eval waits at the meeting.
+class MeetingEndpoint final : public ServerEndpoint {
+ public:
+  MeetingEndpoint(ServerEndpoint* inner, ShardMeeting* meeting)
+      : inner_(inner), meeting_(meeting) {}
+
+  Result<EvalResponse> Eval(const EvalRequest& req) override {
+    if (!arrived_.exchange(true)) meeting_->Arrive();
+    return inner_->Eval(req);
+  }
+  Result<FetchResponse> Fetch(const FetchRequest& req) override {
+    return inner_->Fetch(req);
+  }
+  Result<PingResponse> Ping(const PingRequest& req) override {
+    return inner_->Ping(req);
+  }
+  TransportCounters counters() const override { return inner_->counters(); }
+
+ private:
+  ServerEndpoint* inner_;
+  ShardMeeting* meeting_;
+  std::atomic<bool> arrived_{false};
+};
+
+TEST(ShardTest, ConnectedCollectionWalksShardsConcurrently) {
+  // A networked client: the key file plus one loopback endpoint per shard,
+  // and an external pool. The scatter must run on that pool — every
+  // shard's first Eval is held until all four shards have sent theirs.
+  DeterministicPrf seed = DeterministicPrf::FromString("shard-overlap");
+  ShardDeploy deploy;
+  deploy.num_shards = 4;
+  auto authoring = FpShardedCollection::Create(seed, deploy).value();
+  std::map<DocId, XmlNode> docs;
+  for (uint64_t d = 0; d < 8; ++d) docs.emplace(d + 1, MakeDoc(840 + d, 20, 5));
+  for (const auto& [id, doc] : docs) ASSERT_TRUE(authoring->Add(id, doc).ok());
+  std::map<ShardId, int> spread;
+  for (const auto& [id, doc] : docs) ++spread[authoring->shard_of(id).value()];
+  ASSERT_EQ(spread.size(), 4u);  // every shard has a walk to run
+
+  const std::string key_path = "/tmp/polysse_shard_overlap.key";
+  ASSERT_TRUE(authoring->SaveKey(key_path).ok());
+  auto key_bytes = ReadFileBytes(key_path).value();
+  ByteReader key_reader(key_bytes);
+  auto key = ClientSecretFile::Deserialize(&key_reader).value();
+
+  ShardMeeting meeting(4);
+  std::vector<std::unique_ptr<LoopbackEndpoint>> wires;
+  std::vector<std::unique_ptr<MeetingEndpoint>> held;
+  std::vector<ServerEndpoint*> plain, meeting_eps;
+  for (ShardId shard : {ShardId{0}, ShardId{1}, ShardId{2}, ShardId{3}}) {
+    wires.push_back(
+        std::make_unique<LoopbackEndpoint>(authoring->handler(shard, 0)));
+    held.push_back(
+        std::make_unique<MeetingEndpoint>(wires.back().get(), &meeting));
+    plain.push_back(wires.back().get());
+    meeting_eps.push_back(held.back().get());
+  }
+  ThreadPool pool(4);
+  auto concurrent = FpShardedCollection::Connect(key, meeting_eps, &pool);
+  ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
+  auto sequential = FpShardedCollection::Connect(key, plain);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+
+  const std::vector<std::string> tags = AllTags(docs);
+  for (const std::string& tag : tags) {
+    for (VerifyMode mode : kAllModes) {
+      auto got = (*concurrent)->Search(tag, mode);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = (*sequential)->Search(tag, mode);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const std::string label =
+          "//" + tag + " mode " + std::to_string(static_cast<int>(mode));
+      ExpectSameAnswers(*want, *got, label);
+      ExpectMatchesPlaintext(docs, tag, mode, *got, label);
+    }
+  }
+  std::lock_guard<std::mutex> lock(meeting.mu);
+  EXPECT_EQ(meeting.arrived, 4u);
+  EXPECT_FALSE(meeting.missed)
+      << "the shard walks ran one after another, not on the pool";
 }
 
 // -------------------------------------------------- id-space reclamation --

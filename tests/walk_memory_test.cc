@@ -1,0 +1,152 @@
+// Walk-memory budget: the live heap one shard walk may hold at its peak.
+//
+// A connected collection runs its shard walks concurrently, so every byte
+// of per-walk state is held once per shard in flight; the process-wide
+// footprint of the scatter-4shard benchmark workload tracks this number.
+// The suite replaces the global operator new/delete with counting versions
+// (hence its own binary) and walks a collection of that workload's shape —
+// 4 shards, 64 documents of 250 elements (fan-out <= 4, 40 tags), 2-party
+// — with 4-tag verified SearchMany batches on the inline executor. There
+// the shards are walked one after another, so the peak of a whole
+// SearchMany above its starting heap is one walk's peak (plus the already
+// gathered answers of the shards before it, which only makes the bound
+// stricter).
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/collection.h"
+#include "xml/xml_generator.h"
+
+namespace {
+
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+
+void CountAlloc(void* p) {
+  const int64_t now =
+      g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                             std::memory_order_relaxed) +
+      static_cast<int64_t>(malloc_usable_size(p));
+  int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (now > peak && !g_peak_bytes.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+}
+
+void CountFree(void* p) {
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+}
+
+void* CountedNew(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  CountAlloc(p);
+  return p;
+}
+
+void* CountedAlignedNew(std::size_t n, std::align_val_t align) {
+  const std::size_t a = static_cast<std::size_t>(align);
+  void* p = std::aligned_alloc(a, (std::max<std::size_t>(n, 1) + a - 1) / a * a);
+  if (p == nullptr) throw std::bad_alloc();
+  CountAlloc(p);
+  return p;
+}
+
+void CountedDelete(void* p) {
+  if (p == nullptr) return;
+  CountFree(p);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlignedNew(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAlignedNew(n, a);
+}
+void operator delete(void* p) noexcept { CountedDelete(p); }
+void operator delete[](void* p) noexcept { CountedDelete(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedDelete(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedDelete(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedDelete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  CountedDelete(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  CountedDelete(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  CountedDelete(p);
+}
+
+namespace polysse {
+namespace {
+
+constexpr int64_t kWalkBudgetBytes = 1 << 20;
+
+XmlNode MakeDoc(uint64_t seed) {
+  XmlGeneratorOptions gen;
+  gen.num_nodes = 250;
+  gen.max_fanout = 4;
+  gen.tag_alphabet = 40;
+  gen.seed = seed;
+  return GenerateXmlTree(gen);
+}
+
+TEST(WalkMemoryTest, OneShardWalkPeaksUnderOneMiB) {
+  DeployShape deploy;
+  deploy.num_shards = 4;
+  auto col =
+      FpCollection::Create(DeterministicPrf::FromString("walk-memory"), deploy)
+          .value();
+  for (DocId d = 0; d < 64; ++d) ASSERT_TRUE(col->Add(d, MakeDoc(9000 + d)).ok());
+  ASSERT_EQ(col->executor(), nullptr);  // inline: one walk at a time
+
+  // Batches of 4 distinct tags, spread over the whole alphabet.
+  ChaChaRng rng = DeterministicPrf::FromString("walk-memory/tags").Stream("q");
+  std::vector<int64_t> peaks;
+  for (int batch = 0; batch < 8; ++batch) {
+    std::vector<Query> queries;
+    while (queries.size() < 4) {
+      const std::string tag = "tag" + std::to_string(rng.NextBelow(40));
+      bool fresh = true;
+      for (const Query& q : queries) fresh = fresh && q.tag != tag;
+      if (fresh) queries.push_back({tag, VerifyMode::kVerified});
+    }
+    const int64_t before = g_live_bytes.load();
+    g_peak_bytes.store(before);
+    auto r = col->SearchMany(queries);
+    const int64_t peak = g_peak_bytes.load() - before;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GT(r->front().stats.nodes_visited, 0u);
+    peaks.push_back(peak);
+  }
+
+  int64_t sum = 0, max = 0;
+  for (int64_t p : peaks) {
+    sum += p;
+    max = std::max(max, p);
+  }
+  std::printf("walk heap peak: mean %.2f MiB, max %.2f MiB over %zu batches\n",
+              static_cast<double>(sum) / static_cast<double>(peaks.size()) /
+                  (1 << 20),
+              static_cast<double>(max) / (1 << 20), peaks.size());
+  EXPECT_LE(max, kWalkBudgetBytes);
+}
+
+}  // namespace
+}  // namespace polysse
