@@ -11,15 +11,23 @@
 //   pipelined     : one LookupBatch straight over the pipelined endpoint —
 //                   next round's Evals overlap the previous rounds'
 //                   in-flight Fetches.
+//   shamir-2of3   : the pipelined LookupBatch against a Shamir 2-of-3
+//                   group, three delayed servers on their own TCP ports,
+//                   with no executor. Each round goes to two servers.
 //
 //   pipelined_transport [--json PATH]
 //
-// All three must return bit-identical answers (checked against an
+// All four must return bit-identical answers (checked against an
 // in-process oracle; a mismatch is a hard failure). The deterministic
 // counters (rounds, messages) go into the bench/baselines entry schema so
-// CI can pin them at --threshold-pct 0; wall times are report-only.
+// CI can pin them at --threshold-pct 0; wall times are report-only. Two
+// floors are enforced: pipelined at least 2x faster than sequential-rr,
+// and the 2-of-3 walk at most 1.5x the 1-server pipelined wall time —
+// a round must reach both of its servers before the client waits on
+// either, so it costs one delayed round trip, not two.
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +48,8 @@ using testing::TestSession;
 
 constexpr int kQueries = 16;
 constexpr int kLatencyMs = 3;
+/// Ceiling on the 2-of-3 walk's wall time over the 1-server pipelined one.
+constexpr double kShamirWallCeiling = 1.5;
 
 /// Wraps the share store and sleeps kLatencyMs before answering — the
 /// stand-in for a 3 ms network RTT. Sleeps run on the server's worker
@@ -103,10 +113,45 @@ int Run(const std::string& json_path) {
     for (const auto& r : o.per_tag) want.push_back(SortedMatchPaths(r.matches));
   }
 
-  // One measured strategy run: fresh endpoint + fresh session (no cache
+  // The same document split Shamir 2-of-3, each server behind its own
+  // delay and TCP port.
+  FpEngine::Deploy shamir_deploy;
+  shamir_deploy.scheme = ShareScheme::kShamir;
+  shamir_deploy.num_servers = 3;
+  shamir_deploy.threshold = 2;
+  auto shamir = FpEngine::Outsource(doc, seed, shamir_deploy).value();
+  std::vector<std::unique_ptr<DelayedHandler>> shamir_delayed;
+  std::vector<std::unique_ptr<SocketServer>> shamir_servers;
+  for (size_t s = 0; s < 3; ++s) {
+    shamir_delayed.push_back(
+        std::make_unique<DelayedHandler>(shamir->handler(s)));
+    shamir_servers.push_back(
+        SocketServer::Listen(shamir_delayed.back().get(), 0, sopts).value());
+  }
+  ClientContext<FpCyclotomicRing> shamir_client = shamir->client();
+
+  // One measured strategy run: fresh endpoints + fresh session (no cache
   // carry-over), median wall of 3 after a warmup.
+  auto measure_with = [&](auto&& one) -> RunCost {
+    one();  // warmup (dials the connections, touches the stores)
+    std::vector<double> walls;
+    RunCost cost;
+    for (int i = 0; i < 3; ++i) {
+      cost = one();
+      walls.push_back(cost.wall_us);
+    }
+    cost.wall_us = MedianWallUs(walls);
+    return cost;
+  };
+  auto batch_cost = [](const MultiLookupResult& r, RunCost* cost) {
+    cost->rounds = r.stats.rounds;
+    cost->fetch_rounds = r.stats.fetch_rounds;
+    cost->messages_up = r.stats.transport.messages_up;
+    for (const auto& per : r.per_tag)
+      cost->matches.push_back(SortedMatchPaths(per.matches));
+  };
   auto measure = [&](bool pipeline, bool batched) -> RunCost {
-    auto one = [&]() -> RunCost {
+    return measure_with([&]() -> RunCost {
       auto socket = SocketEndpoint::Connect("127.0.0.1", server->port()).value();
       FaultInjectingEndpoint one_at_a_time(socket.get(), FaultConfig{});
       ServerEndpoint* ep =
@@ -116,12 +161,8 @@ int Run(const std::string& json_path) {
       if (batched) {
         QuerySession<FpCyclotomicRing> session(&dep.client,
                                                EndpointGroup::TwoParty(ep));
-        auto r = session.LookupMany(tags, VerifyMode::kVerified).value();
-        cost.rounds = r.stats.rounds;
-        cost.fetch_rounds = r.stats.fetch_rounds;
-        cost.messages_up = r.stats.transport.messages_up;
-        for (const auto& per : r.per_tag)
-          cost.matches.push_back(SortedMatchPaths(per.matches));
+        batch_cost(session.LookupMany(tags, VerifyMode::kVerified).value(),
+                   &cost);
       } else {
         // Fresh session per query: each pays full price, like 16
         // independent request-response clients sharing one link.
@@ -139,24 +180,37 @@ int Run(const std::string& json_path) {
                          std::chrono::steady_clock::now() - t0)
                          .count();
       return cost;
-    };
-    one();  // warmup (dials the connection, touches the store)
-    std::vector<double> walls;
-    RunCost cost;
-    for (int i = 0; i < 3; ++i) {
-      cost = one();
-      walls.push_back(cost.wall_us);
-    }
-    cost.wall_us = MedianWallUs(walls);
-    return cost;
+    });
+  };
+  auto measure_shamir = [&]() -> RunCost {
+    return measure_with([&]() -> RunCost {
+      std::vector<std::unique_ptr<SocketEndpoint>> sockets;
+      std::vector<ServerEndpoint*> eps;
+      for (const auto& server : shamir_servers) {
+        sockets.push_back(
+            SocketEndpoint::Connect("127.0.0.1", server->port()).value());
+        eps.push_back(sockets.back().get());
+      }
+      RunCost cost;
+      auto t0 = std::chrono::steady_clock::now();
+      QuerySession<FpCyclotomicRing> session(&shamir_client,
+                                             EndpointGroup::Shamir(eps, 2));
+      batch_cost(session.LookupMany(tags, VerifyMode::kVerified).value(),
+                 &cost);
+      cost.wall_us = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+      return cost;
+    });
   };
 
   const RunCost seq = measure(/*pipeline=*/false, /*batched=*/false);
   const RunCost rr = measure(/*pipeline=*/false, /*batched=*/true);
   const RunCost piped = measure(/*pipeline=*/true, /*batched=*/true);
+  const RunCost shamir_cost = measure_shamir();
 
   // Bit-identical or bust.
-  for (const RunCost* c : {&seq, &rr, &piped}) {
+  for (const RunCost* c : {&seq, &rr, &piped, &shamir_cost}) {
     if (c->matches != want) {
       std::fprintf(stderr, "ANSWER MISMATCH against in-process oracle\n");
       return 1;
@@ -177,6 +231,7 @@ int Run(const std::string& json_path) {
   row("sequential-rr", seq);
   row("batched-rr", rr);
   row("pipelined", piped);
+  row("shamir-2of3", shamir_cost);
   std::printf(
       "\nshape check: each sequential-rr message pays the full %d ms in "
       "series; the shared frontier collapses the message count, and tagged "
@@ -188,6 +243,16 @@ int Run(const std::string& json_path) {
   const double speedup = seq.wall_us / piped.wall_us;
   if (speedup < 2.0) {
     std::fprintf(stderr, "FAIL: pipelined speedup %.2fx < 2x floor\n", speedup);
+    return 1;
+  }
+  const double shamir_ratio = shamir_cost.wall_us / piped.wall_us;
+  std::printf(
+      "shamir-2of3 / pipelined wall: %.2fx (ceiling %.1fx: each round is "
+      "on the wire at both servers before the client waits)\n",
+      shamir_ratio, kShamirWallCeiling);
+  if (shamir_ratio > kShamirWallCeiling) {
+    std::fprintf(stderr, "FAIL: shamir-2of3 wall %.2fx pipelined > %.1fx\n",
+                 shamir_ratio, kShamirWallCeiling);
     return 1;
   }
 
@@ -211,12 +276,20 @@ int Run(const std::string& json_path) {
         "    \"sequential_rr_wall_us\": %.1f,\n"
         "    \"batched_rr_wall_us\": %.1f,\n"
         "    \"pipelined_wall_us\": %.1f,\n"
-        "    \"pipelined_speedup_x100\": %.1f\n"
+        "    \"pipelined_speedup_x100\": %.1f,\n"
+        "    \"shamir_2of3_rounds\": %.1f,\n"
+        "    \"shamir_2of3_fetch_rounds\": %.1f,\n"
+        "    \"shamir_2of3_messages\": %.1f,\n"
+        "    \"shamir_2of3_wall_us\": %.1f,\n"
+        "    \"shamir_2of3_wall_ratio_x100\": %.1f\n"
         "  }\n}\n",
         double(seq.rounds), double(seq.messages_up), double(rr.rounds),
         double(rr.fetch_rounds), double(rr.messages_up), double(piped.rounds),
         double(piped.fetch_rounds), double(piped.messages_up), seq.wall_us,
-        rr.wall_us, piped.wall_us, speedup * 100.0);
+        rr.wall_us, piped.wall_us, speedup * 100.0,
+        double(shamir_cost.rounds), double(shamir_cost.fetch_rounds),
+        double(shamir_cost.messages_up), shamir_cost.wall_us,
+        shamir_ratio * 100.0);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -161,41 +161,66 @@ BENCHMARK(BM_FpPolyMulNtt)->Arg(64)->Arg(128)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ------------------------------------------------- batch share evaluation --
 //
-// The EvalRequest hot path: one coefficient vector evaluated at four points.
-// The SIMD row runs the AVX2 REDC lane kernel (one 4-point sweep); the
-// scalar row is the same work as four independent Montgomery Horner calls.
-// Their ratio is the batch-evaluation acceptance gate.
+// The EvalRequest hot path: dot products of a coefficient vector with
+// tabled point powers (field/simd_eval.h). Tables are built outside the
+// timed loop, as the server builds one per request block and the walk one
+// per query point; BM_PointPowersBuild times that build for one server
+// block. The label names the kernel SimdEnabled picked
+// (POLYSSE_DISABLE_AVX2=1 measures the scalar loop).
 
-void BM_BatchEval4Simd(benchmark::State& state) {
+std::vector<uint64_t> FirstPoints(size_t n) {
+  std::vector<uint64_t> points(n);
+  for (size_t i = 0; i < n; ++i) points[i] = 2 + i;
+  return points;
+}
+
+const char* KernelLabel(const PointPowers& powers) {
+  return powers.UsesSimd() ? "AVX2 dot product" : "scalar dot product";
+}
+
+// p = 67, one dense share (66 coefficients) at the 8 points of a
+// batch-tcp-wan request.
+void BM_PointPowersEval8_p67(benchmark::State& state) {
+  const PrimeField field = PrimeField::Create(67).value();
+  FpPoly a = RandomDensePoly(field, 66, "beval");
+  const PointPowers powers(field, FirstPoints(8), 66);
+  for (auto _ : state) {
+    uint64_t acc = 0;
+    for (size_t i = 0; i < powers.size(); ++i)
+      acc += powers.Eval(a.coeffs(), i);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetLabel(KernelLabel(powers));
+}
+BENCHMARK(BM_PointPowersEval8_p67);
+
+// p = 998244353, one coefficient vector at four points (chunked: 18
+// products per reduction).
+void BM_PointPowersEval4(benchmark::State& state) {
   const PrimeField field = PrimeField::Create(998244353).value();
   const size_t n = static_cast<size_t>(state.range(0));
   FpPoly a = RandomDensePoly(field, n, "beval");
-  const std::vector<uint64_t> points = {2, 3, 5, 7};
-  std::vector<uint64_t> out(points.size());
+  const PointPowers powers(field, FirstPoints(4), n);
   for (auto _ : state) {
-    BatchHornerEval(field, a.coeffs(), points, out);
-    benchmark::DoNotOptimize(out.data());
+    uint64_t acc = 0;
+    for (size_t i = 0; i < powers.size(); ++i)
+      acc += powers.Eval(a.coeffs(), i);
+    benchmark::DoNotOptimize(acc);
   }
-  state.SetLabel(BatchEvalUsesSimd(field) ? "AVX2 4-lane sweep"
-                                          : "scalar (no AVX2 on this host)");
+  state.SetLabel(KernelLabel(powers));
 }
-BENCHMARK(BM_BatchEval4Simd)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_PointPowersEval4)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_BatchEval4Scalar(benchmark::State& state) {
-  const PrimeField field = PrimeField::Create(998244353).value();
-  const size_t n = static_cast<size_t>(state.range(0));
-  FpPoly a = RandomDensePoly(field, n, "beval");
-  const std::vector<uint64_t> points = {2, 3, 5, 7};
-  std::vector<uint64_t> out(points.size());
-  BatchEvalPath prev = SetBatchEvalPath(BatchEvalPath::kScalar);
+// One server block: 16 points x 66 powers at p = 67.
+void BM_PointPowersBuild16_p67(benchmark::State& state) {
+  const PrimeField field = PrimeField::Create(67).value();
+  const std::vector<uint64_t> points = FirstPoints(16);
   for (auto _ : state) {
-    BatchHornerEval(field, a.coeffs(), points, out);
-    benchmark::DoNotOptimize(out.data());
+    const PointPowers powers(field, points, 66);
+    benchmark::DoNotOptimize(&powers);
   }
-  SetBatchEvalPath(prev);
-  state.SetLabel("4x scalar Montgomery Horner");
 }
-BENCHMARK(BM_BatchEval4Scalar)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_PointPowersBuild16_p67);
 
 // ----------------------------------------------------------- F_p ring --
 

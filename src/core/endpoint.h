@@ -315,8 +315,11 @@ struct EndpointGroup {
   std::vector<uint64_t> shamir_x;
   /// Shamir only: how many servers must answer.
   int threshold = 0;
-  /// Where per-server subrequests run during fan-out. Null means the
-  /// calling thread, sequentially (deterministic; the historical order).
+  /// Where a session begins each round's per-server subrequests. Null
+  /// means the calling thread: pipelined endpoints still overlap (each
+  /// begin only puts a request on the wire), synchronous ones answer one
+  /// after another in server order. A ThreadPool runs synchronous ones
+  /// concurrently too.
   Executor* executor = nullptr;
 
   /// The effective executor (never null).

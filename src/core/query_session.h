@@ -21,13 +21,20 @@
 // stops answering is marked dead and replaced by another live one as long
 // as at least `threshold` remain.
 //
-// Per-round subrequests to the k servers fan out through the group's
-// Executor: sequentially inline by default, concurrently when the group
-// carries a ThreadPool — results are gathered into per-server slots, so the
-// combined answers are bit-identical either way and only wall time changes.
-// A collection runs one session per shard walk and scatters those walks on
-// the same executor (the one it owns or the one passed to Connect), so a
-// caller-helps pool drives both levels at once.
+// Each round's subrequests to the k servers are begun on the group's
+// Executor and then awaited in server order on the session's thread, so a
+// round costs one round trip: pipelined endpoints (TCP) have every request
+// on the wire before the first wait, with or without an executor, and
+// synchronous endpoints answer inside the begin, one after another inline
+// or concurrently on a ThreadPool. Results land in per-server slots, so
+// the combined answers are bit-identical either way and only wall time
+// changes. A collection runs one session per shard walk and scatters those
+// walks on the same executor (the one it owns or the one passed to
+// Connect), so a caller-helps pool drives both levels at once.
+//
+// A walk evaluates the client's own shares (the additive schemes) against
+// one table of point powers per query point (field/simd_eval.h): each
+// (node, point) is one dot product, and the tables die with the walk.
 //
 // Walk state is compact because concurrent walks each hold their own: one
 // flat node table in discovery order (the roots first, then each learned
@@ -333,6 +340,7 @@ class QuerySession {
  private:
   using Elem = typename Ring::Elem;
   using Scalar = typename Ring::Scalar;
+  using Evaluator = typename Ring::Evaluator;
   using Ref = ByteArena::Ref;
 
   /// No row: a root's parent, and XPath's virtual context above the roots.
@@ -385,6 +393,9 @@ class QuerySession {
     std::vector<uint64_t> points;  ///< the columns of `evals`
     /// Combined evaluations, nodes.size() x points.size(), row-major.
     std::vector<uint8_t> evals;
+    /// Per column, the evaluator of the client's own shares (the point's
+    /// row of powers in the F_p ring), built at its first use.
+    std::vector<std::optional<Evaluator>> evaluators;
     ByteArena arena;
     /// Tags recovered by full reconstruction, by row (kNoTag otherwise);
     /// sized at the first one, after the walk.
@@ -614,19 +625,24 @@ class QuerySession {
 
   // ------------------------------------------------------------- transport
 
-  /// Dispatches `fn` to every server in `targets` through the group's
-  /// executor — concurrently on a pooled executor, in index order inline —
-  /// and gathers the per-server results in target order. The gathered slots
-  /// make the outcome independent of completion order, so pooled and inline
-  /// execution are bit-identical.
-  template <typename Resp, typename Fn>
+  /// Begins `begin`'s request on every server in `targets` through the
+  /// group's executor, then awaits the answers in target order on this
+  /// thread. A pipelined endpoint puts its request on the wire at Begin and
+  /// blocks only in Await, so a round's requests overlap with or without an
+  /// executor; a synchronous endpoint answers inside Begin, inline or on a
+  /// pool worker. Answers land in per-target slots, so completion order
+  /// never changes the outcome.
+  template <typename Resp, typename Begin>
   std::vector<Result<Resp>> Dispatch(const std::vector<size_t>& targets,
-                                     Fn& fn) {
-    std::vector<Result<Resp>> results(
-        targets.size(), Result<Resp>(Status::Internal("subrequest not run")));
-    group_.executor_or_inline()->ParallelFor(
-        targets.size(),
-        [&](size_t j) { results[j] = fn(group_.endpoints[targets[j]]); });
+                                     Begin& begin) {
+    std::vector<std::optional<Deferred<Resp>>> pending(targets.size());
+    group_.executor_or_inline()->ParallelFor(targets.size(), [&](size_t j) {
+      pending[j].emplace(begin(group_.endpoints[targets[j]]));
+    });
+    std::vector<Result<Resp>> results;
+    results.reserve(targets.size());
+    for (std::optional<Deferred<Resp>>& d : pending)
+      results.push_back(d->Await());
     return results;
   }
 
@@ -674,20 +690,21 @@ class QuerySession {
     return true;
   }
 
-  /// Calls `fn` on the ActiveServers — all of them concurrently when the
-  /// group carries a pooled executor, so k-server wall time is one round
-  /// trip, not k — and reports the combination weight of each answer.
+  /// Sends `begin`'s request to the ActiveServers in one Dispatch, so a
+  /// k-server round costs one round trip, not k, and reports the
+  /// combination weight of each answer.
   /// Additive schemes require every server; under Shamir a failing server
   /// is marked dead and the call retries with replacements as long as at
   /// least `threshold` remain. When `sources` is non-null it receives the
   /// endpoint index each response came from, so callers that detect a
   /// malformed answer can attribute it to a server.
-  template <typename Resp, typename Fn>
-  Result<std::vector<Resp>> FanOut(Fn&& fn, std::vector<uint64_t>* weights,
+  template <typename Resp, typename Begin>
+  Result<std::vector<Resp>> FanOut(Begin&& begin,
+                                   std::vector<uint64_t>* weights,
                                    std::vector<size_t>* sources = nullptr) {
     for (;;) {
       ASSIGN_OR_RETURN(std::vector<size_t> chosen, ActiveServers());
-      std::vector<Result<Resp>> results = Dispatch<Resp>(chosen, fn);
+      std::vector<Result<Resp>> results = Dispatch<Resp>(chosen, begin);
       std::vector<Resp> responses;
       responses.reserve(results.size());
       bool failed = false;
@@ -763,13 +780,35 @@ class QuerySession {
     ASSIGN_OR_RETURN(
         std::vector<EvalResponse> resps,
         FanOut<EvalResponse>(
-            [&](ServerEndpoint* ep) { return ep->Eval(req); }, &weights));
+            [&](ServerEndpoint* ep) { return ep->BeginEval(req); },
+            &weights));
     ++stats_.rounds;
     for (const EvalResponse& resp : resps) {
       if (resp.entries.size() != need.size())
         return Status::Corruption("server returned wrong entry count");
     }
     stats_.server_evals += need.size() * points.size() * resps.size();
+
+    std::vector<uint64_t> moduli;
+    moduli.reserve(points.size());
+    for (uint64_t e : points) {
+      ASSIGN_OR_RETURN(uint64_t m, client_->ring().QueryModulus(e));
+      moduli.push_back(m);
+    }
+    std::vector<const Evaluator*> own;  // per point, for the client share
+    if (include_client()) {
+      walk_.evaluators.resize(walk_.points.size());
+      for (size_t c : cols) {
+        std::optional<Evaluator>& ev = walk_.evaluators[c];
+        if (!ev.has_value()) {
+          ASSIGN_OR_RETURN(Evaluator built,
+                           client_->ring().MakeEvaluator(
+                               std::span<const uint64_t>(&walk_.points[c], 1)));
+          ev.emplace(std::move(built));
+        }
+        own.push_back(&*ev);
+      }
+    }
 
     for (size_t j = 0; j < need.size(); ++j) {
       const EvalEntry& entry = resps[0].entries[j];
@@ -794,8 +833,7 @@ class QuerySession {
         ASSIGN_OR_RETURN(share, ClientShare(slot));
       }
       for (size_t k = 0; k < points.size(); ++k) {
-        const uint64_t e = points[k];
-        ASSIGN_OR_RETURN(uint64_t m, client_->ring().QueryModulus(e));
+        const uint64_t m = moduli[k];
         uint64_t sum = 0;
         for (size_t s = 0; s < resps.size(); ++s) {
           const uint64_t v = resps[s].entries[j].values[k];
@@ -804,9 +842,8 @@ class QuerySession {
           sum = AddMod(sum, weights[s] == 1 ? v : MulMod(weights[s], v, m), m);
         }
         if (share.has_value()) {
-          ASSIGN_OR_RETURN(uint64_t cv, client_->ring().EvalAt(*share, e));
           ++stats_.client_evals;
-          sum = AddMod(sum, cv, m);
+          sum = AddMod(sum, own[k]->At(*share, 0), m);
         }
         EvalCell(slot, cols[k]) = sum == 0 ? kZero : kNonZero;
         if (sum == 0) ++stats_.zero_candidates;
@@ -886,8 +923,8 @@ class QuerySession {
       ASSIGN_OR_RETURN(
           std::vector<FetchResponse> resps,
           FanOut<FetchResponse>(
-              [&](ServerEndpoint* ep) { return ep->Fetch(req); }, &weights,
-              &sources));
+              [&](ServerEndpoint* ep) { return ep->BeginFetch(req); },
+              &weights, &sources));
       ++stats_.fetch_rounds;
       bool retry = false;
       for (size_t s = 0; s < resps.size(); ++s) {

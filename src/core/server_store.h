@@ -5,7 +5,9 @@
 #ifndef POLYSSE_CORE_SERVER_STORE_H_
 #define POLYSSE_CORE_SERVER_STORE_H_
 
+#include <algorithm>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,31 +62,77 @@ class ServerStore : public ServerHandler {
   /// course not share this object with the client.
   const PolyTree<Ring>& tree() const { return tree_; }
 
+  /// Points per evaluator block. The client picks a request's point
+  /// count, so the server tables point powers for this many at a time
+  /// (a 1 MiB request of points would otherwise make a p = 67 server hold
+  /// about half a GiB of powers); one block covers a batch-tcp-wan request.
+  static constexpr size_t kEvalBlockPoints = 16;
+
+  /// Calls fn(evaluator, first) for each block of kEvalBlockPoints of
+  /// `points`, the evaluator covering points [first, first + its size).
+  /// One block's table is alive at a time. Fails for a point the ring
+  /// refuses.
+  template <typename Fn>
+  static Status ForEachEvalBlock(const Ring& ring,
+                                 std::span<const uint64_t> points, Fn&& fn) {
+    for (size_t b = 0; b < points.size(); b += kEvalBlockPoints) {
+      const size_t n = std::min(kEvalBlockPoints, points.size() - b);
+      ASSIGN_OR_RETURN(typename Ring::Evaluator ev,
+                       ring.MakeEvaluator(points.subspan(b, n)));
+      fn(ev, b);
+    }
+    return Status::Ok();
+  }
+
   /// Evaluates the stored share of each requested node at each point.
   Result<EvalResponse> HandleEval(const EvalRequest& req) override {
-    size_t evals = 0;
+    ASSIGN_OR_RETURN(EvalResponse resp,
+                     EvalShape(req.node_ids, req.points.size()));
+    if (!resp.entries.empty()) {
+      RETURN_IF_ERROR(ForEachEvalBlock(
+          ring_, req.points,
+          [&](const typename Ring::Evaluator& ev, size_t first) {
+            EvalBlock(ev, first, &resp);
+          }));
+    }
+    CountEval(resp, req.points.size());
+    return resp;
+  }
+
+  /// HandleEval's three steps, for a registry that answers one request
+  /// from several stores and so builds each block's evaluator once for
+  /// all of them. EvalShape checks the ids and returns one entry per id
+  /// with room for `num_points` values; EvalBlock fills the values at the
+  /// evaluator's points, the first of which is point `first`; CountEval
+  /// records the answered request in stats().
+  Result<EvalResponse> EvalShape(const std::vector<int32_t>& node_ids,
+                                 size_t num_points) const {
     EvalResponse resp;
-    resp.entries.reserve(req.node_ids.size());
-    for (int32_t id : req.node_ids) {
+    resp.entries.reserve(node_ids.size());
+    for (int32_t id : node_ids) {
       RETURN_IF_ERROR(CheckId(id));
       const auto& node = tree_.nodes[id];
       EvalEntry entry;
       entry.node_id = id;
-      // One batched sweep over all points: in the F_p ring this runs the
-      // SIMD multi-point Horner kernel, four points per pass.
-      ASSIGN_OR_RETURN(entry.values,
-                       ring_.EvalAtMany(node.poly, req.points));
-      evals += entry.values.size();
+      entry.values.resize(num_points);
       entry.children.assign(node.children.begin(), node.children.end());
       entry.subtree_size = node.subtree_size;
       resp.entries.push_back(std::move(entry));
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.eval_requests;
-      stats_.evals += evals;
-    }
     return resp;
+  }
+  void EvalBlock(const typename Ring::Evaluator& ev, size_t first,
+                 EvalResponse* resp) const {
+    for (EvalEntry& entry : resp->entries) {
+      const auto& poly = tree_.nodes[entry.node_id].poly;
+      for (size_t k = 0; k < ev.size(); ++k)
+        entry.values[first + k] = ev.At(poly, k);
+    }
+  }
+  void CountEval(const EvalResponse& resp, size_t num_points) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.eval_requests;
+    stats_.evals += resp.entries.size() * num_points;
   }
 
   /// Serves share polynomials (full) or their constant coefficients.

@@ -199,21 +199,35 @@ class ServerStoreRegistry : public ServerHandler {
     std::shared_lock<std::shared_mutex> lock(mu_);
     ASSIGN_OR_RETURN(std::vector<SubRequest> subs,
                      PartitionLocked(req.node_ids));
+    // Every document's store answers from the same evaluator per block of
+    // points: the request's point powers are tabled once, not per store.
+    std::vector<EvalResponse> parts;
+    parts.reserve(subs.size());
+    for (const SubRequest& sub : subs) {
+      ASSIGN_OR_RETURN(EvalResponse part,
+                       entries_[sub.entry_index].store->EvalShape(
+                           sub.local_ids, req.points.size()));
+      parts.push_back(std::move(part));
+    }
+    if (!subs.empty()) {
+      RETURN_IF_ERROR(ServerStore<Ring>::ForEachEvalBlock(
+          ring_, req.points,
+          [&](const typename Ring::Evaluator& ev, size_t first) {
+            for (size_t k = 0; k < subs.size(); ++k)
+              entries_[subs[k].entry_index].store->EvalBlock(ev, first,
+                                                             &parts[k]);
+          }));
+    }
     EvalResponse out;
     out.entries.resize(req.node_ids.size());
-    for (const SubRequest& sub : subs) {
-      const Entry& entry = entries_[sub.entry_index];
-      EvalRequest local;
-      local.points = req.points;
-      local.node_ids = sub.local_ids;
-      ASSIGN_OR_RETURN(EvalResponse resp, entry.store->HandleEval(local));
-      if (resp.entries.size() != sub.positions.size())
-        return Status::Internal("registry sub-response misaligned");
-      for (size_t i = 0; i < resp.entries.size(); ++i) {
-        EvalEntry& e = resp.entries[i];
+    for (size_t k = 0; k < subs.size(); ++k) {
+      const Entry& entry = entries_[subs[k].entry_index];
+      entry.store->CountEval(parts[k], req.points.size());
+      for (size_t i = 0; i < parts[k].entries.size(); ++i) {
+        EvalEntry& e = parts[k].entries[i];
         e.node_id += entry.base;
         for (int32_t& c : e.children) c += entry.base;
-        out.entries[sub.positions[i]] = std::move(e);
+        out.entries[subs[k].positions[i]] = std::move(e);
       }
     }
     return out;

@@ -57,8 +57,8 @@ class PrimeField {
 
   /// Horner evaluation of sum coeffs[i] * x^i (low-to-high, canonical
   /// coefficients). Converts x into Montgomery form once so every step is a
-  /// REDC multiply instead of a hardware division — the share-evaluation
-  /// fast path used by FpPoly::Eval and ShamirScheme::Share.
+  /// REDC multiply instead of a hardware division. FpPoly::Eval runs it,
+  /// and so does PointPowers for moduli too wide for its table.
   uint64_t HornerEval(std::span<const uint64_t> coeffs, uint64_t x) const {
     x = FromUInt64(x);
     uint64_t acc = 0;

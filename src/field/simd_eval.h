@@ -1,50 +1,72 @@
-// Vectorized multi-point Horner evaluation over F_p: an AVX2 kernel that
-// REDC-multiplies four evaluation points per instruction sweep, selected by
-// runtime CPUID dispatch with PrimeField::HornerEval as the scalar fallback.
+// Multi-point polynomial evaluation over F_p as dot products against a
+// table of point powers.
 //
-// The lane kernel runs 32-bit Montgomery arithmetic (R = 2^32) so each
-// 64-bit SIMD lane holds one point's accumulator and every lane product fits
-// a single VPMULUDQ — which is why it requires an odd modulus below 2^31.
-// That bound is the library's serving regime: the field modulus tracks the
-// tag-alphabet size (nt/primes.h PrimeForAlphabet), orders of magnitude
-// below 2^31. Larger or even moduli take the scalar path with identical
-// results; the differential battery in tests/simd_eval_test.cc and
-// tests/arith_differential_test.cc pins the equivalence.
+// PointPowers holds x^0 .. x^{w-1} mod p for each point of a set, one row
+// of w words per point. A polynomial of at most w coefficients evaluates at
+// a point as the dot product of its coefficients with that point's row.
+// Horner's form chains every multiply on the previous one; here they are
+// independent, so they pipeline (four per AVX2 instruction), and the sum is
+// reduced once per (polynomial, point).
+//
+// The sum stays unreduced only while it provably fits 64 bits. With
+// canonical operands every product is at most (p-1)^2, so
+// floor((2^64-1) / (p-1)^2) products can be added before one reduction:
+// any vector length at p = 67, 18 products at p = 998244353. Longer vectors
+// are reduced once per chunk of that many. When p-1 >= 2^32 not even one
+// product fits; such fields keep no table and evaluate by
+// PrimeField::HornerEval. The AVX2 kernel (32x32->64-bit lane multiplies,
+// eight lanes) runs when SimdEnabled(SimdIsa::kAvx2) holds and a chunk
+// gives every lane at least one product, i.e. p-1 <= 2^30.5; the scalar
+// loop computes the same sums otherwise. Every path returns exactly
+// PrimeField::HornerEval's value; tests/simd_eval_test.cc and
+// tests/arith_differential_test.cc pin that for moduli on both sides of
+// each bound.
 #ifndef POLYSSE_FIELD_SIMD_EVAL_H_
 #define POLYSSE_FIELD_SIMD_EVAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "field/prime_field.h"
 
 namespace polysse {
 
-/// Which kernel BatchHornerEval uses. kAuto (the default) picks the AVX2
-/// lane kernel whenever the CPU supports AVX2, the environment variable
-/// POLYSSE_DISABLE_AVX2 is unset (or "0"), and the modulus qualifies;
-/// kScalar forces the scalar path. Global knob, relaxed atomic — same
-/// contract as the mul-path knobs in poly/fp_conv.h.
-enum class BatchEvalPath { kAuto, kScalar };
+/// Powers x^0 .. x^{width-1} of a fixed set of points, and the dot-product
+/// kernel that evaluates polynomials against them. Immutable after
+/// construction, so concurrent Eval calls are safe. Memory: size() * width()
+/// words (none when p-1 >= 2^32).
+class PointPowers {
+ public:
+  /// Tables `width` powers of every point. Points may be any uint64; they
+  /// are reduced mod p first, exactly like PrimeField::HornerEval.
+  PointPowers(const PrimeField& field, std::span<const uint64_t> points,
+              size_t width);
 
-/// Sets the batch-evaluation path; returns the previous one.
-BatchEvalPath SetBatchEvalPath(BatchEvalPath path);
-BatchEvalPath GetBatchEvalPath();
+  size_t size() const { return points_.size(); }
+  size_t width() const { return width_; }
 
-/// True when BatchHornerEval would run the AVX2 lane kernel for this field:
-/// path kAuto, SimdEnabled(SimdIsa::kAvx2) (util/cpu_features.h: CPUID
-/// minus the POLYSSE_DISABLE_AVX2 override), odd modulus < 2^31. Exposed so
-/// tests and the bench harness can assert which kernel they measured.
-bool BatchEvalUsesSimd(const PrimeField& field);
+  /// sum_j coeffs[j] * x_i^j over the field, x_i the i-th point.
+  /// Coefficients must be canonical. A vector longer than width() is
+  /// evaluated by Horner.
+  uint64_t Eval(std::span<const uint64_t> coeffs, size_t i) const;
 
-/// out[i] = sum_j coeffs[j] * points[i]^j over the field, for every i.
-/// Coefficients must be canonical; points may be any uint64 (reduced mod p
-/// first, exactly like PrimeField::HornerEval). points and out must have
-/// equal sizes and may alias. Four points per AVX2 sweep; the remainder and
-/// every non-qualifying case run scalar Horner.
-void BatchHornerEval(const PrimeField& field, std::span<const uint64_t> coeffs,
-                     std::span<const uint64_t> points,
-                     std::span<uint64_t> out);
+  /// True when Eval runs the AVX2 kernel for this table (exposed so tests
+  /// and benches can say which kernel they measured).
+  bool UsesSimd() const { return simd_; }
+
+ private:
+  PrimeField field_;
+  std::vector<uint64_t> points_;  ///< reduced mod p
+  size_t width_;
+  /// Products one unreduced 64-bit sum may absorb; 0 when p-1 >= 2^32
+  /// (no table: Eval runs Horner).
+  uint64_t chunk_;
+  uint64_t reciprocal_;  ///< floor((2^64-1) / p), for Barrett reduction
+  bool simd_;
+  std::vector<uint64_t> powers_;  ///< size() x width_, row-major
+};
 
 }  // namespace polysse
 

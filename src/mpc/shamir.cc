@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "field/simd_eval.h"
 #include "poly/fp_poly.h"
 #include "util/check.h"
 
@@ -40,6 +39,24 @@ Result<ShamirScheme> ShamirScheme::Create(const PrimeField& field,
   return ShamirScheme(field, threshold, num_parties);
 }
 
+namespace {
+
+std::vector<uint64_t> PartyPoints(int num_parties) {
+  std::vector<uint64_t> xs(num_parties);
+  for (int i = 0; i < num_parties; ++i) xs[i] = static_cast<uint64_t>(i + 1);
+  return xs;
+}
+
+}  // namespace
+
+ShamirScheme::ShamirScheme(const PrimeField& field, int threshold,
+                           int num_parties)
+    : field_(field),
+      threshold_(threshold),
+      num_parties_(num_parties),
+      parties_(field, PartyPoints(num_parties),
+               static_cast<size_t>(threshold)) {}
+
 std::vector<ShamirShare> ShamirScheme::Share(uint64_t secret,
                                              ChaChaRng& rng) const {
   // g(x) = secret + c_1 x + ... + c_{t-1} x^{t-1}, c_i uniform.
@@ -47,17 +64,10 @@ std::vector<ShamirShare> ShamirScheme::Share(uint64_t secret,
   coeffs[0] = field_.FromUInt64(secret);
   for (int i = 1; i < threshold_; ++i) coeffs[i] = field_.Uniform(rng);
 
-  // Batched multi-point Horner over all party points at once: the SIMD REDC
-  // kernel evaluates four parties per sweep, with scalar Montgomery Horner
-  // covering the remainder and non-qualifying moduli.
-  std::vector<uint64_t> xs(num_parties_);
-  for (int party = 1; party <= num_parties_; ++party)
-    xs[party - 1] = static_cast<uint64_t>(party);
-  std::vector<uint64_t> ys(num_parties_);
-  BatchHornerEval(field_, coeffs, xs, ys);
-
+  // Party x = i+1 gets g(x): one dot product against its row of powers.
   std::vector<ShamirShare> shares(num_parties_);
-  for (int i = 0; i < num_parties_; ++i) shares[i] = {xs[i], ys[i]};
+  for (int i = 0; i < num_parties_; ++i)
+    shares[i] = {static_cast<uint64_t>(i + 1), parties_.Eval(coeffs, i)};
   return shares;
 }
 

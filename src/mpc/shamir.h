@@ -10,6 +10,7 @@
 
 #include "crypto/chacha20.h"
 #include "field/prime_field.h"
+#include "field/simd_eval.h"
 #include "util/status.h"
 
 namespace polysse {
@@ -65,12 +66,14 @@ class ShamirScheme {
   Result<ShamirShare> MulShares(const ShamirShare& a, const ShamirShare& b) const;
 
  private:
-  ShamirScheme(const PrimeField& field, int threshold, int num_parties)
-      : field_(field), threshold_(threshold), num_parties_(num_parties) {}
+  ShamirScheme(const PrimeField& field, int threshold, int num_parties);
 
   PrimeField field_;
   int threshold_;
   int num_parties_;
+  /// x^0 .. x^{threshold-1} at every party point x = 1..n: Share evaluates
+  /// its polynomial as one dot product per party.
+  PointPowers parties_;
 };
 
 /// n-of-n additive sharing over F_p: the degenerate scheme the paper's §4.2

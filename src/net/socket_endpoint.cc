@@ -138,14 +138,17 @@ Result<std::shared_ptr<SocketEndpoint::Wire>> SocketEndpoint::EnsureWire() {
 
 void SocketEndpoint::Poison(const std::shared_ptr<Wire>& wire) {
   wire->poisoned.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(wire->fd_mu);
   if (wire->fd >= 0) ::shutdown(wire->fd, SHUT_RDWR);
 }
 
 void SocketEndpoint::Teardown(const std::shared_ptr<Wire>& wire) {
   if (wire->reader.joinable()) wire->reader.join();
-  // Closing under write_mu (and parking fd at -1 first) keeps a submitter
-  // mid-WriteFull from racing the close into a recycled descriptor.
-  std::lock_guard<std::mutex> lock(wire->write_mu);
+  // Closing under write_mu keeps a submitter mid-WriteFull, and closing
+  // under fd_mu a concurrent Poison, from racing the close into a recycled
+  // descriptor (the redial that follows may get the same number).
+  std::lock_guard<std::mutex> write_lock(wire->write_mu);
+  std::lock_guard<std::mutex> fd_lock(wire->fd_mu);
   CloseFd(wire->fd);
   wire->fd = -1;
 }

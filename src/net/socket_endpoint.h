@@ -103,6 +103,9 @@ class SocketEndpoint final : public ServerEndpoint {
     int fd = -1;
     std::atomic<bool> poisoned{false};
     std::mutex write_mu;  ///< serializes frame writes from submitters
+    /// Guards fd between Poison's shutdown and Teardown's close. Never held
+    /// across a blocking write, so a Poison can always wake a stuck writer.
+    std::mutex fd_mu;
     std::shared_ptr<TagRouter> router;
     std::thread reader;
   };

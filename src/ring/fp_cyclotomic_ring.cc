@@ -1,6 +1,5 @@
 #include "ring/fp_cyclotomic_ring.h"
 
-#include "field/simd_eval.h"
 #include "poly/fp_conv.h"
 #include "util/check.h"
 
@@ -63,12 +62,10 @@ Result<uint64_t> FpCyclotomicRing::EvalAt(const Elem& a, uint64_t e) const {
   return a.Eval(e);
 }
 
-Result<std::vector<uint64_t>> FpCyclotomicRing::EvalAtMany(
-    const Elem& a, std::span<const uint64_t> points) const {
+Result<FpCyclotomicRing::Evaluator> FpCyclotomicRing::MakeEvaluator(
+    std::span<const uint64_t> points) const {
   for (uint64_t e : points) RETURN_IF_ERROR(QueryModulus(e).status());
-  std::vector<uint64_t> out(points.size());
-  BatchHornerEval(field_, a.coeffs(), points, out);
-  return out;
+  return Evaluator(PointPowers(field_, points, DenseCoeffCount()));
 }
 
 Result<uint64_t> FpCyclotomicRing::SolveTag(const Elem& f, const Elem& g) const {

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "field/simd_eval.h"
 #include "poly/fp_poly.h"
 #include "util/status.h"
 
@@ -60,12 +62,28 @@ class FpCyclotomicRing {
   Result<uint64_t> QueryModulus(uint64_t e) const;
   /// Evaluates a residue at e in {1..p-1}. Well-defined by Lemma 1.
   Result<uint64_t> EvalAt(const Elem& a, uint64_t e) const;
-  /// Evaluates one residue at every point of `points` in a single sweep —
-  /// the server-side EvalRequest hot path. Dispatches to the AVX2 REDC lane
-  /// kernel (field/simd_eval.h) when the CPU and modulus allow, scalar
-  /// Horner otherwise; answers are identical either way.
-  Result<std::vector<uint64_t>> EvalAtMany(
-      const Elem& a, std::span<const uint64_t> points) const;
+
+  /// Evaluates residues at a fixed set of points: one row of p-1 point
+  /// powers per point (field/simd_eval.h), so each (residue, point) costs
+  /// one dot product instead of a Horner chain. A row takes the memory of
+  /// one dense residue. Same values as EvalAt.
+  class Evaluator {
+   public:
+    size_t size() const { return powers_.size(); }
+    /// a at the i-th point.
+    uint64_t At(const Elem& a, size_t i) const {
+      return powers_.Eval(a.coeffs(), i);
+    }
+
+   private:
+    friend class FpCyclotomicRing;
+    explicit Evaluator(PointPowers powers) : powers_(std::move(powers)) {}
+
+    PointPowers powers_;
+  };
+  /// The evaluator for `points`; InvalidArgument when any point is 0 mod p,
+  /// exactly as EvalAt refuses it.
+  Result<Evaluator> MakeEvaluator(std::span<const uint64_t> points) const;
 
   /// Uniform ring element: p-1 independent uniform coefficients. This is the
   /// client share distribution that makes 2-out-of-2 sharing perfectly hiding.

@@ -46,6 +46,18 @@ Result<uint64_t> ZQuotientRing::EvalAt(const Elem& a, uint64_t e) const {
   return a.EvalModU64(e, m);
 }
 
+Result<ZQuotientRing::Evaluator> ZQuotientRing::MakeEvaluator(
+    std::span<const uint64_t> points) const {
+  Evaluator ev;
+  ev.points_.assign(points.begin(), points.end());
+  ev.moduli_.reserve(points.size());
+  for (uint64_t e : points) {
+    ASSIGN_OR_RETURN(uint64_t m, QueryModulus(e));
+    ev.moduli_.push_back(m);
+  }
+  return ev;
+}
+
 Result<uint64_t> ZQuotientRing::SolveTag(const Elem& f, const Elem& g) const {
   if (g.IsZero())
     return Status::VerificationFailed(

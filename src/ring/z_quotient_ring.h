@@ -57,20 +57,27 @@ class ZQuotientRing {
   Result<uint64_t> QueryModulus(uint64_t e) const;
   /// f(e) mod r(e).
   Result<uint64_t> EvalAt(const Elem& a, uint64_t e) const;
-  /// EvalAt over every point of `points`. Scalar loop — each point has its
-  /// own modulus r(e), so no shared-modulus SIMD sweep applies here; exists
-  /// for interface parity with FpCyclotomicRing::EvalAtMany so generic
-  /// server code can batch over either ring.
-  Result<std::vector<uint64_t>> EvalAtMany(
-      const Elem& a, std::span<const uint64_t> points) const {
-    std::vector<uint64_t> out;
-    out.reserve(points.size());
-    for (uint64_t e : points) {
-      ASSIGN_OR_RETURN(uint64_t v, EvalAt(a, e));
-      out.push_back(v);
+
+  /// Evaluates elements at a fixed set of points, the shape of
+  /// FpCyclotomicRing::Evaluator. Each point has its own modulus r(e), so
+  /// there is no shared power table: the evaluator holds the moduli,
+  /// computed once per point, and each value is one Horner pass mod r(e).
+  class Evaluator {
+   public:
+    size_t size() const { return points_.size(); }
+    /// a(e_i) mod r(e_i), e_i the i-th point.
+    uint64_t At(const Elem& a, size_t i) const {
+      return a.EvalModU64(points_[i], moduli_[i]);
     }
-    return out;
-  }
+
+   private:
+    friend class ZQuotientRing;
+
+    std::vector<uint64_t> points_;
+    std::vector<uint64_t> moduli_;
+  };
+  /// The evaluator for `points`; fails for any point EvalAt refuses.
+  Result<Evaluator> MakeEvaluator(std::span<const uint64_t> points) const;
 
   /// Ring element with `deg r` uniform coefficients of `coeff_bits` bits.
   /// NOTE (documented limitation reproduced from the paper): additive shares

@@ -1,4 +1,4 @@
-// Runtime selection of the SIMD kernels: the AVX2 batch evaluator
+// Runtime selection of the SIMD kernels: the AVX2 point-power dot product
 // (field/simd_eval.h), the 8-block AVX2 ChaCha20 keystream and the SHA-NI
 // SHA-256 compression (crypto/). Each kernel produces exactly the bytes of
 // its scalar reference, so the choice changes speed, never output. Setting

@@ -31,7 +31,6 @@ namespace {
 
 using testing::DeterministicRng;
 using testing::DeterministicRngTest;
-using testing::ScopedBatchEvalPath;
 using testing::ScopedFpKaratsubaThreshold;
 using testing::ScopedFpMulPath;
 using testing::ScopedFpNttThreshold;
@@ -385,41 +384,34 @@ TEST_F(ArithDifferentialTest, HornerEvalMatchesPlainHorner) {
   }
 }
 
-TEST_F(ArithDifferentialTest, BatchHornerMatchesScalarHorner) {
-  // Every modulus class: SIMD-qualifying (odd < 2^31), too large, and p = 2
-  // (no Montgomery context at all). The batch sweep must agree with per-point
-  // scalar Horner on all of them, at sizes straddling the 4-lane boundary.
-  for (uint64_t p : {2ull, 5ull, 257ull, 1009ull, 65537ull, 998244353ull,
+TEST_F(ArithDifferentialTest, PointPowersMatchScalarHorner) {
+  // Every modulus class: AVX2-qualifying (8 (p-1)^2 < 2^64), chunked scalar
+  // (p-1 < 2^32, down to one product per reduction), no table at all
+  // (Horner), and p = 2 (no Montgomery context). The dot products against
+  // the power table must agree with per-point scalar Horner on adversarial
+  // coefficients and points, at point counts on both sides of the server's
+  // 16-point block and coefficient counts up to past p - 1.
+  for (uint64_t p : {2ull, 3ull, 5ull, 67ull, 257ull, 1009ull, 65537ull,
+                     998244353ull, (1ull << 31) - 1, 1518500213ull,
+                     1518500279ull, 4294967291ull, 4294967311ull,
                      (1ull << 61) - 1}) {
     const PrimeField f = PrimeField::Create(p).value();
     for (int iter = 0; iter < 60; ++iter) {
-      const std::vector<uint64_t> coeffs = AdversarialCoeffs(
-          rng(), f, static_cast<size_t>(rng().UniformInt(0, 80)));
-      const size_t npts = static_cast<size_t>(rng().UniformInt(0, 13));
+      const size_t width = static_cast<size_t>(rng().UniformInt(0, 80));
+      const size_t npts = static_cast<size_t>(rng().UniformInt(0, 40));
       std::vector<uint64_t> points(npts);
       for (auto& x : points) x = AdversarialU64(rng(), p);
-      std::vector<uint64_t> batch(npts);
-      BatchHornerEval(f, coeffs, points, batch);
-      for (size_t i = 0; i < npts; ++i) {
-        EXPECT_EQ(batch[i], f.HornerEval(coeffs, points[i]))
-            << "p=" << p << " i=" << i << " x=" << points[i];
+      const PointPowers powers(f, points, width);
+      for (int v = 0; v < 3; ++v) {
+        const std::vector<uint64_t> coeffs = AdversarialCoeffs(
+            rng(), f, static_cast<size_t>(rng().UniformInt(0, width)));
+        for (size_t i = 0; i < npts; ++i) {
+          EXPECT_EQ(powers.Eval(coeffs, i), f.HornerEval(coeffs, points[i]))
+              << "p=" << p << " n=" << coeffs.size() << " x=" << points[i];
+        }
       }
     }
   }
-}
-
-TEST_F(ArithDifferentialTest, BatchHornerScalarPathForcedByKnob) {
-  // With the knob at kScalar the SIMD kernel must not run; results are
-  // identical to kAuto by the test above, and BatchEvalUsesSimd reports it.
-  const PrimeField f = PrimeField::Create(998244353).value();
-  const ScopedBatchEvalPath guard(BatchEvalPath::kScalar);
-  EXPECT_FALSE(BatchEvalUsesSimd(f));
-  const std::vector<uint64_t> coeffs = AdversarialCoeffs(rng(), f, 50);
-  const std::vector<uint64_t> points = {1, 2, 3, 4, 5, 6, 7};
-  std::vector<uint64_t> out(points.size());
-  BatchHornerEval(f, coeffs, points, out);
-  for (size_t i = 0; i < points.size(); ++i)
-    EXPECT_EQ(out[i], f.HornerEval(coeffs, points[i])) << i;
 }
 
 // ---------------------------------------------- pinned edge regressions --

@@ -1,5 +1,7 @@
 // E2e battery for the tagged-frame pipelined runtime: tag round-trip
-// parity with the plan-then-fetch schedule, out-of-order completion, kind
+// parity with the plan-then-fetch schedule, one round reaching every
+// server of a multi-server group before the client waits, out-of-order
+// completion, kind
 // interleaving on one connection, refusal of connections that skip the
 // hello, flood guards on both sides of the wire, and the
 // Stop()-during-in-flight-writes drain contract. The whole file is also a
@@ -15,12 +17,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baseline/plaintext_search.h"
 #include "core/engine.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
@@ -32,6 +37,7 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::Sorted;
 using testing::SortedMatchPaths;
 using testing::TestSession;
 
@@ -167,6 +173,131 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
   }
   EXPECT_EQ((*server)->connections_accepted(), 2u);
   EXPECT_EQ((*server)->pipelined_connections(), 2u);
+}
+
+/// A per-round meeting of the servers a session asks: each one's Eval is
+/// held until every chosen server has received that round's request. The
+/// wait is bounded like ShardTest's ShardMeeting: one that runs out marks
+/// the meeting missed and lets every later arrival through at once.
+struct RoundMeeting {
+  explicit RoundMeeting(size_t parties) : parties(parties) {}
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (missed) return;
+    const size_t round = met;
+    if (++arrived == parties) {
+      arrived = 0;
+      ++met;
+      cv.notify_all();
+      return;
+    }
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return met != round || missed; })) {
+      missed = true;
+      cv.notify_all();
+    }
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  const size_t parties;
+  size_t arrived = 0;
+  size_t met = 0;       ///< rounds every chosen server received together
+  bool missed = false;  ///< a wait ran out: a round reached one at a time
+};
+
+/// A server whose Evals wait at the meeting.
+class MeetingHandler : public ServerHandler {
+ public:
+  MeetingHandler(ServerHandler* inner, RoundMeeting* meeting)
+      : inner_(inner), meeting_(meeting) {}
+
+  Result<EvalResponse> HandleEval(const EvalRequest& req) override {
+    meeting_->Arrive();
+    return inner_->HandleEval(req);
+  }
+  Result<FetchResponse> HandleFetch(const FetchRequest& req) override {
+    return inner_->HandleFetch(req);
+  }
+
+ private:
+  ServerHandler* inner_;
+  RoundMeeting* meeting_;
+};
+
+TEST(PipelinedSocketTest, RoundReachesEveryServerBeforeTheClientWaits) {
+  // A Shamir 2-of-3 group and an additive 2-server group over TCP, with no
+  // executor. Each BFS round's Eval is held at every chosen server until
+  // all of them have it, so a client that waits for one server before
+  // asking the next misses the meeting; one that puts the whole round on
+  // the wire first meets every round.
+  XmlNode doc = MakeDoc(403);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-meeting");
+  const std::vector<std::string> tags = doc.DistinctTags();
+  struct Group {
+    ShareScheme scheme;
+    size_t servers;
+    int threshold;
+    size_t chosen;  ///< servers each round goes to
+  };
+  for (const Group& g : {Group{ShareScheme::kShamir, 3, 2, 2},
+                         Group{ShareScheme::kAdditive, 2, 0, 2}}) {
+    SCOPED_TRACE(g.scheme == ShareScheme::kShamir ? "shamir" : "additive");
+    FpEngine::Deploy deploy;
+    deploy.scheme = g.scheme;
+    deploy.num_servers = static_cast<int>(g.servers);
+    deploy.threshold = g.threshold;
+    auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+
+    RoundMeeting meeting(g.chosen);
+    std::vector<std::unique_ptr<MeetingHandler>> handlers;
+    std::vector<std::unique_ptr<SocketServer>> servers;
+    std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
+    std::vector<ServerEndpoint*> eps;
+    for (size_t s = 0; s < g.servers; ++s) {
+      handlers.push_back(
+          std::make_unique<MeetingHandler>(engine->handler(s), &meeting));
+      auto srv = SocketServer::Listen(handlers.back().get(), 0);
+      ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+      auto ep = SocketEndpoint::Connect("127.0.0.1", (*srv)->port());
+      ASSERT_TRUE(ep.ok()) << ep.status().ToString();
+      servers.push_back(std::move(*srv));
+      endpoints.push_back(std::move(*ep));
+      eps.push_back(endpoints.back().get());
+    }
+    const EndpointGroup group = g.scheme == ShareScheme::kShamir
+                                    ? EndpointGroup::Shamir(eps, g.threshold)
+                                    : EndpointGroup::Additive(eps);
+    ASSERT_EQ(group.executor, nullptr);
+    ClientContext<FpCyclotomicRing> client = engine->client();
+    QuerySession<FpCyclotomicRing> session(&client, group);
+
+    size_t rounds = 0;
+    for (VerifyMode mode :
+         {VerifyMode::kVerified, VerifyMode::kTrustedConstOnly}) {
+      auto got = session.LookupMany(tags, mode);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      rounds += got->stats.rounds;
+      for (size_t i = 0; i < tags.size(); ++i)
+        EXPECT_EQ(SortedMatchPaths(got->per_tag[i].matches),
+                  Sorted(PlaintextLookup(doc, tags[i]).match_paths))
+            << "//" << tags[i];
+    }
+    for (const std::string& tag : tags) {
+      auto got = session.Lookup(tag, VerifyMode::kVerified);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      rounds += got->stats.rounds;
+      EXPECT_EQ(SortedMatchPaths(got->matches),
+                Sorted(PlaintextLookup(doc, tag).match_paths))
+          << "//" << tag;
+    }
+    std::lock_guard<std::mutex> lock(meeting.mu);
+    EXPECT_FALSE(meeting.missed)
+        << "a round's Eval reached one server while the client waited on "
+           "another";
+    EXPECT_EQ(meeting.met, rounds);
+  }
 }
 
 TEST(PipelinedSocketTest, OutOfOrderCompletionSlowFrameFirstFinishesLast) {

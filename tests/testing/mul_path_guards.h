@@ -7,7 +7,6 @@
 
 #include <cstddef>
 
-#include "field/simd_eval.h"
 #include "poly/fp_conv.h"
 #include "poly/z_poly.h"
 
@@ -58,18 +57,6 @@ class ScopedFpNttThreshold {
 
  private:
   size_t prev_;
-};
-
-class ScopedBatchEvalPath {
- public:
-  explicit ScopedBatchEvalPath(BatchEvalPath path)
-      : prev_(SetBatchEvalPath(path)) {}
-  ~ScopedBatchEvalPath() { SetBatchEvalPath(prev_); }
-  ScopedBatchEvalPath(const ScopedBatchEvalPath&) = delete;
-  ScopedBatchEvalPath& operator=(const ScopedBatchEvalPath&) = delete;
-
- private:
-  BatchEvalPath prev_;
 };
 
 class ScopedZKaratsubaThreshold {

@@ -11,6 +11,10 @@
 // SearchMany above its starting heap is one walk's peak (plus the already
 // gathered answers of the shards before it, which only makes the bound
 // stricter).
+//
+// The same counters bound the server side of one hostile EvalRequest: its
+// point count is the client's choice, so the server's table of point
+// powers must stay a bounded block however many points a request carries.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "core/collection.h"
+#include "core/server_store.h"
 #include "xml/xml_generator.h"
 
 namespace {
@@ -146,6 +151,48 @@ TEST(WalkMemoryTest, OneShardWalkPeaksUnderOneMiB) {
                   (1 << 20),
               static_cast<double>(max) / (1 << 20), peaks.size());
   EXPECT_LE(max, kWalkBudgetBytes);
+}
+
+TEST(WalkMemoryTest, HostilePointCountStaysBounded) {
+  // One node at 65,536 distinct points, none 0 mod 67, to a p = 67 server.
+  // A table of every point's 66 powers would take 34 MiB; a block of them
+  // at a time takes a few KiB above the response's own 512 KiB of values.
+  const FpCyclotomicRing ring = FpCyclotomicRing::Create(67).value();
+  ChaChaRng rng = DeterministicPrf::FromString("walk-memory/hostile")
+                      .Stream("share");
+  PolyTree<FpCyclotomicRing> tree;
+  tree.nodes.push_back(PolyTree<FpCyclotomicRing>::Node{
+      ring.Random([&] { return rng.NextU64(); }), 0, -1, {}, "", 1});
+  ServerStore<FpCyclotomicRing> store(ring, std::move(tree));
+  EvalRequest req;
+  req.node_ids = {0};
+  for (uint64_t x = 1; req.points.size() < 65536; ++x)
+    if (x % 67 != 0) req.points.push_back(x);
+
+  const int64_t before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  auto resp = store.HandleEval(req);
+  const int64_t peak = g_peak_bytes.load() - before;
+  const int64_t response = g_live_bytes.load() - before;
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  std::printf("hostile request: response %.1f KiB, peak above it %.1f KiB\n",
+              static_cast<double>(response) / 1024,
+              static_cast<double>(peak - response) / 1024);
+  EXPECT_LE(peak - response, int64_t{256} << 10);
+
+  ASSERT_EQ(resp->entries.size(), 1u);
+  ASSERT_EQ(resp->entries[0].values.size(), req.points.size());
+  const FpPoly& poly = store.tree().nodes[0].poly;
+  for (size_t k = 0; k < req.points.size(); ++k)
+    ASSERT_EQ(resp->entries[0].values[k],
+              ring.EvalAt(poly, req.points[k]).value())
+        << "x=" << req.points[k];
+
+  // A request containing point 0 or p is still refused.
+  for (uint64_t bad : {uint64_t{0}, uint64_t{67}}) {
+    req.points.back() = bad;
+    EXPECT_FALSE(store.HandleEval(req).ok()) << bad;
+  }
 }
 
 }  // namespace
