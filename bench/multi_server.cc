@@ -4,11 +4,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "core/engine.h"
 #include "core/multi_server.h"
 #include "core/outsource.h"
 #include "core/sharing.h"
 #include "mpc/shamir.h"
+#include "testing/deploy_helpers.h"
 #include "xml/xml_generator.h"
 
 namespace {
@@ -110,16 +110,16 @@ int main() {
   for (int k : {2, 4, 8}) {
     const uint32_t latency_us = 3000;
     auto timed_lookup = [&](int workers) {
-      FpEngine::Deploy deploy;
+      DeployShape deploy;
       deploy.scheme = ShareScheme::kAdditive;
       deploy.num_servers = k;
       deploy.worker_threads = workers;
-      auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+      auto col = testing::OneDocFpCollection(doc, seed, deploy).value();
       FaultConfig lag;
       lag.latency_us = latency_us;
-      for (int s = 0; s < k; ++s) engine->InjectFaults(s, lag);
+      for (int s = 0; s < k; ++s) col->InjectFaults(s, lag);
       auto t0 = std::chrono::steady_clock::now();
-      auto r = engine->Lookup(fanout_tag, VerifyMode::kVerified);
+      auto r = col->SearchDoc(0, fanout_tag, VerifyMode::kVerified);
       if (!r.ok()) {
         std::printf("lookup failed: %s\n", r.status().ToString().c_str());
         return -1.0;

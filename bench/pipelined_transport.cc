@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
@@ -43,6 +42,7 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::OneDocFpCollection;
 using testing::SortedMatchPaths;
 using testing::TestSession;
 
@@ -115,11 +115,11 @@ int Run(const std::string& json_path) {
 
   // The same document split Shamir 2-of-3, each server behind its own
   // delay and TCP port.
-  FpEngine::Deploy shamir_deploy;
+  DeployShape shamir_deploy;
   shamir_deploy.scheme = ShareScheme::kShamir;
   shamir_deploy.num_servers = 3;
   shamir_deploy.threshold = 2;
-  auto shamir = FpEngine::Outsource(doc, seed, shamir_deploy).value();
+  auto shamir = OneDocFpCollection(doc, seed, shamir_deploy).value();
   std::vector<std::unique_ptr<DelayedHandler>> shamir_delayed;
   std::vector<std::unique_ptr<SocketServer>> shamir_servers;
   for (size_t s = 0; s < 3; ++s) {

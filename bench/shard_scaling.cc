@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "core/collection.h"
 #include "core/persistence.h"
-#include "shard/sharded_collection.h"
 #include "util/thread_pool.h"
 #include "xml/xml_generator.h"
 
@@ -44,12 +44,12 @@ XmlNode MakeDoc(uint64_t seed) {
   return GenerateXmlTree(gen);
 }
 
-std::unique_ptr<FpShardedCollection> Build(int shards, int workers) {
+std::unique_ptr<FpCollection> Build(int shards, int workers) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-scaling");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = shards;
   deploy.worker_threads = workers;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   for (size_t d = 0; d < kDocs; ++d) {
     Status s = col->Add(static_cast<DocId>(d), MakeDoc(2000 + d));
     if (!s.ok()) {
@@ -60,14 +60,14 @@ std::unique_ptr<FpShardedCollection> Build(int shards, int workers) {
   return col;
 }
 
-void AddLatency(FpShardedCollection* col) {
+void AddLatency(FpCollection* col) {
   FaultConfig lag;
   lag.latency_us = kLatencyUs;
   for (const ShardRange& s : col->shard_map().shards())
     col->InjectFaults(s.shard_id, 0, lag);
 }
 
-double MedianWallUs(FpShardedCollection* col) {
+double MedianWallUs(FpCollection* col) {
   // One warm-up, then median of three timed verified searches.
   (void)col->Search(kQueryTag).value();
   std::vector<double> walls;
@@ -86,7 +86,7 @@ double MedianWallUs(FpShardedCollection* col) {
 /// from the key file the collection writes, over one loopback endpoint per
 /// server handler, each behind the same per-message latency, with the
 /// scatter and fan-out on an external pool.
-double ConnectedWallUs(FpShardedCollection* owner) {
+double ConnectedWallUs(FpCollection* owner) {
   const std::string key_path =
       (std::filesystem::temp_directory_path() / "polysse_shard_scaling.key")
           .string();
@@ -115,7 +115,7 @@ double ConnectedWallUs(FpShardedCollection* owner) {
     eps.push_back(lagged.back().get());
   }
   ThreadPool pool(8);
-  auto connected = FpShardedCollection::Connect(key, eps, &pool).value();
+  auto connected = FpCollection::Connect(key, eps, &pool).value();
   return MedianWallUs(connected.get());
 }
 

@@ -1,14 +1,14 @@
 // Outsourced medical records: a realistic scenario for the paper's scheme.
-// A hospital outsources patient records to an untrusted cloud store through
-// the Engine facade, runs XPath queries over the encrypted tree, compares
-// both §4.3 evaluation strategies, and demonstrates that a server tampering
-// with its responses is caught.
+// A hospital outsources patient records to an untrusted cloud store as a
+// one-document collection, runs XPath queries over the encrypted tree,
+// compares both §4.3 evaluation strategies, and demonstrates that a server
+// tampering with its responses is caught.
 //
 //   $ ./medical_records [num_patients]
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/engine.h"
+#include "core/collection.h"
 #include "xml/xml_generator.h"
 
 int main(int argc, char** argv) {
@@ -20,9 +20,16 @@ int main(int argc, char** argv) {
               doc.SubtreeSize(), doc.DistinctTagCount(), doc.Height());
 
   DeterministicPrf seed = DeterministicPrf::FromString("hospital-master-key");
-  auto engine = FpEngine::Outsource(doc, seed);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+  const DeployShape deploy;
+  auto col = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc.DistinctTags().size(), deploy)});
+  if (!col.ok()) {
+    std::fprintf(stderr, "%s\n", col.status().ToString().c_str());
+    return 1;
+  }
+  if (Status s = (*col)->Add(0, doc); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
 
@@ -37,7 +44,7 @@ int main(int argc, char** argv) {
   for (const char* q : queries) {
     for (XPathStrategy strategy :
          {XPathStrategy::kLeftToRight, XPathStrategy::kAllAtOnce}) {
-      auto r = (*engine)->RunXPath(q, strategy, VerifyMode::kVerified);
+      auto r = (*col)->SearchXPath(q, strategy, VerifyMode::kVerified);
       if (!r.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      r.status().ToString().c_str());
@@ -45,14 +52,15 @@ int main(int argc, char** argv) {
       }
       std::printf("%-34s %-5s %8zu %10zu %10zu %10zu\n", q,
                   strategy == XPathStrategy::kLeftToRight ? "(l2r)" : "(aao)",
-                  r->matches.size(), r->stats.nodes_visited,
+                  r->per_doc[0].matches.size(), r->stats.nodes_visited,
                   r->stats.server_evals, r->stats.transport.bytes_down);
     }
   }
 
   // Bandwidth trade-off of the trusted-server mode (§4.3 closing remark).
-  auto verified = (*engine)->Lookup("drug", VerifyMode::kVerified);
-  auto trusted = (*engine)->Lookup("drug", VerifyMode::kTrustedConstOnly);
+  auto verified = (*col)->SearchDoc(0, "drug", VerifyMode::kVerified);
+  auto trusted =
+      (*col)->SearchDoc(0, "drug", VerifyMode::kTrustedConstOnly);
   if (verified.ok() && trusted.ok()) {
     std::printf("\n//drug with full verification: %zu B down; trusted "
                 "const-only: %zu B down (%.1fx less, but no Eq. 3 checks)\n",
@@ -65,9 +73,9 @@ int main(int argc, char** argv) {
 
   // A malicious server rewrites a fetched share in flight without changing
   // the evaluations the pruning sees: verified mode refuses the answer.
-  auto e = (*engine)->client().tag_map().Value("patient");
+  auto e = (*col)->client().tag_map().Value("patient");
   if (e.ok()) {
-    const FpCyclotomicRing& ring = (*engine)->ring();
+    const FpCyclotomicRing& ring = (*col)->ring();
     auto taint = ring.XMinus(*e);
     if (taint.ok()) {
       FaultConfig cheat;
@@ -82,8 +90,8 @@ int main(int argc, char** argv) {
           entry.payload = w.Take();
         }
       };
-      (*engine)->InjectFaults(0, cheat);
-      auto cheated = (*engine)->Lookup("patient", VerifyMode::kVerified);
+      (*col)->InjectFaults(0, cheat);
+      auto cheated = (*col)->SearchDoc(0, "patient", VerifyMode::kVerified);
       std::printf("\nafter server tampering, verified lookup says: %s\n",
                   cheated.ok() ? "(undetected?!)"
                                : cheated.status().ToString().c_str());

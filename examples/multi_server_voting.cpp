@@ -1,13 +1,14 @@
 // Secure multi-party computation demos from paper §3 and §4.2:
 //   1. anonymous sum vote and veto vote with no trusted third party;
-//   2. k-of-n multi-server outsourcing through the Engine facade, where any
-//      t servers answer a query over the real wire protocol and t-1 servers
-//      learn nothing — including transparent failover when servers die.
+//   2. k-of-n multi-server outsourcing of a one-document collection, where
+//      any t servers answer a query over the real wire protocol and t-1
+//      servers learn nothing — including transparent failover when servers
+//      die.
 //
 //   $ ./multi_server_voting
 #include <cstdio>
 
-#include "core/engine.h"
+#include "core/collection.h"
 #include "mpc/voting.h"
 #include "xml/xml_generator.h"
 
@@ -43,29 +44,37 @@ int main() {
   DeterministicPrf seed = DeterministicPrf::FromString("multi-server");
 
   const int t = 3, n = 5;
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kShamir;
   deploy.num_servers = n;
   deploy.threshold = t;
-  auto engine = FpEngine::Outsource(doc, seed, deploy);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+  auto col = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc.DistinctTags().size(), deploy)});
+  if (!col.ok()) {
+    std::fprintf(stderr, "%s\n", col.status().ToString().c_str());
+    return 1;
+  }
+  if (Status s = (*col)->Add(0, doc); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   std::printf("\nShamir multi-server: document of %zu nodes split across %d "
-              "servers, threshold %d\n", (*engine)->store().size(), n, t);
+              "servers, threshold %d\n", (*col)->total_nodes(), n, t);
 
-  auto expected = (*engine)->Lookup("prescription").value().matches.size();
+  auto expected =
+      (*col)->SearchDoc(0, "prescription").value().matches.size();
   std::printf("//prescription with all %d servers up -> %zu matches\n", n,
               expected);
 
-  // Kill n-t servers: any t still answer, with mid-query failover.
+  // Kill n-t servers: any t still answer, with mid-query failover (each
+  // query finds the dead servers afresh).
   for (int s = 0; s < n - t; ++s) {
     FaultConfig down;
     down.fail_after_calls = 0;
-    (*engine)->InjectFaults(static_cast<size_t>(s), down);
+    (*col)->InjectFaults(static_cast<size_t>(s), down);
   }
-  auto degraded = (*engine)->Lookup("prescription");
+  auto degraded = (*col)->SearchDoc(0, "prescription");
   if (degraded.ok()) {
     std::printf("with only %d servers reachable -> %zu matches "
                 "(%zu transparent failovers)%s\n",
@@ -80,8 +89,8 @@ int main() {
   // independent of the data.
   FaultConfig down;
   down.fail_after_calls = 0;
-  (*engine)->InjectFaults(static_cast<size_t>(n - t), down);
-  auto starved = (*engine)->Lookup("prescription");
+  (*col)->InjectFaults(static_cast<size_t>(n - t), down);
+  auto starved = (*col)->SearchDoc(0, "prescription");
   std::printf("with %d servers reachable -> %s\n", t - 1,
               starved.ok() ? "(answered?!)"
                            : starved.status().ToString().c_str());

@@ -1,13 +1,14 @@
 // A small end-to-end command line tool around the library — the workflow a
-// real deployment would script. Built on the polysse::Collection facade
-// (polysse::Engine for the single-document commands):
+// real deployment would script. Built on the polysse::Collection facade;
+// the single-document commands use a one-document collection:
 //
 //   polysse_cli outsource <doc.xml> <store.bin> <client.key> [passphrase]
 //       parse one document, split it, write the server store and the
 //       client's secret key file (seed + private tag map)
 //
 //   polysse_cli query <store.bin> <client.key> <xpath> [--trusted|--optimistic]
-//       run an XPath query against the store with the client key
+//       run an XPath query against the store with the client key; matches
+//       print per document, like search
 //
 //   polysse_cli add <store.bin> <client.key> <doc-id> <doc.xml> [passphrase]
 //       add one document to a collection (files are created on first add);
@@ -26,8 +27,8 @@
 //       any t answering and fewer than t failing cleanly
 //
 //   polysse_cli serve <store.bin> [port]
-//       host a share store (single tree or multi-document registry) over
-//       TCP (port 0 = pick one); blocks until killed — run one per server
+//       host one server's collection store file over TCP (port 0 = pick
+//       one); blocks until killed — run one per server
 //
 //   polysse_cli connect <client.key> <query> <host:port> [host:port ...]
 //       query a deployment whose servers run elsewhere: the key file
@@ -52,11 +53,9 @@
 #include <vector>
 
 #include "core/collection.h"
-#include "core/engine.h"
 #include "core/persistence.h"
 #include "core/store_registry.h"
 #include "net/socket_endpoint.h"
-#include "shard/sharded_collection.h"
 #include "xml/xml_parser.h"
 
 using namespace polysse;
@@ -108,17 +107,21 @@ int CmdOutsource(const std::string& xml_path, const std::string& store_path,
   DeterministicPrf seed = passphrase.empty()
                               ? DeterministicPrf(RandomSeed())
                               : DeterministicPrf::FromString(passphrase);
-  auto engine = FpEngine::Outsource(*doc, seed);
-  if (!engine.ok()) return Fail(engine.status());
-  if (Status s = (*engine)->Save(store_path, key_path); !s.ok())
-    return Fail(s);
+  // One document, added as id 0 into a field sized for its alphabet.
+  const DeployShape deploy;
+  auto col = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc->DistinctTags().size(), deploy)});
+  if (!col.ok()) return Fail(col.status());
+  if (Status s = (*col)->Add(0, *doc); !s.ok()) return Fail(s);
+  if (Status s = (*col)->Save(store_path, key_path); !s.ok()) return Fail(s);
   auto store_bytes = ReadFileBytes(store_path);
   auto key_bytes = ReadFileBytes(key_path);
   if (!store_bytes.ok()) return Fail(store_bytes.status());
   if (!key_bytes.ok()) return Fail(key_bytes.status());
 
-  std::printf("outsourced %zu elements (p = %llu)\n", (*engine)->store().size(),
-              static_cast<unsigned long long>((*engine)->ring().p()));
+  std::printf("outsourced %zu elements (p = %llu)\n", (*col)->total_nodes(),
+              static_cast<unsigned long long>((*col)->ring().p()));
   std::printf("  server store : %s (%zu bytes — safe to host untrusted)\n",
               store_path.c_str(), store_bytes->size());
   std::printf("  client key   : %s (%zu bytes — keep secret)\n",
@@ -128,17 +131,12 @@ int CmdOutsource(const std::string& xml_path, const std::string& store_path,
 
 int CmdQuery(const std::string& store_path, const std::string& key_path,
              const std::string& xpath, VerifyMode mode) {
-  auto engine = FpEngine::Open(store_path, key_path);
-  if (!engine.ok()) return Fail(engine.status());
+  auto col = FpCollection::Open(store_path, key_path);
+  if (!col.ok()) return Fail(col.status());
 
-  auto result = (*engine)->RunXPath(xpath, XPathStrategy::kAllAtOnce, mode);
+  auto result = (*col)->SearchXPath(xpath, XPathStrategy::kAllAtOnce, mode);
   if (!result.ok()) return Fail(result.status());
-
-  std::printf("%zu match(es) for %s:\n", result->matches.size(),
-              xpath.c_str());
-  for (const auto& m : result->matches)
-    std::printf("  node %d @ \"%s\"\n", m.node_id, m.path.c_str());
-  PrintQueryStats(result->stats);
+  PrintCollectionResult(*result, xpath, (*col)->num_docs());
   return 0;
 }
 
@@ -208,40 +206,44 @@ int CmdShamir(const std::string& xml_path, const std::string& xpath,
   if (!doc.ok()) return Fail(doc.status());
 
   DeterministicPrf seed = DeterministicPrf(RandomSeed());
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kShamir;
   deploy.num_servers = num_servers;
   deploy.threshold = threshold;
-  auto engine = FpEngine::Outsource(*doc, seed, deploy);
-  if (!engine.ok()) return Fail(engine.status());
+  auto col = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc->DistinctTags().size(), deploy)});
+  if (!col.ok()) return Fail(col.status());
+  if (Status s = (*col)->Add(0, *doc); !s.ok()) return Fail(s);
   std::printf("outsourced %zu elements across %d servers, threshold %d "
               "(any %d answer; %d learn nothing)\n",
-              (*engine)->store().size(), num_servers, threshold, threshold,
+              (*col)->total_nodes(), num_servers, threshold, threshold,
               threshold - 1);
 
   auto run = [&](const char* label) {
-    auto r = (*engine)->RunXPath(xpath);
+    auto r = (*col)->SearchXPath(xpath);
     if (!r.ok()) {
       std::printf("  %-28s -> %s\n", label, r.status().ToString().c_str());
       return;
     }
     std::printf("  %-28s -> %zu match(es), %zu failovers\n", label,
-                r->matches.size(), r->stats.server_failovers);
+                r->per_doc[0].matches.size(), r->stats.server_failovers);
   };
 
   run("all servers up");
   // Kill servers until exactly `threshold` remain: queries keep working,
-  // failing servers are replaced transparently mid-query.
+  // failing servers are replaced transparently mid-query (every query
+  // finds them afresh).
   for (int i = 0; i < num_servers - threshold; ++i) {
     FaultConfig down;
     down.fail_after_calls = 0;
-    (*engine)->InjectFaults(static_cast<size_t>(i), down);
+    (*col)->InjectFaults(static_cast<size_t>(i), down);
   }
   run("down to t servers");
   // One more failure leaves t-1: the query must fail cleanly, not lie.
   FaultConfig down;
   down.fail_after_calls = 0;
-  (*engine)->InjectFaults(static_cast<size_t>(num_servers - threshold), down);
+  (*col)->InjectFaults(static_cast<size_t>(num_servers - threshold), down);
   run("below the threshold");
   return 0;
 }
@@ -436,7 +438,7 @@ int SelfDemo() {
                   reinterpret_cast<const uint8_t*>(xml), std::strlen(xml)));
   };
 
-  // Single-document workflow (engine).
+  // Single-document workflow (a one-document collection).
   const char* kDoc =
       "<library><shelf><book/><book/></shelf><shelf><book/></shelf>"
       "</library>";
@@ -496,9 +498,9 @@ int SelfDemo() {
   // online split, and the shard layout as `inspect` reports it.
   std::printf("\nsharded demo: two groups, scatter-gather search ...\n");
   {
-    ShardDeploy deploy;
+    DeployShape deploy;
     deploy.num_shards = 2;
-    auto sharded = FpShardedCollection::Create(
+    auto sharded = FpCollection::Create(
         DeterministicPrf::FromString("demo-passphrase"), deploy);
     if (!sharded.ok()) return Fail(sharded.status());
     auto doc1 = ParseXmlFile("/tmp/polysse_demo.xml");

@@ -3,12 +3,12 @@
 //
 //   $ ./quickstart
 //
-// Walks through the full §4 pipeline behind the polysse::Engine facade:
-// parse -> Outsource (tag map, poly tree, share split, endpoints) ->
+// Walks through the full §4 pipeline behind the polysse::Collection facade:
+// parse -> Create + Add (tag map, poly tree, share split, endpoints) ->
 // query //client -> verify answers -> one batched multi-query round.
 #include <cstdio>
 
-#include "core/engine.h"
+#include "core/collection.h"
 #include "xml/xml_parser.h"
 
 int main() {
@@ -29,24 +29,33 @@ int main() {
   // 2. Outsource. The client secret is a single 32-byte seed; everything
   //    else (tag map, share polynomials) derives from it. The server side
   //    sits behind a ServerEndpoint, so every message is a real protocol
-  //    exchange with byte accounting.
+  //    exchange with byte accounting. A collection holds any number of
+  //    documents; this one holds one, as document 0, in a field sized for
+  //    its alphabet.
   DeterministicPrf seed = DeterministicPrf::FromString("quickstart-demo-seed");
-  auto engine = FpEngine::Outsource(*doc, seed);
-  if (!engine.ok()) {
+  const DeployShape deploy;  // two-party: the client plus one server
+  auto col = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc->DistinctTags().size(), deploy)});
+  if (!col.ok()) {
     std::fprintf(stderr, "outsource error: %s\n",
-                 engine.status().ToString().c_str());
+                 col.status().ToString().c_str());
     return 1;
   }
-  std::printf("outsourced %zu elements, field p = %llu\n",
-              (*engine)->store().size(),
-              static_cast<unsigned long long>((*engine)->ring().p()));
+  if (Status s = (*col)->Add(0, *doc); !s.ok()) {
+    std::fprintf(stderr, "outsource error: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  const ServerStore<FpCyclotomicRing>& store = *(*col)->doc_store(0, 0).value();
+  std::printf("outsourced %zu elements, field p = %llu\n", store.size(),
+              static_cast<unsigned long long>((*col)->ring().p()));
   std::printf("server stores %zu bytes of share polynomials\n",
-              (*engine)->store().PersistedBytes());
+              store.PersistedBytes());
   std::printf("client keeps %zu bytes (seed + private tag map)\n\n",
-              (*engine)->client().PersistedBytes());
+              (*col)->client().PersistedBytes());
 
   // 3. Query //client with untrusted-server verification (Eq. 3 checks).
-  auto result = (*engine)->Lookup("client", VerifyMode::kVerified);
+  auto result = (*col)->SearchDoc(0, "client", VerifyMode::kVerified);
   if (!result.ok()) {
     std::fprintf(stderr, "query error: %s\n",
                  result.status().ToString().c_str());
@@ -69,17 +78,17 @@ int main() {
   std::vector<Query> batch = {{"client", VerifyMode::kVerified},
                               {"name", VerifyMode::kVerified},
                               {"customers", VerifyMode::kOptimistic}};
-  auto multi = (*engine)->RunQueries(batch);
+  auto multi = (*col)->SearchMany(batch);
   if (!multi.ok()) {
     std::fprintf(stderr, "batch error: %s\n",
                  multi.status().ToString().c_str());
     return 1;
   }
   std::printf("batched %zu queries in %zu shared protocol rounds:\n",
-              batch.size(), multi->stats.rounds);
+              batch.size(), (*multi)[0].stats.rounds);
   for (size_t i = 0; i < batch.size(); ++i) {
     std::printf("  //%s -> %zu match(es)\n", batch[i].tag.c_str(),
-                multi->per_tag[i].matches.size());
+                (*multi)[i].per_doc[0].matches.size());
   }
   return 0;
 }

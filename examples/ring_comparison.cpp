@@ -5,7 +5,7 @@
 //   $ ./ring_comparison
 #include <cstdio>
 
-#include "core/engine.h"
+#include "core/collection.h"
 #include "core/storage_model.h"
 #include "xml/xml_generator.h"
 
@@ -20,17 +20,23 @@ int main() {
   XmlNode doc = GenerateXmlTree(gen);
   DeterministicPrf seed = DeterministicPrf::FromString("ring-comparison");
 
-  auto fp_dep = FpEngine::Outsource(doc, seed);
-  auto z_dep = ZEngine::Outsource(doc, seed);
-  if (!fp_dep.ok() || !z_dep.ok()) {
+  // The same document as the only member of one collection per ring; the
+  // F_p field is sized for its alphabet, the Z ring needs no sizing.
+  const DeployShape deploy;
+  auto fp_dep = FpCollection::Create(
+      seed, deploy,
+      {.p = FpCollection::AutoPrime(doc.DistinctTags().size(), deploy)});
+  auto z_dep = ZCollection::Create(seed, deploy);
+  if (!fp_dep.ok() || !z_dep.ok() || !(*fp_dep)->Add(0, doc).ok() ||
+      !(*z_dep)->Add(0, doc).ok()) {
     std::fprintf(stderr, "outsource failed\n");
     return 1;
   }
 
-  StorageReport fp_report =
-      MeasureStorage((*fp_dep)->ring(), doc, (*fp_dep)->store());
+  StorageReport fp_report = MeasureStorage((*fp_dep)->ring(), doc,
+                                           *(*fp_dep)->doc_store(0, 0).value());
   StorageReport z_report = MeasureStorage((*z_dep)->ring(), doc,
-                                          (*z_dep)->store(),
+                                          *(*z_dep)->doc_store(0, 0).value(),
                                           (*fp_dep)->ring().p());
   std::printf("%s\n%s\n%s\n\n", StorageReportHeader().c_str(),
               StorageReportRow(fp_report, "Fp ring").c_str(),
@@ -39,8 +45,8 @@ int main() {
   std::printf("%-10s | %10s %12s | %10s %12s\n", "query", "Fp:visited",
               "Fp:bytes_dn", "Z:visited", "Z:bytes_dn");
   for (const std::string& tag : doc.DistinctTags()) {
-    auto fr = (*fp_dep)->Lookup(tag, VerifyMode::kVerified);
-    auto zr = (*z_dep)->Lookup(tag, VerifyMode::kVerified);
+    auto fr = (*fp_dep)->SearchDoc(0, tag, VerifyMode::kVerified);
+    auto zr = (*z_dep)->SearchDoc(0, tag, VerifyMode::kVerified);
     if (!fr.ok() || !zr.ok()) continue;
     std::printf("//%-8s | %10zu %12zu | %10zu %12zu   (matches: %zu)\n",
                 tag.c_str(), fr->stats.nodes_visited,

@@ -44,8 +44,20 @@
 // (RebaseDoc) never re-splits or re-ships share trees, and localized
 // results (node_id - base, prefix-stripped path) are invariant.
 //
-// polysse::Engine (core/engine.h) is the one-document helper over this
-// class.
+// One document is the same class with one Add. Size the field for that
+// document's alphabet, and its shares are byte-identical to a plain
+// single-tree deployment (the first document takes the root share
+// namespace ""):
+//
+//   auto col = FpCollection::Create(
+//       seed, deploy,
+//       {.p = FpCollection::AutoPrime(doc.DistinctTags().size(), deploy)})
+//       .value();
+//   col->Add(0, doc);
+//   auto r = col->SearchDoc(0, "client");  // document-local matches
+//
+// Every query runs through one path, ScatterGather: one fresh QuerySession
+// per walked shard, so a Shamir walk forgets dead servers when it returns.
 #ifndef POLYSSE_CORE_COLLECTION_H_
 #define POLYSSE_CORE_COLLECTION_H_
 
@@ -86,9 +98,8 @@ using Query = TagQuery;
 /// Stable client-chosen document identity inside a collection.
 using DocId = uint64_t;
 
-/// Server-side deployment shape of a collection (and, via the Engine
-/// helper, of a single-document deployment): `num_shards` identical server
-/// groups, each of `num_servers` servers running `scheme`. Every
+/// Server-side deployment shape of a collection: `num_shards` identical
+/// server groups, each of `num_servers` servers running `scheme`. Every
 /// collection-owned server sits behind a LoopbackEndpoint.
 struct DeployShape {
   ShareScheme scheme = ShareScheme::kTwoParty;
@@ -193,7 +204,9 @@ class Collection {
     RETURN_IF_ERROR(col->tag_map_.Extend({}, col->map_options_, seed));
     RETURN_IF_ERROR(
         col->SetShape(deploy.scheme, deploy.num_servers, deploy.threshold));
-    col->SetUpPool(deploy.worker_threads);
+    if (deploy.worker_threads > 1)
+      col->pool_ = std::make_unique<ThreadPool>(
+          static_cast<size_t>(deploy.worker_threads));
     const int64_t span =
         deploy.num_shards == 1 ? ShardMap::kIdSpaceEnd : deploy.shard_span;
     for (int i = 0; i < deploy.num_shards; ++i) {
@@ -348,7 +361,6 @@ class Collection {
                                    seed_, prefix, document.DistinctTags(), {}));
     }
     ++generation_;
-    session_.reset();
     return Status::Ok();
   }
 
@@ -375,7 +387,6 @@ class Collection {
     docs_.erase(docs_.begin() + (doc - docs_.data()));
     filters_.erase(doc_id);
     ++generation_;
-    session_.reset();
     return Status::Ok();
   }
 
@@ -401,6 +412,7 @@ class Collection {
   /// queried tag never enter the shared frontier.
   Result<std::vector<CollectionResult>> SearchMany(
       std::span<const Query> queries, ShardSearchOptions options = {}) {
+    if (queries.empty()) return std::vector<CollectionResult>{};
     std::string key;
     if (cache_capacity_ > 0) {
       key = "many";
@@ -455,17 +467,24 @@ class Collection {
     return std::move(out[0]);
   }
 
-  /// Lookup restricted to one document (its own pruned walk). Node ids and
-  /// paths in the result are document-local.
+  /// Lookup restricted to one document (its own pruned walk, on its
+  /// shard only). Node ids and paths in the result are document-local.
   Result<LookupResult> SearchDoc(DocId doc_id, std::string_view tag,
                                  VerifyMode mode = VerifyMode::kVerified) {
-    ASSIGN_OR_RETURN(const Doc* doc, DocOrNotFound(doc_id));
-    QuerySession<Ring> session(client_.get(), FindGroup(doc->shard)->group,
-                               {Root(*doc)});
-    ASSIGN_OR_RETURN(LookupResult r, session.Lookup(tag, mode));
-    for (MatchedNode& m : r.matches) m = Localize(*doc, std::move(m));
-    for (MatchedNode& m : r.possible) m = Localize(*doc, std::move(m));
-    return r;
+    RETURN_IF_ERROR(DocOrNotFound(doc_id).status());
+    const Query q{std::string(tag), mode};
+    ASSIGN_OR_RETURN(
+        std::vector<CollectionResult> out,
+        ScatterGather(
+            1, {}, [doc_id](const Doc& doc) { return doc.id == doc_id; },
+            [&](QuerySession<Ring>& session) {
+              return session.LookupBatch(std::span<const Query>(&q, 1));
+            }));
+    auto it = out[0].per_doc.find(doc_id);
+    if (it != out[0].per_doc.end()) return std::move(it->second);
+    LookupResult none;
+    none.stats = out[0].stats;
+    return none;
   }
 
   // -------------------------------------------------------- split / merge
@@ -604,20 +623,6 @@ class Collection {
     return group->registries[s]->store(doc_id);
   }
 
-  /// A walk session over the first shard (every document, when
-  /// unsharded), for callers needing the full §4.3 API surface. It lives
-  /// until the next mutation, fault injection, reshape or executor change.
-  QuerySession<Ring>& session() {
-    if (session_ == nullptr) {
-      std::vector<SessionRoot> roots;
-      for (const Doc& doc : docs_)
-        if (doc.shard == groups_.front()->id) roots.push_back(Root(doc));
-      session_ = std::make_unique<QuerySession<Ring>>(
-          client_.get(), groups_.front()->group, std::move(roots));
-    }
-    return *session_;
-  }
-
   /// Probes shard `shard`'s group; true when enough servers answer for
   /// the scheme (Shamir: threshold, otherwise all).
   Result<bool> ProbeShard(ShardId shard) {
@@ -639,21 +644,11 @@ class Collection {
         group->group.endpoints[s], std::move(config)));
     group->group.endpoints[s] = group->faults.back().get();
     ++generation_;  // cached answers predate the faults; don't serve them
-    session_.reset();
     return group->faults.back().get();
   }
   /// Server `s` of the first shard — the only one when unsharded.
   FaultInjectingEndpoint* InjectFaults(size_t s, FaultConfig config) {
     return InjectFaults(groups_.front()->id, s, std::move(config));
-  }
-
-  /// Reconfigures the fan-out executor: <= 1 reverts to sequential inline
-  /// dispatch, larger values (re)build the worker pool. Answers are
-  /// bit-identical either way; only wall time changes.
-  void SetWorkerThreadCount(int worker_threads) {
-    SetUpPool(worker_threads);
-    for (const auto& group : groups_) group->group.executor = executor();
-    session_.reset();
   }
 
   /// The executor the shard scatter and each group's per-server fan-out
@@ -981,14 +976,6 @@ class Collection {
     return Status::Ok();
   }
 
-  void SetUpPool(int worker_threads) {
-    if (worker_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(worker_threads));
-    } else {
-      pool_.reset();
-    }
-  }
-
   void RebuildClient() {
     client_ = std::make_unique<ClientContext<Ring>>(
         ClientContext<Ring>::SeedOnly(ring_, tag_map_, seed_, split_options_));
@@ -1022,7 +1009,9 @@ class Collection {
   /// — and gathers `num_answers` per-document answers plus the stats
   /// roll-up. The same executor runs each group's per-server calls inside
   /// the walks; Executor::ParallelFor allows that nesting. A session lives
-  /// for one walk, so each shard in flight holds one walk's state.
+  /// for one walk, so each shard in flight holds one walk's state and a
+  /// Shamir walk's dead servers are forgotten when it returns. Every query
+  /// method runs here; nothing else builds a session or localizes matches.
   template <typename Walk>
   Result<std::vector<CollectionResult>> ScatterGather(
       size_t num_answers, ShardSearchOptions options,
@@ -1142,11 +1131,10 @@ class Collection {
 
   /// Every reshape exit — success or a partial failure — ends here: moved
   /// documents carry new bases, so the table is re-sorted (FindDocByNode
-  /// relies on it), and the session and cached answers are retired.
+  /// relies on it), and cached answers are retired.
   Status Reshaped(Status status) {
     SortDocs();
     ++generation_;
-    session_.reset();
     return status;
   }
 
@@ -1387,7 +1375,6 @@ class Collection {
   Executor* external_executor_ = nullptr;
   ShardMap map_;
   std::vector<std::unique_ptr<ShardGroup>> groups_;  ///< sorted by id
-  std::unique_ptr<QuerySession<Ring>> session_;      ///< see session()
   std::vector<Doc> docs_;                            ///< sorted by base
   uint64_t next_epoch_ = 0;
 

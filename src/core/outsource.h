@@ -1,10 +1,10 @@
 // The outsourcing options of both rings, and PrepareOutsource: ring
 // selection, private tag map and the reduced data tree of one document,
-// before any share split. The library's front doors, polysse::Collection
-// and polysse::Engine (core/collection.h, core/engine.h), take the options
-// and apply the same rules themselves; PrepareOutsource is what the tests'
-// white-box deployment builders (tests/testing/deploy_helpers.h) start
-// from, an independent oracle for the collection's answers.
+// before any share split. The library's front door, polysse::Collection
+// (core/collection.h), takes the options and applies the same rules
+// itself; PrepareOutsource is what the tests' white-box deployment
+// builders (tests/testing/deploy_helpers.h) start from, an independent
+// oracle for the collection's answers.
 #ifndef POLYSSE_CORE_OUTSOURCE_H_
 #define POLYSSE_CORE_OUTSOURCE_H_
 

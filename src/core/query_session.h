@@ -334,9 +334,6 @@ class QuerySession {
     return result;
   }
 
-  /// The transport configuration this session talks through.
-  const EndpointGroup& endpoint_group() const { return group_; }
-
  private:
   using Elem = typename Ring::Elem;
   using Scalar = typename Ring::Scalar;

@@ -76,7 +76,6 @@ Result<SecureCollectionService::ContentResults> SecureCollectionService::Query(
     const std::string& xpath, XPathStrategy strategy, VerifyMode mode) {
   ASSIGN_OR_RETURN(CollectionResult structural,
                    collection_->SearchXPath(xpath, strategy, mode));
-  last_stats_ = structural.stats;
   return ResolveContent(structural);
 }
 
@@ -84,7 +83,6 @@ Result<SecureCollectionService::ContentResults>
 SecureCollectionService::Lookup(const std::string& tagname, VerifyMode mode) {
   ASSIGN_OR_RETURN(CollectionResult structural,
                    collection_->Search(tagname, mode));
-  last_stats_ = structural.stats;
   return ResolveContent(structural);
 }
 

@@ -10,8 +10,8 @@
 //   svc->Add(2, patient_file_2);
 //   auto hits = svc->Query("//prescription/drug");   // {doc -> texts}
 //
-// SecureDocumentService (index/secure_document.h) is the one-document
-// special case, a thin wrapper over a one-entry service.
+// One document is the same service with one Add (size the field with
+// FpCollection::AutoPrime for its alphabet, as core/collection.h shows).
 #ifndef POLYSSE_INDEX_SECURE_COLLECTION_H_
 #define POLYSSE_INDEX_SECURE_COLLECTION_H_
 
@@ -65,8 +65,6 @@ class SecureCollectionService {
   Result<ContentResults> Lookup(const std::string& tagname,
                                 VerifyMode mode = VerifyMode::kVerified);
 
-  /// Stats of the most recent structural query (the one shared walk).
-  const QueryStats& last_stats() const { return last_stats_; }
   /// Bytes of encrypted payloads fetched by the most recent query.
   size_t last_payload_bytes() const { return last_payload_bytes_; }
 
@@ -99,7 +97,6 @@ class SecureCollectionService {
   std::unique_ptr<FpCollection> collection_;
   DeterministicPrf seed_;
   std::map<DocId, DocContent> content_;
-  QueryStats last_stats_;
   size_t last_payload_bytes_ = 0;
 };
 

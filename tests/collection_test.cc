@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/collection.h"
-#include "core/engine.h"
 #include "index/secure_collection.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
@@ -30,6 +29,7 @@ namespace polysse {
 namespace {
 
 using testing::MakeFpDeployment;
+using testing::OneDocFpCollection;
 using testing::SortedMatchPaths;
 using testing::TestSession;
 
@@ -353,14 +353,14 @@ TEST(CollectionTest, BareSingleTreeStoreFileIsRefused) {
   // to Open, never a collection with a synthesized document.
   XmlNode doc = MakeDoc(981);
   DeterministicPrf seed = DeterministicPrf::FromString("col-bare-store");
-  auto engine = FpEngine::Outsource(doc, seed).value();
+  auto one = OneDocFpCollection(doc, seed).value();
   const std::string store = "/tmp/polysse_bare_store.bin";
   const std::string key = "/tmp/polysse_bare_store.key";
-  ASSERT_TRUE(engine->Save(store, key).ok());
+  ASSERT_TRUE(one->Save(store, key).ok());
   ASSERT_TRUE(FpCollection::Open(store, key).ok());
 
   ByteWriter bare;
-  SaveServerStore(engine->store(), &bare);
+  SaveServerStore(*one->doc_store(0, 0).value(), &bare);
   auto registry = LoadStoreRegistry<FpCyclotomicRing>(bare.span());
   ASSERT_FALSE(registry.ok());
   EXPECT_EQ(registry.status().code(), StatusCode::kCorruption);
@@ -565,6 +565,26 @@ TEST(CollectionTest, CachedSearchManyAndXPathAreZeroMessage) {
   // Eviction past capacity keeps the cache bounded.
   col->SetQueryCacheCapacity(1);
   EXPECT_LE(col->query_cache_entries(), 1u);
+}
+
+TEST(CollectionTest, EmptyBatchWithCacheOnIsEmpty) {
+  // An empty batch has nothing to walk, cache or send: it answers with no
+  // entries, stores no cache entry and leaves the wire untouched.
+  DeterministicPrf seed = DeterministicPrf::FromString("col-empty-batch");
+  auto col = FpCollection::Create(seed).value();
+  ASSERT_TRUE(col->Add(1, MakeDoc(941)).ok());
+  col->SetQueryCacheCapacity(4);
+
+  const TransportCounters before = col->transport_totals();
+  auto out = col->SearchMany({});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out->empty());
+  EXPECT_EQ(col->query_cache_entries(), 0u);
+  const TransportCounters after = col->transport_totals();
+  EXPECT_EQ(after.messages_up, before.messages_up);
+  EXPECT_EQ(after.messages_down, before.messages_down);
+  EXPECT_EQ(after.bytes_up, before.bytes_up);
+  EXPECT_EQ(after.bytes_down, before.bytes_down);
 }
 
 TEST(CollectionTest, BloomPrefilterSkipsNonMatchingDocsKeepsAnswers) {

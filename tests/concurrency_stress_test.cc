@@ -1,6 +1,6 @@
 // Concurrency stress battery for the parallel multi-server runtime. Run
 // under ThreadSanitizer (preset debug-tsan) to certify the fan-out path:
-//  * RunQueries on an 8-thread pool x {2-party, additive, Shamir} x every
+//  * SearchMany on an 8-thread pool x {2-party, additive, Shamir} x every
 //    verify mode must be bit-identical to the inline sequential executor;
 //  * many client threads hammering their own sessions over SHARED stores
 //    and endpoints must neither race nor diverge from the oracle answers;
@@ -10,17 +10,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/engine.h"
+#include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
 #include "xml/xml_generator.h"
 
 namespace polysse {
 namespace {
 
+using testing::OneDocFpCollection;
 using testing::SortedMatchPaths;
 
 constexpr VerifyMode kAllModes[] = {VerifyMode::kOptimistic,
@@ -36,78 +38,95 @@ XmlNode MakeDoc(uint64_t seed, size_t num_nodes = 120, size_t alphabet = 10) {
   return GenerateXmlTree(gen);
 }
 
-std::vector<FpEngine::Deploy> AllSchemes() {
-  FpEngine::Deploy two_party;
-  FpEngine::Deploy additive;
+std::vector<DeployShape> AllSchemes() {
+  DeployShape two_party;
+  DeployShape additive;
   additive.scheme = ShareScheme::kAdditive;
   additive.num_servers = 4;
-  FpEngine::Deploy shamir;
+  DeployShape shamir;
   shamir.scheme = ShareScheme::kShamir;
   shamir.num_servers = 5;
   shamir.threshold = 3;
   return {two_party, additive, shamir};
 }
 
-TEST(ConcurrencyStressTest, PooledRunQueriesBitIdenticalToInlineAllSchemes) {
+TEST(ConcurrencyStressTest, PooledSearchManyBitIdenticalToInlineAllSchemes) {
   XmlNode doc = MakeDoc(401);
   DeterministicPrf seed = DeterministicPrf::FromString("stress-identical");
   std::vector<std::string> tags = doc.DistinctTags();
 
-  for (FpEngine::Deploy deploy : AllSchemes()) {
+  for (DeployShape deploy : AllSchemes()) {
     // Inline oracle.
-    auto inline_engine = FpEngine::Outsource(doc, seed, deploy).value();
+    auto inline_col = OneDocFpCollection(doc, seed, deploy).value();
     // Pooled twin: same deployment, 8 fan-out workers.
     deploy.worker_threads = 8;
-    auto pooled_engine = FpEngine::Outsource(doc, seed, deploy).value();
+    auto pooled_col = OneDocFpCollection(doc, seed, deploy).value();
 
     std::vector<Query> queries;
     for (size_t i = 0; i < tags.size(); ++i)
       queries.push_back({tags[i], kAllModes[i % 3]});
 
     for (int round = 0; round < 4; ++round) {
-      auto a = inline_engine->RunQueries(queries);
-      auto b = pooled_engine->RunQueries(queries);
+      auto a = inline_col->SearchMany(queries);
+      auto b = pooled_col->SearchMany(queries);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
-      ASSERT_EQ(a->per_tag.size(), b->per_tag.size());
-      for (size_t i = 0; i < a->per_tag.size(); ++i) {
-        EXPECT_EQ(SortedMatchPaths(a->per_tag[i].matches),
-                  SortedMatchPaths(b->per_tag[i].matches))
+      ASSERT_EQ(a->size(), b->size());
+      for (size_t i = 0; i < a->size(); ++i) {
+        LookupResult& x = (*a)[i].per_doc[0];
+        LookupResult& y = (*b)[i].per_doc[0];
+        EXPECT_EQ(SortedMatchPaths(x.matches), SortedMatchPaths(y.matches))
             << "scheme " << static_cast<int>(deploy.scheme) << " //"
             << queries[i].tag;
-        EXPECT_EQ(SortedMatchPaths(a->per_tag[i].possible),
-                  SortedMatchPaths(b->per_tag[i].possible))
+        EXPECT_EQ(SortedMatchPaths(x.possible), SortedMatchPaths(y.possible))
             << "scheme " << static_cast<int>(deploy.scheme) << " //"
             << queries[i].tag;
       }
       // Protocol-level costs are identical too: parallelism must change
       // wall time only, never what crosses the wire.
-      EXPECT_EQ(a->stats.server_evals, b->stats.server_evals);
-      EXPECT_EQ(a->stats.rounds, b->stats.rounds);
-      EXPECT_EQ(a->stats.transport.bytes_down, b->stats.transport.bytes_down);
+      const QueryStats& sa = (*a)[0].stats;
+      const QueryStats& sb = (*b)[0].stats;
+      EXPECT_EQ(sa.server_evals, sb.server_evals);
+      EXPECT_EQ(sa.rounds, sb.rounds);
+      EXPECT_EQ(sa.transport.bytes_down, sb.transport.bytes_down);
     }
   }
 }
 
 TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
   // 8+ client threads, each with a private session, all talking to the
-  // SAME endpoints and stores of one engine — the contention surface is
-  // the stores' stats, the endpoints' counters and the shared pool.
+  // SAME endpoints and stores of one collection — the contention surface
+  // is the stores' stats, the endpoints' counters and the shared pool.
   XmlNode doc = MakeDoc(402, 150, 12);
   DeterministicPrf seed = DeterministicPrf::FromString("stress-shared");
 
-  for (FpEngine::Deploy deploy : AllSchemes()) {
+  for (DeployShape deploy : AllSchemes()) {
     deploy.worker_threads = 8;
-    auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+    auto col = OneDocFpCollection(doc, seed, deploy).value();
     std::vector<std::string> tags = doc.DistinctTags();
 
-    // Oracle answers from the engine's own (single-threaded) session.
+    // Oracle answers from the collection's own (single-threaded) walks.
     std::vector<std::vector<std::string>> oracle;
     for (const std::string& tag : tags)
       oracle.push_back(SortedMatchPaths(
-          engine->Lookup(tag, VerifyMode::kVerified).value().matches));
+          col->SearchDoc(0, tag, VerifyMode::kVerified).value().matches));
 
-    const EndpointGroup& group = engine->session().endpoint_group();
+    // One endpoint set for every client thread: a LoopbackEndpoint over
+    // each of the collection's server handlers, fanned out on the
+    // collection's own pool.
+    std::vector<std::unique_ptr<LoopbackEndpoint>> loopbacks;
+    std::vector<ServerEndpoint*> eps;
+    for (size_t s = 0; s < col->num_servers(); ++s) {
+      loopbacks.push_back(std::make_unique<LoopbackEndpoint>(col->handler(s)));
+      eps.push_back(loopbacks.back().get());
+    }
+    EndpointGroup group = EndpointGroup::TwoParty(eps[0]);
+    if (deploy.scheme == ShareScheme::kAdditive)
+      group = EndpointGroup::Additive(eps);
+    if (deploy.scheme == ShareScheme::kShamir)
+      group = EndpointGroup::Shamir(eps, deploy.threshold);
+    group.executor = col->executor();
+    ASSERT_NE(group.executor, nullptr);
     std::atomic<int> mismatches{0};
     std::atomic<int> failures{0};
     std::vector<std::thread> clients;
@@ -116,7 +135,7 @@ TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
       clients.emplace_back([&, c] {
         // Each thread copies the thin-client state and runs its own
         // session over the SHARED endpoint group.
-        ClientContext<FpCyclotomicRing> client = engine->client();
+        ClientContext<FpCyclotomicRing> client = col->client();
         QuerySession<FpCyclotomicRing> session(&client, group);
         for (size_t q = 0; q < tags.size(); ++q) {
           const size_t i = (q + static_cast<size_t>(c)) % tags.size();
@@ -145,28 +164,28 @@ TEST(ConcurrencyStressTest, PooledFanOutOverlapsInjectedLatency) {
   // beats sequential leaves a 4x margin, safe even on noisy CI machines.
   XmlNode doc = MakeDoc(403, 30, 4);
   DeterministicPrf seed = DeterministicPrf::FromString("stress-latency");
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kAdditive;
   deploy.num_servers = 4;
   const std::string tag = doc.DistinctTags()[1];
 
-  auto timed_lookup = [&](FpEngine& engine) {
+  auto timed_lookup = [&](FpCollection& col) {
     FaultConfig lag;
     lag.latency_us = 10'000;
-    for (size_t s = 0; s < 4; ++s) engine.InjectFaults(s, lag);
+    for (size_t s = 0; s < 4; ++s) col.InjectFaults(s, lag);
     const auto start = std::chrono::steady_clock::now();
-    auto r = engine.Lookup(tag, VerifyMode::kVerified);
+    auto r = col.SearchDoc(0, tag, VerifyMode::kVerified);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
   };
 
-  auto seq_engine = FpEngine::Outsource(doc, seed, deploy).value();
-  const double sequential_ms = timed_lookup(*seq_engine);
+  auto seq_col = OneDocFpCollection(doc, seed, deploy).value();
+  const double sequential_ms = timed_lookup(*seq_col);
   deploy.worker_threads = 4;
-  auto pooled_engine = FpEngine::Outsource(doc, seed, deploy).value();
-  const double pooled_ms = timed_lookup(*pooled_engine);
+  auto pooled_col = OneDocFpCollection(doc, seed, deploy).value();
+  const double pooled_ms = timed_lookup(*pooled_col);
 
   EXPECT_LT(pooled_ms, sequential_ms)
       << "4 servers x 10ms latency must overlap under the pooled executor";

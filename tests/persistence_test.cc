@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <random>
 
-#include "core/engine.h"
 #include "core/outsource.h"
 #include "core/persistence.h"
 #include "core/query_session.h"
@@ -20,6 +19,7 @@ using testing::FpDeployment;
 using testing::ZDeployment;
 using testing::MakeFpDeployment;
 using testing::MakeZDeployment;
+using testing::OneDocFpCollection;
 using testing::TestSession;
 
 TEST(PersistenceTest, FpStoreRoundTrip) {
@@ -214,7 +214,7 @@ TEST(PersistenceTest, KeysOtherThanV4AreRefused) {
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
-// ------------------------------------- Engine::Open failure paths --------
+// --------------------------------- Collection::Open failure paths --------
 // Broken deployments must come back as clean Status errors — a missing
 // share file, servers whose stores diverged, a key naming no servers —
 // never a crash or a silently wrong deployment.
@@ -229,17 +229,18 @@ XmlNode OpenFailDoc(uint64_t seed) {
 
 TEST(PersistenceTest, OpenFailsCleanlyOnMissingServerStoreFile) {
   DeterministicPrf seed = DeterministicPrf::FromString("open-missing");
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kAdditive;
   deploy.num_servers = 3;
-  auto engine = FpEngine::Outsource(OpenFailDoc(601), seed, deploy).value();
+  auto col = OneDocFpCollection(OpenFailDoc(601), seed, deploy).value();
   const std::string store = "/tmp/polysse_open_missing.bin";
   const std::string key = store + ".key";
-  ASSERT_TRUE(engine->Save(store, key).ok());
+  ASSERT_TRUE(col->Save(store, key).ok());
 
   // Server 1's share file vanishes (disk loss, wrong rsync, ...).
-  ASSERT_EQ(std::remove(FpEngine::MultiServerStorePath(store, 1).c_str()), 0);
-  auto reopened = FpEngine::Open(store, key);
+  ASSERT_EQ(
+      std::remove(FpCollection::MultiServerStorePath(store, 1).c_str()), 0);
+  auto reopened = FpCollection::Open(store, key);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound)
       << reopened.status().ToString();
@@ -247,27 +248,27 @@ TEST(PersistenceTest, OpenFailsCleanlyOnMissingServerStoreFile) {
 
 TEST(PersistenceTest, OpenRejectsServerStoresDisagreeingOnRing) {
   DeterministicPrf seed = DeterministicPrf::FromString("open-ring");
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kAdditive;
   deploy.num_servers = 2;
-  auto engine = FpEngine::Outsource(OpenFailDoc(602), seed, deploy).value();
+  auto col = OneDocFpCollection(OpenFailDoc(602), seed, deploy).value();
   const std::string store = "/tmp/polysse_open_ring.bin";
-  ASSERT_TRUE(engine->Save(store, store + ".key").ok());
+  ASSERT_TRUE(col->Save(store, store + ".key").ok());
 
   // Overwrite server 1's file with a same-shape store from a DIFFERENT
   // field (p forced larger): the ring parameters cannot agree.
-  FpOutsourceOptions big;
-  big.p = 257;
-  auto other =
-      FpEngine::Outsource(OpenFailDoc(602), seed, deploy, big).value();
+  auto other = FpCollection::Create(seed, deploy, {.p = 257}).value();
+  ASSERT_TRUE(other->Add(0, OpenFailDoc(602)).ok());
   const std::string other_store = "/tmp/polysse_open_ring_other.bin";
   ASSERT_TRUE(other->Save(other_store, other_store + ".key").ok());
   auto bytes =
-      ReadFileBytes(FpEngine::MultiServerStorePath(other_store, 1)).value();
+      ReadFileBytes(FpCollection::MultiServerStorePath(other_store, 1))
+          .value();
   ASSERT_TRUE(
-      WriteFileBytes(FpEngine::MultiServerStorePath(store, 1), bytes).ok());
+      WriteFileBytes(FpCollection::MultiServerStorePath(store, 1), bytes)
+          .ok());
 
-  auto reopened = FpEngine::Open(store, store + ".key");
+  auto reopened = FpCollection::Open(store, store + ".key");
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
   EXPECT_NE(reopened.status().message().find("ring"), std::string::npos)
@@ -276,31 +277,32 @@ TEST(PersistenceTest, OpenRejectsServerStoresDisagreeingOnRing) {
 
 TEST(PersistenceTest, OpenRejectsServerStoresDisagreeingOnSize) {
   DeterministicPrf seed = DeterministicPrf::FromString("open-size");
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kAdditive;
   deploy.num_servers = 2;
-  auto engine = FpEngine::Outsource(OpenFailDoc(603), seed, deploy).value();
+  auto col = OneDocFpCollection(OpenFailDoc(603), seed, deploy).value();
   const std::string store = "/tmp/polysse_open_size.bin";
-  ASSERT_TRUE(engine->Save(store, store + ".key").ok());
+  ASSERT_TRUE(col->Save(store, store + ".key").ok());
 
   // Server 1's file replaced by a store of a different document (same
   // ring, different node count).
-  FpOutsourceOptions same_p;
-  same_p.p = engine->ring().p();
   XmlGeneratorOptions gen;
   gen.num_nodes = 12;
   gen.tag_alphabet = 5;
   gen.seed = 604;
   auto other =
-      FpEngine::Outsource(GenerateXmlTree(gen), seed, deploy, same_p).value();
+      FpCollection::Create(seed, deploy, {.p = col->ring().p()}).value();
+  ASSERT_TRUE(other->Add(0, GenerateXmlTree(gen)).ok());
   const std::string other_store = "/tmp/polysse_open_size_other.bin";
   ASSERT_TRUE(other->Save(other_store, other_store + ".key").ok());
   auto bytes =
-      ReadFileBytes(FpEngine::MultiServerStorePath(other_store, 1)).value();
+      ReadFileBytes(FpCollection::MultiServerStorePath(other_store, 1))
+          .value();
   ASSERT_TRUE(
-      WriteFileBytes(FpEngine::MultiServerStorePath(store, 1), bytes).ok());
+      WriteFileBytes(FpCollection::MultiServerStorePath(store, 1), bytes)
+          .ok());
 
-  auto reopened = FpEngine::Open(store, store + ".key");
+  auto reopened = FpCollection::Open(store, store + ".key");
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().ToString();
@@ -310,21 +312,21 @@ TEST(PersistenceTest, OpenRejectsKeyNamingZeroServers) {
   // A key whose deployment section claims zero servers must be rejected
   // while decoding — never reach the store-loading loop.
   DeterministicPrf seed = DeterministicPrf::FromString("open-zero");
-  auto engine = FpEngine::Outsource(OpenFailDoc(605), seed).value();
+  auto col = OneDocFpCollection(OpenFailDoc(605), seed).value();
   const std::string store = "/tmp/polysse_open_zero.bin";
   const std::string key = "/tmp/polysse_open_zero.key";
-  ASSERT_TRUE(engine->Save(store, key).ok());
+  ASSERT_TRUE(col->Save(store, key).ok());
   ClientSecretFile zero = FpKey();
   zero.seed = seed.seed();
-  zero.tag_map = engine->client().tag_map();
-  zero.fp_p = engine->ring().p();
+  zero.tag_map = col->client().tag_map();
+  zero.fp_p = col->ring().p();
   zero.scheme = ShareScheme::kAdditive;
   zero.num_servers = 0;
   ByteWriter w;
   zero.Serialize(&w);
   ASSERT_TRUE(WriteFileBytes(key, w.span()).ok());
 
-  auto reopened = FpEngine::Open(store, key);
+  auto reopened = FpCollection::Open(store, key);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().ToString();

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "baseline/plaintext_search.h"
-#include "core/engine.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
@@ -37,6 +36,7 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::OneDocFpCollection;
 using testing::Sorted;
 using testing::SortedMatchPaths;
 using testing::TestSession;
@@ -244,11 +244,11 @@ TEST(PipelinedSocketTest, RoundReachesEveryServerBeforeTheClientWaits) {
   for (const Group& g : {Group{ShareScheme::kShamir, 3, 2, 2},
                          Group{ShareScheme::kAdditive, 2, 0, 2}}) {
     SCOPED_TRACE(g.scheme == ShareScheme::kShamir ? "shamir" : "additive");
-    FpEngine::Deploy deploy;
+    DeployShape deploy;
     deploy.scheme = g.scheme;
     deploy.num_servers = static_cast<int>(g.servers);
     deploy.threshold = g.threshold;
-    auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+    auto col = OneDocFpCollection(doc, seed, deploy).value();
 
     RoundMeeting meeting(g.chosen);
     std::vector<std::unique_ptr<MeetingHandler>> handlers;
@@ -257,7 +257,7 @@ TEST(PipelinedSocketTest, RoundReachesEveryServerBeforeTheClientWaits) {
     std::vector<ServerEndpoint*> eps;
     for (size_t s = 0; s < g.servers; ++s) {
       handlers.push_back(
-          std::make_unique<MeetingHandler>(engine->handler(s), &meeting));
+          std::make_unique<MeetingHandler>(col->handler(s), &meeting));
       auto srv = SocketServer::Listen(handlers.back().get(), 0);
       ASSERT_TRUE(srv.ok()) << srv.status().ToString();
       auto ep = SocketEndpoint::Connect("127.0.0.1", (*srv)->port());
@@ -270,7 +270,7 @@ TEST(PipelinedSocketTest, RoundReachesEveryServerBeforeTheClientWaits) {
                                     ? EndpointGroup::Shamir(eps, g.threshold)
                                     : EndpointGroup::Additive(eps);
     ASSERT_EQ(group.executor, nullptr);
-    ClientContext<FpCyclotomicRing> client = engine->client();
+    ClientContext<FpCyclotomicRing> client = col->client();
     QuerySession<FpCyclotomicRing> session(&client, group);
 
     size_t rounds = 0;

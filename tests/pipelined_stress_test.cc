@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"

@@ -1,16 +1,17 @@
 // Parameterized property sweeps over the full query stack: every document
 // shape x ring x verify mode must agree with the plaintext oracle; batched
 // lookups must agree with single lookups and cost less; the §4.2 share split
-// must round-trip on arbitrary documents; the secure-document facade must
-// return exactly the matched elements' decrypted text. Documents come from
-// the shared tests/testing/ builders so shapes are named and reusable.
+// must round-trip on arbitrary documents; a one-document content service
+// must return exactly the matched elements' decrypted text. Documents come
+// from the shared tests/testing/ builders so shapes are named and reusable.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "core/outsource.h"
 #include "core/query_session.h"
-#include "index/secure_document.h"
+#include "index/secure_collection.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
 #include "testing/share_roundtrip.h"
@@ -214,28 +215,43 @@ TEST(MultiLookupTest, OptimisticModePartitionsCandidates) {
   EXPECT_EQ(multi.per_tag[1].possible[0].path, "");
 }
 
-// -------------------------------------------- secure document facade ----
+// ---------------------------------------- one-document content service ----
+
+/// A content service holding `doc` alone, as document 0, with the field
+/// sized for its alphabet.
+Result<std::unique_ptr<SecureCollectionService>> OneDocService(
+    const XmlNode& doc, const DeterministicPrf& seed) {
+  ASSIGN_OR_RETURN(
+      std::unique_ptr<SecureCollectionService> service,
+      SecureCollectionService::Create(
+          seed, {},
+          {.p = FpCollection::AutoPrime(doc.DistinctTags().size(), {})}));
+  RETURN_IF_ERROR(service->Add(0, doc));
+  return service;
+}
 
 TEST(SecureDocumentTest, QueryReturnsDecryptedContentOfMatches) {
   XmlTreeBuilder b("inbox");
   b.Open("mail").Leaf("subject", "hello").Leaf("body", "first body").Close();
   b.Open("mail").Leaf("subject", "again").Leaf("body", "second body").Close();
   XmlNode doc = b.Build();
-  auto service = SecureDocumentService::Outsource(
-      doc, DeterministicPrf::FromString("mailbox"));
+  auto service = OneDocService(doc, DeterministicPrf::FromString("mailbox"));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   auto bodies = (*service)->Query("//body");
   ASSERT_TRUE(bodies.ok()) << bodies.status().ToString();
-  ASSERT_EQ(bodies->size(), 2u);
-  EXPECT_EQ((*bodies)[0].text, "first body");
-  EXPECT_EQ((*bodies)[1].text, "second body");
+  ASSERT_EQ(bodies->size(), 1u);
+  const std::vector<ContentMatch>& body_texts = bodies->at(0);
+  ASSERT_EQ(body_texts.size(), 2u);
+  EXPECT_EQ(body_texts[0].text, "first body");
+  EXPECT_EQ(body_texts[1].text, "second body");
   EXPECT_GT((*service)->last_payload_bytes(), 0u);
 
   auto subjects = (*service)->Lookup("subject");
   ASSERT_TRUE(subjects.ok());
-  EXPECT_EQ((*subjects)[0].text, "hello");
-  EXPECT_EQ((*subjects)[1].text, "again");
+  ASSERT_EQ(subjects->at(0).size(), 2u);
+  EXPECT_EQ(subjects->at(0)[0].text, "hello");
+  EXPECT_EQ(subjects->at(0)[1].text, "again");
 
   auto none = (*service)->Query("//missing");
   ASSERT_TRUE(none.ok());
@@ -244,13 +260,13 @@ TEST(SecureDocumentTest, QueryReturnsDecryptedContentOfMatches) {
 
 TEST(SecureDocumentTest, MedicalCorpusContentRoundTrip) {
   XmlNode doc = MakeMedicalRecordsDocument(10, 111);
-  auto service = SecureDocumentService::Outsource(
-      doc, DeterministicPrf::FromString("medsvc"));
+  auto service = OneDocService(doc, DeterministicPrf::FromString("medsvc"));
   ASSERT_TRUE(service.ok());
   auto drugs = (*service)->Query("//prescription/drug");
   ASSERT_TRUE(drugs.ok());
+  ASSERT_EQ(drugs->size(), 1u);
   // Cross-check every decrypted text against the plaintext document.
-  for (const ContentMatch& m : *drugs) {
+  for (const ContentMatch& m : drugs->at(0)) {
     std::vector<int> path;
     for (const char* p = m.path.c_str(); *p;) {
       path.push_back(std::atoi(p));

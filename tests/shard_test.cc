@@ -23,9 +23,8 @@
 
 #include "baseline/plaintext_search.h"
 #include "core/collection.h"
-#include "net/socket_endpoint.h"
 #include "core/shard_map.h"
-#include "shard/sharded_collection.h"
+#include "net/socket_endpoint.h"
 #include "testing/query_helpers.h"
 #include "xml/xml_generator.h"
 #include "xml/xml_parser.h"
@@ -51,8 +50,8 @@ constexpr VerifyMode kAllModes[] = {VerifyMode::kOptimistic,
 
 /// Bit-identical: same documents, same localized node ids, same paths,
 /// same possible sets — what "sharding is invisible to answers" means.
-void ExpectSameAnswers(const CollectionResult& want, const ShardedResult& got,
-                       const std::string& label) {
+void ExpectSameAnswers(const CollectionResult& want,
+                       const CollectionResult& got, const std::string& label) {
   ASSERT_EQ(want.per_doc.size(), got.per_doc.size()) << label;
   for (const auto& [id, r] : want.per_doc) {
     auto it = got.per_doc.find(id);
@@ -165,9 +164,9 @@ TEST(ShardTest, ScatterGatherOverFourShardsMatchesUnshardedBitIdentical) {
     docs.emplace_back(d + 1, MakeDoc(700 + d, 20 + 3 * d, 5));
 
   auto oracle = FpCollection::Create(seed).value();
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 4;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   for (const auto& [id, doc] : docs) {
     ASSERT_TRUE(oracle->Add(id, doc).ok()) << id;
     ASSERT_TRUE(col->Add(id, doc).ok()) << id;
@@ -215,10 +214,10 @@ TEST(ShardTest, SplitAndMergeKeepAnswersBitIdentical) {
     docs.emplace_back(d + 1, MakeDoc(720 + d, 18 + 2 * d, 5));
 
   auto oracle = FpCollection::Create(seed).value();
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 4;
   deploy.worker_threads = 4;  // exercise the pooled fan-out path too
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   for (const auto& [id, doc] : docs) {
     ASSERT_TRUE(oracle->Add(id, doc).ok());
     ASSERT_TRUE(col->Add(id, doc).ok());
@@ -279,7 +278,7 @@ TEST(ShardTest, MultiServerSchemesSurviveSplitAndMerge) {
   // every server's tree, or answers would decode to garbage.
   struct Case {
     const char* label;
-    ShardDeploy deploy;
+    DeployShape deploy;
   };
   std::vector<Case> cases;
   Case additive{"additive", {}};
@@ -301,7 +300,7 @@ TEST(ShardTest, MultiServerSchemesSurviveSplitAndMerge) {
     flat.num_servers = c.deploy.num_servers;
     flat.threshold = c.deploy.threshold;
     auto oracle = FpCollection::Create(seed, flat).value();
-    auto col = FpShardedCollection::Create(seed, c.deploy).value();
+    auto col = FpCollection::Create(seed, c.deploy).value();
     std::vector<std::pair<DocId, XmlNode>> docs;
     for (uint64_t d = 0; d < 4; ++d)
       docs.emplace_back(d + 1, MakeDoc(740 + d, 16, 5));
@@ -326,9 +325,9 @@ TEST(ShardTest, MultiServerSchemesSurviveSplitAndMerge) {
 
 TEST(ShardTest, RollupSumsTrafficAndTakesDeepestShardsRounds) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-stats");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 4;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   for (uint64_t d = 0; d < 8; ++d)
     ASSERT_TRUE(col->Add(d + 1, MakeDoc(760 + d, 24, 5)).ok());
 
@@ -356,9 +355,9 @@ TEST(ShardTest, RollupSumsTrafficAndTakesDeepestShardsRounds) {
 
 TEST(ShardTest, DeadShardFailsLoudlyOrIsSkippedOnRequest) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-dead");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 3;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   std::map<DocId, XmlNode> docs;
   for (uint64_t d = 0; d < 6; ++d) docs.emplace(d + 1, MakeDoc(780 + d, 16, 5));
   for (const auto& [id, doc] : docs) ASSERT_TRUE(col->Add(id, doc).ok());
@@ -398,12 +397,12 @@ TEST(ShardTest, DeadShardFailsLoudlyOrIsSkippedOnRequest) {
 
 TEST(ShardTest, ShamirShardNeedsOnlyThresholdAliveServers) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-shamir-alive");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kShamir;
   deploy.num_servers = 4;
   deploy.threshold = 2;
   deploy.num_shards = 2;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   for (uint64_t d = 0; d < 4; ++d)
     ASSERT_TRUE(col->Add(d + 1, MakeDoc(790 + d, 16, 5)).ok());
 
@@ -431,11 +430,11 @@ TEST(ShardTest, ShamirShardNeedsOnlyThresholdAliveServers) {
 
 TEST(ShardTest, SaveOpenRoundTripsShardedLayout) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-persist");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kAdditive;
   deploy.num_servers = 2;
   deploy.num_shards = 3;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
   std::map<DocId, XmlNode> docs;
   for (uint64_t d = 0; d < 6; ++d) docs.emplace(d + 1, MakeDoc(800 + d, 18, 5));
   for (const auto& [id, doc] : docs) ASSERT_TRUE(col->Add(id, doc).ok());
@@ -447,7 +446,7 @@ TEST(ShardTest, SaveOpenRoundTripsShardedLayout) {
   const std::string key = "/tmp/polysse_shard_rt.key";
   ASSERT_TRUE(col->Save(store, key).ok());
 
-  auto back = FpShardedCollection::Open(store, key);
+  auto back = FpCollection::Open(store, key);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ((*back)->num_shards(), col->num_shards());
   EXPECT_EQ((*back)->num_docs(), col->num_docs());
@@ -483,8 +482,8 @@ TEST(ShardTest, SaveOpenRoundTripsShardedLayout) {
   EXPECT_TRUE(
       ClientSecretFile::Deserialize(&flat_key_reader).value().shards.empty());
   EXPECT_FALSE(ReadFileBytes("/tmp/polysse_flat.bin.g0.s0").ok());
-  auto reopened = FpShardedCollection::Open("/tmp/polysse_flat.bin",
-                                            "/tmp/polysse_flat.key");
+  auto reopened =
+      FpCollection::Open("/tmp/polysse_flat.bin", "/tmp/polysse_flat.key");
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->num_shards(), 1u);
   EXPECT_EQ((*reopened)->shard_of(1).value(), 0u);
@@ -499,9 +498,9 @@ TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
   // ONLINE split whose new group is a remote server the client never held
   // stores for — every moved tree travels export -> add over the wire.
   DeterministicPrf seed = DeterministicPrf::FromString("shard-tcp");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 2;
-  auto authoring = FpShardedCollection::Create(seed, deploy).value();
+  auto authoring = FpCollection::Create(seed, deploy).value();
   std::map<DocId, XmlNode> docs;
   for (uint64_t d = 0; d < 4; ++d) docs.emplace(d + 1, MakeDoc(820 + d, 18, 5));
   for (const auto& [id, doc] : docs) ASSERT_TRUE(authoring->Add(id, doc).ok());
@@ -525,10 +524,10 @@ TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
   ByteReader key_reader(key_bytes);
   auto key = ClientSecretFile::Deserialize(&key_reader).value();
   ASSERT_EQ(key.shards.size(), 2u);
-  auto col = FpShardedCollection::Connect(key, eps);
+  auto col = FpCollection::Connect(key, eps);
   ASSERT_TRUE(col.ok()) << col.status().ToString();
   // Wrong endpoint count is a layout error, not a crash later.
-  EXPECT_FALSE(FpShardedCollection::Connect(key, {eps[0]}).ok());
+  EXPECT_FALSE(FpCollection::Connect(key, {eps[0]}).ok());
 
   const std::string tag = docs.at(1).DistinctTags().front();
   auto want = authoring->Search(tag).value();
@@ -565,7 +564,7 @@ TEST(ShardTest, ConnectedCollectionScattersOverRealTcpAndSplitsOnline) {
   auto key2 = ClientSecretFile::Deserialize(&key_reader2).value();
   ASSERT_EQ(key2.shards.size(), 3u);
   std::vector<ServerEndpoint*> eps2 = {eps[0], eps[1], fresh_ep->get()};
-  auto col2 = FpShardedCollection::Connect(key2, eps2);
+  auto col2 = FpCollection::Connect(key2, eps2);
   ASSERT_TRUE(col2.ok()) << col2.status().ToString();
   auto again = (*col2)->Search(tag).value();
   for (const auto& [id, r] : want.per_doc)
@@ -623,9 +622,9 @@ TEST(ShardTest, ConnectedCollectionWalksShardsConcurrently) {
   // and an external pool. The scatter must run on that pool — every
   // shard's first Eval is held until all four shards have sent theirs.
   DeterministicPrf seed = DeterministicPrf::FromString("shard-overlap");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 4;
-  auto authoring = FpShardedCollection::Create(seed, deploy).value();
+  auto authoring = FpCollection::Create(seed, deploy).value();
   std::map<DocId, XmlNode> docs;
   for (uint64_t d = 0; d < 8; ++d) docs.emplace(d + 1, MakeDoc(840 + d, 20, 5));
   for (const auto& [id, doc] : docs) ASSERT_TRUE(authoring->Add(id, doc).ok());
@@ -652,9 +651,9 @@ TEST(ShardTest, ConnectedCollectionWalksShardsConcurrently) {
     meeting_eps.push_back(held.back().get());
   }
   ThreadPool pool(4);
-  auto concurrent = FpShardedCollection::Connect(key, meeting_eps, &pool);
+  auto concurrent = FpCollection::Connect(key, meeting_eps, &pool);
   ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
-  auto sequential = FpShardedCollection::Connect(key, plain);
+  auto sequential = FpCollection::Connect(key, plain);
   ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
 
   const std::vector<std::string> tags = AllTags(docs);
@@ -684,10 +683,10 @@ TEST(ShardTest, ChurnThenMergeReclaimsNodeIdSpaceAndBytes) {
   // id-space end and the shard map's high-water mark both shrink, and a
   // later split reuses the reclaimed range instead of extending.
   DeterministicPrf seed = DeterministicPrf::FromString("shard-churn");
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 2;
   deploy.shard_span = 1 << 12;
-  auto col = FpShardedCollection::Create(seed, deploy).value();
+  auto col = FpCollection::Create(seed, deploy).value();
 
   std::map<DocId, XmlNode> docs;
   DocId next_id = 1;
@@ -772,16 +771,16 @@ TEST(ShardTest, ChurnThenMergeReclaimsNodeIdSpaceAndBytes) {
 struct ReshapeFixture {
   std::map<DocId, XmlNode> docs;
   std::unique_ptr<FpCollection> oracle;
-  std::unique_ptr<FpShardedCollection> col;
+  std::unique_ptr<FpCollection> col;
 
   explicit ReshapeFixture(const std::string& label) {
     DeterministicPrf seed = DeterministicPrf::FromString(label);
     for (uint64_t d = 0; d < 8; ++d)
       docs.emplace(d + 1, MakeDoc(860 + d, 30, 3));
     oracle = FpCollection::Create(seed).value();
-    ShardDeploy deploy;
+    DeployShape deploy;
     deploy.num_shards = 2;
-    col = FpShardedCollection::Create(seed, deploy).value();
+    col = FpCollection::Create(seed, deploy).value();
     for (const auto& [id, doc] : docs) {
       EXPECT_TRUE(oracle->Add(id, doc).ok());
       EXPECT_TRUE(col->Add(id, doc).ok());
@@ -844,10 +843,10 @@ TEST(ShardTest, CacheAndBloomPrefilterAtFourShardsMatchColdAnswers) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-cache-bloom");
   std::map<DocId, XmlNode> docs;
   for (uint64_t d = 0; d < 8; ++d) docs.emplace(d + 1, MakeDoc(880 + d, 8, 8));
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 4;
-  auto cold = FpShardedCollection::Create(seed, deploy).value();
-  auto hot = FpShardedCollection::Create(seed, deploy).value();
+  auto cold = FpCollection::Create(seed, deploy).value();
+  auto hot = FpCollection::Create(seed, deploy).value();
   hot->EnableBloomPrefilter();
   hot->SetQueryCacheCapacity(64);
   for (const auto& [id, doc] : docs) {
@@ -923,9 +922,9 @@ TEST(ShardTest, CacheAndBloomPrefilterAtFourShardsMatchColdAnswers) {
 TEST(ShardTest, ZRingShardedCollectionWorks) {
   DeterministicPrf seed = DeterministicPrf::FromString("shard-z");
   auto parse = [](const std::string& s) { return ParseXml(s).value(); };
-  ShardDeploy deploy;
+  DeployShape deploy;
   deploy.num_shards = 2;
-  auto col = ZShardedCollection::Create(seed, deploy).value();
+  auto col = ZCollection::Create(seed, deploy).value();
   auto oracle = ZCollection::Create(seed).value();
   std::map<DocId, XmlNode> docs = {
       {1, parse("<r><a/><b/></r>")},

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/collection.h"
-#include "core/engine.h"
 #include "core/store_registry.h"
 #include "net/socket_endpoint.h"
 #include "testing/deploy_helpers.h"
@@ -27,6 +26,7 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::OneDocFpCollection;
 using testing::SortedMatchPaths;
 using testing::TestSession;
 
@@ -83,24 +83,24 @@ TEST(SocketEndpointTest, TwoPartyLookupOverRealTcp) {
 TEST(SocketEndpointTest, ShamirGroupOverTcpWithParallelFanOut) {
   // Full multi-server path: n socket servers, one endpoint each, Shamir
   // recombination, pooled fan-out — answers must match the all-in-process
-  // engine, and a killed server must fail over.
+  // collection, and a killed server must fail over.
   XmlNode doc = MakeDoc(302, 40);
   DeterministicPrf seed = DeterministicPrf::FromString("socket-shamir");
-  FpEngine::Deploy deploy;
+  DeployShape deploy;
   deploy.scheme = ShareScheme::kShamir;
   deploy.num_servers = 4;
   deploy.threshold = 2;
-  auto engine = FpEngine::Outsource(doc, seed, deploy).value();
+  auto col = OneDocFpCollection(doc, seed, deploy).value();
   const std::string tag = doc.DistinctTags()[1];
-  auto oracle = engine->Lookup(tag, VerifyMode::kVerified).value();
+  auto oracle = col->SearchDoc(0, tag, VerifyMode::kVerified).value();
 
-  // Serve each engine-owned store over its own TCP port. The stores keep
-  // serving their in-process endpoints too; handlers are thread-safe.
+  // Serve each collection-owned store over its own TCP port. The stores
+  // keep serving their in-process endpoints too; handlers are thread-safe.
   std::vector<std::unique_ptr<SocketServer>> servers;
   std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
   std::vector<ServerEndpoint*> eps;
   for (size_t s = 0; s < 4; ++s) {
-    auto srv = SocketServer::Listen(engine->handler(s), 0);
+    auto srv = SocketServer::Listen(col->handler(s), 0);
     ASSERT_TRUE(srv.ok()) << srv.status().ToString();
     auto ep = SocketEndpoint::Connect("127.0.0.1", (*srv)->port());
     ASSERT_TRUE(ep.ok()) << ep.status().ToString();
@@ -111,9 +111,9 @@ TEST(SocketEndpointTest, ShamirGroupOverTcpWithParallelFanOut) {
   ThreadPool pool(4);
   EndpointGroup group = EndpointGroup::Shamir(eps, 2);
   group.executor = &pool;
-  // The Shamir client holds no share; a copy of the engine's secret state
-  // (tag map + seed) is all a remote client needs.
-  ClientContext<FpCyclotomicRing> client = engine->client();
+  // The Shamir client holds no share; a copy of the collection's secret
+  // state (tag map + seed) is all a remote client needs.
+  ClientContext<FpCyclotomicRing> client = col->client();
   QuerySession<FpCyclotomicRing> session(&client, group);
 
   auto over_tcp = session.Lookup(tag, VerifyMode::kVerified);

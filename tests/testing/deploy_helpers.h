@@ -1,16 +1,19 @@
 // White-box deployment builders for tests and benches. The product API is
-// polysse::Collection / polysse::Engine (core/collection.h,
-// core/engine.h); suites that assert on the individual pieces — the ring,
-// the thin client, a raw ServerStore, an explicitly wired endpoint — build
-// them here from the public primitives PrepareOutsource + SplitShares,
-// with none of the collection's ownership wrapping in the way. Built
-// independently of the collection, they double as its answer oracle.
+// polysse::Collection (core/collection.h); suites that assert on the
+// individual pieces — the ring, the thin client, a raw ServerStore, an
+// explicitly wired endpoint — build them here from the public primitives
+// PrepareOutsource + SplitShares, with none of the collection's ownership
+// wrapping in the way. Built independently of the collection, they double
+// as its answer oracle. OneDocFpCollection/OneDocZCollection build the
+// product side of the same comparison: a one-document collection.
 #ifndef POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 #define POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 
+#include <memory>
 #include <utility>
 
 #include "core/client_context.h"
+#include "core/collection.h"
 #include "core/endpoint.h"
 #include "core/outsource.h"
 #include "core/query_session.h"
@@ -32,7 +35,7 @@ using FpDeployment = TwoPartyDeployment<FpCyclotomicRing>;
 using ZDeployment = TwoPartyDeployment<ZQuotientRing>;
 
 /// Document -> {ring, thin client, server store} over F_p, split exactly
-/// like an engine two-party deployment.
+/// like the first document of a two-party collection.
 inline Result<FpDeployment> MakeFpDeployment(
     const XmlNode& document, const DeterministicPrf& seed,
     const FpOutsourceOptions& options = {}) {
@@ -61,6 +64,33 @@ inline Result<ZDeployment> MakeZDeployment(const XmlNode& document,
                                              std::move(prep.tag_map), seed,
                                              prep.split_options),
       ServerStore<ZQuotientRing>(prep.ring, std::move(shares.server))};
+}
+
+/// The one-document collection the scheme, persistence and transport
+/// suites run on: the field sized for `document`'s alphabet, then
+/// `document` added as id 0. The first document takes the root share
+/// namespace "", so its shares equal MakeFpDeployment's for the same seed.
+inline Result<std::unique_ptr<FpCollection>> OneDocFpCollection(
+    const XmlNode& document, const DeterministicPrf& seed,
+    const DeployShape& deploy = {}) {
+  ASSIGN_OR_RETURN(
+      std::unique_ptr<FpCollection> col,
+      FpCollection::Create(
+          seed, deploy,
+          {.p = FpCollection::AutoPrime(document.DistinctTags().size(),
+                                        deploy)}));
+  RETURN_IF_ERROR(col->Add(0, document));
+  return col;
+}
+
+/// The same over Z[x]/(r), whose ring does not depend on the alphabet.
+inline Result<std::unique_ptr<ZCollection>> OneDocZCollection(
+    const XmlNode& document, const DeterministicPrf& seed,
+    const DeployShape& deploy = {}) {
+  ASSIGN_OR_RETURN(std::unique_ptr<ZCollection> col,
+                   ZCollection::Create(seed, deploy));
+  RETURN_IF_ERROR(col->Add(0, document));
+  return col;
 }
 
 namespace internal {
