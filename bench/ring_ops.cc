@@ -12,6 +12,7 @@
 #include "poly/fp_conv.h"
 #include "ring/fp_cyclotomic_ring.h"
 #include "ring/z_quotient_ring.h"
+#include "util/bytes.h"
 #include "util/cpu_features.h"
 
 namespace polysse {
@@ -235,9 +236,10 @@ void BM_FpRingMul(benchmark::State& state) {
   }
   state.SetLabel("p=" + std::to_string(p));
 }
-// 257 and 1009 contrast the cyclic-NTT shortcut (p-1 = 2^8) against a
-// same-magnitude modulus that must take Karatsuba + fold (1008 = 2^4 * 63).
-BENCHMARK(BM_FpRingMul)->Arg(11)->Arg(101)->Arg(257)->Arg(1009);
+// 67 is the end-to-end benchmark's ring (bench/e2e). 257 and 1009 contrast
+// the cyclic-NTT shortcut (p-1 = 2^8) against a same-magnitude modulus that
+// must take Karatsuba + fold (1008 = 2^4 * 63).
+BENCHMARK(BM_FpRingMul)->Arg(11)->Arg(67)->Arg(101)->Arg(257)->Arg(1009);
 
 void BM_FpRingEval(benchmark::State& state) {
   const uint64_t p = static_cast<uint64_t>(state.range(0));
@@ -263,6 +265,48 @@ void BM_FpSolveTag(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpSolveTag)->Arg(11)->Arg(101)->Arg(1009);
+
+// p = 67: the verified-mode work on one zero candidate with four children
+// (Theorem 1). The children's product, started from the first child, then
+// SolveTag against the node's residue. The children hold 1, 3, 9 and 70 tag
+// factors; the last wraps the ring, as a large subtree does.
+void BM_FpReconstruct67(benchmark::State& state) {
+  FpCyclotomicRing ring = FpCyclotomicRing::Create(67).value();
+  std::vector<FpPoly> children;
+  uint64_t t = 0;
+  for (int factors : {1, 3, 9, 70}) {
+    FpPoly q = ring.One();
+    for (int i = 0; i < factors; ++i)
+      q = ring.Mul(q, ring.XMinus(1 + t++ % ring.MaxTagValue()).value());
+    children.push_back(std::move(q));
+  }
+  FpPoly g = children[0];
+  for (size_t i = 1; i < children.size(); ++i) g = ring.Mul(g, children[i]);
+  const FpPoly f = ring.Mul(ring.XMinus(7).value(), g);
+  for (auto _ : state) {
+    FpPoly product = children[0];
+    for (size_t i = 1; i < children.size(); ++i)
+      product = ring.Mul(product, children[i]);
+    benchmark::DoNotOptimize(ring.SolveTag(f, product).value());
+  }
+}
+BENCHMARK(BM_FpReconstruct67);
+
+// p = 67: one dense residue (66 coefficients) through its wire form, as a
+// fetch payload, a walk's byte arena and a store file carry it.
+void BM_FpPolyCodec67(benchmark::State& state) {
+  FpCyclotomicRing ring = FpCyclotomicRing::Create(67).value();
+  ChaChaRng rng = ChaChaRng::FromString("codec");
+  const FpPoly a = ring.Random(rng);
+  ByteWriter out;
+  for (auto _ : state) {
+    out.Clear();
+    ring.Serialize(a, &out);
+    ByteReader in(out.span());
+    benchmark::DoNotOptimize(ring.Deserialize(&in).value());
+  }
+}
+BENCHMARK(BM_FpPolyCodec67);
 
 void BM_FpShareDerive(benchmark::State& state) {
   const uint64_t p = static_cast<uint64_t>(state.range(0));

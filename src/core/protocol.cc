@@ -20,7 +20,7 @@ bool Plausible(uint64_t count, const ByteReader& in) {
 
 void EvalRequest::Serialize(ByteWriter* out) const {
   out->PutVarint64(points.size());
-  for (uint64_t p : points) out->PutVarint64(p);
+  out->PutVarints(points);
   out->PutVarint64(node_ids.size());
   for (int32_t id : node_ids) out->PutVarint64(static_cast<uint32_t>(id));
 }
@@ -30,9 +30,7 @@ Result<EvalRequest> EvalRequest::Deserialize(ByteReader* in) {
   ASSIGN_OR_RETURN(uint64_t np, in->GetVarint64());
   if (!Plausible(np, *in)) return BadLen("EvalRequest.points");
   out.points.resize(np);
-  for (uint64_t i = 0; i < np; ++i) {
-    ASSIGN_OR_RETURN(out.points[i], in->GetVarint64());
-  }
+  RETURN_IF_ERROR(in->GetVarints(out.points));
   ASSIGN_OR_RETURN(uint64_t nn, in->GetVarint64());
   if (!Plausible(nn, *in)) return BadLen("EvalRequest.node_ids");
   out.node_ids.resize(nn);
@@ -48,7 +46,7 @@ void EvalResponse::Serialize(ByteWriter* out) const {
   for (const EvalEntry& e : entries) {
     out->PutVarint64(static_cast<uint32_t>(e.node_id));
     out->PutVarint64(e.values.size());
-    for (uint64_t v : e.values) out->PutVarint64(v);
+    out->PutVarints(e.values);
     out->PutVarint64(e.children.size());
     for (int32_t c : e.children) out->PutVarint64(static_cast<uint32_t>(c));
     out->PutVarint64(static_cast<uint32_t>(e.subtree_size));
@@ -67,9 +65,7 @@ Result<EvalResponse> EvalResponse::Deserialize(ByteReader* in) {
     ASSIGN_OR_RETURN(uint64_t nv, in->GetVarint64());
     if (!Plausible(nv, *in)) return BadLen("EvalEntry.values");
     e.values.resize(nv);
-    for (uint64_t k = 0; k < nv; ++k) {
-      ASSIGN_OR_RETURN(e.values[k], in->GetVarint64());
-    }
+    RETURN_IF_ERROR(in->GetVarints(e.values));
     ASSIGN_OR_RETURN(uint64_t nc, in->GetVarint64());
     if (!Plausible(nc, *in)) return BadLen("EvalEntry.children");
     e.children.resize(nc);

@@ -211,7 +211,12 @@ struct QueryStats {
   size_t reconstructions = 0; ///< Theorem 1/2 tag recoveries performed
   size_t polys_fetched_full = 0;
   size_t consts_fetched = 0;
-  size_t trusted_fallbacks = 0;  ///< const-only requests that needed full
+  /// kTrustedConstOnly candidates resolved by full reconstruction after all:
+  /// wrapped nodes (subtree beyond the residue degree, planned straight into
+  /// the full-polynomial round, never asked const-only) plus wrap-free
+  /// nodes whose const-only solve failed. Counted per request, like
+  /// `reconstructions`.
+  size_t trusted_fallbacks = 0;
   size_t false_positives_removed = 0;  ///< eval-filter hits rejected by t != e
   size_t server_failovers = 0;  ///< Shamir: dead servers replaced mid-query
   TransportCounters transport;

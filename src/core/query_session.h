@@ -1189,10 +1189,12 @@ class QuerySession {
       return walk_.tags[slot];
     RETURN_IF_ERROR(Prefetch(FetchMode::kFull, need));
     ASSIGN_OR_RETURN(Elem f, FetchCombinedPoly(slot));
+    // The children's product, started from the first child (a leaf's is
+    // One).
     Elem g = ring.One();
-    for (uint32_t c : children) {
-      ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(c));
-      g = ring.Mul(g, q);
+    for (size_t i = 0; i < children.size(); ++i) {
+      ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(children[i]));
+      g = i == 0 ? std::move(q) : ring.Mul(g, q);
     }
     ASSIGN_OR_RETURN(uint64_t t, ring.SolveTag(f, g));
     walk_.tags.resize(walk_.nodes.size(), kNoTag);

@@ -57,8 +57,8 @@ class Montgomery {
   /// 0^0 == 1, matching PowMod.
   uint64_t Pow(uint64_t base, uint64_t e) const;
 
- private:
-  /// Montgomery reduction: t * R^{-1} mod m for t < m * R.
+  /// Montgomery reduction (REDC): t * R^{-1} mod m for any t < m * R, such
+  /// as a sum of up to floor(2^64 / m) products of canonical operands.
   uint64_t Reduce(unsigned __int128 t) const {
     uint64_t q = static_cast<uint64_t>(t) * neg_inv_;
     uint64_t r = static_cast<uint64_t>(
@@ -66,6 +66,7 @@ class Montgomery {
     return r >= m_ ? r - m_ : r;
   }
 
+ private:
   uint64_t m_;
   uint64_t neg_inv_;  // -m^{-1} mod 2^64
   uint64_t r2_;       // R^2 mod m

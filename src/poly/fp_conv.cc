@@ -4,6 +4,7 @@
 #include <atomic>
 #include <utility>
 
+#include "field/simd_eval.h"
 #include "nt/ntt.h"
 #include "poly/karatsuba.h"
 #include "util/check.h"
@@ -11,15 +12,18 @@
 namespace polysse {
 namespace {
 
-// Crossover between Montgomery schoolbook and Karatsuba, in coefficients of
-// the shorter operand. Tuned on the ring_ops microbench (see BENCH.md).
-constexpr size_t kDefaultKaratsubaThreshold = 24;
+// Crossover between schoolbook and Karatsuba, in coefficients of the
+// shorter operand. Tuned on the ring_ops microbench (see BENCH.md): both
+// lazy base cases keep beating a Karatsuba split up to about a hundred
+// coefficients, so every product in the p = 67 ring is one schoolbook pass.
+constexpr size_t kDefaultKaratsubaThreshold = 96;
 
 // Crossover between Karatsuba and the NTT, in coefficients of the shorter
-// operand. The NTT pays three N log N passes plus padding to a power of two,
-// which beats Karatsuba's recursion once operands reach the low hundreds of
-// coefficients (see BENCH.md's crossover table).
-constexpr size_t kDefaultNttThreshold = 128;
+// operand. The NTT pays three N log N passes plus padding to a power of two;
+// over the lazy-reduction Karatsuba it wins only once operands reach a few
+// thousand coefficients (see BENCH.md's crossover table). The cyclic ring
+// product (TryCyclicNttConvolve) uses the same bound.
+constexpr size_t kDefaultNttThreshold = 4096;
 
 // The knobs are flipped by tests that run against pooled executors, so they
 // are relaxed atomics: no ordering is promised between a flip and a multiply
@@ -28,38 +32,60 @@ std::atomic<FpMulPath> g_mul_path{FpMulPath::kFast};
 std::atomic<size_t> g_karatsuba_threshold{kDefaultKaratsubaThreshold};
 std::atomic<size_t> g_ntt_threshold{kDefaultNttThreshold};
 
-/// Schoolbook with the shorter operand converted to Montgomery form once:
-/// REDC(mont(a_i) * b_j) = a_i * b_j, so every inner product costs two word
-/// multiplications instead of a 128/64 division, and the accumulator and
-/// result never leave the plain domain.
-std::vector<uint64_t> SchoolbookMont(const PrimeField& field,
+/// Schoolbook by lazy-reduction dot products: every product coefficient is
+/// summed unreduced and reduced once per chunk (field/simd_eval.h).
+std::vector<uint64_t> SchoolbookLazy(const LazyDot& dot,
                                      std::span<const uint64_t> a,
                                      std::span<const uint64_t> b) {
-  const Montgomery* mont = field.mont();
-  // p = 2: no Montgomery form for an even modulus; the plain reference
-  // kernel is the fallback.
-  if (mont == nullptr) return ConvolveSchoolbook(field, a, b);
-  std::vector<uint64_t> out(a.size() + b.size() - 1, 0);
+  std::vector<uint64_t> out(a.size() + b.size() - 1);
+  dot.Convolve(a, b, out.data());
+  return out;
+}
+
+/// Schoolbook for p-1 >= 2^32, where not even one product fits 64 bits:
+/// the shorter operand is converted to Montgomery form once, products are
+/// summed unreduced in 128 bits, and REDC(sum of mont(a_i) * b_j) = the sum
+/// of a_i * b_j. A sum of floor(2^64 / p) products stays below p * 2^64,
+/// REDC's input bound, so each coefficient takes one REDC per that many
+/// products instead of one per product.
+std::vector<uint64_t> SchoolbookMont(const Montgomery& mont,
+                                     const PrimeField& field,
+                                     std::span<const uint64_t> a,
+                                     std::span<const uint64_t> b) {
   if (a.size() > b.size()) std::swap(a, b);
-  std::vector<uint64_t> am(a.size());
-  for (size_t i = 0; i < a.size(); ++i) am[i] = mont->ToMont(a[i]);
-  for (size_t i = 0; i < a.size(); ++i) {
-    const uint64_t ai = am[i];
-    if (ai == 0) continue;
-    for (size_t j = 0; j < b.size(); ++j)
-      out[i + j] = field.Add(out[i + j], mont->Mul(ai, b[j]));
+  const size_t na = a.size(), nb = b.size();
+  std::vector<uint64_t> am(na);
+  for (size_t i = 0; i < na; ++i) am[i] = mont.ToMont(a[i]);
+  const size_t chunk = UINT64_MAX / field.modulus();  // >= 2: p < 2^63
+  std::vector<uint64_t> out(na + nb - 1);
+  for (size_t k = 0; k < out.size(); ++k) {
+    const size_t lo = k + 1 >= nb ? k + 1 - nb : 0;
+    const size_t hi = std::min(k, na - 1);
+    uint64_t total = 0;
+    for (size_t i = lo; i <= hi;) {
+      const size_t end = hi + 1 - i <= chunk ? hi + 1 : i + chunk;
+      unsigned __int128 sum = 0;
+      for (; i < end; ++i)
+        sum += static_cast<unsigned __int128>(am[i]) * b[k - i];
+      total = field.Add(total, mont.Reduce(sum));
+    }
+    out[k] = total;
   }
   return out;
 }
 
 /// Adapter feeding the shared Karatsuba skeleton (poly/karatsuba.h) the F_p
-/// ring ops and the Montgomery schoolbook base case.
+/// ring ops and the schoolbook base case: lazy reduction, or Montgomery
+/// when p-1 >= 2^32.
 struct FpKaratsubaOps {
   const PrimeField& field;
+  LazyDot dot;
 
   std::vector<uint64_t> Schoolbook(std::span<const uint64_t> a,
                                    std::span<const uint64_t> b) const {
-    return SchoolbookMont(field, a, b);
+    if (dot.enabled()) return SchoolbookLazy(dot, a, b);
+    // p-1 >= 2^32 makes p odd, so the Montgomery context exists.
+    return SchoolbookMont(*field.mont(), field, a, b);
   }
   uint64_t Add(const uint64_t& x, const uint64_t& y) const {
     return field.Add(x, y);
@@ -128,7 +154,8 @@ std::vector<uint64_t> ConvolveKaratsuba(const PrimeField& field,
                                         std::span<const uint64_t> a,
                                         std::span<const uint64_t> b) {
   if (a.empty() || b.empty()) return {};
-  return KaratsubaMul(FpKaratsubaOps{field}, a, b, GetFpKaratsubaThreshold());
+  return KaratsubaMul(FpKaratsubaOps{field, LazyDot(field)}, a, b,
+                      GetFpKaratsubaThreshold());
 }
 
 std::vector<uint64_t> ConvolveFast(const PrimeField& field,

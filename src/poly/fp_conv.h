@@ -1,11 +1,19 @@
 // Coefficient-vector convolution kernels over F_p: the quadratic reference
-// and the three-tier fast path (Montgomery-converted schoolbook below the
-// Karatsuba threshold, Karatsuba above it, radix-2 NTT above the NTT
-// crossover when the modulus is NTT-friendly at the required transform
-// length). FpPoly::operator* dispatches here; the reference and Karatsuba
-// paths and the knobs stay exported so the differential suite and the bench
-// harness can pit all three implementations against each other on identical
-// inputs.
+// and the three-tier fast path:
+//   1. schoolbook at or below the Karatsuba threshold. Each product
+//      coefficient is one lazy-reduction dot product (field/simd_eval.h):
+//      unreduced 64-bit products, reduced once per coefficient, or once per
+//      floor((2^64-1)/(p-1)^2) products when fewer fit; AVX2 or scalar as
+//      SimdEnabled(kAvx2) says. When p-1 >= 2^32 no product fits 64 bits
+//      and the base case is Montgomery instead: the shorter operand is
+//      converted once, products are summed in 128 bits, one REDC per
+//      floor(2^64/p) of them;
+//   2. Karatsuba above the threshold;
+//   3. radix-2 NTT above the NTT crossover, when the modulus is NTT-friendly
+//      at the required transform length.
+// FpPoly::operator* dispatches here; the reference and Karatsuba paths and
+// the knobs stay exported so the differential suite and the bench harness
+// can pit all three implementations against each other on identical inputs.
 #ifndef POLYSSE_POLY_FP_CONV_H_
 #define POLYSSE_POLY_FP_CONV_H_
 
@@ -32,7 +40,7 @@ FpMulPath SetFpMulPath(FpMulPath path);
 FpMulPath GetFpMulPath();
 
 /// Karatsuba crossover in coefficient count: operand pairs whose shorter
-/// side is at or below the threshold multiply by Montgomery schoolbook.
+/// side is at or below the threshold multiply by schoolbook.
 /// Returns the previous value; passing 0 restores the tuned default
 /// (values >= 1 are used as-is). Test/bench knob, atomic like the path.
 size_t SetFpKaratsubaThreshold(size_t threshold);
@@ -54,7 +62,7 @@ std::vector<uint64_t> ConvolveSchoolbook(const PrimeField& field,
                                          std::span<const uint64_t> b);
 
 /// The sub-quadratic tier alone: Karatsuba above the threshold, schoolbook
-/// with a one-time Montgomery conversion of the shorter operand below it.
+/// (tier 1 above) below it.
 /// Same contract as ConvolveSchoolbook. This is both the kKaratsuba forced
 /// path and the fallback when the modulus is not NTT-friendly.
 std::vector<uint64_t> ConvolveKaratsuba(const PrimeField& field,

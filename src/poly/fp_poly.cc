@@ -239,7 +239,7 @@ bool FpPoly::IsIrreducible() const {
 
 void FpPoly::Serialize(ByteWriter* out) const {
   out->PutVarint64(coeffs_.size());
-  for (uint64_t c : coeffs_) out->PutVarint64(c);
+  out->PutVarints(coeffs_);
 }
 
 Result<FpPoly> FpPoly::Deserialize(const PrimeField& field, ByteReader* in) {
@@ -251,11 +251,16 @@ Result<FpPoly> FpPoly::Deserialize(const PrimeField& field, ByteReader* in) {
   if (n > in->remaining())
     return Status::Corruption("FpPoly: coefficient count exceeds remaining bytes");
   std::vector<uint64_t> coeffs(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(coeffs[i], in->GetVarint64());
-    if (!field.IsCanonical(coeffs[i]))
-      return Status::Corruption("FpPoly: coefficient outside field");
-  }
+  const Status read = in->GetVarints(coeffs);
+  // The refusal a coefficient-by-coefficient read gives: a coefficient >= p
+  // before the first bad varint is reported first. On a failed read the
+  // unread tail is still 0, so scanning the whole vector finds exactly the
+  // coefficients read before the failure.
+  uint64_t largest = 0;
+  for (uint64_t c : coeffs) largest = std::max(largest, c);
+  if (!field.IsCanonical(largest))
+    return Status::Corruption("FpPoly: coefficient outside field");
+  RETURN_IF_ERROR(read);
   return FpPoly(field, std::move(coeffs));
 }
 

@@ -1,5 +1,5 @@
 // The Karatsuba recursion skeleton, shared by the two coefficient rings:
-// fp_conv.cc instantiates it with word coefficients and the Montgomery
+// fp_conv.cc instantiates it with word coefficients and the F_p
 // schoolbook base case, z_poly.cc with BigInt coefficients. The Ops
 // parameter supplies the base-case product and the ring's add/sub, so the
 // split logic — threshold gate, unbalanced-operand branch, half-sum middle

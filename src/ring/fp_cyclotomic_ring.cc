@@ -1,5 +1,7 @@
 #include "ring/fp_cyclotomic_ring.h"
 
+#include <algorithm>
+
 #include "poly/fp_conv.h"
 #include "util/check.h"
 
@@ -29,7 +31,7 @@ FpPoly FpCyclotomicRing::Reduce(const FpPoly& a) const {
   // coefficients directly (no signed round trip) with a running slot index
   // instead of a division per coefficient.
   const size_t n = DenseCoeffCount();
-  if (a.degree() < static_cast<int>(n)) return a;
+  if (a.coeffs().size() <= n) return a;
   const std::vector<uint64_t>& c = a.coeffs();
   std::vector<uint64_t> folded(c.begin(), c.begin() + n);
   size_t slot = 0;
@@ -47,7 +49,10 @@ FpPoly FpCyclotomicRing::Mul(const Elem& a, const Elem& b) const {
       return FpPoly::FromCanonical(field_, std::move(*folded));
     }
   }
-  return Reduce(a * b);
+  FpPoly product = a * b;
+  // A product that does not wrap is already reduced: hand it back as is.
+  if (product.coeffs().size() <= DenseCoeffCount()) return product;
+  return Reduce(product);
 }
 
 Result<uint64_t> FpCyclotomicRing::QueryModulus(uint64_t e) const {
@@ -73,19 +78,37 @@ Result<uint64_t> FpCyclotomicRing::SolveTag(const Elem& f, const Elem& g) const 
     return Status::VerificationFailed(
         "SolveTag: children product is zero — impossible for well-formed data "
         "(Lemma 3)");
-  // f = (x - t) g  <=>  t * g = x*g - f   (Eq. 2).
-  const Elem xg = Mul(FpPoly::Monomial(field_, 1, 1), g);
-  const Elem h = Sub(xg, f);
-  // Solve t from the first index where g is nonzero, then check every
-  // remaining equation of Eq. (3).
-  size_t pivot = 0;
-  while (pivot < g.coeffs().size() && g.coeff(pivot) == 0) ++pivot;
-  POLYSSE_DCHECK(pivot < g.coeffs().size());
-  ASSIGN_OR_RETURN(uint64_t ginv, field_.Inv(g.coeff(pivot)));
-  const uint64_t t = field_.Mul(h.coeff(pivot), ginv);
-  if (!Equal(g.ScalarMul(t), h))
+  auto inconsistent = [] {
     return Status::VerificationFailed(
-        "SolveTag: coefficient equations inconsistent — server answer rejected");
+        "SolveTag: coefficient equations inconsistent — server answer "
+        "rejected");
+  };
+  // f = (x - t) g  <=>  t * g_k = (x g)_k - f_k for every k < p-1 (Eq. 2,
+  // Eq. 3), where x g is g rotated by one slot: (x g)_k = g_{k-1} and
+  // (x g)_0 = g_{p-2}. Residues past degree p-2 fit no equation.
+  const size_t n = DenseCoeffCount();
+  const std::vector<uint64_t>& fc = f.coeffs();
+  const std::vector<uint64_t>& gc = g.coeffs();
+  if (fc.size() > n || gc.size() > n) return inconsistent();
+  auto f_at = [&](size_t k) { return k < fc.size() ? fc[k] : 0; };
+  auto g_at = [&](size_t k) { return k < gc.size() ? gc[k] : 0; };
+  auto xg_at = [&](size_t k) { return g_at(k == 0 ? n - 1 : k - 1); };
+  // Solve t at the first index where g is nonzero, then check every
+  // equation; past both f and x g all three terms are 0.
+  size_t pivot = 0;
+  while (gc[pivot] == 0) ++pivot;  // g is normalized: its top is nonzero
+  ASSIGN_OR_RETURN(uint64_t ginv, field_.Inv(gc[pivot]));
+  const uint64_t t =
+      field_.Mul(field_.Sub(xg_at(pivot), f_at(pivot)), ginv);
+  // REDC(mont(t) * g_k) = t * g_k: no hardware division per coefficient
+  // (p is odd, so the Montgomery context exists).
+  const Montgomery& mont = *field_.mont();
+  const uint64_t tm = mont.ToMont(t);
+  const size_t checked = std::min(n, std::max(fc.size(), gc.size() + 1));
+  for (size_t k = 0; k < checked; ++k) {
+    if (field_.Add(mont.Mul(tm, g_at(k)), f_at(k)) != xg_at(k))
+      return inconsistent();
+  }
   if (t == 0)
     return Status::VerificationFailed(
         "SolveTag: reconstructed tag value 0 is outside the tag alphabet");
@@ -115,7 +138,7 @@ Result<FpCyclotomicRing::Scalar> FpCyclotomicRing::DeserializeScalar(
 
 Result<FpPoly> FpCyclotomicRing::Deserialize(ByteReader* in) const {
   ASSIGN_OR_RETURN(FpPoly p, FpPoly::Deserialize(field_, in));
-  if (p.degree() >= static_cast<int>(DenseCoeffCount()))
+  if (p.coeffs().size() > DenseCoeffCount())
     return Status::Corruption("ring element degree exceeds p-2");
   return p;
 }

@@ -95,9 +95,10 @@ class FpCyclotomicRing {
   }
 
   /// Theorem 1: given a node residue f and the product g of its children,
-  /// returns the unique t with f = (x - t) * g, verifying *all* coefficient
-  /// equations (Eq. 3). VerificationFailed when no consistent t exists
-  /// (corrupt or cheating server).
+  /// returns the unique t with f = (x - t) * g, verifying *all* p-1
+  /// coefficient equations (Eq. 3) in one pass over f and g, with no
+  /// temporaries. VerificationFailed when no consistent t exists (corrupt
+  /// or cheating server).
   Result<uint64_t> SolveTag(const Elem& f, const Elem& g) const;
 
   /// Scalar type of coefficients (used by the trusted constant-only mode).

@@ -29,6 +29,10 @@ class ByteWriter {
   void PutVarint64(uint64_t v);
   /// Zig-zag signed varint.
   void PutVarintSigned64(int64_t v);
+  /// The bytes of PutVarint64 for every value in turn, written in one pass.
+  /// A run whose values are all below 128 (every coefficient at p <= 128)
+  /// is copied one byte per value.
+  void PutVarints(std::span<const uint64_t> values);
 
   void PutBytes(std::span<const uint8_t> bytes) {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
@@ -90,6 +94,11 @@ class ByteReader {
   Result<uint64_t> GetU64();
   Result<uint64_t> GetVarint64();
   Result<int64_t> GetVarintSigned64();
+  /// Reads out.size() varints exactly as that many GetVarint64 calls would:
+  /// the same values, the same error, and the same position after it (on an
+  /// error, out holds the values read before it and nothing past them).
+  /// Runs of single-byte varints are decoded eight at a time.
+  Status GetVarints(std::span<uint64_t> out);
   /// Reads exactly n bytes.
   Result<std::vector<uint8_t>> GetBytes(size_t n);
   /// Varint length followed by that many bytes.

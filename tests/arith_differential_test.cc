@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -25,6 +26,7 @@
 #include "testing/deterministic_rng.h"
 #include "testing/mul_path_guards.h"
 #include "testing/ring_generators.h"
+#include "util/bytes.h"
 
 namespace polysse {
 namespace {
@@ -411,6 +413,200 @@ TEST_F(ArithDifferentialTest, PointPowersMatchScalarHorner) {
         }
       }
     }
+  }
+}
+
+// ------------------------- kFast products and SolveTag at every bound --
+
+// p = 2 (no Montgomery form), small primes, the benchmark ring's p = 67,
+// the NTT-friendly 257 / 65537 / 998244353, 2^31-1 (four products per
+// lazy reduction), and two moduli past 2^32 whose base case stays
+// Montgomery.
+const uint64_t kProductModuli[] = {2,
+                                   3,
+                                   5,
+                                   67,
+                                   257,
+                                   65537,
+                                   998244353,
+                                   (1ull << 31) - 1,
+                                   4294967311ull,
+                                   (1ull << 61) - 1};
+
+// Operand lengths on both sides of the schoolbook bounds of the kFast
+// dispatch at p: 1-5, the lazy-reduction chunk (products one 64-bit sum
+// absorbs), the Karatsuba threshold, and p-1 when the reference kernel can
+// afford it. Every pair of them is multiplied; the NTT threshold, a few
+// thousand coefficients, gets pairs of its own.
+std::vector<size_t> BoundaryLengths(uint64_t p) {
+  std::vector<size_t> lens = {1, 2, 3, 4, 5};
+  auto around = [&](uint64_t bound) {
+    for (uint64_t l = std::max<uint64_t>(bound, 2) - 1; l <= bound + 1; ++l)
+      lens.push_back(static_cast<size_t>(l));
+  };
+  const uint64_t top = p - 1;
+  if ((top >> 32) == 0 && UINT64_MAX / (top * top) <= 256)
+    around(UINT64_MAX / (top * top));
+  around(GetFpKaratsubaThreshold());
+  if (top <= 256) lens.push_back(static_cast<size_t>(top));
+  std::sort(lens.begin(), lens.end());
+  lens.erase(std::unique(lens.begin(), lens.end()), lens.end());
+  return lens;
+}
+
+// n coefficients with a nonzero top one, so the polynomial keeps length n.
+std::vector<uint64_t> ExactLength(std::vector<uint64_t> c) {
+  if (!c.empty() && c.back() == 0) c.back() = 1;
+  return c;
+}
+
+TEST_F(ArithDifferentialTest, FastProductsMatchSchoolbookAtEveryBound) {
+  const ScopedFpMulPath path(FpMulPath::kFast);
+  int ring_cases = 0;
+  for (uint64_t p : kProductModuli) {
+    const PrimeField f = PrimeField::Create(p).value();
+    // The ring side past 2^31 is WideRingsReduceAndSolve's.
+    std::optional<FpCyclotomicRing> ring;
+    if (p >= 3 && p < (1ull << 31)) ring = FpCyclotomicRing::Create(p).value();
+    const std::vector<size_t> lens = BoundaryLengths(p);
+    for (size_t na : lens) {
+      for (size_t nb : lens) {
+        if (nb > na) continue;
+        // Adversarial operands, then all coefficients p - 1: the largest
+        // sum every lazy accumulator can reach.
+        for (int variant = 0; variant < 2; ++variant) {
+          const std::vector<uint64_t> a =
+              variant == 0 ? ExactLength(AdversarialCoeffs(rng(), f, na))
+                           : std::vector<uint64_t>(na, p - 1);
+          const std::vector<uint64_t> b =
+              variant == 0 ? ExactLength(AdversarialCoeffs(rng(), f, nb))
+                           : std::vector<uint64_t>(nb, p - 1);
+          const FpPoly pa = FpPoly::FromCanonical(f, a);
+          const FpPoly pb = FpPoly::FromCanonical(f, b);
+          const FpPoly want =
+              FpPoly::FromCanonical(f, ConvolveSchoolbook(f, a, b));
+          EXPECT_EQ(pa * pb, want) << "p=" << p << " na=" << na << " nb=" << nb;
+          EXPECT_EQ(pb * pa, want) << "p=" << p << " na=" << nb << " nb=" << na;
+          if (ring && na <= ring->DenseCoeffCount()) {
+            EXPECT_EQ(ring->Mul(pa, pb), ring->Reduce(want))
+                << "ring p=" << p << " na=" << na << " nb=" << nb;
+            ++ring_cases;
+          }
+        }
+      }
+    }
+    // The NTT threshold: just below it Karatsuba serves, at it the NTT,
+    // where the modulus admits the padded transform length.
+    const size_t nt = GetFpNttThreshold();
+    if (NttMaxLength(p) >= 4 * nt) {
+      for (size_t n : {nt - 1, nt}) {
+        const std::vector<uint64_t> a = ExactLength(AdversarialCoeffs(rng(), f, n));
+        const std::vector<uint64_t> b = ExactLength(AdversarialCoeffs(rng(), f, n));
+        EXPECT_EQ(ConvolveFast(f, a, b), ConvolveSchoolbook(f, a, b))
+            << "p=" << p << " n=" << n;
+      }
+    }
+  }
+  EXPECT_GE(ring_cases, 400);
+}
+
+// g as a product of tag factors: never a monomial (it vanishes at its
+// factors' values; c x^k vanishes nowhere on F_p^*), so no single changed
+// coefficient of f = (x - t) g can be consistent with another tag.
+FpPoly TagFactorProduct(const FpCyclotomicRing& ring, DeterministicRng& rng,
+                        size_t factors) {
+  FpPoly g = ring.One();
+  for (size_t i = 0; i < factors; ++i)
+    g = ring.Mul(g, ring.XMinus(rng.UniformInt(1, ring.MaxTagValue())).value());
+  return g;
+}
+
+// f with coefficient k moved by a nonzero amount must be refused.
+void ExpectTamperRefused(const FpCyclotomicRing& ring, const FpPoly& f,
+                         const FpPoly& g, size_t k, DeterministicRng& rng) {
+  const PrimeField& field = ring.field();
+  std::vector<uint64_t> c = f.coeffs();
+  if (c.size() <= k) c.resize(k + 1, 0);
+  c[k] = field.Add(c[k], rng.UniformInt(1, ring.p() - 1));
+  const auto t = ring.SolveTag(FpPoly::FromCanonical(field, std::move(c)), g);
+  ASSERT_FALSE(t.ok()) << "p=" << ring.p() << " k=" << k << " solved " << *t;
+  EXPECT_EQ(t.status().code(), StatusCode::kVerificationFailed)
+      << "p=" << ring.p() << " k=" << k;
+}
+
+TEST_F(ArithDifferentialTest, SolveTagSolvesHonestAndRefusesEveryTamperedIndex) {
+  // Every index 0..p-2; index 0 is where x g wraps g's top coefficient.
+  for (uint64_t p : {5ull, 11ull, 67ull, 257ull}) {
+    const FpCyclotomicRing ring = FpCyclotomicRing::Create(p).value();
+    const size_t n = ring.DenseCoeffCount();
+    for (int iter = 0; iter < 6; ++iter) {
+      // From one factor (a leaf child) to products that wrap the ring.
+      const size_t factors =
+          iter == 0 ? 1 : static_cast<size_t>(rng().UniformInt(2, 2 * n));
+      const FpPoly g = TagFactorProduct(ring, rng(), factors);
+      const uint64_t t = iter == 1   ? 1
+                         : iter == 2 ? ring.MaxTagValue()
+                                     : rng().UniformInt(1, ring.MaxTagValue());
+      const FpPoly f = ring.Mul(ring.XMinus(t).value(), g);
+      const auto solved = ring.SolveTag(f, g);
+      ASSERT_TRUE(solved.ok()) << "p=" << p << ": " << solved.status().ToString();
+      EXPECT_EQ(*solved, t) << "p=" << p;
+      for (size_t k = 0; k < n; ++k) ExpectTamperRefused(ring, f, g, k, rng());
+    }
+  }
+  // Larger rings: sampled indices around f's support, plus the top slot.
+  for (uint64_t p : {1009ull, 65537ull}) {
+    const FpCyclotomicRing ring = FpCyclotomicRing::Create(p).value();
+    const uint64_t n = ring.DenseCoeffCount();
+    for (int iter = 0; iter < 8; ++iter) {
+      const FpPoly g = TagFactorProduct(
+          ring, rng(), static_cast<size_t>(rng().UniformInt(1, 20)));
+      const uint64_t t = rng().UniformInt(1, ring.MaxTagValue());
+      const FpPoly f = ring.Mul(ring.XMinus(t).value(), g);
+      const auto solved = ring.SolveTag(f, g);
+      ASSERT_TRUE(solved.ok()) << "p=" << p << ": " << solved.status().ToString();
+      EXPECT_EQ(*solved, t) << "p=" << p;
+      const size_t deg = static_cast<size_t>(f.degree());
+      std::vector<uint64_t> indices = {0, 1, deg, deg + 1, deg + 2};
+      for (int i = 0; i < 5; ++i) indices.push_back(rng().UniformInt(0, deg + 10));
+      indices.push_back(n - 1);
+      for (uint64_t k : indices) ExpectTamperRefused(ring, f, g, k, rng());
+    }
+  }
+}
+
+TEST_F(ArithDifferentialTest, WideRingsReduceAndSolve) {
+  // p - 1 >= 2^31: the dense length does not fit an int, so the fold and
+  // the decoder's degree bound must compare sizes, not int degrees (an int
+  // cast once made Reduce fold every product and Deserialize refuse every
+  // element). Elements stay sparse: a dense one would not fit in memory.
+  for (uint64_t p : {4294967311ull, (1ull << 61) - 1}) {
+    const FpCyclotomicRing ring = FpCyclotomicRing::Create(p).value();
+    const PrimeField& f = ring.field();
+    for (size_t na : {size_t{1}, size_t{5}, size_t{40}}) {
+      const std::vector<uint64_t> a = ExactLength(AdversarialCoeffs(rng(), f, na));
+      const std::vector<uint64_t> b = ExactLength(AdversarialCoeffs(rng(), f, 7));
+      const FpPoly pa = FpPoly::FromCanonical(f, a);
+      const FpPoly pb = FpPoly::FromCanonical(f, b);
+      const FpPoly want = FpPoly::FromCanonical(f, ConvolveSchoolbook(f, a, b));
+      EXPECT_EQ(ring.Mul(pa, pb), want) << "p=" << p << " na=" << na;
+      EXPECT_EQ(ring.Reduce(want), want) << "p=" << p << " na=" << na;
+      ByteWriter w;
+      ring.Serialize(want, &w);
+      ByteReader in(w.span());
+      const auto back = ring.Deserialize(&in);
+      ASSERT_TRUE(back.ok()) << "p=" << p << ": " << back.status().ToString();
+      EXPECT_EQ(*back, want);
+    }
+    const FpPoly g = TagFactorProduct(ring, rng(), 12);
+    const uint64_t t = rng().UniformInt(1, ring.MaxTagValue());
+    const FpPoly fx = ring.Mul(ring.XMinus(t).value(), g);
+    const auto solved = ring.SolveTag(fx, g);
+    ASSERT_TRUE(solved.ok()) << "p=" << p << ": " << solved.status().ToString();
+    EXPECT_EQ(*solved, t);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{6}, size_t{12}, size_t{13},
+                     size_t{14}, size_t{30}})
+      ExpectTamperRefused(ring, fx, g, k, rng());
   }
 }
 

@@ -660,14 +660,56 @@ TEST(CollectionTest, VerifiedLookupsBatchFetchesIntoFewRounds) {
         << "scheme " << static_cast<int>(scheme);
 
     auto trusted = col->Search(tag, VerifyMode::kTrustedConstOnly).value();
-    // One const-only round up front; each runtime fallback re-fetches one
-    // candidate's full shares as its own round.
+    // One planned const-only round, plus one planned full round that holds
+    // every wrapped candidate (each counted in trusted_fallbacks).
     EXPECT_LE(trusted.stats.fetch_rounds,
-              1 + trusted.stats.trusted_fallbacks)
+              trusted.stats.trusted_fallbacks > 0 ? 2u : 1u)
         << "scheme " << static_cast<int>(scheme);
 
     auto optimistic = col->Search(tag, VerifyMode::kOptimistic).value();
     EXPECT_EQ(optimistic.stats.fetch_rounds, 0u);
+  }
+}
+
+TEST(CollectionTest, TrustedFallbacksCountWrappedCandidates) {
+  // The 60-node document of QueryFpTest.TrustedConstOnlySavesBandwidth, in
+  // a 2-party collection at p = 11: a subtree of more than p - 2 = 9 nodes
+  // wraps the ring, so its candidate is planned straight into the full
+  // round and counted as a trusted fallback without a const-only request.
+  XmlGeneratorOptions gen;
+  gen.num_nodes = 60;
+  gen.tag_alphabet = 6;
+  gen.seed = 17;
+  const XmlNode doc = GenerateXmlTree(gen);
+  auto col =
+      FpCollection::Create(DeterministicPrf::FromString("bw"), {}, {.p = 11})
+          .value();
+  ASSERT_TRUE(col->Add(0, doc).ok());
+  constexpr size_t kMaxResidueDegree = 11 - 2;
+
+  const std::vector<std::string> tags = doc.DistinctTags();
+  ASSERT_EQ(tags.size(), 6u);
+  for (const std::string& tag : tags) {
+    // The zero candidates are the nodes whose subtree holds the tag.
+    size_t wrapped = 0;
+    std::function<bool(const XmlNode&)> holds = [&](const XmlNode& n) {
+      bool any = n.name() == tag;
+      for (const XmlNode& c : n.children()) any = holds(c) || any;
+      if (any && n.SubtreeSize() > kMaxResidueDegree) ++wrapped;
+      return any;
+    };
+    holds(doc);
+    ASSERT_GT(wrapped, 0u) << tag;
+
+    auto verified = col->Search(tag, VerifyMode::kVerified).value();
+    auto trusted = col->Search(tag, VerifyMode::kTrustedConstOnly).value();
+    EXPECT_EQ(trusted.stats.trusted_fallbacks, wrapped) << tag;
+    EXPECT_EQ(trusted.stats.fetch_rounds, 2u) << tag;  // const-only + full
+    ExpectSameAnswers(verified, trusted);
+    ASSERT_EQ(trusted.per_doc.count(0), 1u) << tag;
+    EXPECT_EQ(SortedMatchPaths(trusted.per_doc.at(0).matches),
+              PlaintextMatches(doc, tag))
+        << tag;
   }
 }
 

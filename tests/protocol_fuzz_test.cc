@@ -5,8 +5,10 @@
 // like the arithmetic differential battery.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -506,6 +508,157 @@ TEST(TaggedFrameFuzzTest, FailAllFlushesPendingAndClosesRouter) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(router.Complete(a->first, std::vector<uint8_t>{}).ok());
   router.FailAll(Status::Unavailable("again"));
+}
+
+// ------------------------------------------------- varint run codec --
+//
+// ByteWriter::PutVarints / ByteReader::GetVarints are one-pass forms of a
+// loop over PutVarint64 / GetVarint64, and must be indistinguishable from
+// it: the same bytes, and on decode the same values, final position and
+// status on every input, however it ends.
+
+// A value whose minimal varint takes `bytes` bytes (1..10).
+uint64_t ValueOfVarintLength(DeterministicRng& rng, int bytes) {
+  if (bytes == 1) return rng.UniformInt(0, 0x7F);
+  const uint64_t lo = uint64_t{1} << (7 * (bytes - 1));
+  const uint64_t hi =
+      bytes == 10 ? ~uint64_t{0} : (uint64_t{1} << (7 * bytes)) - 1;
+  return lo + rng() % (hi - lo + 1);
+}
+
+// Decodes `count` varints both ways and compares everything observable.
+void ExpectRunDecodeAgrees(std::span<const uint8_t> bytes, size_t count) {
+  constexpr uint64_t kUnset = 0xABCDEF;
+  ByteReader one(bytes);
+  std::vector<uint64_t> want(count, kUnset);
+  Status want_status = Status::Ok();
+  for (size_t i = 0; i < count; ++i) {
+    auto v = one.GetVarint64();
+    if (!v.ok()) {
+      want_status = v.status();
+      break;
+    }
+    want[i] = *v;
+  }
+  ByteReader run(bytes);
+  std::vector<uint64_t> got(count, kUnset);
+  const Status got_status = run.GetVarints(got);
+  EXPECT_EQ(got_status.code(), want_status.code()) << "len " << bytes.size();
+  EXPECT_EQ(got_status.message(), want_status.message());
+  EXPECT_EQ(got, want) << "len " << bytes.size();
+  EXPECT_EQ(run.position(), one.position()) << "len " << bytes.size();
+}
+
+// FpPoly::Deserialize as a coefficient-by-coefficient read: the count
+// checks, then each varint followed by its canonical check.
+Status ReferenceFpPolyRead(const PrimeField& field, ByteReader* in) {
+  ASSIGN_OR_RETURN(uint64_t n, in->GetVarint64());
+  if (n > (1ull << 32))
+    return Status::Corruption("FpPoly: absurd coefficient count");
+  if (n > in->remaining())
+    return Status::Corruption("FpPoly: coefficient count exceeds remaining bytes");
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(uint64_t c, in->GetVarint64());
+    if (!field.IsCanonical(c))
+      return Status::Corruption("FpPoly: coefficient outside field");
+  }
+  return Status::Ok();
+}
+
+TEST(ProtocolFuzzTest, VarintRunCodecAgreesWithOneAtATime) {
+  const uint64_t seed = FuzzCaseSeed(16);
+  SCOPED_TRACE(SeedNote(seed));
+  DeterministicRng rng(seed);
+  for (int round = 0; round < 400; ++round) {
+    // Runs of 1- to 10-byte varints; most rounds mostly one-byte values, so
+    // the eight-at-a-time path runs and is broken off at random points.
+    const size_t n = rng.UniformInt(0, 40);
+    const int max_bytes = rng.UniformInt(0, 2) == 0 ? 10 : 2;
+    std::vector<uint64_t> values(n);
+    for (uint64_t& v : values)
+      v = ValueOfVarintLength(
+          rng, rng.UniformInt(0, 3) == 0 ? rng.UniformInt(1, max_bytes) : 1);
+    ByteWriter loop, one_pass;
+    for (uint64_t v : values) loop.PutVarint64(v);
+    one_pass.PutVarints(values);
+    ASSERT_EQ(one_pass.bytes(), loop.bytes()) << "round " << round;
+
+    std::vector<uint8_t> bytes = loop.Take();
+    // Splice in a hostile varint: a non-minimal one that still decodes, an
+    // overlong one (11 bytes), or a 10-byte one that overflows 64 bits.
+    if (rng.UniformInt(0, 1) == 0) {
+      std::vector<uint8_t> hostile;
+      switch (rng.UniformInt(0, 2)) {
+        case 0:  // non-minimal, 2..10 bytes
+          hostile.assign(rng.UniformInt(1, 9), 0x80);
+          hostile.push_back(0x00);
+          break;
+        case 1:  // eleven bytes
+          hostile.assign(10, 0x80 | static_cast<uint8_t>(rng() & 0x7F));
+          hostile.push_back(0x01);
+          break;
+        default:  // tenth byte carries bits past 2^63
+          hostile.assign(9, 0xFF);
+          hostile.push_back(static_cast<uint8_t>(rng.UniformInt(2, 0x7F)));
+          break;
+      }
+      const size_t at = rng.UniformInt(0, bytes.size());
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                   hostile.begin(), hostile.end());
+    }
+    // Every truncation point, asking for the values the full buffer holds
+    // and for one more than that.
+    for (size_t len = 0; len <= bytes.size(); ++len) {
+      const std::span<const uint8_t> cut(bytes.data(), len);
+      ExpectRunDecodeAgrees(cut, n);
+      ExpectRunDecodeAgrees(cut, n + 1);
+    }
+  }
+  // Random bytes, continuation-heavy.
+  for (int round = 0; round < 500; ++round) {
+    std::vector<uint8_t> junk(rng.UniformInt(0, 64));
+    for (uint8_t& b : junk) {
+      b = static_cast<uint8_t>(rng());
+      if (rng.UniformInt(0, 1) == 0) b |= 0x80;
+    }
+    ExpectRunDecodeAgrees(junk, rng.UniformInt(0, 24));
+  }
+}
+
+TEST(ProtocolFuzzTest, FpPolyDecodeRefusesLikeOneAtATime) {
+  // A coefficient >= p and a count past the remaining bytes are still
+  // refused, with the status a coefficient-by-coefficient read gives, on
+  // every truncation of encodings that hide one bad coefficient among runs
+  // of good ones.
+  const uint64_t seed = FuzzCaseSeed(17);
+  SCOPED_TRACE(SeedNote(seed));
+  DeterministicRng rng(seed);
+  for (uint64_t p : {67ull, 1009ull}) {
+    const PrimeField field = PrimeField::Create(p).value();
+    for (int round = 0; round < 60; ++round) {
+      std::vector<uint64_t> coeffs(rng.UniformInt(1, 40));
+      for (uint64_t& c : coeffs) c = rng.UniformInt(0, p - 1);
+      if (round % 3 != 0) {
+        // One bad coefficient: one byte at p = 67 (67..127), else wider.
+        coeffs[rng.UniformInt(0, coeffs.size() - 1)] =
+            round % 2 == 0 && p < 128 ? rng.UniformInt(p, 127)
+                                      : p + rng.UniformInt(0, 1u << 20);
+      }
+      ByteWriter w;
+      w.PutVarint64(coeffs.size() + (round % 5 == 0 ? 3 : 0));
+      w.PutVarints(coeffs);
+      const std::vector<uint8_t> bytes = w.Take();
+      for (size_t len = 0; len <= bytes.size(); ++len) {
+        const std::span<const uint8_t> cut(bytes.data(), len);
+        ByteReader ref_in(cut), in(cut);
+        const Status want = ReferenceFpPolyRead(field, &ref_in);
+        const auto got = FpPoly::Deserialize(field, &in);
+        EXPECT_EQ(got.status().code(), want.code()) << "p=" << p << " len=" << len;
+        EXPECT_EQ(got.status().message(), want.message())
+            << "p=" << p << " len=" << len;
+      }
+    }
+  }
 }
 
 TEST(ProtocolFuzzTest, ElementCountsAreBoundedByInputSize) {
