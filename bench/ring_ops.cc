@@ -412,6 +412,44 @@ void BM_PrfStream(benchmark::State& state) {
 }
 BENCHMARK(BM_PrfStream);
 
+// One HMAC of a 20-byte label, the length of a collection's share label:
+// the PRF key derivation of every stream.
+void BM_HmacShortLabel(benchmark::State& state) {
+  const HmacSha256Key mac(Sha256::Hash("bench key"));
+  const std::string label = "share/d12.1/0/3/1/2";
+  std::span<const uint8_t> message(
+      reinterpret_cast<const uint8_t*>(label.data()), 20);
+  for (auto _ : state) benchmark::DoNotOptimize(mac.Mac(message));
+  state.SetLabel(SimdEnabled(SimdIsa::kShaNi) ? "SHA-NI" : "scalar");
+}
+BENCHMARK(BM_HmacShortLabel);
+
+// One PrimeField::Uniform per iteration from one long stream: the
+// single-word draw of Shamir sharing and the Z ring's Random, which
+// refills eight blocks at a time.
+void BM_UniformStream(benchmark::State& state) {
+  const PrimeField field = PrimeField::Create(67).value();
+  ChaChaRng rng = ChaChaRng::FromString("uniform stream");
+  for (auto _ : state) benchmark::DoNotOptimize(field.Uniform(rng));
+}
+BENCHMARK(BM_UniformStream);
+
+// The 66 coefficients of a p = 67 client share from a fresh stream (no
+// HMAC): one bulk draw of the keystream it covers, rejection and Barrett
+// reduction.
+void BM_UniformFill67(benchmark::State& state) {
+  const PrimeField field = PrimeField::Create(67).value();
+  const std::array<uint8_t, ChaCha20::kKeySize> key = Sha256::Hash("fill");
+  std::vector<uint64_t> row(66);
+  for (auto _ : state) {
+    ChaChaRng rng(key);
+    field.UniformFill(rng, row);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UniformFill67);
+
 void BM_Sha256Block(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
@@ -436,6 +474,24 @@ void BM_ChaCha20Keystream(benchmark::State& state) {
                                              : "scalar, 1 block per pass");
 }
 BENCHMARK(BM_ChaCha20Keystream)->Arg(4096);
+
+// A bulk draw of `range` blocks from a fresh stream: one-block passes below
+// ChaCha20's wide-tail crossover, one eight-block pass from it on. The
+// crossover is the first block count where the eight-block pass wins.
+void BM_KeystreamDraw(benchmark::State& state) {
+  const std::array<uint8_t, ChaCha20::kKeySize> key = Sha256::Hash("draw");
+  const std::array<uint8_t, ChaCha20::kNonceSize> nonce{};
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)) *
+                           ChaCha20::kBlockSize);
+  uint32_t counter = 0;
+  for (auto _ : state) {
+    ChaCha20 cipher(key, nonce, counter++);
+    cipher.Keystream(buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KeystreamDraw)->DenseRange(1, 8);
 
 }  // namespace
 }  // namespace polysse

@@ -4,14 +4,19 @@
 #ifndef POLYSSE_CORE_CLIENT_CONTEXT_H_
 #define POLYSSE_CORE_CLIENT_CONTEXT_H_
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "core/sharing.h"
 #include "core/tag_map.h"
 #include "crypto/prf.h"
+#include "util/check.h"
 
 namespace polysse {
 
@@ -19,6 +24,8 @@ namespace polysse {
 template <typename Ring>
 class ClientContext {
  public:
+  using Elem = typename Ring::Elem;
+
   /// Thin client: 32-byte seed + tag map; shares are derived per query.
   static ClientContext SeedOnly(Ring ring, TagMap tag_map,
                                 DeterministicPrf prf,
@@ -51,7 +58,7 @@ class ClientContext {
 
   /// The client share polynomial of the node at `path`. Thin clients derive
   /// it from the PRF; fat clients look it up.
-  Result<typename Ring::Elem> ShareForPath(const std::string& path) const {
+  Result<Elem> ShareForPath(const std::string& path) const {
     if (client_tree_.has_value()) {
       auto it = path_index_.find(path);
       if (it == path_index_.end())
@@ -59,6 +66,28 @@ class ClientContext {
       return client_tree_->nodes[it->second].poly;
     }
     return DeriveClientShare(ring_, prf_, path, options_);
+  }
+
+  /// The same share of the F_p ring, for the node whose share label is
+  /// `label` (kShareLabelPrefix + its path, built by the caller in a buffer
+  /// of its own), as its p-1 dense coefficients: `row` must hold p-1 words
+  /// and receives trailing zeros too. A thin client draws the words
+  /// straight into `row`, so a derivation allocates nothing.
+  Status ShareRowForLabel(std::string_view label, std::span<uint64_t> row) const
+    requires std::is_same_v<Ring, FpCyclotomicRing>
+  {
+    POLYSSE_CHECK(row.size() == ring_.DenseCoeffCount());
+    if (client_tree_.has_value()) {
+      ASSIGN_OR_RETURN(
+          Elem share,
+          ShareForPath(std::string(label.substr(kShareLabelPrefix.size()))));
+      const std::vector<uint64_t>& c = share.coeffs();
+      std::fill(std::copy(c.begin(), c.end(), row.begin()), row.end(), 0);
+      return Status::Ok();
+    }
+    ChaChaRng rng = prf_.Stream(label);
+    ring_.field().UniformFill(rng, row);
+    return Status::Ok();
   }
 
   /// Bytes of persistent client state: tag map + (seed | share tree).

@@ -36,6 +36,15 @@
 // one table of point powers per query point (field/simd_eval.h): each
 // (node, point) is one dot product, and the tables die with the walk.
 //
+// In the F_p ring a visited node costs only its arithmetic: its share label
+// is built in a reused buffer, its share drawn into a reused coefficient row
+// (ClientContext::ShareRowForLabel) and evaluated there, and the server
+// parts and client share of a fetched node are summed into a reused row and
+// encoded into the arena once. Theorem 1 decodes and multiplies into reused
+// rows as well. This scratch lives in the session, which exists once per
+// walk: concurrent shard walks share the ClientContext and its ring, so
+// neither may hold any.
+//
 // Walk state is compact because concurrent walks each hold their own: one
 // flat node table in discovery order (the roots first, then each learned
 // node's children as one contiguous run) with the node's evaluations
@@ -63,7 +72,9 @@
 #define POLYSSE_CORE_QUERY_SESSION_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -340,6 +351,8 @@ class QuerySession {
   using Evaluator = typename Ring::Evaluator;
   using Ref = ByteArena::Ref;
 
+  static constexpr bool kFp = std::is_same_v<Ring, FpCyclotomicRing>;
+
   /// No row: a root's parent, and XPath's virtual context above the roots.
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -519,18 +532,25 @@ class QuerySession {
   /// "d7.1/0/2" in a collection) — the key of its client share. Parent rows
   /// always precede their children, so the climb ends at a root.
   std::string Path(uint32_t slot) {
+    std::string out;
+    AppendPath(slot, &out);
+    return out;
+  }
+  /// Appends Path(slot) to `out`.
+  void AppendPath(uint32_t slot, std::string* out) {
     path_indices_.clear();
     while (node(slot).parent != kNoSlot) {
       const uint32_t parent = node(slot).parent;
       path_indices_.push_back(slot - node(parent).first_child);
       slot = parent;
     }
-    std::string out = roots_[slot].path;
+    const size_t start = out->size();
+    out->append(roots_[slot].path);
     for (auto it = path_indices_.rbegin(); it != path_indices_.rend(); ++it) {
-      if (!out.empty()) out += '/';
-      out += std::to_string(*it);
+      if (out->size() > start) out->push_back('/');
+      char digits[10];
+      out->append(digits, std::to_chars(digits, std::end(digits), *it).ptr);
     }
-    return out;
   }
 
   /// Records what the first EvalEntry for row `slot` says about its shape.
@@ -722,15 +742,9 @@ class QuerySession {
     }
   }
 
-  /// Weighted server contribution for whole-element combination. Weights
-  /// other than 1 only arise under Shamir, which is F_p-only.
-  Elem ScaledPart(Elem part, uint64_t w) const {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      if (w != 1) return part.ScalarMul(w);
-    }
-    (void)w;
-    return part;
-  }
+  /// Weighted server contribution to a combined constant term. Weights
+  /// other than 1 only arise under Shamir, which is F_p-only (the F_p
+  /// polynomial round weights its parts in CombinePolyRoundFp).
   Scalar ScaledScalar(Scalar c, uint64_t w) const {
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       if (w != 1) return client_->ring().field().Mul(c, w);
@@ -749,6 +763,27 @@ class QuerySession {
     ++stats_.client_share_derivations;
     ASSIGN_OR_RETURN(node(slot).share, StoreElem(share));
     return share;
+  }
+
+  /// F_p: ClientShare as p-1 dense coefficients in fp_.share, with the
+  /// label, the row and the encoding all in reused storage.
+  Status ClientShareRow(uint32_t slot) {
+    const FpCyclotomicRing& ring = client_->ring();
+    if (node(slot).share != ByteArena::kNone) {
+      ByteReader in(walk_.arena.Get(node(slot).share));
+      RETURN_IF_ERROR(ring.DeserializeCoeffs(&in, &fp_.share));
+      fp_.share.resize(ring.DenseCoeffCount());
+      return Status::Ok();
+    }
+    fp_.label.assign(kShareLabelPrefix);
+    AppendPath(slot, &fp_.label);
+    fp_.share.resize(ring.DenseCoeffCount());
+    RETURN_IF_ERROR(client_->ShareRowForLabel(fp_.label, fp_.share));
+    ++stats_.client_share_derivations;
+    scratch_.Clear();
+    FpPoly::SerializeCoeffs(fp_.share, &scratch_);
+    ASSIGN_OR_RETURN(node(slot).share, walk_.arena.Put(scratch_.span()));
+    return Status::Ok();
   }
 
   /// Requests server evaluations for any (row, point) not yet filled from
@@ -825,9 +860,13 @@ class QuerySession {
       if (!(node(slot).flags & kKnown)) RETURN_IF_ERROR(Learn(slot, entry));
       if (entry.values.size() != points.size())
         return Status::Corruption("server returned wrong value count");
-      std::optional<Elem> share;
+      std::optional<Elem> share;  // the Z ring's; F_p uses fp_.share
       if (include_client()) {
-        ASSIGN_OR_RETURN(share, ClientShare(slot));
+        if constexpr (kFp) {
+          RETURN_IF_ERROR(ClientShareRow(slot));
+        } else {
+          ASSIGN_OR_RETURN(share, ClientShare(slot));
+        }
       }
       for (size_t k = 0; k < points.size(); ++k) {
         const uint64_t m = moduli[k];
@@ -838,9 +877,13 @@ class QuerySession {
             return Status::Corruption("server evaluation outside Z_m");
           sum = AddMod(sum, weights[s] == 1 ? v : MulMod(weights[s], v, m), m);
         }
-        if (share.has_value()) {
+        if (include_client()) {
           ++stats_.client_evals;
-          sum = AddMod(sum, own[k]->At(*share, 0), m);
+          if constexpr (kFp) {
+            sum = AddMod(sum, own[k]->At(std::span<const uint64_t>(fp_.share), 0), m);
+          } else {
+            sum = AddMod(sum, own[k]->At(*share, 0), m);
+          }
         }
         EvalCell(slot, cols[k]) = sum == 0 ? kZero : kNonZero;
         if (sum == 0) ++stats_.zero_candidates;
@@ -878,15 +921,27 @@ class QuerySession {
     return alive;
   }
 
+  /// Whether row `slot` is learned and holds its evaluation in column
+  /// `col` (EnsureEvals would request nothing for it).
+  bool Filled(uint32_t slot, size_t col) {
+    return (node(slot).flags & kKnown) && EvalCell(slot, col) != kNoEval;
+  }
+
   /// True when no child of `z` evaluates to zero at e — the paper's
-  /// "zero element without zero sub element" definite-answer test.
+  /// "zero element without zero sub element" definite-answer test. Reads
+  /// the cells the walk holds; requests only what is missing (XPath).
   Result<bool> HasNoZeroChild(uint32_t z, uint64_t e) {
-    RETURN_IF_ERROR(EnsureEvals({z}, {e}));
-    const std::vector<uint32_t> children = Children(z);
-    if (children.empty()) return true;
-    RETURN_IF_ERROR(EnsureEvals(children, {e}));
     const size_t col = Column(e);
-    for (uint32_t c : children) {
+    if (!Filled(z, col)) RETURN_IF_ERROR(EnsureEvals({z}, {e}));
+    const uint32_t first = node(z).first_child;
+    const uint32_t end = first + node(z).num_children;
+    for (uint32_t c = first; c < end; ++c) {
+      if (!Filled(c, col)) {
+        RETURN_IF_ERROR(EnsureEvals(Children(z), {e}));
+        break;
+      }
+    }
+    for (uint32_t c = first; c < end; ++c) {
       if (EvalCell(c, col) == kZero) return false;
     }
     return true;
@@ -944,20 +999,65 @@ class QuerySession {
                           const std::vector<FetchResponse>& resps,
                           const std::vector<uint64_t>& weights) {
     stats_.polys_fetched_full += need.size();
-    const Ring& ring = client_->ring();
+    if constexpr (kFp) {
+      return CombinePolyRoundFp(need, resps, weights);
+    } else {
+      const Ring& ring = client_->ring();
+      for (size_t j = 0; j < need.size(); ++j) {
+        Elem combined = ring.Zero();
+        for (size_t s = 0; s < resps.size(); ++s) {
+          ByteReader r(resps[s].entries[j].payload);
+          ASSIGN_OR_RETURN(Elem part, ring.Deserialize(&r));
+          combined = ring.Add(combined, std::move(part));
+        }
+        if (include_client()) {
+          ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
+          combined = ring.Add(combined, share);
+        }
+        if (node(need[j]).poly == ByteArena::kNone) {
+          ASSIGN_OR_RETURN(node(need[j]).poly, StoreElem(combined));
+        }
+      }
+      return Status::Ok();
+    }
+  }
+
+  /// F_p CombinePolyRound: each row's server parts (weighted) and client
+  /// share are summed into one reused dense row, whose wire form goes to
+  /// the arena once. Every server payload is decoded and checked as the
+  /// ring's Deserialize checks it, held or not.
+  Status CombinePolyRoundFp(const std::vector<uint32_t>& need,
+                            const std::vector<FetchResponse>& resps,
+                            const std::vector<uint64_t>& weights) {
+    const FpCyclotomicRing& ring = client_->ring();
+    const PrimeField& field = ring.field();
+    // sum += w * part over part's coefficients; plain adds when w = 1.
+    auto accumulate = [&](const std::vector<uint64_t>& part, uint64_t w) {
+      uint64_t* sum = fp_.sum.data();
+      const uint64_t* in = part.data();
+      if (w == 1) {
+        for (size_t i = 0; i < part.size(); ++i)
+          sum[i] = field.Add(sum[i], in[i]);
+      } else {
+        for (size_t i = 0; i < part.size(); ++i)
+          sum[i] = field.Add(sum[i], field.Mul(in[i], w));
+      }
+    };
     for (size_t j = 0; j < need.size(); ++j) {
-      Elem combined = ring.Zero();
+      fp_.sum.assign(ring.DenseCoeffCount(), 0);
       for (size_t s = 0; s < resps.size(); ++s) {
         ByteReader r(resps[s].entries[j].payload);
-        ASSIGN_OR_RETURN(Elem part, ring.Deserialize(&r));
-        combined = ring.Add(combined, ScaledPart(std::move(part), weights[s]));
+        RETURN_IF_ERROR(ring.DeserializeCoeffs(&r, &fp_.part));
+        accumulate(fp_.part, weights[s]);
       }
       if (include_client()) {
-        ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
-        combined = ring.Add(combined, share);
+        RETURN_IF_ERROR(ClientShareRow(need[j]));
+        accumulate(fp_.share, 1);
       }
       if (node(need[j]).poly == ByteArena::kNone) {
-        ASSIGN_OR_RETURN(node(need[j]).poly, StoreElem(combined));
+        scratch_.Clear();
+        FpPoly::SerializeCoeffs(fp_.sum, &scratch_);
+        ASSIGN_OR_RETURN(node(need[j]).poly, walk_.arena.Put(scratch_.span()));
       }
     }
     return Status::Ok();
@@ -970,7 +1070,7 @@ class QuerySession {
     stats_.consts_fetched += need.size();
     const Ring& ring = client_->ring();
     for (size_t j = 0; j < need.size(); ++j) {
-      Scalar combined = ring.ConstTerm(ring.Zero());
+      Scalar combined{};  // zero in both rings
       for (size_t s = 0; s < resps.size(); ++s) {
         ByteReader r(resps[s].entries[j].payload);
         ASSIGN_OR_RETURN(Scalar c0, ring.DeserializeScalar(&r));
@@ -978,8 +1078,13 @@ class QuerySession {
             ring.AddScalars(combined, ScaledScalar(std::move(c0), weights[s]));
       }
       if (include_client()) {
-        ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
-        combined = ring.AddScalars(combined, ring.ConstTerm(share));
+        if constexpr (kFp) {
+          RETURN_IF_ERROR(ClientShareRow(need[j]));
+          combined = ring.AddScalars(combined, fp_.share[0]);
+        } else {
+          ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
+          combined = ring.AddScalars(combined, ring.ConstTerm(share));
+        }
       }
       if (node(need[j]).konst == ByteArena::kNone) {
         ASSIGN_OR_RETURN(node(need[j]).konst, StoreScalar(combined));
@@ -1120,6 +1225,15 @@ class QuerySession {
     return LoadElem(node(slot).poly);
   }
 
+  /// F_p FetchCombinedPoly: the combined polynomial's normalized
+  /// coefficients, decoded into reused `out`.
+  Status FetchCombinedCoeffs(uint32_t slot, std::vector<uint64_t>* out) {
+    if (node(slot).poly == ByteArena::kNone)
+      RETURN_IF_ERROR(Prefetch(FetchMode::kFull, {slot}));
+    ByteReader in(walk_.arena.Get(node(slot).poly));
+    return client_->ring().DeserializeCoeffs(&in, out);
+  }
+
   Result<Scalar> FetchCombinedConst(uint32_t slot) {
     if (node(slot).konst == ByteArena::kNone)
       RETURN_IF_ERROR(Prefetch(FetchMode::kConstOnly, {slot}));
@@ -1158,9 +1272,8 @@ class QuerySession {
     RETURN_IF_ERROR(EnsureStructure(slot));
     ++stats_.reconstructions;
     const Ring& ring = client_->ring();
-    std::vector<uint32_t> need = {slot};
-    AppendChildren(slot, &need);
-    const std::span<const uint32_t> children(need.begin() + 1, need.end());
+    const uint32_t first = node(slot).first_child;
+    const uint32_t end = first + node(slot).num_children;
 
     if (mode == VerifyMode::kTrustedConstOnly) {
       // Wrap-free nodes satisfy f_0 = -t * g_0 with g_0 the plain product of
@@ -1168,10 +1281,10 @@ class QuerySession {
       const bool wrap_free =
           static_cast<size_t>(SubtreeSize(slot)) <= MaxResidueDegree(ring);
       if (wrap_free) {
-        RETURN_IF_ERROR(Prefetch(FetchMode::kConstOnly, need));
+        RETURN_IF_ERROR(PrefetchWithChildren(FetchMode::kConstOnly, slot));
         ASSIGN_OR_RETURN(Scalar f0, FetchCombinedConst(slot));
         Scalar g0 = ring.OneScalar();
-        for (uint32_t c : children) {
+        for (uint32_t c = first; c < end; ++c) {
           ASSIGN_OR_RETURN(Scalar c0, FetchCombinedConst(c));
           g0 = ring.MulScalars(g0, c0);
         }
@@ -1187,19 +1300,51 @@ class QuerySession {
     // vanish at the same node solves Eq. 2 for it once.
     if (slot < walk_.tags.size() && walk_.tags[slot] != kNoTag)
       return walk_.tags[slot];
-    RETURN_IF_ERROR(Prefetch(FetchMode::kFull, need));
-    ASSIGN_OR_RETURN(Elem f, FetchCombinedPoly(slot));
-    // The children's product, started from the first child (a leaf's is
-    // One).
-    Elem g = ring.One();
-    for (size_t i = 0; i < children.size(); ++i) {
-      ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(children[i]));
-      g = i == 0 ? std::move(q) : ring.Mul(g, q);
+    RETURN_IF_ERROR(PrefetchWithChildren(FetchMode::kFull, slot));
+    uint64_t t;
+    if constexpr (kFp) {
+      // The children's product, started from the first child (a leaf's is
+      // 1), decoded and multiplied in the session's reused rows.
+      RETURN_IF_ERROR(FetchCombinedCoeffs(slot, &fp_.f));
+      fp_.g.assign(1, 1);
+      for (uint32_t c = first; c < end; ++c) {
+        if (c == first) {
+          RETURN_IF_ERROR(FetchCombinedCoeffs(c, &fp_.g));
+          continue;
+        }
+        RETURN_IF_ERROR(FetchCombinedCoeffs(c, &fp_.part));
+        ring.MulInto(fp_.g, fp_.part, &fp_.product);
+        std::swap(fp_.g, fp_.product);
+      }
+      ASSIGN_OR_RETURN(t, ring.SolveTag(fp_.f, fp_.g));
+    } else {
+      ASSIGN_OR_RETURN(Elem f, FetchCombinedPoly(slot));
+      // The children's product, started from the first child (a leaf's is
+      // One).
+      std::optional<Elem> g;
+      for (uint32_t c = first; c < end; ++c) {
+        ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(c));
+        g = g.has_value() ? ring.Mul(*g, q) : std::move(q);
+      }
+      if (!g.has_value()) g = ring.One();
+      ASSIGN_OR_RETURN(t, ring.SolveTag(f, *g));
     }
-    ASSIGN_OR_RETURN(uint64_t t, ring.SolveTag(f, g));
     walk_.tags.resize(walk_.nodes.size(), kNoTag);
     walk_.tags[slot] = t;
     return t;
+  }
+
+  /// Prefetch for row `slot` and its children, skipped (with no list
+  /// built) when the walk already holds all of them.
+  Status PrefetchWithChildren(FetchMode mode, uint32_t slot) {
+    const uint32_t first = node(slot).first_child;
+    bool held = Fetched(slot, mode);
+    for (uint32_t c = first; held && c < first + node(slot).num_children; ++c)
+      held = Fetched(c, mode);
+    if (held) return Status::Ok();
+    std::vector<uint32_t> need = {slot};
+    AppendChildren(slot, &need);
+    return Prefetch(mode, need);
   }
 
   /// Structure (children / subtree size) without caring about values: reuse
@@ -1325,6 +1470,14 @@ class QuerySession {
   Walk walk_;
   ByteWriter scratch_;                  ///< encodes one blob at a time
   std::vector<uint32_t> path_indices_;  ///< Path's climb, reused
+  /// The F_p client path's reused storage (empty in the Z ring).
+  struct FpScratch {
+    std::string label;            ///< kShareLabelPrefix + a row's path
+    std::vector<uint64_t> share;  ///< a client share, p-1 dense coefficients
+    std::vector<uint64_t> sum;    ///< a combined polynomial being summed
+    std::vector<uint64_t> part;   ///< one decoded polynomial
+    std::vector<uint64_t> f, g, product;  ///< Theorem 1's f, g and g * part
+  } fp_;
 };
 
 }  // namespace polysse

@@ -7,6 +7,7 @@
 #define POLYSSE_CORE_SHARING_H_
 
 #include <string>
+#include <string_view>
 
 #include "core/poly_tree.h"
 #include "crypto/prf.h"
@@ -27,8 +28,9 @@ struct ShareSplitOptions {
 
 /// PRF label for a node's share stream; shared by the splitter and the
 /// seed-only client so both derive the identical polynomial.
+inline constexpr std::string_view kShareLabelPrefix = "share/";
 inline std::string ShareLabel(const std::string& node_path) {
-  return "share/" + node_path;
+  return std::string(kShareLabelPrefix) + node_path;
 }
 
 /// Ring-uniform random element (F_p case: perfectly hiding).

@@ -323,40 +323,53 @@ class ServerStoreRegistry : public ServerHandler {
     return sum;
   }
 
+  /// The entry whose range holds global id `id`, by binary search over
+  /// the bases; entries_.size() when no document owns it.
+  size_t OwnerLocked(int32_t id) const {
+    auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), id,
+        [](int32_t v, const Entry& e) { return v < e.base; });
+    if (it == entries_.begin()) return entries_.size();
+    --it;
+    if (static_cast<int64_t>(id) >=
+        it->base + static_cast<int64_t>(it->store->size()))
+      return entries_.size();
+    return static_cast<size_t>(it - entries_.begin());
+  }
+
   /// Maps every requested global id to its owning document, preserving the
-  /// request positions so responses realign with the request order.
+  /// request positions so responses realign with the request order. Subs
+  /// come in order of their document's first appearance; each is sized
+  /// before it is filled.
   Result<std::vector<SubRequest>> PartitionLocked(
       const std::vector<int32_t>& node_ids) const {
+    constexpr uint32_t kNoSub = UINT32_MAX;
+    std::vector<uint32_t> owners(node_ids.size());
+    std::vector<uint32_t> sub_of(entries_.size(), kNoSub);
     std::vector<SubRequest> subs;
+    std::vector<size_t> counts;
     for (size_t pos = 0; pos < node_ids.size(); ++pos) {
-      const int32_t id = node_ids[pos];
-      size_t owner = entries_.size();
-      for (size_t i = 0; i < entries_.size(); ++i) {
-        if (id >= entries_[i].base &&
-            static_cast<int64_t>(id) <
-                entries_[i].base +
-                    static_cast<int64_t>(entries_[i].store->size())) {
-          owner = i;
-          break;
-        }
-        if (entries_[i].base > id) break;  // sorted by base: no later owner
-      }
+      const size_t owner = OwnerLocked(node_ids[pos]);
       if (owner == entries_.size())
-        return Status::InvalidArgument("node id " + std::to_string(id) +
+        return Status::InvalidArgument("node id " +
+                                       std::to_string(node_ids[pos]) +
                                        " out of range");
-      SubRequest* sub = nullptr;
-      for (SubRequest& s : subs) {
-        if (s.entry_index == owner) {
-          sub = &s;
-          break;
-        }
-      }
-      if (sub == nullptr) {
+      if (sub_of[owner] == kNoSub) {
+        sub_of[owner] = static_cast<uint32_t>(subs.size());
         subs.push_back(SubRequest{owner, {}, {}});
-        sub = &subs.back();
+        counts.push_back(0);
       }
-      sub->local_ids.push_back(id - entries_[owner].base);
-      sub->positions.push_back(pos);
+      owners[pos] = sub_of[owner];
+      ++counts[owners[pos]];
+    }
+    for (size_t k = 0; k < subs.size(); ++k) {
+      subs[k].local_ids.reserve(counts[k]);
+      subs[k].positions.reserve(counts[k]);
+    }
+    for (size_t pos = 0; pos < node_ids.size(); ++pos) {
+      SubRequest& sub = subs[owners[pos]];
+      sub.local_ids.push_back(node_ids[pos] - entries_[sub.entry_index].base);
+      sub.positions.push_back(pos);
     }
     return subs;
   }

@@ -1,6 +1,7 @@
 #include "crypto/chacha20.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "crypto/sha256.h"
@@ -140,6 +141,51 @@ __attribute__((target("avx2"))) void WideBlocksAvx2(const uint32_t in[16],
   StoreTransposed(x + 8, out + 8 * sizeof(uint32_t));  // words 8-15
 }
 
+// Four quarter rounds at once, one per 32-bit lane of rows a..d.
+__attribute__((target("avx2"))) inline void QuarterRoundRows(__m128i& a,
+                                                             __m128i& b,
+                                                             __m128i& c,
+                                                             __m128i& d) {
+  const __m128i rot16 =
+      _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
+  const __m128i rot8 =
+      _mm_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
+  a = _mm_add_epi32(a, b); d = _mm_shuffle_epi8(_mm_xor_si128(d, a), rot16);
+  c = _mm_add_epi32(c, d); b = _mm_xor_si128(b, c);
+  b = _mm_or_si128(_mm_slli_epi32(b, 12), _mm_srli_epi32(b, 20));
+  a = _mm_add_epi32(a, b); d = _mm_shuffle_epi8(_mm_xor_si128(d, a), rot8);
+  c = _mm_add_epi32(c, d); b = _mm_xor_si128(b, c);
+  b = _mm_or_si128(_mm_slli_epi32(b, 7), _mm_srli_epi32(b, 25));
+}
+
+// One block with the 4x4 state held row by row, one row per XMM register:
+// a column round works on the four columns at once, and rotating rows 1-3
+// by one, two and three lanes lines the diagonals up as columns for the
+// diagonal round. The stored rows are the block's little-endian bytes.
+__attribute__((target("avx2"))) void RowBlockAvx2(const uint32_t in[16],
+                                                  uint8_t* out) {
+  const __m128i* rows = reinterpret_cast<const __m128i*>(in);
+  const __m128i in0 = _mm_loadu_si128(rows), in1 = _mm_loadu_si128(rows + 1),
+                in2 = _mm_loadu_si128(rows + 2),
+                in3 = _mm_loadu_si128(rows + 3);
+  __m128i a = in0, b = in1, c = in2, d = in3;
+  for (int round = 0; round < 10; ++round) {
+    QuarterRoundRows(a, b, c, d);  // columns
+    b = _mm_shuffle_epi32(b, 0x39);
+    c = _mm_shuffle_epi32(c, 0x4E);
+    d = _mm_shuffle_epi32(d, 0x93);
+    QuarterRoundRows(a, b, c, d);  // diagonals
+    b = _mm_shuffle_epi32(b, 0x93);
+    c = _mm_shuffle_epi32(c, 0x4E);
+    d = _mm_shuffle_epi32(d, 0x39);
+  }
+  __m128i* dst = reinterpret_cast<__m128i*>(out);
+  _mm_storeu_si128(dst, _mm_add_epi32(a, in0));
+  _mm_storeu_si128(dst + 1, _mm_add_epi32(b, in1));
+  _mm_storeu_si128(dst + 2, _mm_add_epi32(c, in2));
+  _mm_storeu_si128(dst + 3, _mm_add_epi32(d, in3));
+}
+
 #endif  // __x86_64__
 
 }  // namespace
@@ -183,6 +229,63 @@ void ChaCha20::Refill() {
   pos_ = 0;
 }
 
+void ChaCha20::NextBlock(uint8_t* out) {
+#if defined(__x86_64__)
+  if (SimdEnabled(SimdIsa::kAvx2)) {
+    RowBlockAvx2(state_, out);
+    ++state_[12];
+    return;
+  }
+#endif
+  Block(state_, out);
+  ++state_[12];
+}
+
+void ChaCha20::Keystream(std::span<uint8_t> out) {
+  if (out.empty()) return;
+  uint8_t* dst = out.data();
+  size_t left = out.size();
+  // What the buffer still holds comes first.
+  const size_t buffered = std::min(buffer_len_ - pos_, left);
+  std::memcpy(dst, buffer_ + pos_, buffered);
+  pos_ += buffered;
+  dst += buffered;
+  left -= buffered;
+  if (left == 0) return;
+#if defined(__x86_64__)
+  if (SimdEnabled(SimdIsa::kAvx2)) {
+    for (; left >= kWideBlocks * kBlockSize;
+         dst += kWideBlocks * kBlockSize, left -= kWideBlocks * kBlockSize) {
+      WideBlocksAvx2(state_, dst);
+      state_[12] += kWideBlocks;
+    }
+    if (left > (kWideTailBlocks - 1) * kBlockSize) {
+      Refill();
+      std::memcpy(dst, buffer_, left);
+      pos_ = left;
+      return;
+    }
+  }
+#endif
+  for (; left >= kBlockSize; dst += kBlockSize, left -= kBlockSize)
+    NextBlock(dst);
+  if (left == 0) return;
+  // A partial last block: the rest of it stays buffered for the next read.
+  NextBlock(buffer_);
+  buffer_len_ = kBlockSize;
+  std::memcpy(dst, buffer_, left);
+  pos_ = left;
+}
+
+void ChaCha20::NextWords(std::span<uint64_t> out) {
+  Keystream(std::span<uint8_t>(reinterpret_cast<uint8_t*>(out.data()),
+                               out.size() * sizeof(uint64_t)));
+  if constexpr (std::endian::native != std::endian::little) {
+    for (uint64_t& w : out)
+      w = LoadLE64(reinterpret_cast<const uint8_t*>(&w));
+  }
+}
+
 void ChaCha20::XorStream(std::span<uint8_t> data) {
   size_t done = 0;
   while (done < data.size()) {
@@ -220,11 +323,6 @@ uint64_t ChaChaRng::NextBelow(uint64_t bound) {
     v = NextU64();
   } while (v >= zone);
   return v % bound;
-}
-
-void ChaChaRng::Fill(std::span<uint8_t> out) {
-  std::memset(out.data(), 0, out.size());
-  cipher_.XorStream(out);
 }
 
 }  // namespace polysse

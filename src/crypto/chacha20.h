@@ -3,11 +3,21 @@
 //    seed and re-derives its share polynomials deterministically;
 //  * the payload cipher of the content-store extension (src/index).
 //
-// The keystream is produced into a buffer: eight blocks per pass by an AVX2
-// kernel when util/cpu_features.h allows it, one block at a time by the
-// portable block function otherwise. Lane counters run c..c+7 and wrap mod
-// 2^32 exactly like the scalar counter, so both paths emit the same bytes;
-// ReferenceBlock exposes the portable function for the tests.
+// What a draw computes, and which kernel runs:
+//  * single words (NextU64) and XorStream read a buffer that is refilled
+//    with eight blocks per pass by an AVX2 kernel when util/cpu_features.h
+//    allows it, one block by the portable block function otherwise;
+//  * bulk draws (Keystream, NextWords) compute exactly the blocks they
+//    cover: eight-block AVX2 passes straight into the output while at
+//    least eight blocks remain, then one block per pass for the short tail
+//    (a row-wise SIMD block under the same AVX2 switch, the portable block
+//    otherwise), except that a tail of kWideTailBlocks or more takes one
+//    more eight-block pass. A partial last block lands in the buffer, so
+//    the next read continues the stream where the draw stopped.
+// Lane counters run c..c+7 and wrap mod 2^32 exactly like the scalar
+// counter, so every path emits the same bytes and a stream read in any mix
+// of these draws is the same stream; ReferenceBlock exposes the portable
+// function for the tests.
 #ifndef POLYSSE_CRYPTO_CHACHA20_H_
 #define POLYSSE_CRYPTO_CHACHA20_H_
 
@@ -36,6 +46,14 @@ class ChaCha20 {
   /// Convenience: returns data ^ keystream without mutating the input.
   std::vector<uint8_t> Process(std::span<const uint8_t> data);
 
+  /// Writes the next out.size() keystream bytes to `out`, computing only
+  /// the blocks those bytes cover (see the file comment).
+  void Keystream(std::span<uint8_t> out);
+
+  /// The next out.size() little-endian keystream words: the words that as
+  /// many NextU64 calls return, computed as one Keystream draw.
+  void NextWords(std::span<uint64_t> out);
+
   /// The next 8 keystream bytes as a little-endian word.
   uint64_t NextU64() {
     if (buffer_len_ - pos_ >= 8) {
@@ -56,6 +74,10 @@ class ChaCha20 {
  private:
   /// Blocks the AVX2 kernel computes per pass.
   static constexpr size_t kWideBlocks = 8;
+  /// A bulk draw's tail of at least this many blocks (after its whole
+  /// eight-block passes) takes one more eight-block pass instead of one
+  /// block per pass. Tuned on ring_ops (BM_KeystreamDraw, BENCH.md).
+  static constexpr size_t kWideTailBlocks = 3;
 
   static uint64_t LoadLE64(const uint8_t* p) {
     uint64_t v = 0;
@@ -67,8 +89,14 @@ class ChaCha20 {
   /// next one block (portable) and advances the counter past them.
   void Refill();
 
+  /// Computes the next block into `out` and advances the counter: the
+  /// row-wise SIMD block under AVX2, the portable block otherwise.
+  void NextBlock(uint8_t* out);
+
   uint32_t state_[16];
-  uint8_t buffer_[kWideBlocks * kBlockSize] = {};
+  /// Only buffer_[pos_, buffer_len_) is ever read, so a new stream leaves
+  /// the rest unwritten.
+  uint8_t buffer_[kWideBlocks * kBlockSize];
   size_t buffer_len_ = 0;  // keystream bytes in buffer_
   size_t pos_ = 0;         // next unread byte of buffer_
 };
@@ -82,10 +110,15 @@ class ChaChaRng {
   /// Seeds from an arbitrary label by hashing (convenience for tests).
   static ChaChaRng FromString(std::string_view seed);
 
+  /// One word; refills eight blocks at a time (see ChaCha20).
   uint64_t NextU64() { return cipher_.NextU64(); }
+  /// out.size() words at once, computing only the blocks they cover: the
+  /// same words as out.size() NextU64 calls.
+  void NextWords(std::span<uint64_t> out) { cipher_.NextWords(out); }
   /// Uniform in [0, bound) by rejection sampling; bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
-  void Fill(std::span<uint8_t> out);
+  /// The next out.size() keystream bytes, as one bulk draw.
+  void Fill(std::span<uint8_t> out) { cipher_.Keystream(out); }
 
   /// Adapter so the RNG can be passed where a `() -> uint64_t` is expected.
   uint64_t operator()() { return NextU64(); }

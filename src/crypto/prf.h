@@ -5,8 +5,11 @@
 //
 // Stream(label) keys ChaCha20 with HMAC-SHA-256(seed, label). The HMAC key
 // schedule is done once, at construction, so one stream for a label under
-// 56 bytes costs two SHA-256 compressions plus the ChaCha20 blocks it
-// reads; see sha256.h and chacha20.h for the SIMD kernels beneath both.
+// 56 bytes costs two SHA-256 compressions (one padded block each, no
+// Update/Finish) plus the ChaCha20 blocks it reads: a bulk draw
+// (ChaChaRng::NextWords, which PrimeField::UniformFill uses) computes only
+// the blocks it covers, a single word refills eight blocks at a time. See
+// sha256.h and chacha20.h for the kernels beneath both.
 #ifndef POLYSSE_CRYPTO_PRF_H_
 #define POLYSSE_CRYPTO_PRF_H_
 

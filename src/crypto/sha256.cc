@@ -28,20 +28,41 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t RotR(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-// Folds `count` consecutive blocks into `state` with the fastest kernel the
-// CPU allows.
-void Compress(uint32_t state[8], const uint8_t* blocks, size_t count) {
+// The final block of a message whose last `tail` bytes (at most 55) follow
+// `prefix_blocks` whole blocks: the tail, 0x80, zeros and the message's
+// bit length, big-endian.
+void PadOneBlock(std::span<const uint8_t> tail, uint64_t prefix_blocks,
+                 uint8_t block[Sha256::kBlockSize]) {
+  std::copy(tail.begin(), tail.end(), block);
+  block[tail.size()] = 0x80;
+  std::memset(block + tail.size() + 1, 0, 55 - tail.size());
+  const uint64_t bits = (prefix_blocks * Sha256::kBlockSize + tail.size()) * 8;
+  for (int i = 0; i < 8; ++i)
+    block[56 + i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+}
+
+void StoreDigest(const uint32_t state[8], uint8_t* out) {
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<uint8_t>(state[i]);
+  }
+}
+
+}  // namespace
+
+void Sha256::Compress(uint32_t state[8], const uint8_t* blocks,
+                      size_t count) {
 #if defined(__x86_64__)
   if (SimdEnabled(SimdIsa::kShaNi)) {
-    Sha256::ProcessBlocksShaNi(state, blocks, count);
+    ProcessBlocksShaNi(state, blocks, count);
     return;
   }
 #endif
   for (size_t i = 0; i < count; ++i)
-    Sha256::ProcessBlock(state, blocks + i * Sha256::kBlockSize);
+    ProcessBlock(state, blocks + i * kBlockSize);
 }
-
-}  // namespace
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -192,12 +213,7 @@ std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
   Update(std::span<const uint8_t>(len_bytes, 8));
 
   std::array<uint8_t, kDigestSize> out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
-  }
+  StoreDigest(state_, out.data());
   return out;
 }
 
@@ -234,6 +250,22 @@ HmacSha256Key::HmacSha256Key(std::span<const uint8_t> key) {
 
 std::array<uint8_t, Sha256::kDigestSize> HmacSha256Key::Mac(
     std::span<const uint8_t> message) const {
+  if (message.size() <= kOneBlockMessage) {
+    // Both states have absorbed exactly one (pad) block.
+    uint8_t block[Sha256::kBlockSize];
+    uint32_t state[8];
+    PadOneBlock(message, 1, block);
+    std::memcpy(state, inner_.state_, sizeof state);
+    Sha256::Compress(state, block, 1);
+    uint8_t inner_digest[Sha256::kDigestSize];
+    StoreDigest(state, inner_digest);
+    PadOneBlock(inner_digest, 1, block);
+    std::memcpy(state, outer_.state_, sizeof state);
+    Sha256::Compress(state, block, 1);
+    std::array<uint8_t, Sha256::kDigestSize> out;
+    StoreDigest(state, out.data());
+    return out;
+  }
   Sha256 inner = inner_;
   inner.Update(message);
   const auto inner_digest = inner.Finish();

@@ -4,10 +4,13 @@
 //
 // Blocks are compressed with the SHA extensions (SHA-NI) when
 // util/cpu_features.h reports them, and by the portable ProcessBlock
-// otherwise; both give the same digest, and ProcessBlock stays the
-// reference the SHA-NI kernel is tested against. HmacSha256Key keeps the
-// states after its ipad and opad blocks, so a MAC of a short message costs
-// two compressions instead of four.
+// otherwise (Compress picks); both give the same digest, and ProcessBlock
+// stays the reference the SHA-NI kernel is tested against. HmacSha256Key
+// keeps the states after its ipad and opad blocks. A MAC of a message of at
+// most 55 bytes (every share label in practice) is then two compressions
+// and nothing else: the message and its padding form one inner block, the
+// inner digest and its padding one outer block. Longer messages resume the
+// stored states through Update/Finish.
 #ifndef POLYSSE_CRYPTO_SHA256_H_
 #define POLYSSE_CRYPTO_SHA256_H_
 
@@ -41,6 +44,10 @@ class Sha256 {
   static std::array<uint8_t, kDigestSize> Hash(std::span<const uint8_t> data);
   static std::array<uint8_t, kDigestSize> Hash(std::string_view s);
 
+  /// Folds `count` consecutive 64-byte blocks into `state` with the fastest
+  /// kernel the CPU allows (SHA-NI or ProcessBlock).
+  static void Compress(uint32_t state[8], const uint8_t* blocks,
+                       size_t count);
   /// The portable compression function: folds one 64-byte block into
   /// `state`. The fallback kernel and the reference for the SHA-NI one.
   static void ProcessBlock(uint32_t state[8], const uint8_t* block);
@@ -52,6 +59,8 @@ class Sha256 {
 #endif
 
  private:
+  friend class HmacSha256Key;  // reads the ipad/opad midstates
+
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[kBlockSize];
@@ -62,8 +71,13 @@ class Sha256 {
 /// ipad and opad blocks; Mac resumes from copies of those two states.
 class HmacSha256Key {
  public:
+  /// Longest message whose inner hash is one padded block.
+  static constexpr size_t kOneBlockMessage = Sha256::kBlockSize - 9;
+
   explicit HmacSha256Key(std::span<const uint8_t> key);
 
+  /// Two compressions for up to kOneBlockMessage bytes, Update/Finish on
+  /// the stored states beyond that.
   std::array<uint8_t, Sha256::kDigestSize> Mac(
       std::span<const uint8_t> message) const;
 

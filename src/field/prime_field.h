@@ -1,5 +1,12 @@
 // F_p for word-sized prime p. Elements are plain uint64_t in [0, p);
 // a PrimeField instance carries the modulus and the operations.
+//
+// Sampling draws 64-bit words and keeps those below the largest multiple of
+// p a word holds, reduced by Barrett (no division per word). Uniform draws
+// one word at a time; UniformFill draws its n words from a ChaChaRng in one
+// bulk draw, which computes only the ChaCha20 blocks those words cover
+// (crypto/chacha20.h), and draws a rejected word's replacement singly. Both
+// give exactly the elements of n single draws, in order.
 #ifndef POLYSSE_FIELD_PRIME_FIELD_H_
 #define POLYSSE_FIELD_PRIME_FIELD_H_
 
@@ -82,31 +89,67 @@ class PrimeField {
   bool IsCanonical(uint64_t a) const { return a < p_; }
 
   /// Uniform element from rejection sampling over a 64-bit source.
-  /// `next_u64` must return independent uniform 64-bit words.
+  /// `next_u64` must return independent uniform 64-bit words. Draws one
+  /// word at a time (a ChaChaRng refills eight blocks per pass), which is
+  /// what callers drawing scalars from one long stream want.
   template <typename Rng>
   uint64_t Uniform(Rng&& next_u64) const {
-    uint64_t v = 0;
-    UniformFill(next_u64, std::span<uint64_t>(&v, 1));
-    return v;
+    const Sampler s(p_);
+    uint64_t v;
+    do {
+      v = next_u64();
+    } while (v >= s.zone);
+    return s.Reduce(v);
   }
-  /// Fills `out` with independent uniform elements, drawing exactly the
-  /// words that out.size() calls of Uniform would draw.
+  /// Fills `out` with independent uniform elements: exactly the elements,
+  /// in order, that out.size() calls of Uniform would return, leaving the
+  /// source at the same word. A source with a bulk draw (ChaChaRng's
+  /// NextWords) gives all out.size() words in one draw, which computes
+  /// only the keystream they cover; rejected words are dropped and their
+  /// replacements drawn one at a time. Other sources are called per word.
   template <typename Rng>
   void UniformFill(Rng&& next_u64, std::span<uint64_t> out) const {
-    // Rejection zone keeps the distribution exactly uniform.
-    const uint64_t zone = UINT64_MAX - UINT64_MAX % p_;
-    for (uint64_t& c : out) {
-      uint64_t v;
-      do {
-        v = next_u64();
-      } while (v >= zone);
-      c = v % p_;
+    const Sampler s(p_);
+    if constexpr (requires { next_u64.NextWords(out); }) {
+      next_u64.NextWords(out);
+      size_t kept = 0;
+      for (const uint64_t v : out)
+        if (v < s.zone) out[kept++] = s.Reduce(v);
+      while (kept < out.size()) {
+        const uint64_t v = next_u64.NextU64();
+        if (v < s.zone) out[kept++] = s.Reduce(v);
+      }
+    } else {
+      for (uint64_t& c : out) {
+        uint64_t v;
+        do {
+          v = next_u64();
+        } while (v >= s.zone);
+        c = s.Reduce(v);
+      }
     }
   }
 
   bool operator==(const PrimeField& other) const { return p_ == other.p_; }
 
  private:
+  /// Rejection sampling of words into [0, p): words below `zone` (the
+  /// largest multiple of p a word can hold) keep the result exactly
+  /// uniform, and Reduce takes them mod p by Barrett: q = floor(v r / 2^64)
+  /// with r = floor((2^64-1) / p) is floor(v / p) or one less, so one
+  /// multiply-high and one conditional subtract replace a division.
+  struct Sampler {
+    explicit Sampler(uint64_t p)
+        : p(p), r(UINT64_MAX / p), zone(UINT64_MAX - UINT64_MAX % p) {}
+    uint64_t Reduce(uint64_t v) const {
+      const uint64_t q = static_cast<uint64_t>(
+          (static_cast<unsigned __int128>(v) * r) >> 64);
+      v -= q * p;
+      return v >= p ? v - p : v;
+    }
+    uint64_t p, r, zone;
+  };
+
   explicit PrimeField(uint64_t p)
       : p_(p), mont_(Montgomery::Valid(p) ? std::optional<Montgomery>(Montgomery(p))
                                           : std::nullopt) {}

@@ -237,12 +237,24 @@ bool FpPoly::IsIrreducible() const {
   return true;
 }
 
-void FpPoly::Serialize(ByteWriter* out) const {
-  out->PutVarint64(coeffs_.size());
-  out->PutVarints(coeffs_);
+void FpPoly::Serialize(ByteWriter* out) const { SerializeCoeffs(coeffs_, out); }
+
+void FpPoly::SerializeCoeffs(std::span<const uint64_t> coeffs,
+                             ByteWriter* out) {
+  size_t n = coeffs.size();
+  while (n > 0 && coeffs[n - 1] == 0) --n;
+  out->PutVarint64(n);
+  out->PutVarints(coeffs.first(n));
 }
 
 Result<FpPoly> FpPoly::Deserialize(const PrimeField& field, ByteReader* in) {
+  std::vector<uint64_t> coeffs;
+  RETURN_IF_ERROR(DeserializeCoeffs(field, in, &coeffs));
+  return FpPoly(field, std::move(coeffs));
+}
+
+Status FpPoly::DeserializeCoeffs(const PrimeField& field, ByteReader* in,
+                                 std::vector<uint64_t>* coeffs) {
   ASSIGN_OR_RETURN(uint64_t n, in->GetVarint64());
   if (n > (1ull << 32))
     return Status::Corruption("FpPoly: absurd coefficient count");
@@ -250,18 +262,19 @@ Result<FpPoly> FpPoly::Deserialize(const PrimeField& field, ByteReader* in) {
   // bytes left is corrupt — and must not size the allocation below.
   if (n > in->remaining())
     return Status::Corruption("FpPoly: coefficient count exceeds remaining bytes");
-  std::vector<uint64_t> coeffs(n);
-  const Status read = in->GetVarints(coeffs);
+  coeffs->assign(n, 0);
+  const Status read = in->GetVarints(*coeffs);
   // The refusal a coefficient-by-coefficient read gives: a coefficient >= p
   // before the first bad varint is reported first. On a failed read the
   // unread tail is still 0, so scanning the whole vector finds exactly the
   // coefficients read before the failure.
   uint64_t largest = 0;
-  for (uint64_t c : coeffs) largest = std::max(largest, c);
+  for (uint64_t c : *coeffs) largest = std::max(largest, c);
   if (!field.IsCanonical(largest))
     return Status::Corruption("FpPoly: coefficient outside field");
   RETURN_IF_ERROR(read);
-  return FpPoly(field, std::move(coeffs));
+  while (!coeffs->empty() && coeffs->back() == 0) coeffs->pop_back();
+  return Status::Ok();
 }
 
 size_t FpPoly::SerializedSize() const {

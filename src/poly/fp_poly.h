@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,14 @@ class FpPoly {
   /// Wire format: varint count + varint coefficients (field not included).
   void Serialize(ByteWriter* out) const;
   static Result<FpPoly> Deserialize(const PrimeField& field, ByteReader* in);
+  /// The wire form of the polynomial with canonical coefficients `coeffs`
+  /// (low-to-high; trailing zeros are dropped, as a polynomial holds none).
+  static void SerializeCoeffs(std::span<const uint64_t> coeffs,
+                              ByteWriter* out);
+  /// Deserialize into `coeffs`, reusing its storage: the same checks and
+  /// refusals, and the normalized coefficients of the same polynomial.
+  static Status DeserializeCoeffs(const PrimeField& field, ByteReader* in,
+                                  std::vector<uint64_t>* coeffs);
   size_t SerializedSize() const;
 
   /// Human-readable form matching the paper's figures, e.g. "3x^3 + 3x^2 + 3x + 3".

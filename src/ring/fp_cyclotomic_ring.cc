@@ -55,6 +55,32 @@ FpPoly FpCyclotomicRing::Mul(const Elem& a, const Elem& b) const {
   return Reduce(product);
 }
 
+void FpCyclotomicRing::MulInto(std::span<const uint64_t> a,
+                               std::span<const uint64_t> b,
+                               std::vector<uint64_t>* out) const {
+  out->clear();
+  if (a.empty() || b.empty()) return;
+  const LazyDot dot(field_);
+  if (!dot.enabled() ||
+      std::min(a.size(), b.size()) > GetFpKaratsubaThreshold()) {
+    *out = Mul(FpPoly::FromCanonical(field_, {a.begin(), a.end()}),
+               FpPoly::FromCanonical(field_, {b.begin(), b.end()}))
+               .coeffs();
+    return;
+  }
+  out->resize(a.size() + b.size() - 1);
+  dot.Convolve(a, b, out->data());
+  // Exponent folding i -> i mod (p-1), as Reduce does.
+  const size_t n = DenseCoeffCount();
+  std::vector<uint64_t>& c = *out;
+  for (size_t i = n, slot = 0; i < c.size(); ++i) {
+    c[slot] = field_.Add(c[slot], c[i]);
+    if (++slot == n) slot = 0;
+  }
+  if (c.size() > n) c.resize(n);
+  while (!c.empty() && c.back() == 0) c.pop_back();
+}
+
 Result<uint64_t> FpCyclotomicRing::QueryModulus(uint64_t e) const {
   if (field_.FromUInt64(e) == 0)
     return Status::InvalidArgument(
@@ -73,8 +99,11 @@ Result<FpCyclotomicRing::Evaluator> FpCyclotomicRing::MakeEvaluator(
   return Evaluator(PointPowers(field_, points, DenseCoeffCount()));
 }
 
-Result<uint64_t> FpCyclotomicRing::SolveTag(const Elem& f, const Elem& g) const {
-  if (g.IsZero())
+Result<uint64_t> FpCyclotomicRing::SolveTag(std::span<const uint64_t> fc,
+                                            std::span<const uint64_t> gc) const {
+  while (!fc.empty() && fc.back() == 0) fc = fc.first(fc.size() - 1);
+  while (!gc.empty() && gc.back() == 0) gc = gc.first(gc.size() - 1);
+  if (gc.empty())
     return Status::VerificationFailed(
         "SolveTag: children product is zero — impossible for well-formed data "
         "(Lemma 3)");
@@ -87,8 +116,6 @@ Result<uint64_t> FpCyclotomicRing::SolveTag(const Elem& f, const Elem& g) const 
   // Eq. 3), where x g is g rotated by one slot: (x g)_k = g_{k-1} and
   // (x g)_0 = g_{p-2}. Residues past degree p-2 fit no equation.
   const size_t n = DenseCoeffCount();
-  const std::vector<uint64_t>& fc = f.coeffs();
-  const std::vector<uint64_t>& gc = g.coeffs();
   if (fc.size() > n || gc.size() > n) return inconsistent();
   auto f_at = [&](size_t k) { return k < fc.size() ? fc[k] : 0; };
   auto g_at = [&](size_t k) { return k < gc.size() ? gc[k] : 0; };
@@ -96,7 +123,7 @@ Result<uint64_t> FpCyclotomicRing::SolveTag(const Elem& f, const Elem& g) const 
   // Solve t at the first index where g is nonzero, then check every
   // equation; past both f and x g all three terms are 0.
   size_t pivot = 0;
-  while (gc[pivot] == 0) ++pivot;  // g is normalized: its top is nonzero
+  while (gc[pivot] == 0) ++pivot;  // g's top coefficient is nonzero
   ASSIGN_OR_RETURN(uint64_t ginv, field_.Inv(gc[pivot]));
   const uint64_t t =
       field_.Mul(field_.Sub(xg_at(pivot), f_at(pivot)), ginv);
@@ -137,10 +164,17 @@ Result<FpCyclotomicRing::Scalar> FpCyclotomicRing::DeserializeScalar(
 }
 
 Result<FpPoly> FpCyclotomicRing::Deserialize(ByteReader* in) const {
-  ASSIGN_OR_RETURN(FpPoly p, FpPoly::Deserialize(field_, in));
-  if (p.coeffs().size() > DenseCoeffCount())
+  std::vector<uint64_t> coeffs;
+  RETURN_IF_ERROR(DeserializeCoeffs(in, &coeffs));
+  return FpPoly::FromCanonical(field_, std::move(coeffs));
+}
+
+Status FpCyclotomicRing::DeserializeCoeffs(
+    ByteReader* in, std::vector<uint64_t>* coeffs) const {
+  RETURN_IF_ERROR(FpPoly::DeserializeCoeffs(field_, in, coeffs));
+  if (coeffs->size() > DenseCoeffCount())
     return Status::Corruption("ring element degree exceeds p-2");
-  return p;
+  return Status::Ok();
 }
 
 size_t FpCyclotomicRing::DenseModelBytes() const {

@@ -52,6 +52,12 @@ class FpCyclotomicRing {
   /// cyclic length, so one length-(p-1) cyclic NTT convolution produces the
   /// already-folded product — no padding to linear size, no separate fold.
   Elem Mul(const Elem& a, const Elem& b) const;
+  /// The coefficients of Mul(a, b), from and into normalized coefficient
+  /// vectors, reusing out's storage (out must not alias a or b). Operands
+  /// of at most the Karatsuba threshold multiply by one lazy-reduction
+  /// schoolbook pass and an in-place fold; larger ones go through Mul.
+  void MulInto(std::span<const uint64_t> a, std::span<const uint64_t> b,
+               std::vector<uint64_t>* out) const;
 
   bool IsZero(const Elem& a) const { return a.IsZero(); }
   bool Equal(const Elem& a, const Elem& b) const { return a == b; }
@@ -73,6 +79,11 @@ class FpCyclotomicRing {
     /// a at the i-th point.
     uint64_t At(const Elem& a, size_t i) const {
       return powers_.Eval(a.coeffs(), i);
+    }
+    /// The residue with coefficients `coeffs` (trailing zeros allowed) at
+    /// the i-th point.
+    uint64_t At(std::span<const uint64_t> coeffs, size_t i) const {
+      return powers_.Eval(coeffs, i);
     }
 
    private:
@@ -99,7 +110,12 @@ class FpCyclotomicRing {
   /// coefficient equations (Eq. 3) in one pass over f and g, with no
   /// temporaries. VerificationFailed when no consistent t exists (corrupt
   /// or cheating server).
-  Result<uint64_t> SolveTag(const Elem& f, const Elem& g) const;
+  Result<uint64_t> SolveTag(const Elem& f, const Elem& g) const {
+    return SolveTag(f.coeffs(), g.coeffs());
+  }
+  /// SolveTag on normalized coefficient vectors.
+  Result<uint64_t> SolveTag(std::span<const uint64_t> f,
+                            std::span<const uint64_t> g) const;
 
   /// Scalar type of coefficients (used by the trusted constant-only mode).
   using Scalar = uint64_t;
@@ -118,6 +134,9 @@ class FpCyclotomicRing {
 
   void Serialize(const Elem& a, ByteWriter* out) const { a.Serialize(out); }
   Result<Elem> Deserialize(ByteReader* in) const;
+  /// Deserialize into `coeffs`, reusing its storage: the same checks and
+  /// refusals, and the element's normalized coefficients.
+  Status DeserializeCoeffs(ByteReader* in, std::vector<uint64_t>* coeffs) const;
   size_t SerializedSize(const Elem& a) const { return a.SerializedSize(); }
   /// Bytes for the dense §5 storage model: (p-1) * ceil(log2(p)/8).
   size_t DenseModelBytes() const;

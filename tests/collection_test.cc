@@ -823,41 +823,121 @@ TEST(CollectionTest, HostileTreeStructureIsCorruption) {
 }
 
 TEST(CollectionTest, RegistryHandlesBatchSpanningDocsOutOfOrder) {
-  auto parse = [](const std::string& s) { return ParseXml(s).value(); };
   DeterministicPrf seed = DeterministicPrf::FromString("col-reg-batch");
   auto col = FpCollection::Create(seed).value();
-  // Three docs: ids land at bases 0, 4, 7.
-  ASSERT_TRUE(col->Add(1, parse("<r><a/><b/><a/></r>")).ok());
-  ASSERT_TRUE(col->Add(2, parse("<s><c/><d/></s>")).ok());
-  ASSERT_TRUE(col->Add(3, parse("<t><a/></t>")).ok());
-  ServerHandler* handler = col->handler(0);
-  ASSERT_NE(handler, nullptr);
-
-  // One batch touching all three docs, deliberately out of registration
-  // order and with a duplicate: the response must align entry-for-entry.
-  FetchRequest req;
-  req.mode = FetchMode::kConstOnly;
-  req.node_ids = {8, 0, 5, 8, 2};
-  auto resp = handler->HandleFetch(req);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  ASSERT_EQ(resp->entries.size(), req.node_ids.size());
-  for (size_t i = 0; i < req.node_ids.size(); ++i) {
-    EXPECT_EQ(resp->entries[i].node_id, req.node_ids[i]) << i;
-    EXPECT_FALSE(resp->entries[i].payload.empty()) << i;
+  // 18 documents of 3..13 nodes; removing the first and a middle one
+  // leaves 16 with no document below the first base and a gap inside.
+  for (DocId d = 0; d < 18; ++d) {
+    XmlGeneratorOptions gen;
+    gen.num_nodes = 3 + (5 * d) % 11;
+    gen.max_fanout = 3;
+    gen.tag_alphabet = 6;
+    gen.seed = 40 + d;
+    ASSERT_TRUE(col->Add(d, GenerateXmlTree(gen)).ok());
   }
-  // Duplicated ids answer identically.
-  EXPECT_EQ(resp->entries[0].payload, resp->entries[3].payload);
+  int32_t gap = -1;  // the first id of the middle document removed below
+  for (const auto& doc : col->registry(0)->docs())
+    if (doc.doc_id == 9) gap = doc.base;
+  ASSERT_GT(gap, 0);
+  ASSERT_TRUE(col->Remove(0).ok());
+  ASSERT_TRUE(col->Remove(9).ok());
+  FpStoreRegistry* registry = col->registry(0);
+  ServerHandler* handler = col->handler(0);
+  const std::vector<FpStoreRegistry::DocInfo> docs = registry->docs();
+  ASSERT_EQ(docs.size(), 16u);
+  ASSERT_GT(docs.front().base, 0);
+
+  // Each document's own store, loaded from its exported bytes.
+  std::vector<ServerStore<FpCyclotomicRing>> own;
+  for (const auto& doc : docs) {
+    auto exported = handler->HandleExportDoc({doc.doc_id});
+    ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+    ByteReader in(exported->store_bytes);
+    own.push_back(LoadFpServerStore(&in).value());
+  }
+  // Every id of every document plus some again, shuffled across documents.
+  struct Owner {
+    size_t doc;
+    int32_t local;
+  };
+  std::vector<int32_t> ids;
+  std::vector<Owner> owners;
+  for (size_t k = 0; k < docs.size(); ++k) {
+    for (size_t i = 0; i < docs[k].nodes; ++i) {
+      for (int copy = 0; copy < (i % 4 == 0 ? 2 : 1); ++copy) {
+        ids.push_back(docs[k].base + static_cast<int32_t>(i));
+        owners.push_back({k, static_cast<int32_t>(i)});
+      }
+    }
+  }
+  ChaChaRng rng = ChaChaRng::FromString("registry shuffle");
+  for (size_t i = ids.size(); i > 1; --i) {
+    const size_t j = rng.NextBelow(i);
+    std::swap(ids[i - 1], ids[j]);
+    std::swap(owners[i - 1], owners[j]);
+  }
+
+  EvalRequest eval;
+  eval.node_ids = ids;
+  eval.points = {3, 5, 11};
+  auto evals = handler->HandleEval(eval);
+  ASSERT_TRUE(evals.ok()) << evals.status().ToString();
+  ASSERT_EQ(evals->entries.size(), ids.size());
+  for (const FetchMode mode : {FetchMode::kFull, FetchMode::kConstOnly}) {
+    FetchRequest fetch;
+    fetch.mode = mode;
+    fetch.node_ids = ids;
+    auto fetched = handler->HandleFetch(fetch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    ASSERT_EQ(fetched->entries.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      FetchRequest one;
+      one.mode = mode;
+      one.node_ids = {owners[i].local};
+      const auto want = own[owners[i].doc].HandleFetch(one).value();
+      EXPECT_EQ(fetched->entries[i].node_id, ids[i]) << i;
+      EXPECT_EQ(fetched->entries[i].payload, want.entries[0].payload) << i;
+    }
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EvalRequest one;
+    one.node_ids = {owners[i].local};
+    one.points = eval.points;
+    const EvalEntry want = own[owners[i].doc].HandleEval(one).value().entries[0];
+    const EvalEntry& got = evals->entries[i];
+    const int32_t base = docs[owners[i].doc].base;
+    EXPECT_EQ(got.node_id, want.node_id + base) << i;
+    EXPECT_EQ(got.values, want.values) << i;
+    EXPECT_EQ(got.subtree_size, want.subtree_size) << i;
+    ASSERT_EQ(got.children.size(), want.children.size()) << i;
+    for (size_t c = 0; c < got.children.size(); ++c)
+      EXPECT_EQ(got.children[c], want.children[c] + base) << i;
+  }
 
   // An empty batch is a valid no-op, not an error.
-  FetchRequest empty;
-  auto empty_resp = handler->HandleFetch(empty);
+  auto empty_resp = handler->HandleFetch(FetchRequest{});
   ASSERT_TRUE(empty_resp.ok()) << empty_resp.status().ToString();
   EXPECT_TRUE(empty_resp->entries.empty());
 
-  // An id outside every document's range fails cleanly.
-  FetchRequest bad;
-  bad.node_ids = {99};
-  EXPECT_FALSE(handler->HandleFetch(bad).ok());
+  // An id in the gap, below the first base or past the end fails cleanly,
+  // anywhere in a batch.
+  const int64_t end = registry->IdSpaceEnd();
+  for (const int32_t bad : {gap, docs.front().base - 1,
+                            static_cast<int32_t>(end)}) {
+    const std::string want = "node id " + std::to_string(bad) + " out of range";
+    FetchRequest fetch;
+    fetch.node_ids = {ids[0], bad, ids[1]};
+    auto fetched = handler->HandleFetch(fetch);
+    ASSERT_FALSE(fetched.ok()) << bad;
+    EXPECT_EQ(fetched.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(fetched.status().message(), want);
+    EvalRequest bad_eval;
+    bad_eval.node_ids = {bad};
+    bad_eval.points = {3};
+    auto evaluated = handler->HandleEval(bad_eval);
+    ASSERT_FALSE(evaluated.ok()) << bad;
+    EXPECT_EQ(evaluated.status().message(), want);
+  }
 }
 
 }  // namespace

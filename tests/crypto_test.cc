@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/prf.h"
 #include "crypto/sha256.h"
+#include "field/prime_field.h"
 #include "ring/fp_cyclotomic_ring.h"
 #include "util/cpu_features.h"
 #include "util/hex.h"
@@ -134,6 +136,47 @@ TEST(HmacTest, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// The textbook construction, H((K ^ opad) || H((K ^ ipad) || m)), for a
+// key of at most one block.
+std::array<uint8_t, 32> TextbookHmac(std::span<const uint8_t> key,
+                                     std::span<const uint8_t> message) {
+  uint8_t ipad[Sha256::kBlockSize] = {}, opad[Sha256::kBlockSize] = {};
+  std::copy(key.begin(), key.end(), ipad);
+  std::copy(key.begin(), key.end(), opad);
+  for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
+    ipad[i] ^= 0x36;
+    opad[i] ^= 0x5c;
+  }
+  Sha256 inner;
+  inner.Update(std::span<const uint8_t>(ipad, sizeof ipad));
+  inner.Update(message);
+  const auto inner_digest = inner.Finish();
+  Sha256 outer;
+  outer.Update(std::span<const uint8_t>(opad, sizeof opad));
+  outer.Update(inner_digest);
+  return outer.Finish();
+}
+
+// Message lengths 0..120 cross the one-block MAC path's end (55 bytes) and
+// the two-block inner hash's (119): every tag equals the textbook
+// construction, and the digest of all of them is pinned.
+TEST(HmacTest, MessageLengthsUpTo120) {
+  std::array<uint8_t, 32> key;
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<uint8_t>(0xa5 ^ (3 * i));
+  const HmacSha256Key mac(key);
+  Sha256 all;
+  for (size_t len = 0; len <= 120; ++len) {
+    std::vector<uint8_t> message(len);
+    for (size_t i = 0; i < len; ++i)
+      message[i] = static_cast<uint8_t>(7 * i + len);
+    const auto tag = mac.Mac(message);
+    EXPECT_EQ(HexDigest(tag), HexDigest(TextbookHmac(key, message))) << len;
+    all.Update(tag);
+  }
+  EXPECT_EQ(HexDigest(all.Finish()),
+            "ac4154168035e62cf68895d0509f554e817675c9a1d5af71254f6063f7d814b0");
+}
+
 TEST(HmacTest, KeySensitivity) {
   EXPECT_NE(ToHex(HmacSha256("key1", "msg")), ToHex(HmacSha256("key2", "msg")));
   EXPECT_NE(ToHex(HmacSha256("key", "msg1")), ToHex(HmacSha256("key", "msg2")));
@@ -207,6 +250,89 @@ TEST(ChaCha20Test, KeystreamMatchesReferenceAcrossCounterWrap) {
     got.insert(got.end(), piece.begin(), piece.end());
   }
   EXPECT_EQ(ToHex(got), ToHex(expected));
+}
+
+// The keystream from `first` on, by the portable block function.
+std::vector<uint8_t> ReferenceStream(std::span<const uint8_t, 32> key,
+                                     std::span<const uint8_t, 12> nonce,
+                                     uint32_t first, size_t bytes) {
+  std::vector<uint8_t> out;
+  for (uint32_t c = first; out.size() < bytes; ++c) {
+    const auto block = ChaCha20::ReferenceBlock(key, nonce, c);
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  out.resize(bytes);
+  return out;
+}
+
+// Single words, bulk draws of every size class (under one block, the tail
+// crossover, whole eight-block passes, and beyond) and XorStream pieces of
+// odd length, interleaved so that draws start at unaligned positions and
+// straddle the 2^32 counter wrap: one stream whatever reads it.
+TEST(ChaCha20Test, MixedDrawsReadOneStream) {
+  std::array<uint8_t, 32> key{};
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<uint8_t>(11 * i + 5);
+  const std::array<uint8_t, 12> nonce = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2};
+  constexpr uint32_t kFirst = 0xFFFFFFF0u;
+  constexpr size_t kBytes = 64 * 1024;
+  const std::vector<uint8_t> expected =
+      ReferenceStream(key, nonce, kFirst, kBytes);
+
+  ChaCha20 cipher(key, nonce, kFirst);
+  std::vector<uint8_t> got;
+  auto append_words = [&](std::span<const uint64_t> words) {
+    for (uint64_t w : words)
+      for (int b = 0; b < 8; ++b) got.push_back(static_cast<uint8_t>(w >> (8 * b)));
+  };
+  // > 0: that many words in one NextWords draw; < 0: that many bytes, by
+  // XorStream when odd and by Keystream when even; 0: one NextU64.
+  const int steps[] = {0, 1, -3, 7, 8, -61, 63, 0, 64, -97, 65, 520, -127,
+                       -1000, 0, 3, 5, 9, -4096, 33};
+  for (size_t i = 0; got.size() < kBytes; ++i) {
+    const int step = steps[i % std::size(steps)];
+    const size_t left = kBytes - got.size();
+    if (step == 0 && left >= 8) {
+      const uint64_t w = cipher.NextU64();
+      append_words(std::span<const uint64_t>(&w, 1));
+    } else if (step > 0 && left >= 8) {
+      std::vector<uint64_t> words(std::min<size_t>(step, left / 8));
+      cipher.NextWords(words);
+      append_words(words);
+    } else {
+      std::vector<uint8_t> piece(std::min<size_t>(step < 0 ? -step : 1, left));
+      if (piece.size() % 2 == 1) {
+        cipher.XorStream(piece);
+      } else {
+        std::fill(piece.begin(), piece.end(), 0xEE);  // overwritten
+        cipher.Keystream(piece);
+      }
+      got.insert(got.end(), piece.begin(), piece.end());
+    }
+  }
+  EXPECT_EQ(ToHex(got), ToHex(expected));
+}
+
+// One PRF stream read as single words and as bulk draws of 1, 7, 8, 63,
+// 64, 65 and 520 words gives the same words.
+TEST(ChaChaRngTest, BulkDrawsEqualSingleWords) {
+  const DeterministicPrf prf = DeterministicPrf::FromString("bulk draws");
+  constexpr size_t kWords = 4000;
+  std::vector<uint64_t> singles(kWords);
+  ChaChaRng one = prf.Stream("s");
+  for (uint64_t& w : singles) w = one.NextU64();
+
+  ChaChaRng bulk = prf.Stream("s");
+  std::vector<uint64_t> drawn;
+  const size_t sizes[] = {1, 7, 8, 63, 64, 65, 520};
+  for (size_t i = 0; drawn.size() < kWords; ++i) {
+    std::vector<uint64_t> words(
+        std::min(sizes[i % std::size(sizes)], kWords - drawn.size()));
+    bulk.NextWords(words);
+    drawn.insert(drawn.end(), words.begin(), words.end());
+  }
+  EXPECT_EQ(drawn, singles);
+  // Both readers stand at the same word afterwards.
+  EXPECT_EQ(bulk.NextU64(), one.NextU64());
 }
 
 TEST(ChaChaRngTest, DeterministicAndSeedSensitive) {
@@ -310,6 +436,83 @@ TEST(PrfTest, DerivedShareKnownAnswer) {
       19, 18, 23, 31, 7,  43, 18, 11, 48, 45, 30, 16, 25, 63, 65, 47, 22,
       58, 63, 20, 47, 1,  59, 53, 49, 0,  2,  29, 24, 59, 50, 31};
   EXPECT_EQ(share.coeffs(), expected);
+}
+
+// The elements PrimeField::UniformFill draws from PRF streams, and the
+// stream word after each fill (where the fill left the stream), hashed:
+// `labels` streams of `words` elements each. A fill through a plain
+// callable (one word per call) must agree with the bulk draw.
+std::string UniformFillDigest(uint64_t p, int labels, size_t words) {
+  const PrimeField field = PrimeField::Create(p).value();
+  const DeterministicPrf prf = DeterministicPrf::FromString("uniform-fill-pin");
+  Sha256 digest;
+  std::vector<uint64_t> out(words), one_by_one(words);
+  auto absorb = [&](uint64_t w) {
+    uint8_t bytes[8];
+    for (int b = 0; b < 8; ++b) bytes[b] = static_cast<uint8_t>(w >> (8 * b));
+    digest.Update(std::span<const uint8_t>(bytes, 8));
+  };
+  for (int l = 0; l < labels; ++l) {
+    const std::string label =
+        "fill/" + std::to_string(p) + "/" + std::to_string(l);
+    ChaChaRng rng = prf.Stream(label);
+    field.UniformFill(rng, out);
+    for (uint64_t w : out) absorb(w);
+    const uint64_t next = rng.NextU64();
+    absorb(next);
+    ChaChaRng words_rng = prf.Stream(label);
+    field.UniformFill([&] { return words_rng.NextU64(); }, one_by_one);
+    EXPECT_EQ(one_by_one, out) << label;
+    EXPECT_EQ(words_rng.NextU64(), next) << label;
+  }
+  return HexDigest(digest.Finish());
+}
+
+// Pinned like the streams above. The small moduli fill p-1 elements (a
+// client share); the wide ones 700, where rejections are frequent enough
+// to show: at 6148914691236517223, the smallest prime above 2^64/3, a
+// third of the words are rejected.
+TEST(PrfTest, UniformFillKnownDigests) {
+  struct Pin {
+    uint64_t p;
+    int labels;
+    size_t words;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {3, 400, 2,
+       "845eeb83fbc64a4dc064ca258b4b4658d26004138c8b9856c5e35b991b88ec87"},
+      {5, 400, 4,
+       "5982530f695311c955b0a00077e86296b05f7b9c02d080edebe826eff2e12293"},
+      {11, 400, 10,
+       "2bd9f23b2b45d44ec3a85d692b8f844e1b96e00cbe0aa13e6db3f4b2a794afeb"},
+      {61, 400, 60,
+       "34ce864431563860e1125cf6d1bb4c24378f72ee87601b34407d5c051fadb5be"},
+      {67, 400, 66,
+       "d317f4b6928daeff92653af2000c24785e15805fd6f0e24ba0359df719f87112"},
+      {101, 400, 100,
+       "547d3988dea1dc1d51d2607c1e30f9ab7d8a9a4bf8c5e5b80b08eb32db838022"},
+      {257, 400, 256,
+       "e7eef5ba7fdd619041a3085ebfe3e6384a15473fc505c6f51d60fe3b56d8aa94"},
+      {521, 400, 520,
+       "6b6fb9bc0803ee219beb1a3fda7fedf0dc6798e108836b2f66a91b6e069dc9cd"},
+      {1009, 400, 1008,
+       "e66685cc287552c61ffaf46ee259188394935a137322a6dba8af6f68ea4b4c37"},
+      {65537, 40, 700,
+       "8d879bd70f128d6c27b0cd28b90db5e9097191559ecc0928f63c88af9c08102f"},
+      {2147483647, 40, 700,
+       "b4ac9f3875af7c9b8c52e75ad1d5e55264575fa78c3b811fa265620cc8567f90"},
+      {4294967311ull, 40, 700,
+       "bb36169fe0d46c3c91dfd45b150fc6971c4b642d0d615c2f2286a027b35e7475"},
+      {2305843009213693951ull, 40, 700,
+       "d636760c7005c20b83c3c778eefae6e0c41acdf181222a187a7e32a73743f054"},
+      {6148914691236517223ull, 40, 700,
+       "9355a0910febd332cb4d047c108fc34850ad4a80536c3207cda20ced935d9e95"},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(UniformFillDigest(pin.p, pin.labels, pin.words), pin.digest)
+        << "p = " << pin.p;
+  }
 }
 
 TEST(PrfTest, RandomSeedProducesDistinctSeeds) {

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
+#include <vector>
 
 #include "ring/fp_cyclotomic_ring.h"
 #include "ring/z_quotient_ring.h"
 
 namespace polysse {
 namespace {
+
+std::vector<uint8_t> ToVector(std::span<const uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
 
 // ------------------------------------------------- F_p[x]/(x^{p-1}-1) ring
 
@@ -170,6 +176,52 @@ TEST(FpRingTest, SerializeRejectsOversizedElement) {
   big.Serialize(&w);
   ByteReader r(w.span());
   EXPECT_FALSE(ring.Deserialize(&r).ok());
+}
+
+// The walk's reused-storage operations: MulInto equals Mul (below and
+// above the schoolbook bound), and the coefficient codec equals the
+// polynomial one whatever its output vector held before.
+TEST(FpRingTest, ReusedStorageOpsMatchPolynomialOps) {
+  std::mt19937_64 rng(7);
+  std::vector<uint64_t> out = {5, 5, 5}, coeffs = {9, 9, 9, 9};
+  for (uint64_t p : {5u, 67u, 1009u}) {
+    FpCyclotomicRing ring = FpCyclotomicRing::Create(p).value();
+    const size_t n = ring.DenseCoeffCount();
+    for (size_t la : {size_t{0}, size_t{1}, size_t{3}, n / 2, n}) {
+      for (size_t lb : {size_t{1}, size_t{2}, n - 1, n}) {
+        std::vector<uint64_t> ca(la), cb(lb);
+        for (uint64_t& c : ca) c = rng() % p;
+        for (uint64_t& c : cb) c = rng() % p;
+        const FpPoly a = FpPoly::FromCanonical(ring.field(), ca);
+        const FpPoly b = FpPoly::FromCanonical(ring.field(), cb);
+        ring.MulInto(a.coeffs(), b.coeffs(), &out);
+        EXPECT_EQ(out, ring.Mul(a, b).coeffs()) << p << " " << la << "x" << lb;
+
+        // Trailing zeros of a dense row are not encoded.
+        std::vector<uint64_t> dense = ca;
+        dense.resize(n, 0);
+        ByteWriter want, got;
+        a.Serialize(&want);
+        FpPoly::SerializeCoeffs(dense, &got);
+        EXPECT_EQ(ToVector(got.span()), ToVector(want.span()));
+        ByteReader in(got.span());
+        ASSERT_TRUE(ring.DeserializeCoeffs(&in, &coeffs).ok());
+        EXPECT_EQ(coeffs, a.coeffs());
+        EXPECT_EQ(in.remaining(), 0u);
+      }
+    }
+  }
+  // Refusals are Deserialize's: an element past degree p-2, a coefficient
+  // outside the field, a count past the bytes left.
+  FpCyclotomicRing ring = FpCyclotomicRing::Create(5).value();
+  for (const std::vector<uint8_t>& bytes :
+       {std::vector<uint8_t>{5, 1, 1, 1, 1, 1}, std::vector<uint8_t>{2, 1, 7},
+        std::vector<uint8_t>{3, 1, 1}}) {
+    ByteReader a(bytes), b(bytes);
+    const Status want = ring.Deserialize(&a).status();
+    ASSERT_FALSE(want.ok());
+    EXPECT_EQ(ring.DeserializeCoeffs(&b, &coeffs), want);
+  }
 }
 
 // ------------------------------------------------------- Z[x]/(r(x)) ring

@@ -2,6 +2,7 @@
 // seed-only re-derivation, hiding properties, multi-server splits.
 #include <gtest/gtest.h>
 
+#include "core/client_context.h"
 #include "core/multi_server.h"
 #include "core/sharing.h"
 #include "mpc/shamir.h"
@@ -68,6 +69,21 @@ TEST(SharingTest, SeedOnlyRederivationMatchesSplit) {
   SharedTrees<FpCyclotomicRing> shares = SplitShares(fp, data, prf);
   for (const auto& node : shares.client.nodes) {
     EXPECT_TRUE(fp.Equal(DeriveClientShare(fp, prf, node.path, {}), node.poly));
+  }
+  // The walk's allocation-free entry point gives the same shares as dense
+  // rows, for a thin client and for one holding the share tree.
+  const auto thin = ClientContext<FpCyclotomicRing>::SeedOnly(fp, map, prf);
+  const auto fat = ClientContext<FpCyclotomicRing>::Materialized(
+      fp, map, prf, shares.client);
+  std::vector<uint64_t> row(fp.DenseCoeffCount());
+  for (const auto& node : shares.client.nodes) {
+    std::vector<uint64_t> want = node.poly.coeffs();
+    want.resize(fp.DenseCoeffCount(), 0);
+    for (const auto* client : {&thin, &fat}) {
+      std::fill(row.begin(), row.end(), 99);
+      ASSERT_TRUE(client->ShareRowForLabel(ShareLabel(node.path), row).ok());
+      EXPECT_EQ(row, want) << node.path;
+    }
   }
 
   ZQuotientRing zr = ZQuotientRing::Create(ZPoly({1, 0, 1})).value();

@@ -15,6 +15,11 @@
 // The same counters bound the server side of one hostile EvalRequest: its
 // point count is the client's choice, so the server's table of point
 // powers must stay a bounded block however many points a request carries.
+//
+// They also count allocation calls, so the same walks gate how many heap
+// allocations a visited node costs: share derivation, combination and
+// reconstruction run in per-session scratch, and what remains per node is
+// mostly the protocol messages' per-entry vectors.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -23,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -35,8 +41,10 @@ namespace {
 
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<int64_t> g_alloc_calls{0};
 
 void CountAlloc(void* p) {
+  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   const int64_t now =
       g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
                              std::memory_order_relaxed) +
@@ -102,6 +110,9 @@ namespace polysse {
 namespace {
 
 constexpr int64_t kWalkBudgetBytes = 1 << 20;
+/// Heap allocations per visited node of a verified 4-tag batch (all
+/// shards' walks, client and in-process servers together).
+constexpr double kAllocsPerNodeBudget = 12.0;
 
 XmlNode MakeDoc(uint64_t seed) {
   XmlGeneratorOptions gen;
@@ -112,26 +123,41 @@ XmlNode MakeDoc(uint64_t seed) {
   return GenerateXmlTree(gen);
 }
 
-TEST(WalkMemoryTest, OneShardWalkPeaksUnderOneMiB) {
+/// The scatter-4shard-shaped collection, on the inline executor.
+std::unique_ptr<FpCollection> MakeCollection() {
   DeployShape deploy;
   deploy.num_shards = 4;
   auto col =
       FpCollection::Create(DeterministicPrf::FromString("walk-memory"), deploy)
           .value();
-  for (DocId d = 0; d < 64; ++d) ASSERT_TRUE(col->Add(d, MakeDoc(9000 + d)).ok());
-  ASSERT_EQ(col->executor(), nullptr);  // inline: one walk at a time
+  for (DocId d = 0; d < 64; ++d) {
+    if (!col->Add(d, MakeDoc(9000 + d)).ok()) return nullptr;
+  }
+  return col;
+}
 
-  // Batches of 4 distinct tags, spread over the whole alphabet.
+/// `count` verified batches of 4 distinct tags, spread over the alphabet.
+std::vector<std::vector<Query>> MakeBatches(int count) {
   ChaChaRng rng = DeterministicPrf::FromString("walk-memory/tags").Stream("q");
-  std::vector<int64_t> peaks;
-  for (int batch = 0; batch < 8; ++batch) {
-    std::vector<Query> queries;
+  std::vector<std::vector<Query>> batches(count);
+  for (std::vector<Query>& queries : batches) {
     while (queries.size() < 4) {
       const std::string tag = "tag" + std::to_string(rng.NextBelow(40));
       bool fresh = true;
       for (const Query& q : queries) fresh = fresh && q.tag != tag;
       if (fresh) queries.push_back({tag, VerifyMode::kVerified});
     }
+  }
+  return batches;
+}
+
+TEST(WalkMemoryTest, OneShardWalkPeaksUnderOneMiB) {
+  auto col = MakeCollection();
+  ASSERT_NE(col, nullptr);
+  ASSERT_EQ(col->executor(), nullptr);  // inline: one walk at a time
+
+  std::vector<int64_t> peaks;
+  for (const std::vector<Query>& queries : MakeBatches(8)) {
     const int64_t before = g_live_bytes.load();
     g_peak_bytes.store(before);
     auto r = col->SearchMany(queries);
@@ -151,6 +177,33 @@ TEST(WalkMemoryTest, OneShardWalkPeaksUnderOneMiB) {
                   (1 << 20),
               static_cast<double>(max) / (1 << 20), peaks.size());
   EXPECT_LE(max, kWalkBudgetBytes);
+}
+
+TEST(WalkMemoryTest, VerifiedBatchAllocationsPerVisitedNode) {
+  auto col = MakeCollection();
+  ASSERT_NE(col, nullptr);
+  ASSERT_EQ(col->executor(), nullptr);
+
+  double worst = 0;
+  int64_t calls = 0;
+  size_t nodes = 0;
+  for (const std::vector<Query>& queries : MakeBatches(8)) {
+    const int64_t before = g_alloc_calls.load();
+    auto r = col->SearchMany(queries);
+    const int64_t batch_calls = g_alloc_calls.load() - before;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const size_t visited = r->front().stats.nodes_visited;
+    ASSERT_GT(visited, 0u);
+    worst = std::max(worst, static_cast<double>(batch_calls) /
+                                static_cast<double>(visited));
+    calls += batch_calls;
+    nodes += visited;
+  }
+  std::printf("allocations per visited node: mean %.2f, max %.2f (%lld calls,"
+              " %zu nodes)\n",
+              static_cast<double>(calls) / static_cast<double>(nodes), worst,
+              static_cast<long long>(calls), nodes);
+  EXPECT_LE(worst, kAllocsPerNodeBudget);
 }
 
 TEST(WalkMemoryTest, HostilePointCountStaysBounded) {
