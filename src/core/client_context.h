@@ -72,7 +72,8 @@ class ClientContext {
   /// `label` (kShareLabelPrefix + its path, built by the caller in a buffer
   /// of its own), as its p-1 dense coefficients: `row` must hold p-1 words
   /// and receives trailing zeros too. A thin client draws the words
-  /// straight into `row`, so a derivation allocates nothing.
+  /// straight into `row` (DeriveClientShareRow), so a derivation allocates
+  /// nothing.
   Status ShareRowForLabel(std::string_view label, std::span<uint64_t> row) const
     requires std::is_same_v<Ring, FpCyclotomicRing>
   {
@@ -85,8 +86,7 @@ class ClientContext {
       std::fill(std::copy(c.begin(), c.end(), row.begin()), row.end(), 0);
       return Status::Ok();
     }
-    ChaChaRng rng = prf_.Stream(label);
-    ring_.field().UniformFill(rng, row);
+    DeriveClientShareRow(ring_, prf_, label, row);
     return Status::Ok();
   }
 

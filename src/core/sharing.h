@@ -6,8 +6,13 @@
 #ifndef POLYSSE_CORE_SHARING_H_
 #define POLYSSE_CORE_SHARING_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/poly_tree.h"
 #include "crypto/prf.h"
@@ -46,14 +51,33 @@ inline ZQuotientRing::Elem RandomShare(const ZQuotientRing& ring,
   return ring.Random(rng, options.z_coeff_bits);
 }
 
+/// The F_p client share of the node whose share label is `label`
+/// (ShareLabel of its path), as its p-1 dense coefficients written into
+/// `row` (p-1 words; trailing zeros included), allocating nothing. The one
+/// statement of the F_p share recipe: DeriveClientShare and a seed-only
+/// ClientContext both draw through it.
+inline void DeriveClientShareRow(const FpCyclotomicRing& ring,
+                                 const DeterministicPrf& prf,
+                                 std::string_view label,
+                                 std::span<uint64_t> row) {
+  ChaChaRng rng = prf.Stream(label);
+  ring.RandomInto(rng, row);
+}
+
 /// Derives the client share of the node identified by `node_path`.
 template <typename Ring>
 typename Ring::Elem DeriveClientShare(const Ring& ring,
                                       const DeterministicPrf& prf,
                                       const std::string& node_path,
                                       const ShareSplitOptions& options) {
-  ChaChaRng rng = prf.Stream(ShareLabel(node_path));
-  return RandomShare(ring, rng, options);
+  if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
+    std::vector<uint64_t> row(ring.DenseCoeffCount());
+    DeriveClientShareRow(ring, prf, ShareLabel(node_path), row);
+    return FpPoly::FromCanonical(ring.field(), std::move(row));
+  } else {
+    ChaChaRng rng = prf.Stream(ShareLabel(node_path));
+    return RandomShare(ring, rng, options);
+  }
 }
 
 /// The two share trees produced by a split. Shapes (parent/children/path/

@@ -109,24 +109,15 @@ class PrimeField {
   /// replacements drawn one at a time. Other sources are called per word.
   template <typename Rng>
   void UniformFill(Rng&& next_u64, std::span<uint64_t> out) const {
-    const Sampler s(p_);
     if constexpr (requires { next_u64.NextWords(out); }) {
+      const Sampler s(p_);
       next_u64.NextWords(out);
       size_t kept = 0;
       for (const uint64_t v : out)
         if (v < s.zone) out[kept++] = s.Reduce(v);
-      while (kept < out.size()) {
-        const uint64_t v = next_u64.NextU64();
-        if (v < s.zone) out[kept++] = s.Reduce(v);
-      }
+      for (; kept < out.size(); ++kept) out[kept] = Uniform(next_u64);
     } else {
-      for (uint64_t& c : out) {
-        uint64_t v;
-        do {
-          v = next_u64();
-        } while (v >= s.zone);
-        c = s.Reduce(v);
-      }
+      for (uint64_t& c : out) c = Uniform(next_u64);
     }
   }
 

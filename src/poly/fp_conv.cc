@@ -32,16 +32,6 @@ std::atomic<FpMulPath> g_mul_path{FpMulPath::kFast};
 std::atomic<size_t> g_karatsuba_threshold{kDefaultKaratsubaThreshold};
 std::atomic<size_t> g_ntt_threshold{kDefaultNttThreshold};
 
-/// Schoolbook by lazy-reduction dot products: every product coefficient is
-/// summed unreduced and reduced once per chunk (field/simd_eval.h).
-std::vector<uint64_t> SchoolbookLazy(const LazyDot& dot,
-                                     std::span<const uint64_t> a,
-                                     std::span<const uint64_t> b) {
-  std::vector<uint64_t> out(a.size() + b.size() - 1);
-  dot.Convolve(a, b, out.data());
-  return out;
-}
-
 /// Schoolbook for p-1 >= 2^32, where not even one product fits 64 bits:
 /// the shorter operand is converted to Montgomery form once, products are
 /// summed unreduced in 128 bits, and REDC(sum of mont(a_i) * b_j) = the sum
@@ -75,17 +65,30 @@ std::vector<uint64_t> SchoolbookMont(const Montgomery& mont,
 }
 
 /// Adapter feeding the shared Karatsuba skeleton (poly/karatsuba.h) the F_p
-/// ring ops and the schoolbook base case: lazy reduction, or Montgomery
-/// when p-1 >= 2^32.
+/// ring ops and the schoolbook base case: lazy-reduction dot products
+/// (field/simd_eval.h), every product coefficient summed unreduced and
+/// reduced once per chunk, or Montgomery when p-1 >= 2^32.
 struct FpKaratsubaOps {
   const PrimeField& field;
   LazyDot dot;
 
+  /// The base case into out's storage: the lazy kernel writes every product
+  /// coefficient in place.
+  void SchoolbookInto(std::span<const uint64_t> a, std::span<const uint64_t> b,
+                      std::vector<uint64_t>* out) const {
+    if (dot.enabled()) {
+      out->resize(a.size() + b.size() - 1);
+      dot.Convolve(a, b, out->data());
+      return;
+    }
+    // p-1 >= 2^32 makes p odd, so the Montgomery context exists.
+    *out = SchoolbookMont(*field.mont(), field, a, b);
+  }
   std::vector<uint64_t> Schoolbook(std::span<const uint64_t> a,
                                    std::span<const uint64_t> b) const {
-    if (dot.enabled()) return SchoolbookLazy(dot, a, b);
-    // p-1 >= 2^32 makes p odd, so the Montgomery context exists.
-    return SchoolbookMont(*field.mont(), field, a, b);
+    std::vector<uint64_t> out;
+    SchoolbookInto(a, b, &out);
+    return out;
   }
   uint64_t Add(const uint64_t& x, const uint64_t& y) const {
     return field.Add(x, y);
@@ -107,6 +110,26 @@ bool NttEligible(const PrimeField& field, size_t na, size_t nb) {
   const size_t shorter = std::min(na, nb);
   if (shorter < g_ntt_threshold.load(std::memory_order_relaxed)) return false;
   return NttMaxLength(field.modulus()) >= NextPow2(na + nb - 1);
+}
+
+/// The fast tiers on non-empty operands, into out's storage: the NTT when
+/// `ntt` allows it and the operands qualify, Karatsuba above the
+/// threshold, and the schoolbook base case at or below it, which writes
+/// straight into out.
+void FastInto(const PrimeField& field, std::span<const uint64_t> a,
+              std::span<const uint64_t> b, bool ntt,
+              std::vector<uint64_t>* out) {
+  if (ntt && NttEligible(field, a.size(), b.size())) {
+    *out = Ntt::ForPrime(field.modulus())->Convolve(a, b);
+    return;
+  }
+  const FpKaratsubaOps ops{field, LazyDot(field)};
+  const size_t threshold = GetFpKaratsubaThreshold();
+  if (std::min(a.size(), b.size()) <= threshold) {
+    ops.SchoolbookInto(a, b, out);
+    return;
+  }
+  *out = KaratsubaMul(ops, a, b, threshold);
 }
 
 }  // namespace
@@ -153,18 +176,34 @@ std::vector<uint64_t> ConvolveSchoolbook(const PrimeField& field,
 std::vector<uint64_t> ConvolveKaratsuba(const PrimeField& field,
                                         std::span<const uint64_t> a,
                                         std::span<const uint64_t> b) {
-  if (a.empty() || b.empty()) return {};
-  return KaratsubaMul(FpKaratsubaOps{field, LazyDot(field)}, a, b,
-                      GetFpKaratsubaThreshold());
+  std::vector<uint64_t> out;
+  if (!a.empty() && !b.empty()) FastInto(field, a, b, /*ntt=*/false, &out);
+  return out;
 }
 
 std::vector<uint64_t> ConvolveFast(const PrimeField& field,
                                    std::span<const uint64_t> a,
                                    std::span<const uint64_t> b) {
-  if (a.empty() || b.empty()) return {};
-  if (NttEligible(field, a.size(), b.size()))
-    return Ntt::ForPrime(field.modulus())->Convolve(a, b);
-  return ConvolveKaratsuba(field, a, b);
+  std::vector<uint64_t> out;
+  if (!a.empty() && !b.empty()) FastInto(field, a, b, /*ntt=*/true, &out);
+  return out;
+}
+
+void ConvolveInto(const PrimeField& field, std::span<const uint64_t> a,
+                  std::span<const uint64_t> b, std::vector<uint64_t>* out) {
+  out->clear();
+  if (a.empty() || b.empty()) return;
+  switch (GetFpMulPath()) {
+    case FpMulPath::kFast:
+      FastInto(field, a, b, /*ntt=*/true, out);
+      return;
+    case FpMulPath::kKaratsuba:
+      FastInto(field, a, b, /*ntt=*/false, out);
+      return;
+    case FpMulPath::kReference:
+      *out = ConvolveSchoolbook(field, a, b);
+      return;
+  }
 }
 
 std::optional<std::vector<uint64_t>> TryCyclicNttConvolve(

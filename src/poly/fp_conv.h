@@ -11,9 +11,10 @@
 //   2. Karatsuba above the threshold;
 //   3. radix-2 NTT above the NTT crossover, when the modulus is NTT-friendly
 //      at the required transform length.
-// FpPoly::operator* dispatches here; the reference and Karatsuba paths and
-// the knobs stay exported so the differential suite and the bench harness
-// can pit all three implementations against each other on identical inputs.
+// FpPoly::operator* and FpCyclotomicRing::Mul/MulInto dispatch here through
+// ConvolveInto; the reference and Karatsuba paths and the knobs stay
+// exported so the differential suite and the bench harness can pit all
+// three implementations against each other on identical inputs.
 #ifndef POLYSSE_POLY_FP_CONV_H_
 #define POLYSSE_POLY_FP_CONV_H_
 
@@ -75,6 +76,15 @@ std::vector<uint64_t> ConvolveKaratsuba(const PrimeField& field,
 std::vector<uint64_t> ConvolveFast(const PrimeField& field,
                                    std::span<const uint64_t> a,
                                    std::span<const uint64_t> b);
+
+/// The product on the path GetFpMulPath() selects (ConvolveFast,
+/// ConvolveKaratsuba or ConvolveSchoolbook), into out's storage: the
+/// schoolbook tier writes in place, so a caller that keeps `out` across
+/// products of at most the Karatsuba threshold allocates nothing. Same
+/// coefficients as the selected function; out is cleared when either
+/// input is empty.
+void ConvolveInto(const PrimeField& field, std::span<const uint64_t> a,
+                  std::span<const uint64_t> b, std::vector<uint64_t>* out);
 
 /// Cyclic convolution of length n — the product in F_p[x]/(x^n - 1) — via a
 /// no-padding NTT, for FpCyclotomicRing::Mul where n = p-1 is the ring's

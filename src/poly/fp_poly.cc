@@ -58,17 +58,7 @@ FpPoly FpPoly::operator*(const FpPoly& rhs) const {
   POLYSSE_DCHECK(field_ == rhs.field_);
   if (IsZero() || rhs.IsZero()) return Zero(field_);
   std::vector<uint64_t> out;
-  switch (GetFpMulPath()) {
-    case FpMulPath::kFast:
-      out = ConvolveFast(field_, coeffs_, rhs.coeffs_);
-      break;
-    case FpMulPath::kKaratsuba:
-      out = ConvolveKaratsuba(field_, coeffs_, rhs.coeffs_);
-      break;
-    case FpMulPath::kReference:
-      out = ConvolveSchoolbook(field_, coeffs_, rhs.coeffs_);
-      break;
-  }
+  ConvolveInto(field_, coeffs_, rhs.coeffs_, &out);
   return FpPoly(field_, std::move(out));
 }
 

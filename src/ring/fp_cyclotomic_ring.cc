@@ -26,59 +26,46 @@ Result<FpPoly> FpCyclotomicRing::XMinus(uint64_t t) const {
   return FpPoly::XMinus(field_, t);
 }
 
-FpPoly FpCyclotomicRing::Reduce(const FpPoly& a) const {
-  // Exponent folding i -> i mod (p-1), done on the canonical uint64
-  // coefficients directly (no signed round trip) with a running slot index
-  // instead of a division per coefficient.
-  const size_t n = DenseCoeffCount();
-  if (a.coeffs().size() <= n) return a;
-  const std::vector<uint64_t>& c = a.coeffs();
-  std::vector<uint64_t> folded(c.begin(), c.begin() + n);
-  size_t slot = 0;
-  for (size_t i = n; i < c.size(); ++i) {
-    folded[slot] = field_.Add(folded[slot], c[i]);
+namespace {
+
+/// Exponent folding i -> i mod n in place, on canonical coefficients, with a
+/// running slot index instead of a division per coefficient; leaves the
+/// normalized result.
+void FoldInPlace(const PrimeField& field, size_t n, std::vector<uint64_t>& c) {
+  for (size_t i = n, slot = 0; i < c.size(); ++i) {
+    c[slot] = field.Add(c[slot], c[i]);
     if (++slot == n) slot = 0;
   }
-  return FpPoly::FromCanonical(field_, std::move(folded));
+  if (c.size() > n) c.resize(n);
+  while (!c.empty() && c.back() == 0) c.pop_back();
+}
+
+}  // namespace
+
+FpPoly FpCyclotomicRing::Reduce(const FpPoly& a) const {
+  if (a.coeffs().size() <= DenseCoeffCount()) return a;
+  std::vector<uint64_t> c = a.coeffs();
+  FoldInPlace(field_, DenseCoeffCount(), c);
+  return FpPoly::FromCanonical(field_, std::move(c));
 }
 
 FpPoly FpCyclotomicRing::Mul(const Elem& a, const Elem& b) const {
-  if (!a.IsZero() && !b.IsZero()) {
-    if (auto folded = TryCyclicNttConvolve(field_, a.coeffs(), b.coeffs(),
-                                           DenseCoeffCount())) {
-      return FpPoly::FromCanonical(field_, std::move(*folded));
-    }
-  }
-  FpPoly product = a * b;
-  // A product that does not wrap is already reduced: hand it back as is.
-  if (product.coeffs().size() <= DenseCoeffCount()) return product;
-  return Reduce(product);
+  std::vector<uint64_t> c;
+  MulInto(a.coeffs(), b.coeffs(), &c);
+  return FpPoly::FromCanonical(field_, std::move(c));
 }
 
 void FpCyclotomicRing::MulInto(std::span<const uint64_t> a,
                                std::span<const uint64_t> b,
                                std::vector<uint64_t>* out) const {
-  out->clear();
-  if (a.empty() || b.empty()) return;
-  const LazyDot dot(field_);
-  if (!dot.enabled() ||
-      std::min(a.size(), b.size()) > GetFpKaratsubaThreshold()) {
-    *out = Mul(FpPoly::FromCanonical(field_, {a.begin(), a.end()}),
-               FpPoly::FromCanonical(field_, {b.begin(), b.end()}))
-               .coeffs();
-    return;
-  }
-  out->resize(a.size() + b.size() - 1);
-  dot.Convolve(a, b, out->data());
-  // Exponent folding i -> i mod (p-1), as Reduce does.
   const size_t n = DenseCoeffCount();
-  std::vector<uint64_t>& c = *out;
-  for (size_t i = n, slot = 0; i < c.size(); ++i) {
-    c[slot] = field_.Add(c[slot], c[i]);
-    if (++slot == n) slot = 0;
+  if (auto folded = TryCyclicNttConvolve(field_, a, b, n)) {
+    *out = std::move(*folded);
+  } else {
+    ConvolveInto(field_, a, b, out);
   }
-  if (c.size() > n) c.resize(n);
-  while (!c.empty() && c.back() == 0) c.pop_back();
+  // A product that does not wrap only loses its trailing zeros here.
+  FoldInPlace(field_, n, *out);
 }
 
 Result<uint64_t> FpCyclotomicRing::QueryModulus(uint64_t e) const {

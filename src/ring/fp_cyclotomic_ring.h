@@ -15,6 +15,7 @@
 
 #include "field/simd_eval.h"
 #include "poly/fp_poly.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace polysse {
@@ -51,11 +52,12 @@ class FpCyclotomicRing {
   /// supports (p = 257, 65537, ...), x^{p-1}-1 is exactly the NTT's natural
   /// cyclic length, so one length-(p-1) cyclic NTT convolution produces the
   /// already-folded product — no padding to linear size, no separate fold.
+  /// MulInto into a fresh vector.
   Elem Mul(const Elem& a, const Elem& b) const;
   /// The coefficients of Mul(a, b), from and into normalized coefficient
-  /// vectors, reusing out's storage (out must not alias a or b). Operands
-  /// of at most the Karatsuba threshold multiply by one lazy-reduction
-  /// schoolbook pass and an in-place fold; larger ones go through Mul.
+  /// vectors, reusing out's storage (out must not alias a or b): the
+  /// product FpPoly::operator* would take (poly/fp_conv.h ConvolveInto,
+  /// whose schoolbook tier writes in place) folded in place.
   void MulInto(std::span<const uint64_t> a, std::span<const uint64_t> b,
                std::vector<uint64_t>* out) const;
 
@@ -101,8 +103,15 @@ class FpCyclotomicRing {
   template <typename Rng>
   Elem Random(Rng&& next_u64) const {
     std::vector<uint64_t> coeffs(DenseCoeffCount());
-    field_.UniformFill(next_u64, coeffs);
+    RandomInto(next_u64, coeffs);
     return FpPoly::FromCanonical(field_, std::move(coeffs));
+  }
+  /// The p-1 coefficients Random draws, trailing zeros included, written
+  /// into `row` (which must hold p-1 words) instead of a fresh element.
+  template <typename Rng>
+  void RandomInto(Rng&& next_u64, std::span<uint64_t> row) const {
+    POLYSSE_CHECK(row.size() == DenseCoeffCount());
+    field_.UniformFill(next_u64, row);
   }
 
   /// Theorem 1: given a node residue f and the product g of its children,

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "poly/fp_conv.h"
 #include "ring/fp_cyclotomic_ring.h"
 #include "ring/z_quotient_ring.h"
 
@@ -178,9 +179,10 @@ TEST(FpRingTest, SerializeRejectsOversizedElement) {
   EXPECT_FALSE(ring.Deserialize(&r).ok());
 }
 
-// The walk's reused-storage operations: MulInto equals Mul (below and
-// above the schoolbook bound), and the coefficient codec equals the
-// polynomial one whatever its output vector held before.
+// The walk's reused-storage operations: MulInto equals the reduced
+// reference product (below and above the schoolbook bound) whatever its
+// output vector held before, and so does Mul, which wraps it; the
+// coefficient codec equals the polynomial one.
 TEST(FpRingTest, ReusedStorageOpsMatchPolynomialOps) {
   std::mt19937_64 rng(7);
   std::vector<uint64_t> out = {5, 5, 5}, coeffs = {9, 9, 9, 9};
@@ -194,8 +196,11 @@ TEST(FpRingTest, ReusedStorageOpsMatchPolynomialOps) {
         for (uint64_t& c : cb) c = rng() % p;
         const FpPoly a = FpPoly::FromCanonical(ring.field(), ca);
         const FpPoly b = FpPoly::FromCanonical(ring.field(), cb);
+        const FpPoly want_product = ring.Reduce(FpPoly::FromCanonical(
+            ring.field(), ConvolveSchoolbook(ring.field(), ca, cb)));
         ring.MulInto(a.coeffs(), b.coeffs(), &out);
-        EXPECT_EQ(out, ring.Mul(a, b).coeffs()) << p << " " << la << "x" << lb;
+        EXPECT_EQ(out, want_product.coeffs()) << p << " " << la << "x" << lb;
+        EXPECT_EQ(ring.Mul(a, b), want_product) << p << " " << la << "x" << lb;
 
         // Trailing zeros of a dense row are not encoded.
         std::vector<uint64_t> dense = ca;
