@@ -9,7 +9,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -68,25 +67,25 @@ class ClientContext {
     return DeriveClientShare(ring_, prf_, path, options_);
   }
 
-  /// The same share of the F_p ring, for the node whose share label is
-  /// `label` (kShareLabelPrefix + its path, built by the caller in a buffer
-  /// of its own), as its p-1 dense coefficients: `row` must hold p-1 words
-  /// and receives trailing zeros too. A thin client draws the words
-  /// straight into `row` (DeriveClientShareRow), so a derivation allocates
+  /// The same share, for the node whose share label is `label`
+  /// (kShareLabelPrefix + its path, built by the caller in a buffer of its
+  /// own), as its dense coefficients: `row` must hold DenseCoeffCount() of
+  /// them and receives trailing zeros too. A thin client draws straight
+  /// into `row` (DeriveClientShareRow), so an F_p derivation allocates
   /// nothing.
-  Status ShareRowForLabel(std::string_view label, std::span<uint64_t> row) const
-    requires std::is_same_v<Ring, FpCyclotomicRing>
-  {
+  Status ShareRowForLabel(std::string_view label,
+                          std::span<typename Ring::Scalar> row) const {
     POLYSSE_CHECK(row.size() == ring_.DenseCoeffCount());
     if (client_tree_.has_value()) {
       ASSIGN_OR_RETURN(
           Elem share,
           ShareForPath(std::string(label.substr(kShareLabelPrefix.size()))));
-      const std::vector<uint64_t>& c = share.coeffs();
-      std::fill(std::copy(c.begin(), c.end(), row.begin()), row.end(), 0);
+      const auto& c = share.coeffs();
+      std::fill(std::copy(c.begin(), c.end(), row.begin()), row.end(),
+                typename Ring::Scalar{});
       return Status::Ok();
     }
-    DeriveClientShareRow(ring_, prf_, label, row);
+    DeriveClientShareRow(ring_, prf_, label, row, options_);
     return Status::Ok();
   }
 

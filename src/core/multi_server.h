@@ -48,7 +48,9 @@ Result<std::vector<PolyTree<Ring>>> SplitSharesAcrossServers(
       if (s + 1 < num_servers) {
         ChaChaRng rng = client_prf.Stream("server" + std::to_string(s) + "/" +
                                           node.path);
-        poly = RandomShare(ring, rng, options);
+        std::vector<typename Ring::Scalar> row(ring.DenseCoeffCount());
+        RandomShare(ring, rng, row, options);
+        poly = ring.FromCoeffs(std::move(row));
         acc = ring.Add(acc, poly);
       } else {
         poly = ring.Sub(node.poly, acc);

@@ -205,8 +205,11 @@ struct QueryStats {
   size_t server_evals = 0;    ///< (node, point) evaluations at the server
   size_t client_evals = 0;    ///< (node, point) evaluations at the client
   size_t client_share_derivations = 0;  ///< PRF-derived share polynomials
-  size_t rounds = 0;          ///< BFS round trips
-  size_t fetch_rounds = 0;    ///< batched verification-fetch round trips
+  /// BFS round trips, counted when answered: a round that a Shamir
+  /// failover starts again with replacements counts once.
+  size_t rounds = 0;
+  /// Batched verification-fetch round trips, counted like `rounds`.
+  size_t fetch_rounds = 0;
   size_t zero_candidates = 0; ///< nodes whose combined evaluation was 0
   size_t reconstructions = 0; ///< Theorem 1/2 tag recoveries performed
   size_t polys_fetched_full = 0;
@@ -218,7 +221,10 @@ struct QueryStats {
   /// `reconstructions`.
   size_t trusted_fallbacks = 0;
   size_t false_positives_removed = 0;  ///< eval-filter hits rejected by t != e
-  size_t server_failovers = 0;  ///< Shamir: dead servers replaced mid-query
+  /// Shamir: servers that went from live to dead mid-query (failed or
+  /// answered out of shape) and were replaced; each counts once, however
+  /// many rounds had asked it.
+  size_t server_failovers = 0;
   TransportCounters transport;
 
   /// Fraction of the server tree touched (the §5 "small portion" claim).

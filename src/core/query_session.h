@@ -36,14 +36,19 @@
 // one table of point powers per query point (field/simd_eval.h): each
 // (node, point) is one dot product, and the tables die with the walk.
 //
-// In the F_p ring a visited node costs only its arithmetic: its share label
-// is built in a reused buffer, its share drawn into a reused coefficient row
-// (ClientContext::ShareRowForLabel) and evaluated there, and the server
-// parts and client share of a fetched node are summed into a reused row and
-// encoded into the arena once. Theorem 1 decodes and multiplies into reused
-// rows as well. This scratch lives in the session, which exists once per
-// walk: concurrent shard walks share the ClientContext and its ring, so
-// neither may hold any.
+// A visited node costs only its arithmetic, in either ring: the walk holds
+// ring elements as dense coefficient rows of the ring's Scalar (a word in
+// F_p, a BigInt in Z[x]/(r)) and calls the ring's row operations on them.
+// A node's share label is built in a reused buffer, its share drawn into a
+// reused row (ClientContext::ShareRowForLabel) and evaluated there, and the
+// server parts and client share of a fetched node are summed into a reused
+// row and encoded into the arena once. Theorem 1/2 decodes and multiplies
+// into reused rows as well. This scratch lives in the session, which exists
+// once per walk: concurrent shard walks share the ClientContext and its
+// ring, so neither may hold any. The walk forks on the ring in four places
+// only, each a real difference: Shamir admission (F_p only), its Lagrange
+// weights and weighted constants, and the exact-filter certificate of
+// NodeTagEquals (only F_p has no false positives).
 //
 // Walk state is compact because concurrent walks each hold their own: one
 // flat node table in discovery order (the roots first, then each learned
@@ -57,17 +62,25 @@
 // from the client's own table), so a lie about the tree shape is
 // Corruption and the table never outgrows the ids the responses carried.
 //
+// Every server round is one Start and one Settle. Start picks the
+// ActiveServers and begins the request on each; Settle awaits every answer
+// exactly once, checks it, and owns the failover rule: under Shamir a
+// server that fails or answers out of shape is marked dead (one failover,
+// however many rounds asked it) and the round starts again with
+// replacements, while the all-servers schemes return the first error.
+// Evaluations and synchronous fetches settle right after their start.
+//
 // Verification fetches follow one of two schedules, chosen per walk by the
-// endpoints. Over pipelined endpoints each BFS round's candidate fetches go
-// on the wire as soon as that round's zeros are known and overlap the rest
-// of the walk; every other endpoint plans all fetches after the walk and
-// issues one const-only and one full round. Both are kept on purpose: per
-// round fetches on a synchronous endpoint only add messages (they would
-// raise msgs_per_op on the in-process lookup workloads), while dropping the
-// overlap would cost pipelined TCP links their latency win (the 14x
-// pipelined_transport row, and batch-tcp-wan). The two share one server
-// chooser (ActiveServers), one response check (Aligned) and one weights
-// helper (Weights).
+// endpoints. Over pipelined endpoints each BFS round's candidate fetches
+// are started as soon as that round's zeros are known, parked, and settled
+// after the walk, so they overlap the rest of it; every other endpoint
+// plans all fetches after the walk and issues one const-only and one full
+// round. Both are kept on purpose: per round fetches on a synchronous
+// endpoint only add messages (they would raise msgs_per_op on the
+// in-process lookup workloads), while dropping the overlap would cost
+// pipelined TCP links their latency win (the 14x pipelined_transport row,
+// and batch-tcp-wan). Only the start and the settle differ in when they
+// run.
 #ifndef POLYSSE_CORE_QUERY_SESSION_H_
 #define POLYSSE_CORE_QUERY_SESSION_H_
 
@@ -179,8 +192,9 @@ class QuerySession {
                std::vector<SessionRoot> roots = {{0, ""}})
       : client_(client), group_(std::move(group)), roots_(std::move(roots)) {
     init_status_ = group_.Validate();
-    if (init_status_.ok() && group_.scheme == ShareScheme::kShamir &&
-        !std::is_same_v<Ring, FpCyclotomicRing>) {
+    // polysse-lint: allow(ring-fork): Lagrange weights need a field.
+    if (!std::is_same_v<Ring, FpCyclotomicRing> && init_status_.ok() &&
+        group_.scheme == ShareScheme::kShamir) {
       init_status_ =
           Status::Unimplemented("Shamir t-of-n requires the F_p ring");
     }
@@ -267,12 +281,12 @@ class QuerySession {
                                                queries[i].mode, &round_consts,
                                                &round_polys));
         }
-        StartFetchRound(FetchMode::kConstOnly, round_consts);
-        StartFetchRound(FetchMode::kFull, round_polys);
+        RETURN_IF_ERROR(Park(FetchMode::kConstOnly, round_consts));
+        RETURN_IF_ERROR(Park(FetchMode::kFull, round_polys));
       }
       frontier = std::move(next);
     }
-    if (overlap) RETURN_IF_ERROR(AwaitInflightFetches());
+    if (overlap) RETURN_IF_ERROR(SettleParked());
 
     // Resolve answers per query, sharing the fetch/reconstruction caches.
     // All queries' verification needs are planned into shared batched fetch
@@ -346,12 +360,9 @@ class QuerySession {
   }
 
  private:
-  using Elem = typename Ring::Elem;
   using Scalar = typename Ring::Scalar;
   using Evaluator = typename Ring::Evaluator;
   using Ref = ByteArena::Ref;
-
-  static constexpr bool kFp = std::is_same_v<Ring, FpCyclotomicRing>;
 
   /// No row: a root's parent, and XPath's virtual context above the roots.
   static constexpr uint32_t kNoSlot = UINT32_MAX;
@@ -362,11 +373,12 @@ class QuerySession {
   /// A row whose tag no full reconstruction has recovered yet.
   static constexpr uint64_t kNoTag = UINT64_MAX;
 
+  /// A row is requested at most once per fetch mode: the round that asks
+  /// for it either answers it or fails the query.
   enum NodeFlag : uint8_t {
     kKnown = 1,           ///< children and subtree size learned
-    kConstRequested = 2,  ///< in a pipelined const-only round
-    kPolyRequested = 4,   ///< in a pipelined full round
-    kQueued = 8,          ///< already in the fetch list being built
+    kConstRequested = 2,  ///< in a const-only fetch round
+    kPolyRequested = 4,   ///< in a full fetch round
   };
 
   /// One row of the walk's node table. A learned node's children are the
@@ -387,14 +399,17 @@ class QuerySession {
     uint8_t flags = 0;
   };
 
-  /// One fetch round submitted on the wire but not yet awaited.
-  struct InflightFetchRound {
-    FetchMode mode = FetchMode::kFull;
-    std::vector<uint32_t> need;     ///< rows fetched
-    std::vector<int32_t> node_ids;  ///< their ids, as requested
-    std::vector<size_t> chosen;     ///< endpoint indices asked
-    std::vector<Deferred<FetchResponse>> deferred;  ///< aligned with chosen
+  /// One request to the servers, started (Start) and not yet settled
+  /// (Settle).
+  template <typename Req, typename Resp>
+  struct Round {
+    Req req;
+    std::vector<uint32_t> rows;  ///< the rows asked for, as req names them
+    std::vector<size_t> chosen;  ///< endpoint indices asked
+    std::vector<std::optional<Deferred<Resp>>> pending;  ///< per chosen
   };
+  using EvalRound = Round<EvalRequest, EvalResponse>;
+  using FetchRound = Round<FetchRequest, FetchResponse>;
 
   /// Everything one query learns. BeginQuery starts it with one row per
   /// root; FinishStats drops it.
@@ -411,8 +426,8 @@ class QuerySession {
     /// sized at the first one, after the walk.
     std::vector<uint64_t> tags;
     size_t known = 0;  ///< rows with kKnown set (nodes visited)
-    /// Pipelined fetch overlap: rounds on the wire.
-    std::vector<InflightFetchRound> inflight;
+    /// The overlap schedule's fetch rounds, started and not yet settled.
+    std::vector<FetchRound> parked;
   };
 
   /// XPath context and answer sets, ordered by node id (document order)
@@ -600,14 +615,16 @@ class QuerySession {
 
   // ------------------------------------------------------- the byte arena
 
-  Result<Ref> StoreElem(const Elem& e) {
+  /// Puts the wire form of coefficient row `row` into the arena.
+  Result<Ref> StoreRow(std::span<const Scalar> row) {
     scratch_.Clear();
-    client_->ring().Serialize(e, &scratch_);
+    Ring::Elem::SerializeCoeffs(row, &scratch_);
     return walk_.arena.Put(scratch_.span());
   }
-  Result<Elem> LoadElem(Ref ref) {
+  /// Decodes the row at `ref` into `out`, normalized.
+  Status LoadRow(Ref ref, std::vector<Scalar>* out) {
     ByteReader in(walk_.arena.Get(ref));
-    return client_->ring().Deserialize(&in);
+    return client_->ring().DeserializeCoeffs(&in, out);
   }
   Result<Ref> StoreScalar(const Scalar& c) {
     scratch_.Clear();
@@ -642,27 +659,6 @@ class QuerySession {
 
   // ------------------------------------------------------------- transport
 
-  /// Begins `begin`'s request on every server in `targets` through the
-  /// group's executor, then awaits the answers in target order on this
-  /// thread. A pipelined endpoint puts its request on the wire at Begin and
-  /// blocks only in Await, so a round's requests overlap with or without an
-  /// executor; a synchronous endpoint answers inside Begin, inline or on a
-  /// pool worker. Answers land in per-target slots, so completion order
-  /// never changes the outcome.
-  template <typename Resp, typename Begin>
-  std::vector<Result<Resp>> Dispatch(const std::vector<size_t>& targets,
-                                     Begin& begin) {
-    std::vector<std::optional<Deferred<Resp>>> pending(targets.size());
-    group_.executor_or_inline()->ParallelFor(targets.size(), [&](size_t j) {
-      pending[j].emplace(begin(group_.endpoints[targets[j]]));
-    });
-    std::vector<Result<Resp>> results;
-    results.reserve(targets.size());
-    for (std::optional<Deferred<Resp>>& d : pending)
-      results.push_back(d->Await());
-    return results;
-  }
-
   /// The servers a request goes to: all of them in the additive schemes;
   /// under Shamir the first `threshold` live ones, or Unavailable when
   /// fewer remain.
@@ -686,6 +682,7 @@ class QuerySession {
   /// schemes, the Lagrange weights at zero of their x under Shamir.
   Result<std::vector<uint64_t>> Weights(
       const std::vector<size_t>& servers) const {
+    // polysse-lint: allow(ring-fork): Shamir, hence a field, is F_p-only.
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       if (group_.scheme == ShareScheme::kShamir) {
         std::vector<uint64_t> xs;
@@ -697,55 +694,9 @@ class QuerySession {
     return std::vector<uint64_t>(servers.size(), 1);
   }
 
-  /// True when `resp` answers exactly `need`: one entry per requested id,
-  /// in request order. Checked before anything indexes into a response.
-  static bool Aligned(const FetchResponse& resp,
-                      const std::vector<int32_t>& need) {
-    if (resp.entries.size() != need.size()) return false;
-    for (size_t j = 0; j < need.size(); ++j)
-      if (resp.entries[j].node_id != need[j]) return false;
-    return true;
-  }
-
-  /// Sends `begin`'s request to the ActiveServers in one Dispatch, so a
-  /// k-server round costs one round trip, not k, and reports the
-  /// combination weight of each answer.
-  /// Additive schemes require every server; under Shamir a failing server
-  /// is marked dead and the call retries with replacements as long as at
-  /// least `threshold` remain. When `sources` is non-null it receives the
-  /// endpoint index each response came from, so callers that detect a
-  /// malformed answer can attribute it to a server.
-  template <typename Resp, typename Begin>
-  Result<std::vector<Resp>> FanOut(Begin&& begin,
-                                   std::vector<uint64_t>* weights,
-                                   std::vector<size_t>* sources = nullptr) {
-    for (;;) {
-      ASSIGN_OR_RETURN(std::vector<size_t> chosen, ActiveServers());
-      std::vector<Result<Resp>> results = Dispatch<Resp>(chosen, begin);
-      std::vector<Resp> responses;
-      responses.reserve(results.size());
-      bool failed = false;
-      for (size_t j = 0; j < chosen.size(); ++j) {
-        if (results[j].ok()) {
-          responses.push_back(std::move(results[j]).value());
-          continue;
-        }
-        if (group_.scheme != ShareScheme::kShamir) return results[j].status();
-        dead_[chosen[j]] = 1;  // stays dead for the rest of the session
-        ++stats_.server_failovers;
-        failed = true;
-      }
-      if (failed) continue;
-      ASSIGN_OR_RETURN(*weights, Weights(chosen));
-      if (sources != nullptr) *sources = std::move(chosen);
-      return responses;
-    }
-  }
-
-  /// Weighted server contribution to a combined constant term. Weights
-  /// other than 1 only arise under Shamir, which is F_p-only (the F_p
-  /// polynomial round weights its parts in CombinePolyRoundFp).
+  /// Weighted server contribution to a combined coefficient.
   Scalar ScaledScalar(Scalar c, uint64_t w) const {
+    // polysse-lint: allow(ring-fork): weights other than 1 are Shamir's.
     if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
       if (w != 1) return client_->ring().field().Mul(c, w);
     }
@@ -753,36 +704,108 @@ class QuerySession {
     return c;
   }
 
-  // ------------------------------------------------------ combined evals
-
-  /// Row `slot`'s client share: derived from its path the first time and
-  /// kept in wire form for the combination steps after the walk.
-  Result<Elem> ClientShare(uint32_t slot) {
-    if (node(slot).share != ByteArena::kNone) return LoadElem(node(slot).share);
-    ASSIGN_OR_RETURN(Elem share, client_->ShareForPath(Path(slot)));
-    ++stats_.client_share_derivations;
-    ASSIGN_OR_RETURN(node(slot).share, StoreElem(share));
-    return share;
+  static Deferred<EvalResponse> Begin(ServerEndpoint* ep,
+                                      const EvalRequest& req) {
+    return ep->BeginEval(req);
+  }
+  static Deferred<FetchResponse> Begin(ServerEndpoint* ep,
+                                       const FetchRequest& req) {
+    return ep->BeginFetch(req);
   }
 
-  /// F_p: ClientShare as p-1 dense coefficients in fp_.share, with the
-  /// label, the row and the encoding all in reused storage.
-  Status ClientShareRow(uint32_t slot) {
-    const FpCyclotomicRing& ring = client_->ring();
+  /// The per-server check Settle applies to an answer. Evaluations are
+  /// checked against each other once combined (EnsureEvals); a fetch answer
+  /// must hold exactly one entry per requested id, in request order, before
+  /// anything indexes into it.
+  static Status Check(const EvalRequest&, const EvalResponse&) {
+    return Status::Ok();
+  }
+  static Status Check(const FetchRequest& req, const FetchResponse& resp) {
+    bool aligned = resp.entries.size() == req.node_ids.size();
+    for (size_t j = 0; aligned && j < req.node_ids.size(); ++j)
+      aligned = resp.entries[j].node_id == req.node_ids[j];
+    return aligned ? Status::Ok()
+                   : Status::Corruption(
+                         "fetch response misaligned with the request");
+  }
+
+  /// Begins `round->req` on every ActiveServer through the group's
+  /// executor, so a k-server round costs one round trip, not k. A
+  /// pipelined endpoint puts its request on the wire here and blocks only
+  /// in Settle, with or without an executor; a synchronous one answers
+  /// here, inline or on a pool worker. Unavailable when too few servers are
+  /// live.
+  template <typename Req, typename Resp>
+  Status Start(Round<Req, Resp>* round) {
+    ASSIGN_OR_RETURN(round->chosen, ActiveServers());
+    round->pending.clear();
+    round->pending.resize(round->chosen.size());
+    group_.executor_or_inline()->ParallelFor(
+        round->chosen.size(), [&](size_t j) {
+          round->pending[j].emplace(
+              Begin(group_.endpoints[round->chosen[j]], round->req));
+        });
+    return Status::Ok();
+  }
+
+  /// Awaits every answer of a started round exactly once, in server order,
+  /// and Checks each; the answers (aligned with round.chosen) and their
+  /// combination weights come back only when every asked server answered
+  /// well. The one owner of the failover rule: under Shamir a server that
+  /// failed or answered out of shape is dead for the rest of the session,
+  /// counting one failover when it goes from live to dead, and the round
+  /// starts again with replacements; the all-servers schemes return the
+  /// first error.
+  template <typename Req, typename Resp>
+  Result<std::vector<Resp>> Settle(Round<Req, Resp>& round,
+                                   std::vector<uint64_t>* weights) {
+    const bool shamir = group_.scheme == ShareScheme::kShamir;
+    for (;;) {
+      std::vector<Resp> resps;
+      resps.reserve(round.chosen.size());
+      Status first_error = Status::Ok();
+      for (size_t j = 0; j < round.chosen.size(); ++j) {
+        const size_t server = round.chosen[j];
+        Result<Resp> r = round.pending[j]->Await();
+        Status s = r.ok() ? Check(round.req, *r) : r.status();
+        if (s.ok()) {
+          resps.push_back(std::move(r).value());
+          continue;
+        }
+        if (first_error.ok()) first_error = s;
+        if (shamir && !dead_[server]) {
+          dead_[server] = 1;
+          ++stats_.server_failovers;
+        }
+      }
+      if (first_error.ok()) {
+        ASSIGN_OR_RETURN(*weights, Weights(round.chosen));
+        return resps;
+      }
+      if (!shamir) return first_error;
+      RETURN_IF_ERROR(Start(&round));
+    }
+  }
+
+  // ------------------------------------------------------ combined evals
+
+  /// Row `slot`'s client share as its dense coefficients in rows_.share:
+  /// derived from its path the first time, with the label and the row in
+  /// reused storage, and kept in wire form for the combination steps after
+  /// the walk.
+  Status ClientShare(uint32_t slot) {
+    const size_t n = client_->ring().DenseCoeffCount();
     if (node(slot).share != ByteArena::kNone) {
-      ByteReader in(walk_.arena.Get(node(slot).share));
-      RETURN_IF_ERROR(ring.DeserializeCoeffs(&in, &fp_.share));
-      fp_.share.resize(ring.DenseCoeffCount());
+      RETURN_IF_ERROR(LoadRow(node(slot).share, &rows_.share));
+      rows_.share.resize(n);
       return Status::Ok();
     }
-    fp_.label.assign(kShareLabelPrefix);
-    AppendPath(slot, &fp_.label);
-    fp_.share.resize(ring.DenseCoeffCount());
-    RETURN_IF_ERROR(client_->ShareRowForLabel(fp_.label, fp_.share));
+    rows_.label.assign(kShareLabelPrefix);
+    AppendPath(slot, &rows_.label);
+    rows_.share.resize(n);
+    RETURN_IF_ERROR(client_->ShareRowForLabel(rows_.label, rows_.share));
     ++stats_.client_share_derivations;
-    scratch_.Clear();
-    FpPoly::SerializeCoeffs(fp_.share, &scratch_);
-    ASSIGN_OR_RETURN(node(slot).share, walk_.arena.Put(scratch_.span()));
+    ASSIGN_OR_RETURN(node(slot).share, StoreRow(rows_.share));
     return Status::Ok();
   }
 
@@ -796,24 +819,21 @@ class QuerySession {
     std::vector<size_t> cols;
     cols.reserve(points.size());
     for (uint64_t e : points) cols.push_back(Column(e));
-    std::vector<uint32_t> need;
+    EvalRound round;
     for (uint32_t s : slots) {
       bool missing = !(node(s).flags & kKnown);
       for (size_t c : cols) missing = missing || EvalCell(s, c) == kNoEval;
-      if (missing) need.push_back(s);
+      if (missing) round.rows.push_back(s);
     }
-    if (need.empty()) return Status::Ok();
+    if (round.rows.empty()) return Status::Ok();
+    const std::vector<uint32_t>& need = round.rows;
 
-    EvalRequest req;
-    req.points = points;
-    req.node_ids.reserve(need.size());
-    for (uint32_t s : need) req.node_ids.push_back(node(s).id);
+    round.req.points = points;
+    round.req.node_ids.reserve(need.size());
+    for (uint32_t s : need) round.req.node_ids.push_back(node(s).id);
+    RETURN_IF_ERROR(Start(&round));
     std::vector<uint64_t> weights;
-    ASSIGN_OR_RETURN(
-        std::vector<EvalResponse> resps,
-        FanOut<EvalResponse>(
-            [&](ServerEndpoint* ep) { return ep->BeginEval(req); },
-            &weights));
+    ASSIGN_OR_RETURN(std::vector<EvalResponse> resps, Settle(round, &weights));
     ++stats_.rounds;
     for (const EvalResponse& resp : resps) {
       if (resp.entries.size() != need.size())
@@ -854,20 +874,13 @@ class QuerySession {
             other.values.size() != entry.values.size())
           return Status::Corruption("servers disagree on tree structure");
       }
-      if (entry.node_id != req.node_ids[j])
+      if (entry.node_id != round.req.node_ids[j])
         return Status::Corruption("server answered for a node not asked for");
       const uint32_t slot = need[j];
       if (!(node(slot).flags & kKnown)) RETURN_IF_ERROR(Learn(slot, entry));
       if (entry.values.size() != points.size())
         return Status::Corruption("server returned wrong value count");
-      std::optional<Elem> share;  // the Z ring's; F_p uses fp_.share
-      if (include_client()) {
-        if constexpr (kFp) {
-          RETURN_IF_ERROR(ClientShareRow(slot));
-        } else {
-          ASSIGN_OR_RETURN(share, ClientShare(slot));
-        }
-      }
+      if (include_client()) RETURN_IF_ERROR(ClientShare(slot));
       for (size_t k = 0; k < points.size(); ++k) {
         const uint64_t m = moduli[k];
         uint64_t sum = 0;
@@ -879,11 +892,8 @@ class QuerySession {
         }
         if (include_client()) {
           ++stats_.client_evals;
-          if constexpr (kFp) {
-            sum = AddMod(sum, own[k]->At(std::span<const uint64_t>(fp_.share), 0), m);
-          } else {
-            sum = AddMod(sum, own[k]->At(*share, 0), m);
-          }
+          sum = AddMod(
+              sum, own[k]->At(std::span<const Scalar>(rows_.share), 0), m);
         }
         EvalCell(slot, cols[k]) = sum == 0 ? kZero : kNonZero;
         if (sum == 0) ++stats_.zero_candidates;
@@ -956,108 +966,41 @@ class QuerySession {
            ByteArena::kNone;
   }
 
-  /// Issues ONE FetchRequest for `need` to every active server and checks
-  /// the response shape before anything indexes into it: every server must
-  /// answer with exactly one entry per requested id, in request order. A
-  /// malformed answer identifies its server as lying; under Shamir that
-  /// server is marked dead (a failover, like one that stopped answering)
-  /// and the round retries with a replacement, while the all-servers
-  /// schemes must refuse with Corruption.
-  Result<std::pair<std::vector<FetchResponse>, std::vector<uint64_t>>>
-  FetchRound(FetchMode mode, const std::vector<uint32_t>& need) {
-    FetchRequest req;
-    req.mode = mode;
-    req.node_ids.reserve(need.size());
-    for (uint32_t s : need) req.node_ids.push_back(node(s).id);
-    for (;;) {
-      std::vector<uint64_t> weights;
-      std::vector<size_t> sources;
-      ASSIGN_OR_RETURN(
-          std::vector<FetchResponse> resps,
-          FanOut<FetchResponse>(
-              [&](ServerEndpoint* ep) { return ep->BeginFetch(req); },
-              &weights, &sources));
-      ++stats_.fetch_rounds;
-      bool retry = false;
-      for (size_t s = 0; s < resps.size(); ++s) {
-        if (Aligned(resps[s], req.node_ids)) continue;
-        if (group_.scheme != ShareScheme::kShamir)
-          return Status::Corruption(
-              "fetch response misaligned with the request");
-        dead_[sources[s]] = 1;  // an identified liar: replaceable
-        ++stats_.server_failovers;
-        retry = true;
-      }
-      if (!retry) return std::make_pair(std::move(resps), std::move(weights));
-    }
-  }
-
   /// Folds one answered full-polynomial round into the walk's combined
-  /// polynomials (shared by the synchronous prefetch and the pipelined
-  /// overlap path).
+  /// polynomials: each row's server parts (weighted) and client share are
+  /// summed into one reused dense row, whose wire form goes to the arena
+  /// once. Every server payload is decoded and checked as the ring's
+  /// Deserialize checks it, held or not.
   Status CombinePolyRound(const std::vector<uint32_t>& need,
                           const std::vector<FetchResponse>& resps,
                           const std::vector<uint64_t>& weights) {
     stats_.polys_fetched_full += need.size();
-    if constexpr (kFp) {
-      return CombinePolyRoundFp(need, resps, weights);
-    } else {
-      const Ring& ring = client_->ring();
-      for (size_t j = 0; j < need.size(); ++j) {
-        Elem combined = ring.Zero();
-        for (size_t s = 0; s < resps.size(); ++s) {
-          ByteReader r(resps[s].entries[j].payload);
-          ASSIGN_OR_RETURN(Elem part, ring.Deserialize(&r));
-          combined = ring.Add(combined, std::move(part));
-        }
-        if (include_client()) {
-          ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
-          combined = ring.Add(combined, share);
-        }
-        if (node(need[j]).poly == ByteArena::kNone) {
-          ASSIGN_OR_RETURN(node(need[j]).poly, StoreElem(combined));
-        }
-      }
-      return Status::Ok();
-    }
-  }
-
-  /// F_p CombinePolyRound: each row's server parts (weighted) and client
-  /// share are summed into one reused dense row, whose wire form goes to
-  /// the arena once. Every server payload is decoded and checked as the
-  /// ring's Deserialize checks it, held or not.
-  Status CombinePolyRoundFp(const std::vector<uint32_t>& need,
-                            const std::vector<FetchResponse>& resps,
-                            const std::vector<uint64_t>& weights) {
-    const FpCyclotomicRing& ring = client_->ring();
-    const PrimeField& field = ring.field();
+    const Ring& ring = client_->ring();
     // sum += w * part over part's coefficients; plain adds when w = 1.
-    auto accumulate = [&](const std::vector<uint64_t>& part, uint64_t w) {
-      uint64_t* sum = fp_.sum.data();
-      const uint64_t* in = part.data();
+    auto accumulate = [&](const std::vector<Scalar>& part, uint64_t w) {
+      Scalar* sum = rows_.sum.data();
+      const Scalar* in = part.data();
       if (w == 1) {
         for (size_t i = 0; i < part.size(); ++i)
-          sum[i] = field.Add(sum[i], in[i]);
+          sum[i] = ring.AddScalars(sum[i], in[i]);
       } else {
         for (size_t i = 0; i < part.size(); ++i)
-          sum[i] = field.Add(sum[i], field.Mul(in[i], w));
+          sum[i] = ring.AddScalars(sum[i], ScaledScalar(in[i], w));
       }
     };
     for (size_t j = 0; j < need.size(); ++j) {
-      fp_.sum.assign(ring.DenseCoeffCount(), 0);
+      rows_.sum.assign(ring.DenseCoeffCount(), Scalar{});
       for (size_t s = 0; s < resps.size(); ++s) {
         ByteReader r(resps[s].entries[j].payload);
-        RETURN_IF_ERROR(ring.DeserializeCoeffs(&r, &fp_.part));
-        accumulate(fp_.part, weights[s]);
+        RETURN_IF_ERROR(ring.DeserializeCoeffs(&r, &rows_.part));
+        accumulate(rows_.part, weights[s]);
       }
       if (include_client()) {
-        RETURN_IF_ERROR(ClientShareRow(need[j]));
-        accumulate(fp_.share, 1);
+        RETURN_IF_ERROR(ClientShare(need[j]));
+        accumulate(rows_.share, 1);
       }
       if (node(need[j]).poly == ByteArena::kNone) {
-        scratch_.Clear();
-        FpPoly::SerializeCoeffs(fp_.sum, &scratch_);
-        ASSIGN_OR_RETURN(node(need[j]).poly, walk_.arena.Put(scratch_.span()));
+        ASSIGN_OR_RETURN(node(need[j]).poly, StoreRow(rows_.sum));
       }
     }
     return Status::Ok();
@@ -1078,13 +1021,8 @@ class QuerySession {
             ring.AddScalars(combined, ScaledScalar(std::move(c0), weights[s]));
       }
       if (include_client()) {
-        if constexpr (kFp) {
-          RETURN_IF_ERROR(ClientShareRow(need[j]));
-          combined = ring.AddScalars(combined, fp_.share[0]);
-        } else {
-          ASSIGN_OR_RETURN(Elem share, ClientShare(need[j]));
-          combined = ring.AddScalars(combined, ring.ConstTerm(share));
-        }
+        RETURN_IF_ERROR(ClientShare(need[j]));
+        combined = ring.AddScalars(combined, rows_.share[0]);
       }
       if (node(need[j]).konst == ByteArena::kNone) {
         ASSIGN_OR_RETURN(node(need[j]).konst, StoreScalar(combined));
@@ -1093,21 +1031,41 @@ class QuerySession {
     return Status::Ok();
   }
 
-  /// Fetches and combines what `mode` brings for every row of `slots` not
-  /// already held, in ONE FetchRequest per server (first occurrence order).
-  Status Prefetch(FetchMode mode, const std::vector<uint32_t>& slots) {
-    std::vector<uint32_t> need;
+  /// Starts ONE `mode` FetchRequest per active server for every row of
+  /// `slots` not requested before in this walk (first occurrence order). A
+  /// round with no rows begins nothing.
+  Result<FetchRound> StartFetch(FetchMode mode,
+                                const std::vector<uint32_t>& slots) {
+    const uint8_t requested =
+        mode == FetchMode::kConstOnly ? kConstRequested : kPolyRequested;
+    FetchRound round;
+    round.req.mode = mode;
     for (uint32_t s : slots) {
-      if (Fetched(s, mode) || (node(s).flags & kQueued)) continue;
-      node(s).flags |= kQueued;
-      need.push_back(s);
+      if (node(s).flags & requested) continue;
+      node(s).flags |= requested;
+      round.rows.push_back(s);
+      round.req.node_ids.push_back(node(s).id);
     }
-    for (uint32_t s : need) node(s).flags &= ~kQueued;
-    if (need.empty()) return Status::Ok();
-    ASSIGN_OR_RETURN(auto round, FetchRound(mode, need));
-    return mode == FetchMode::kConstOnly
-               ? CombineConstRound(need, round.first, round.second)
-               : CombinePolyRound(need, round.first, round.second);
+    if (!round.rows.empty()) RETURN_IF_ERROR(Start(&round));
+    return round;
+  }
+
+  /// Settles a StartFetch round and folds its answers into the walk.
+  Status SettleFetch(FetchRound& round) {
+    if (round.rows.empty()) return Status::Ok();
+    std::vector<uint64_t> weights;
+    ASSIGN_OR_RETURN(std::vector<FetchResponse> resps, Settle(round, &weights));
+    ++stats_.fetch_rounds;
+    return round.req.mode == FetchMode::kConstOnly
+               ? CombineConstRound(round.rows, resps, weights)
+               : CombinePolyRound(round.rows, resps, weights);
+  }
+
+  /// Fetches and combines what `mode` brings for every row of `slots` not
+  /// already requested, in ONE FetchRequest per server.
+  Status Prefetch(FetchMode mode, const std::vector<uint32_t>& slots) {
+    ASSIGN_OR_RETURN(FetchRound round, StartFetch(mode, slots));
+    return SettleFetch(round);
   }
 
   // ------------------------------------------------- pipelined fetch overlap
@@ -1122,116 +1080,32 @@ class QuerySession {
     return true;
   }
 
-  /// Submits one batched FetchRequest per active server for every row of
-  /// `slots` that is neither held nor already requested by an earlier
-  /// in-flight round, and parks the deferred responses. Failures (if any)
-  /// surface in AwaitInflightFetches. No-op when nothing new is needed or
-  /// (under Shamir) too few servers are live — the synchronous catch-all
-  /// pass after the walk handles both.
-  void StartFetchRound(FetchMode mode, const std::vector<uint32_t>& slots) {
-    const uint8_t requested =
-        mode == FetchMode::kConstOnly ? kConstRequested : kPolyRequested;
-    std::vector<uint32_t> need;
-    for (uint32_t s : slots) {
-      if (Fetched(s, mode) || (node(s).flags & requested)) continue;
-      node(s).flags |= requested;
-      need.push_back(s);
-    }
-    if (need.empty()) return;
-
-    Result<std::vector<size_t>> chosen = ActiveServers();
-    if (!chosen.ok()) {
-      for (uint32_t s : need) node(s).flags &= ~requested;
-      return;  // let the synchronous path report Unavailable
-    }
-
-    InflightFetchRound round;
-    round.mode = mode;
-    round.need = std::move(need);
-    round.chosen = std::move(*chosen);
-    FetchRequest req;
-    req.mode = mode;
-    req.node_ids.reserve(round.need.size());
-    for (uint32_t s : round.need) req.node_ids.push_back(node(s).id);
-    round.deferred.reserve(round.chosen.size());
-    for (size_t idx : round.chosen)
-      round.deferred.push_back(group_.endpoints[idx]->BeginFetch(req));
-    round.node_ids = std::move(req.node_ids);
-    walk_.inflight.push_back(std::move(round));
+  /// The overlap schedule's start: a StartFetch whose round waits in the
+  /// walk until SettleParked.
+  Status Park(FetchMode mode, const std::vector<uint32_t>& slots) {
+    ASSIGN_OR_RETURN(FetchRound round, StartFetch(mode, slots));
+    if (!round.rows.empty()) walk_.parked.push_back(std::move(round));
+    return Status::Ok();
   }
 
-  /// Awaits every in-flight fetch round (always all of them — nothing may
-  /// stay pending) and folds the answers into the walk. A round that
-  /// failed or misbehaved falls back to the synchronous prefetch path:
-  /// under Shamir the offender is first marked dead (failover), so the
-  /// retry picks a replacement; the all-servers schemes surface the error
-  /// exactly as the synchronous path would.
-  Status AwaitInflightFetches() {
-    std::vector<InflightFetchRound> rounds;
-    rounds.swap(walk_.inflight);
+  /// Settles every parked round (all of them, so nothing stays pending,
+  /// even after one fails) and returns the first error.
+  Status SettleParked() {
+    std::vector<FetchRound> rounds;
+    rounds.swap(walk_.parked);
     Status overall = Status::Ok();
-    for (InflightFetchRound& round : rounds) {
-      Status s = SettleFetchRound(round);
-      if (!s.ok() && overall.ok()) overall = s;
+    for (FetchRound& round : rounds) {
+      Status s = SettleFetch(round);
+      if (overall.ok()) overall = s;
     }
     return overall;
   }
 
-  Status SettleFetchRound(InflightFetchRound& round) {
-    std::vector<Result<FetchResponse>> results;
-    results.reserve(round.deferred.size());
-    for (Deferred<FetchResponse>& d : round.deferred)
-      results.push_back(d.Await());
-
-    bool trouble = false;
-    Status first_error = Status::Ok();
-    for (size_t s = 0; s < results.size(); ++s) {
-      bool bad = !results[s].ok();
-      if (bad && first_error.ok()) first_error = results[s].status();
-      if (!bad && !Aligned(results[s].value(), round.node_ids)) {
-        bad = true;
-        if (first_error.ok())
-          first_error =
-              Status::Corruption("fetch response misaligned with the request");
-      }
-      if (!bad) continue;
-      trouble = true;
-      if (group_.scheme == ShareScheme::kShamir) {
-        dead_[round.chosen[s]] = 1;
-        ++stats_.server_failovers;
-      }
-    }
-    if (trouble) {
-      if (group_.scheme != ShareScheme::kShamir) return first_error;
-      // Retry with replacements through the synchronous path (the rows do
-      // not hold the answer yet, so this issues a fresh round).
-      return Prefetch(round.mode, round.need);
-    }
-
-    ++stats_.fetch_rounds;
-    std::vector<FetchResponse> resps;
-    resps.reserve(results.size());
-    for (Result<FetchResponse>& r : results)
-      resps.push_back(std::move(r).value());
-    ASSIGN_OR_RETURN(std::vector<uint64_t> weights, Weights(round.chosen));
-    return round.mode == FetchMode::kConstOnly
-               ? CombineConstRound(round.need, resps, weights)
-               : CombinePolyRound(round.need, resps, weights);
-  }
-
-  Result<Elem> FetchCombinedPoly(uint32_t slot) {
+  /// Row `slot`'s combined polynomial, decoded into reused `out`.
+  Status FetchCombinedPoly(uint32_t slot, std::vector<Scalar>* out) {
     if (node(slot).poly == ByteArena::kNone)
       RETURN_IF_ERROR(Prefetch(FetchMode::kFull, {slot}));
-    return LoadElem(node(slot).poly);
-  }
-
-  /// F_p FetchCombinedPoly: the combined polynomial's normalized
-  /// coefficients, decoded into reused `out`.
-  Status FetchCombinedCoeffs(uint32_t slot, std::vector<uint64_t>* out) {
-    if (node(slot).poly == ByteArena::kNone)
-      RETURN_IF_ERROR(Prefetch(FetchMode::kFull, {slot}));
-    ByteReader in(walk_.arena.Get(node(slot).poly));
-    return client_->ring().DeserializeCoeffs(&in, out);
+    return LoadRow(node(slot).poly, out);
   }
 
   Result<Scalar> FetchCombinedConst(uint32_t slot) {
@@ -1253,8 +1127,7 @@ class QuerySession {
       RETURN_IF_ERROR(EnsureStructure(z));
       const bool const_only =
           mode == VerifyMode::kTrustedConstOnly &&
-          static_cast<size_t>(SubtreeSize(z)) <=
-              MaxResidueDegree(client_->ring());
+          static_cast<size_t>(SubtreeSize(z)) <= MaxResidueDegree();
       std::vector<uint32_t>* dst = const_only ? consts : polys;
       dst->push_back(z);
       AppendChildren(z, dst);
@@ -1279,7 +1152,7 @@ class QuerySession {
       // Wrap-free nodes satisfy f_0 = -t * g_0 with g_0 the plain product of
       // the children's constant terms; wrapped nodes need the full Eq. 2.
       const bool wrap_free =
-          static_cast<size_t>(SubtreeSize(slot)) <= MaxResidueDegree(ring);
+          static_cast<size_t>(SubtreeSize(slot)) <= MaxResidueDegree();
       if (wrap_free) {
         RETURN_IF_ERROR(PrefetchWithChildren(FetchMode::kConstOnly, slot));
         ASSIGN_OR_RETURN(Scalar f0, FetchCombinedConst(slot));
@@ -1301,34 +1174,20 @@ class QuerySession {
     if (slot < walk_.tags.size() && walk_.tags[slot] != kNoTag)
       return walk_.tags[slot];
     RETURN_IF_ERROR(PrefetchWithChildren(FetchMode::kFull, slot));
-    uint64_t t;
-    if constexpr (kFp) {
-      // The children's product, started from the first child (a leaf's is
-      // 1), decoded and multiplied in the session's reused rows.
-      RETURN_IF_ERROR(FetchCombinedCoeffs(slot, &fp_.f));
-      fp_.g.assign(1, 1);
-      for (uint32_t c = first; c < end; ++c) {
-        if (c == first) {
-          RETURN_IF_ERROR(FetchCombinedCoeffs(c, &fp_.g));
-          continue;
-        }
-        RETURN_IF_ERROR(FetchCombinedCoeffs(c, &fp_.part));
-        ring.MulInto(fp_.g, fp_.part, &fp_.product);
-        std::swap(fp_.g, fp_.product);
+    // The children's product, started from the first child (a leaf's is
+    // 1), decoded and multiplied in the session's reused rows.
+    RETURN_IF_ERROR(FetchCombinedPoly(slot, &rows_.f));
+    rows_.g.assign(1, ring.OneScalar());
+    for (uint32_t c = first; c < end; ++c) {
+      if (c == first) {
+        RETURN_IF_ERROR(FetchCombinedPoly(c, &rows_.g));
+        continue;
       }
-      ASSIGN_OR_RETURN(t, ring.SolveTag(fp_.f, fp_.g));
-    } else {
-      ASSIGN_OR_RETURN(Elem f, FetchCombinedPoly(slot));
-      // The children's product, started from the first child (a leaf's is
-      // One).
-      std::optional<Elem> g;
-      for (uint32_t c = first; c < end; ++c) {
-        ASSIGN_OR_RETURN(Elem q, FetchCombinedPoly(c));
-        g = g.has_value() ? ring.Mul(*g, q) : std::move(q);
-      }
-      if (!g.has_value()) g = ring.One();
-      ASSIGN_OR_RETURN(t, ring.SolveTag(f, *g));
+      RETURN_IF_ERROR(FetchCombinedPoly(c, &rows_.part));
+      ring.MulInto(rows_.g, rows_.part, &rows_.product);
+      std::swap(rows_.g, rows_.product);
     }
+    ASSIGN_OR_RETURN(uint64_t t, ring.SolveTag(rows_.f, rows_.g));
     walk_.tags.resize(walk_.nodes.size(), kNoTag);
     walk_.tags[slot] = t;
     return t;
@@ -1356,11 +1215,9 @@ class QuerySession {
     return EnsureEvals({slot}, {probe});
   }
 
-  static size_t MaxResidueDegree(const FpCyclotomicRing& ring) {
-    return ring.DenseCoeffCount() - 1;  // p - 2
-  }
-  static size_t MaxResidueDegree(const ZQuotientRing& ring) {
-    return static_cast<size_t>(ring.degree()) - 1;  // deg r - 1
+  /// The largest degree a residue holds: p - 2 in F_p, deg r - 1 in Z.
+  size_t MaxResidueDegree() const {
+    return client_->ring().DenseCoeffCount() - 1;
   }
 
   /// Tag-equality test used by XPath stepping: does row `slot` carry
@@ -1372,6 +1229,7 @@ class QuerySession {
     // matches (in F_p exactly; Z-ring FPs are caught by reconstruction
     // below only in verified/trusted modes — XPath always runs those).
     ASSIGN_OR_RETURN(bool definite, HasNoZeroChild(slot, e));
+    // polysse-lint: allow(ring-fork): only F_p's filter is exact.
     if (definite && std::is_same_v<Ring, FpCyclotomicRing>) return true;
     ASSIGN_OR_RETURN(uint64_t t, ReconstructTag(slot, mode));
     if (definite && t != e) ++stats_.false_positives_removed;
@@ -1470,14 +1328,14 @@ class QuerySession {
   Walk walk_;
   ByteWriter scratch_;                  ///< encodes one blob at a time
   std::vector<uint32_t> path_indices_;  ///< Path's climb, reused
-  /// The F_p client path's reused storage (empty in the Z ring).
-  struct FpScratch {
-    std::string label;            ///< kShareLabelPrefix + a row's path
-    std::vector<uint64_t> share;  ///< a client share, p-1 dense coefficients
-    std::vector<uint64_t> sum;    ///< a combined polynomial being summed
-    std::vector<uint64_t> part;   ///< one decoded polynomial
-    std::vector<uint64_t> f, g, product;  ///< Theorem 1's f, g and g * part
-  } fp_;
+  /// The walk's reused coefficient rows.
+  struct Rows {
+    std::string label;          ///< kShareLabelPrefix + a row's path
+    std::vector<Scalar> share;  ///< a client share, DenseCoeffCount() long
+    std::vector<Scalar> sum;    ///< a combined polynomial being summed
+    std::vector<Scalar> part;   ///< one decoded polynomial
+    std::vector<Scalar> f, g, product;  ///< Theorem 1/2's f, g and g * part
+  } rows_;
 };
 
 }  // namespace polysse

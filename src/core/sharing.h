@@ -10,7 +10,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,30 +37,31 @@ inline std::string ShareLabel(const std::string& node_path) {
   return std::string(kShareLabelPrefix) + node_path;
 }
 
-/// Ring-uniform random element (F_p case: perfectly hiding).
-inline FpCyclotomicRing::Elem RandomShare(const FpCyclotomicRing& ring,
-                                          ChaChaRng& rng,
-                                          const ShareSplitOptions&) {
-  return ring.Random(rng);
+/// One share drawn from `rng` as its dense coefficients, written into `row`
+/// (DenseCoeffCount() of them, trailing zeros included): ring-uniform over
+/// F_p (perfectly hiding), `z_coeff_bits`-bit coefficients over Z
+/// (statistically hiding).
+inline void RandomShare(const FpCyclotomicRing& ring, ChaChaRng& rng,
+                        std::span<uint64_t> row, const ShareSplitOptions&) {
+  ring.RandomInto(rng, row);
 }
-/// Bounded-coefficient random element (Z case: statistically hiding).
-inline ZQuotientRing::Elem RandomShare(const ZQuotientRing& ring,
-                                       ChaChaRng& rng,
-                                       const ShareSplitOptions& options) {
-  return ring.Random(rng, options.z_coeff_bits);
+inline void RandomShare(const ZQuotientRing& ring, ChaChaRng& rng,
+                        std::span<BigInt> row,
+                        const ShareSplitOptions& options) {
+  ring.RandomInto(rng, row, options.z_coeff_bits);
 }
 
-/// The F_p client share of the node whose share label is `label`
-/// (ShareLabel of its path), as its p-1 dense coefficients written into
-/// `row` (p-1 words; trailing zeros included), allocating nothing. The one
-/// statement of the F_p share recipe: DeriveClientShare and a seed-only
-/// ClientContext both draw through it.
-inline void DeriveClientShareRow(const FpCyclotomicRing& ring,
-                                 const DeterministicPrf& prf,
-                                 std::string_view label,
-                                 std::span<uint64_t> row) {
+/// The client share of the node whose share label is `label` (ShareLabel of
+/// its path), as its dense coefficients written into `row`, allocating
+/// nothing in the F_p ring. The one statement of the share recipe:
+/// DeriveClientShare and a seed-only ClientContext both draw through it.
+template <typename Ring>
+void DeriveClientShareRow(const Ring& ring, const DeterministicPrf& prf,
+                          std::string_view label,
+                          std::span<typename Ring::Scalar> row,
+                          const ShareSplitOptions& options) {
   ChaChaRng rng = prf.Stream(label);
-  ring.RandomInto(rng, row);
+  RandomShare(ring, rng, row, options);
 }
 
 /// Derives the client share of the node identified by `node_path`.
@@ -70,14 +70,9 @@ typename Ring::Elem DeriveClientShare(const Ring& ring,
                                       const DeterministicPrf& prf,
                                       const std::string& node_path,
                                       const ShareSplitOptions& options) {
-  if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-    std::vector<uint64_t> row(ring.DenseCoeffCount());
-    DeriveClientShareRow(ring, prf, ShareLabel(node_path), row);
-    return FpPoly::FromCanonical(ring.field(), std::move(row));
-  } else {
-    ChaChaRng rng = prf.Stream(ShareLabel(node_path));
-    return RandomShare(ring, rng, options);
-  }
+  std::vector<typename Ring::Scalar> row(ring.DenseCoeffCount());
+  DeriveClientShareRow(ring, prf, ShareLabel(node_path), row, options);
+  return ring.FromCoeffs(std::move(row));
 }
 
 /// The two share trees produced by a split. Shapes (parent/children/path/

@@ -140,13 +140,14 @@ BigInt ZPoly::Eval(const BigInt& x) const {
   return acc;
 }
 
-uint64_t ZPoly::EvalModU64(uint64_t x, uint64_t m) const {
+uint64_t ZPoly::EvalModU64(std::span<const BigInt> coeffs, uint64_t x,
+                          uint64_t m) {
   POLYSSE_CHECK(m != 0);
   if (m == 1) return 0;
   const uint64_t xr = x % m;
   unsigned __int128 acc = 0;
-  for (size_t i = coeffs_.size(); i-- > 0;) {
-    acc = (acc * xr + coeffs_[i].ModU64(m)) % m;
+  for (size_t i = coeffs.size(); i-- > 0;) {
+    acc = (acc * xr + coeffs[i].ModU64(m)) % m;
   }
   return static_cast<uint64_t>(acc);
 }
@@ -185,27 +186,35 @@ size_t ZPoly::MaxCoeffBits() const {
   return bits;
 }
 
-void ZPoly::Serialize(ByteWriter* out) const {
-  out->PutVarint64(coeffs_.size());
-  for (const BigInt& c : coeffs_) c.Serialize(out);
+void ZPoly::SerializeCoeffs(std::span<const BigInt> coeffs,
+                            ByteWriter* out) {
+  size_t n = coeffs.size();
+  while (n > 0 && coeffs[n - 1].is_zero()) --n;
+  out->PutVarint64(n);
+  for (const BigInt& c : coeffs.first(n)) c.Serialize(out);
 }
 
 Result<ZPoly> ZPoly::Deserialize(ByteReader* in) {
+  std::vector<BigInt> coeffs;
+  RETURN_IF_ERROR(DeserializeCoeffs(in, &coeffs));
+  return ZPoly(std::move(coeffs));
+}
+
+Status ZPoly::DeserializeCoeffs(ByteReader* in, std::vector<BigInt>* coeffs) {
   ASSIGN_OR_RETURN(uint64_t n, in->GetVarint64());
   if (n > (1ull << 32))
     return Status::Corruption("ZPoly: absurd coefficient count");
   // Each serialized BigInt is at least one byte, so a coefficient count
   // past the bytes left can only be a corrupt length — reject it before
-  // the reserve becomes a multi-gigabyte allocation bomb.
+  // the resize becomes a multi-gigabyte allocation bomb.
   if (n > in->remaining())
     return Status::Corruption("ZPoly: coefficient count exceeds remaining bytes");
-  std::vector<BigInt> coeffs;
-  coeffs.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(BigInt c, BigInt::Deserialize(in));
-    coeffs.push_back(std::move(c));
+  coeffs->resize(n);
+  for (BigInt& c : *coeffs) {
+    ASSIGN_OR_RETURN(c, BigInt::Deserialize(in));
   }
-  return ZPoly(std::move(coeffs));
+  while (!coeffs->empty() && coeffs->back().is_zero()) coeffs->pop_back();
+  return Status::Ok();
 }
 
 size_t ZPoly::SerializedSize() const {

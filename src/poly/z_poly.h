@@ -59,7 +59,13 @@ class ZPoly {
   BigInt Eval(const BigInt& x) const;
   /// Horner evaluation reduced mod m > 0 at every step: f(x) mod m.
   /// This is the query-time arithmetic of Fig. 6 ("mod r(2) = 5").
-  uint64_t EvalModU64(uint64_t x, uint64_t m) const;
+  uint64_t EvalModU64(uint64_t x, uint64_t m) const {
+    return EvalModU64(coeffs_, x, m);
+  }
+  /// The same for the polynomial with low-to-high coefficients `coeffs`
+  /// (trailing zeros allowed).
+  static uint64_t EvalModU64(std::span<const BigInt> coeffs, uint64_t x,
+                             uint64_t m);
 
   /// Quotient/remainder by a *monic* divisor (stays in Z[x]).
   /// InvalidArgument when the divisor is zero or non-monic.
@@ -70,8 +76,15 @@ class ZPoly {
   size_t MaxCoeffBits() const;
 
   /// Wire format: varint count, then BigInt-serialized coefficients.
-  void Serialize(ByteWriter* out) const;
+  void Serialize(ByteWriter* out) const { SerializeCoeffs(coeffs_, out); }
   static Result<ZPoly> Deserialize(ByteReader* in);
+  /// The wire form of the polynomial with coefficients `coeffs`
+  /// (low-to-high; trailing zeros are dropped, as a polynomial holds none).
+  static void SerializeCoeffs(std::span<const BigInt> coeffs,
+                              ByteWriter* out);
+  /// Deserialize into `coeffs`, reusing its storage: the same checks and
+  /// refusals, and the normalized coefficients of the same polynomial.
+  static Status DeserializeCoeffs(ByteReader* in, std::vector<BigInt>* coeffs);
   size_t SerializedSize() const;
 
   /// Paper-figure style, e.g. "265x + 45", "-6x + 7", "x^2 + 4x + 3".

@@ -113,6 +113,11 @@ class FpCyclotomicRing {
     POLYSSE_CHECK(row.size() == DenseCoeffCount());
     field_.UniformFill(next_u64, row);
   }
+  /// The element with canonical coefficients `coeffs` (low-to-high, at most
+  /// p-1; trailing zeros allowed).
+  Elem FromCoeffs(std::vector<uint64_t> coeffs) const {
+    return FpPoly::FromCanonical(field_, std::move(coeffs));
+  }
 
   /// Theorem 1: given a node residue f and the product g of its children,
   /// returns the unique t with f = (x - t) * g, verifying *all* p-1

@@ -5,6 +5,16 @@
 
 namespace polysse {
 
+namespace {
+
+/// The element with coefficient row `row`, for the row entry points that
+/// reuse the element arithmetic.
+ZPoly FromRow(std::span<const BigInt> row) {
+  return ZPoly(std::vector<BigInt>(row.begin(), row.end()));
+}
+
+}  // namespace
+
 Result<ZQuotientRing> ZQuotientRing::Create(ZPoly r, bool trust_irreducible) {
   if (r.degree() < 1)
     return Status::InvalidArgument("ZQuotientRing: modulus degree must be >= 1");
@@ -28,6 +38,12 @@ ZPoly ZQuotientRing::Mul(const Elem& a, const Elem& b) const {
   auto reduced = (a * b).ModMonic(r_);
   POLYSSE_CHECK(reduced.ok());  // r_ validated monic at construction
   return std::move(*reduced);
+}
+
+void ZQuotientRing::MulInto(std::span<const BigInt> a,
+                            std::span<const BigInt> b,
+                            std::vector<BigInt>* out) const {
+  *out = Mul(FromRow(a), FromRow(b)).coeffs();
 }
 
 Result<uint64_t> ZQuotientRing::QueryModulus(uint64_t e) const {
@@ -84,6 +100,11 @@ Result<uint64_t> ZQuotientRing::SolveTag(const Elem& f, const Elem& g) const {
   return static_cast<uint64_t>(*t);
 }
 
+Result<uint64_t> ZQuotientRing::SolveTag(std::span<const BigInt> f,
+                                         std::span<const BigInt> g) const {
+  return SolveTag(FromRow(f), FromRow(g));
+}
+
 Result<uint64_t> ZQuotientRing::SolveTagTrusted(const BigInt& f0,
                                                 const BigInt& g0) const {
   if (g0.is_zero())
@@ -114,10 +135,17 @@ std::vector<uint64_t> ZQuotientRing::SafeTagValues(
 }
 
 Result<ZPoly> ZQuotientRing::Deserialize(ByteReader* in) const {
-  ASSIGN_OR_RETURN(ZPoly p, ZPoly::Deserialize(in));
-  if (p.degree() >= r_.degree())
+  std::vector<BigInt> coeffs;
+  RETURN_IF_ERROR(DeserializeCoeffs(in, &coeffs));
+  return ZPoly(std::move(coeffs));
+}
+
+Status ZQuotientRing::DeserializeCoeffs(ByteReader* in,
+                                        std::vector<BigInt>* coeffs) const {
+  RETURN_IF_ERROR(ZPoly::DeserializeCoeffs(in, coeffs));
+  if (coeffs->size() > DenseCoeffCount())
     return Status::Corruption("ring element degree exceeds deg(r) - 1");
-  return p;
+  return Status::Ok();
 }
 
 }  // namespace polysse

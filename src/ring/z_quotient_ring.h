@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "poly/z_poly.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace polysse {
@@ -35,6 +36,8 @@ class ZQuotientRing {
 
   const ZPoly& modulus() const { return r_; }
   int degree() const { return r_.degree(); }
+  /// Number of stored coefficients of a dense element: deg r.
+  size_t DenseCoeffCount() const { return static_cast<size_t>(degree()); }
 
   Elem Zero() const { return ZPoly::Zero(); }
   Elem One() const { return ZPoly::One(); }
@@ -48,6 +51,10 @@ class ZQuotientRing {
   Elem Sub(const Elem& a, const Elem& b) const { return a - b; }
   Elem Neg(const Elem& a) const { return -a; }
   Elem Mul(const Elem& a, const Elem& b) const;
+  /// The coefficients of Mul(a, b), from and into coefficient rows
+  /// (trailing zeros allowed in a and b; out is normalized).
+  void MulInto(std::span<const BigInt> a, std::span<const BigInt> b,
+               std::vector<BigInt>* out) const;
 
   bool IsZero(const Elem& a) const { return a.IsZero(); }
   bool Equal(const Elem& a, const Elem& b) const { return a == b; }
@@ -66,8 +73,11 @@ class ZQuotientRing {
    public:
     size_t size() const { return points_.size(); }
     /// a(e_i) mod r(e_i), e_i the i-th point.
-    uint64_t At(const Elem& a, size_t i) const {
-      return a.EvalModU64(points_[i], moduli_[i]);
+    uint64_t At(const Elem& a, size_t i) const { return At(a.coeffs(), i); }
+    /// The element with coefficients `coeffs` (trailing zeros allowed) at
+    /// the i-th point.
+    uint64_t At(std::span<const BigInt> coeffs, size_t i) const {
+      return ZPoly::EvalModU64(coeffs, points_[i], moduli_[i]);
     }
 
    private:
@@ -85,11 +95,19 @@ class ZQuotientRing {
   /// hiding margin relative to the data's coefficient growth.
   template <typename Rng>
   Elem Random(Rng&& next_u64, size_t coeff_bits = 128) const {
-    std::vector<BigInt> coeffs;
-    coeffs.reserve(degree());
+    std::vector<BigInt> coeffs(DenseCoeffCount());
+    RandomInto(next_u64, coeffs, coeff_bits);
+    return ZPoly(std::move(coeffs));
+  }
+  /// The deg r coefficients Random draws, trailing zeros included, written
+  /// into `row` (which must hold deg r of them) instead of a fresh element.
+  template <typename Rng>
+  void RandomInto(Rng&& next_u64, std::span<BigInt> row,
+                  size_t coeff_bits) const {
+    POLYSSE_CHECK(row.size() == DenseCoeffCount());
     const size_t words = (coeff_bits + 63) / 64;
-    for (int i = 0; i < degree(); ++i) {
-      std::vector<uint8_t> bytes(words * 8);
+    std::vector<uint8_t> bytes(words * 8);
+    for (BigInt& c : row) {
       for (size_t w = 0; w < words; ++w) {
         uint64_t v = next_u64();
         for (int b = 0; b < 8; ++b)
@@ -103,8 +121,12 @@ class ZQuotientRing {
         for (size_t k = 0; k < whole; ++k) bytes[last - k] = 0;
         if (drop % 8) bytes[last - whole] &= (0xFF >> (drop % 8));
       }
-      coeffs.push_back(BigInt::FromLittleEndianBytes(bytes));
+      c = BigInt::FromLittleEndianBytes(bytes);
     }
+  }
+  /// The element with coefficients `coeffs` (low-to-high, at most deg r;
+  /// trailing zeros allowed).
+  Elem FromCoeffs(std::vector<BigInt> coeffs) const {
     return ZPoly(std::move(coeffs));
   }
 
@@ -112,6 +134,9 @@ class ZQuotientRing {
   /// division; verifies all coefficient equations (Eq. 3). VerificationFailed
   /// when inconsistent (corrupt or cheating server).
   Result<uint64_t> SolveTag(const Elem& f, const Elem& g) const;
+  /// SolveTag on coefficient rows (trailing zeros allowed).
+  Result<uint64_t> SolveTag(std::span<const BigInt> f,
+                            std::span<const BigInt> g) const;
 
   /// Scalar type of coefficients (used by the trusted constant-only mode).
   using Scalar = BigInt;
@@ -140,6 +165,9 @@ class ZQuotientRing {
 
   void Serialize(const Elem& a, ByteWriter* out) const { a.Serialize(out); }
   Result<Elem> Deserialize(ByteReader* in) const;
+  /// Deserialize into `coeffs`, reusing its storage: the same checks and
+  /// refusals, and the element's normalized coefficients.
+  Status DeserializeCoeffs(ByteReader* in, std::vector<BigInt>* coeffs) const;
   size_t SerializedSize(const Elem& a) const { return a.SerializedSize(); }
 
   std::string ToString(const Elem& a) const { return a.ToString(); }

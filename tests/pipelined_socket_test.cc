@@ -1,9 +1,9 @@
 // E2e battery for the tagged-frame pipelined runtime: tag round-trip
-// parity with the plan-then-fetch schedule, one round reaching every
-// server of a multi-server group before the client waits, out-of-order
-// completion, kind
-// interleaving on one connection, refusal of connections that skip the
-// hello, flood guards on both sides of the wire, and the
+// parity with the plan-then-fetch schedule in both rings, one round
+// reaching every server of a multi-server group before the client waits,
+// one failover per dead server on both fetch schedules, out-of-order
+// completion, kind interleaving on one connection, refusal of connections
+// that skip the hello, flood guards on both sides of the wire, and the
 // Stop()-during-in-flight-writes drain contract. The whole file is also a
 // TSan target (CI runs it under the debug-tsan preset): submitters, the
 // endpoint reader thread, the server event loop and its worker pool all
@@ -36,10 +36,12 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::MakeZDeployment;
 using testing::OneDocFpCollection;
 using testing::Sorted;
 using testing::SortedMatchPaths;
 using testing::TestSession;
+using testing::ZDeployment;
 
 XmlNode MakeDoc(uint64_t seed, size_t num_nodes = 60) {
   XmlGeneratorOptions gen;
@@ -116,14 +118,14 @@ class AdminStubHandler : public ServerHandler {
   std::atomic<uint64_t> docs_{0};
 };
 
-TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
-  // The same queries three ways — over TCP with per-round fetch overlap,
-  // over TCP behind a decorator that hides pipelining (so the session
-  // plans every fetch and then issues them), and in-process loopback —
-  // must produce bit-identical answers.
-  XmlNode doc = MakeDoc(401);
-  DeterministicPrf seed = DeterministicPrf::FromString("pipe-parity");
-  FpDeployment dep = MakeFpDeployment(doc, seed).value();
+/// The same queries three ways — over TCP with per-round fetch overlap,
+/// over TCP behind a decorator that hides pipelining (so the session plans
+/// every fetch and then issues them), and in-process loopback against
+/// `oracle`, a second deployment of the same document — must produce
+/// bit-identical answers.
+template <typename Ring, typename Deployment>
+void ExpectTagRoundTripParity(const XmlNode& doc, Deployment& dep,
+                              Deployment& oracle_dep) {
   auto server = SocketServer::Listen(&dep.server, 0);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -136,12 +138,11 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
   FaultInjectingEndpoint planned(second->get(), FaultConfig{});
   ASSERT_FALSE(planned.SupportsPipelining());
 
-  QuerySession<FpCyclotomicRing> piped_session(
-      &dep.client, EndpointGroup::TwoParty(piped->get()));
-  QuerySession<FpCyclotomicRing> planned_session(
-      &dep.client, EndpointGroup::TwoParty(&planned));
-  FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
+  QuerySession<Ring> piped_session(&dep.client,
+                                   EndpointGroup::TwoParty(piped->get()));
+  QuerySession<Ring> planned_session(&dep.client,
+                                     EndpointGroup::TwoParty(&planned));
+  TestSession<Ring> oracle(&oracle_dep.client, &oracle_dep.server);
 
   std::vector<std::string> tags = doc.DistinctTags();
   for (VerifyMode mode : {VerifyMode::kOptimistic, VerifyMode::kVerified,
@@ -162,6 +163,9 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
       EXPECT_EQ(SortedMatchPaths(p->per_tag[i].possible),
                 SortedMatchPaths(o->per_tag[i].possible))
           << "//" << tags[i];
+      EXPECT_EQ(SortedMatchPaths(l->per_tag[i].possible),
+                SortedMatchPaths(o->per_tag[i].possible))
+          << "//" << tags[i];
     }
   }
   // Single lookups delegate through the same pipelined path.
@@ -173,6 +177,23 @@ TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
   }
   EXPECT_EQ((*server)->connections_accepted(), 2u);
   EXPECT_EQ((*server)->pipelined_connections(), 2u);
+}
+
+TEST(PipelinedSocketTest, TagRoundTripParityWithSequentialClient) {
+  XmlNode doc = MakeDoc(401);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-parity");
+  {
+    SCOPED_TRACE("F_p ring");
+    FpDeployment dep = MakeFpDeployment(doc, seed).value();
+    FpDeployment oracle = MakeFpDeployment(doc, seed).value();
+    ExpectTagRoundTripParity<FpCyclotomicRing>(doc, dep, oracle);
+  }
+  {
+    SCOPED_TRACE("Z ring");
+    ZDeployment dep = MakeZDeployment(doc, seed).value();
+    ZDeployment oracle = MakeZDeployment(doc, seed).value();
+    ExpectTagRoundTripParity<ZQuotientRing>(doc, dep, oracle);
+  }
 }
 
 /// A per-round meeting of the servers a session asks: each one's Eval is
@@ -297,6 +318,122 @@ TEST(PipelinedSocketTest, RoundReachesEveryServerBeforeTheClientWaits) {
         << "a round's Eval reached one server while the client waited on "
            "another";
     EXPECT_EQ(meeting.met, rounds);
+  }
+}
+
+/// What server 0 does with a fetch in the failover drill below.
+enum class FetchFault { kNone, kShort, kRefuse };
+
+/// A server whose fetch answers come back one entry short, or refused,
+/// while `*fault` says so (never when `fault` is null); evaluations pass
+/// through.
+class FetchFaultHandler : public ServerHandler {
+ public:
+  FetchFaultHandler(ServerHandler* inner, const std::atomic<FetchFault>* fault)
+      : inner_(inner), fault_(fault) {}
+
+  Result<EvalResponse> HandleEval(const EvalRequest& req) override {
+    return inner_->HandleEval(req);
+  }
+  Result<FetchResponse> HandleFetch(const FetchRequest& req) override {
+    const FetchFault f = fault_ == nullptr
+                             ? FetchFault::kNone
+                             : fault_->load(std::memory_order_relaxed);
+    if (f == FetchFault::kRefuse) return Status::Unavailable("fetch refused");
+    auto r = inner_->HandleFetch(req);
+    if (f == FetchFault::kShort && r.ok() && !r->entries.empty())
+      r->entries.pop_back();
+    return r;
+  }
+
+ private:
+  ServerHandler* inner_;
+  const std::atomic<FetchFault>* fault_;
+};
+
+TEST(PipelinedSocketTest, DeadServerIsOneFailoverOnBothFetchSchedules) {
+  // Server 0 answers every fetch one entry short, or refuses it. Each
+  // verified batch runs on a fresh session over pipelined endpoints (the
+  // overlap schedule, which starts one fetch round per BFS round before
+  // settling any) and over the same sockets behind no-fault decorators
+  // that hide pipelining (the planned schedule). Under Shamir 2-of-3 the
+  // dead server is one failover however many rounds asked it, and a round
+  // started again with a replacement counts once, so fetch_rounds is the
+  // schedule's count without the fault. An additive group needs every
+  // server and refuses with the fault's own code.
+  XmlNode doc = MakeDoc(403);
+  DeterministicPrf seed = DeterministicPrf::FromString("pipe-failover");
+  const std::vector<std::string> tags = doc.DistinctTags();
+  struct Group {
+    ShareScheme scheme;
+    size_t servers;
+    int threshold;
+  };
+  for (const Group& g : {Group{ShareScheme::kShamir, 3, 2},
+                         Group{ShareScheme::kAdditive, 2, 0}}) {
+    const bool shamir = g.scheme == ShareScheme::kShamir;
+    SCOPED_TRACE(shamir ? "shamir" : "additive");
+    DeployShape deploy;
+    deploy.scheme = g.scheme;
+    deploy.num_servers = static_cast<int>(g.servers);
+    deploy.threshold = g.threshold;
+    auto col = OneDocFpCollection(doc, seed, deploy).value();
+
+    std::atomic<FetchFault> fault{FetchFault::kNone};
+    std::vector<std::unique_ptr<FetchFaultHandler>> handlers;
+    std::vector<std::unique_ptr<SocketServer>> servers;
+    std::vector<std::unique_ptr<SocketEndpoint>> sockets;
+    std::vector<std::unique_ptr<FaultInjectingEndpoint>> hiders;
+    std::vector<ServerEndpoint*> piped, planned;
+    for (size_t s = 0; s < g.servers; ++s) {
+      handlers.push_back(std::make_unique<FetchFaultHandler>(
+          col->handler(s), s == 0 ? &fault : nullptr));
+      auto srv = SocketServer::Listen(handlers.back().get(), 0);
+      ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+      auto ep = SocketEndpoint::Connect("127.0.0.1", (*srv)->port());
+      ASSERT_TRUE(ep.ok()) << ep.status().ToString();
+      servers.push_back(std::move(*srv));
+      sockets.push_back(std::move(*ep));
+      hiders.push_back(std::make_unique<FaultInjectingEndpoint>(
+          sockets.back().get(), FaultConfig{}));
+      piped.push_back(sockets.back().get());
+      planned.push_back(hiders.back().get());
+    }
+    ClientContext<FpCyclotomicRing> client = col->client();
+
+    for (bool overlap : {true, false}) {
+      SCOPED_TRACE(overlap ? "overlap schedule" : "planned schedule");
+      const std::vector<ServerEndpoint*>& eps = overlap ? piped : planned;
+      const EndpointGroup group = shamir
+                                      ? EndpointGroup::Shamir(eps, g.threshold)
+                                      : EndpointGroup::Additive(eps);
+      fault.store(FetchFault::kNone, std::memory_order_relaxed);
+      QuerySession<FpCyclotomicRing> healthy(&client, group);
+      auto base = healthy.LookupMany(tags, VerifyMode::kVerified);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      EXPECT_EQ(base->stats.server_failovers, 0u);
+
+      for (FetchFault f : {FetchFault::kShort, FetchFault::kRefuse}) {
+        SCOPED_TRACE(f == FetchFault::kShort ? "short" : "refused");
+        fault.store(f, std::memory_order_relaxed);
+        QuerySession<FpCyclotomicRing> session(&client, group);
+        auto got = session.LookupMany(tags, VerifyMode::kVerified);
+        if (!shamir) {
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status().code(), f == FetchFault::kShort
+                                             ? StatusCode::kCorruption
+                                             : StatusCode::kUnavailable);
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        for (size_t i = 0; i < tags.size(); ++i)
+          EXPECT_EQ(SortedMatchPaths(got->per_tag[i].matches),
+                    Sorted(PlaintextLookup(doc, tags[i]).match_paths))
+              << "//" << tags[i];
+        EXPECT_EQ(got->stats.server_failovers, 1u);
+        EXPECT_EQ(got->stats.fetch_rounds, base->stats.fetch_rounds);
+      }
+    }
   }
 }
 

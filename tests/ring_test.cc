@@ -372,5 +372,67 @@ TEST(ZRingTest, QueryModulusOverflowRejected) {
   EXPECT_TRUE(ring.QueryModulus(1000).ok());
 }
 
+TEST(ZRingTest, RowOpsMatchElementOps) {
+  // The walk holds Z elements as rows of deg r coefficients, trailing
+  // zeros included; every row op agrees with the element op it stands for.
+  ZQuotientRing ring = ZQuotientRing::Create(ZPoly({1, 1, 0, 1})).value();
+  const size_t n = ring.DenseCoeffCount();
+  ASSERT_EQ(n, 3u);
+  const ZQuotientRing::Evaluator ev =
+      ring.MakeEvaluator(std::vector<uint64_t>{2, 3}).value();
+  std::vector<BigInt> out = {BigInt(5)}, coeffs = {BigInt(9)};
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    // Random and RandomInto take the same words from the same stream.
+    std::mt19937_64 g1(seed), g2(seed);
+    const ZPoly a = ring.Random([&] { return g1(); }, 70);
+    std::vector<BigInt> a_row(n);
+    ring.RandomInto([&] { return g2(); }, a_row, 70);
+    EXPECT_EQ(ring.FromCoeffs(a_row), a);
+    EXPECT_EQ(g1(), g2());
+    // b has negative and zero coefficients, so its row has trailing zeros
+    // for small seeds.
+    const ZPoly b = seed % 2 ? ring.XMinus(seed + 1).value()
+                             : ring.Sub(ring.One(), a);
+    std::vector<BigInt> b_row = b.coeffs();
+    b_row.resize(n);
+
+    ring.MulInto(a_row, b_row, &out);
+    EXPECT_EQ(out, ring.Mul(a, b).coeffs()) << seed;
+    const ZPoly f = ring.Mul(ring.XMinus(seed + 2).value(), b);
+    std::vector<BigInt> f_row = f.coeffs();
+    f_row.resize(n);
+    const Result<uint64_t> want_tag = ring.SolveTag(f, b);
+    const Result<uint64_t> got_tag = ring.SolveTag(f_row, b_row);
+    ASSERT_EQ(got_tag.ok(), want_tag.ok()) << seed;
+    if (want_tag.ok()) {
+      EXPECT_EQ(*got_tag, *want_tag) << seed;
+    }
+    for (size_t i = 0; i < ev.size(); ++i)
+      EXPECT_EQ(ev.At(std::span<const BigInt>(b_row), i), ev.At(b, i));
+
+    // Trailing zeros of a row are not encoded, and the bytes decode back.
+    ByteWriter want, got;
+    b.Serialize(&want);
+    ZPoly::SerializeCoeffs(b_row, &got);
+    EXPECT_EQ(ToVector(got.span()), ToVector(want.span()));
+    ByteReader in(got.span());
+    ASSERT_TRUE(ring.DeserializeCoeffs(&in, &coeffs).ok());
+    EXPECT_EQ(coeffs, b.coeffs());
+    EXPECT_EQ(in.remaining(), 0u);
+  }
+  // Refusals are Deserialize's: an element of degree deg r, a count past
+  // the bytes left, a truncated coefficient.
+  ByteWriter too_long;
+  ZPoly({1, 2, 3, 4}).Serialize(&too_long);
+  for (const std::vector<uint8_t>& bytes :
+       {ToVector(too_long.span()), std::vector<uint8_t>{9, 0},
+        std::vector<uint8_t>{1, 1, 3, 7}}) {
+    ByteReader a(bytes), b(bytes);
+    const Status want = ring.Deserialize(&a).status();
+    ASSERT_FALSE(want.ok());
+    EXPECT_EQ(ring.DeserializeCoeffs(&b, &coeffs), want);
+  }
+}
+
 }  // namespace
 }  // namespace polysse

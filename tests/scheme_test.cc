@@ -10,13 +10,19 @@
 //  * Shamir deployments fail over dead servers, forget them when each
 //    query returns, and refuse cleanly below the threshold;
 //  * Save/Open round-trips two-party AND multi-server (additive, Shamir)
-//    deployments through the persistence layer.
+//    deployments through the persistence layer;
+//  * every QueryStats counter of a batched walk is pinned per ring, scheme,
+//    verify mode and transport.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "net/socket_endpoint.h"
+#include "net/socket_server.h"
 #include "testing/deploy_helpers.h"
 #include "testing/query_helpers.h"
 #include "xml/xml_generator.h"
@@ -451,6 +457,229 @@ TEST(SchemeTest, ZAdditiveSaveOpenRoundTrip) {
   for (int s = 0; s < 2; ++s)
     std::remove(ZCollection::MultiServerStorePath(store_path, s).c_str());
   std::remove(key_path.c_str());
+}
+
+/// Every QueryStats counter of one walk as a line that names its case.
+std::string CostLine(const std::string& label, const QueryStats& st) {
+  std::ostringstream out;
+  out << label << ": rounds=" << st.rounds
+      << " fetch_rounds=" << st.fetch_rounds
+      << " visited=" << st.nodes_visited << "/" << st.total_server_nodes
+      << " server_evals=" << st.server_evals
+      << " client_evals=" << st.client_evals
+      << " derivations=" << st.client_share_derivations
+      << " zeros=" << st.zero_candidates
+      << " reconstructions=" << st.reconstructions
+      << " polys=" << st.polys_fetched_full << " consts=" << st.consts_fetched
+      << " trusted_fallbacks=" << st.trusted_fallbacks
+      << " false_positives=" << st.false_positives_removed
+      << " failovers=" << st.server_failovers
+      << " up=" << st.transport.bytes_up << "B/" << st.transport.messages_up
+      << " down=" << st.transport.bytes_down << "B/"
+      << st.transport.messages_down;
+  return out.str();
+}
+
+/// Appends the CostLine of an optimistic, a verified and a trusted
+/// LookupMany over all of `doc`'s tags, each on a fresh session of
+/// `client` against `eps` under `deploy`'s scheme.
+template <typename Ring>
+void AppendWalkCosts(const std::string& label, const XmlNode& doc,
+                     const ClientContext<Ring>& client,
+                     const DeployShape& deploy,
+                     const std::vector<ServerEndpoint*>& eps,
+                     std::vector<std::string>* out) {
+  EndpointGroup group =
+      deploy.scheme == ShareScheme::kShamir
+          ? EndpointGroup::Shamir(eps, deploy.threshold)
+          : (deploy.scheme == ShareScheme::kAdditive
+                 ? EndpointGroup::Additive(eps)
+                 : EndpointGroup::TwoParty(eps[0]));
+  const char* names[] = {"optimistic", "verified", "trusted"};
+  for (VerifyMode mode : kAllModes) {
+    ClientContext<Ring> own = client;
+    QuerySession<Ring> session(&own, group);
+    auto r = session.LookupMany(doc.DistinctTags(), mode);
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    out->push_back(
+        CostLine(label + " " + names[static_cast<int>(mode)], r->stats));
+  }
+}
+
+/// The walk's costs per case. They were recorded while the walk still had
+/// separate F_p and Z steps, and hold unchanged with one body for both
+/// rings; a change that moves a counter on purpose re-records its rows.
+constexpr const char* kPinnedWalkCosts[] = {
+    "fp-2party optimistic: rounds=12 fetch_rounds=0 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=200B/12 down=1051B/12",
+    "fp-2party verified: rounds=12 fetch_rounds=1 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=80 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=282B/13 down=2084B/13",
+    "fp-2party trusted: rounds=12 fetch_rounds=2 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=27 consts=68 "
+    "trusted_fallbacks=92 false_positives=0 failovers=0 "
+    "up=299B/14 down=1604B/14",
+    "fp-additive-3 optimistic: rounds=12 fetch_rounds=0 visited=80/80 "
+    "server_evals=1920 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=600B/36 down=3153B/36",
+    "fp-additive-3 verified: rounds=12 fetch_rounds=1 visited=80/80 "
+    "server_evals=1920 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=80 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=846B/39 down=6262B/39",
+    "fp-additive-3 trusted: rounds=12 fetch_rounds=2 visited=80/80 "
+    "server_evals=1920 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=27 consts=68 "
+    "trusted_fallbacks=92 false_positives=0 failovers=0 "
+    "up=897B/42 down=4820B/42",
+    "fp-shamir-2of3 optimistic: rounds=12 fetch_rounds=0 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=400B/24 down=2102B/24",
+    "fp-shamir-2of3 verified: rounds=12 fetch_rounds=1 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=235 polys=80 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=564B/26 down=4168B/26",
+    "fp-shamir-2of3 trusted: rounds=12 fetch_rounds=2 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=235 polys=27 consts=68 "
+    "trusted_fallbacks=92 false_positives=0 failovers=0 "
+    "up=598B/28 down=3210B/28",
+    "z-2party optimistic: rounds=8 fetch_rounds=0 visited=40/40 "
+    "server_evals=200 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=136B/8 down=924B/8",
+    "z-2party verified: rounds=8 fetch_rounds=1 visited=40/40 "
+    "server_evals=200 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=94 polys=40 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=178B/9 down=3814B/9",
+    "z-2party trusted: rounds=8 fetch_rounds=2 visited=40/40 "
+    "server_evals=200 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=94 polys=40 consts=16 "
+    "trusted_fallbacks=78 false_positives=0 failovers=0 "
+    "up=196B/10 down=4391B/10",
+    "z-additive-3 optimistic: rounds=8 fetch_rounds=0 visited=40/40 "
+    "server_evals=600 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=408B/24 down=2761B/24",
+    "z-additive-3 verified: rounds=8 fetch_rounds=1 visited=40/40 "
+    "server_evals=600 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=94 polys=40 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=534B/27 down=11395B/27",
+    "z-additive-3 trusted: rounds=8 fetch_rounds=2 visited=40/40 "
+    "server_evals=600 client_evals=200 derivations=40 "
+    "zeros=94 reconstructions=94 polys=40 consts=16 "
+    "trusted_fallbacks=78 false_positives=0 failovers=0 "
+    "up=588B/30 down=13140B/30",
+    "fp-2party-tcp optimistic: rounds=12 fetch_rounds=0 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=308B/12 down=1159B/12",
+    "fp-2party-tcp verified: rounds=12 fetch_rounds=11 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=80 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=509B/23 down=2301B/23",
+    "fp-2party-tcp trusted: rounds=12 fetch_rounds=18 visited=80/80 "
+    "server_evals=640 client_evals=640 derivations=80 "
+    "zeros=235 reconstructions=235 polys=27 consts=68 "
+    "trusted_fallbacks=92 false_positives=0 failovers=0 "
+    "up=601B/30 down=1890B/30",
+    "fp-shamir-2of3-tcp optimistic: rounds=12 fetch_rounds=0 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=0 polys=0 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=616B/24 down=2318B/24",
+    "fp-shamir-2of3-tcp verified: rounds=12 fetch_rounds=11 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=235 polys=80 consts=0 "
+    "trusted_fallbacks=0 false_positives=0 failovers=0 "
+    "up=1018B/46 down=4602B/46",
+    "fp-shamir-2of3-tcp trusted: rounds=12 fetch_rounds=18 visited=80/80 "
+    "server_evals=1280 client_evals=0 derivations=0 "
+    "zeros=235 reconstructions=235 polys=27 consts=68 "
+    "trusted_fallbacks=92 false_positives=0 failovers=0 "
+    "up=1202B/60 down=3782B/60",
+};
+
+TEST(SchemeTest, WalkCostsArePinned) {
+  XmlNode fp_doc = MakeDoc(86, 80, 8);
+  XmlNode z_doc = MakeDoc(87, 40, 5);
+  DeterministicPrf seed = DeterministicPrf::FromString("scheme-walk-costs");
+  struct Case {
+    const char* label;
+    bool z_ring;
+    ShareScheme scheme;
+    int num_servers;
+    int threshold;
+    bool tcp;
+  };
+  const Case cases[] = {
+      {"fp-2party", false, ShareScheme::kTwoParty, 1, 0, false},
+      {"fp-additive-3", false, ShareScheme::kAdditive, 3, 0, false},
+      {"fp-shamir-2of3", false, ShareScheme::kShamir, 3, 2, false},
+      {"z-2party", true, ShareScheme::kTwoParty, 1, 0, false},
+      {"z-additive-3", true, ShareScheme::kAdditive, 3, 0, false},
+      {"fp-2party-tcp", false, ShareScheme::kTwoParty, 1, 0, true},
+      {"fp-shamir-2of3-tcp", false, ShareScheme::kShamir, 3, 2, true},
+  };
+  std::vector<std::string> got;
+  for (const Case& c : cases) {
+    DeployShape deploy;
+    deploy.scheme = c.scheme;
+    deploy.num_servers = c.num_servers;
+    deploy.threshold = c.threshold;
+    std::unique_ptr<FpCollection> fp;
+    std::unique_ptr<ZCollection> z;
+    if (c.z_ring) {
+      z = OneDocZCollection(z_doc, seed, deploy).value();
+    } else {
+      fp = OneDocFpCollection(fp_doc, seed, deploy).value();
+    }
+    std::vector<std::unique_ptr<LoopbackEndpoint>> loopbacks;
+    std::vector<std::unique_ptr<SocketServer>> servers;
+    std::vector<std::unique_ptr<SocketEndpoint>> sockets;
+    std::vector<ServerEndpoint*> eps;
+    for (int s = 0; s < c.num_servers; ++s) {
+      ServerHandler* handler = c.z_ring ? z->handler(s) : fp->handler(s);
+      if (!c.tcp) {
+        loopbacks.push_back(std::make_unique<LoopbackEndpoint>(handler));
+        eps.push_back(loopbacks.back().get());
+        continue;
+      }
+      auto srv = SocketServer::Listen(handler, 0);
+      ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+      auto ep = SocketEndpoint::Connect("127.0.0.1", (*srv)->port());
+      ASSERT_TRUE(ep.ok()) << ep.status().ToString();
+      servers.push_back(std::move(*srv));
+      sockets.push_back(std::move(*ep));
+      eps.push_back(sockets.back().get());
+    }
+    if (c.z_ring) {
+      AppendWalkCosts(c.label, z_doc, z->client(), deploy, eps, &got);
+    } else {
+      AppendWalkCosts(c.label, fp_doc, fp->client(), deploy, eps, &got);
+    }
+  }
+  const std::vector<std::string> pinned(std::begin(kPinnedWalkCosts),
+                                        std::end(kPinnedWalkCosts));
+  ASSERT_EQ(got.size(), pinned.size());
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], pinned[i]);
 }
 
 }  // namespace

@@ -84,6 +84,16 @@ class BadTreeTest(unittest.TestCase):
         self.assertIn("++/--", messages)
         self.assertIn("compound assignment", messages)
 
+    def test_ring_fork_catches_unmarked_forks(self):
+        found = self.by_check("ring-fork")
+        # The `if constexpr` line and the line naming the ring; the ring
+        # named in a comment and in a string literal is not a fork.
+        self.assertEqual([(f.path, f.line) for f in found],
+                         [(os.path.join("src", "core", "query_session.h"), 15),
+                          (os.path.join("src", "core", "query_session.h"), 16)])
+        self.assertIn("if constexpr", found[0].message)
+        self.assertIn("FpCyclotomicRing", found[1].message)
+
     def test_findings_have_positive_line_numbers(self):
         self.assertTrue(all(f.line >= 1 for f in self.findings))
 
@@ -110,6 +120,17 @@ class CleanTreeTest(unittest.TestCase):
         # The same comment does not silence unrelated checks.
         self.assertFalse(any(
             sf.suppressed(i, "alloc-bomb") for i in suppressed_lines))
+
+
+    def test_ring_fork_markers_are_load_bearing(self):
+        # Both forks of the clean walk are marked; without the markers the
+        # check would report exactly those two lines.
+        rel = os.path.join("src", "core", "query_session.h")
+        sf = polysse_lint.SourceFile(CLEAN_TREE, rel)
+        forks = [i for i, line in sf.code_lines()
+                 if polysse_lint.RING_FORK_RE.search(line)]
+        self.assertEqual(len(forks), 2)
+        self.assertTrue(all(sf.suppressed(i, "ring-fork") for i in forks))
 
 
 class CycleTreeTest(unittest.TestCase):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """polysse-lint: repo-invariant static analysis for the polysse tree.
 
-Five checks, each encoding a cross-cutting invariant that grew out of the
+Six checks, each encoding a cross-cutting invariant that grew out of the
 PR history and that nothing in the compiler enforces:
 
   protocol-completeness  every MessageKind enumerator is wired through the
@@ -24,6 +24,11 @@ PR history and that nothing in the compiler enforces:
                          std::atomic, and every ++/--/op= on one, must spell
                          out its std::memory_order (all knobs are relaxed by
                          decision, not by accident).
+  ring-fork              in src/core/query_session.h, a code line that names
+                         FpCyclotomicRing or ZQuotientRing, or holds
+                         `if constexpr`: the walk is one body over the
+                         ring's row interface, and each real difference
+                         between the rings is marked where it forks.
 
 Findings print as `path:line: [check] message` and exit status 1. A finding
 is suppressed by putting `// polysse-lint: allow(<check>)` on the offending
@@ -46,6 +51,7 @@ CHECKS = (
     "layer-dag",
     "lock-discipline",
     "atomic-ordering",
+    "ring-fork",
 )
 
 SUPPRESS_RE = re.compile(r"polysse-lint:\s*allow\(([a-z\-,\s]+)\)")
@@ -487,6 +493,28 @@ def check_atomic_ordering(root: str):
     return findings
 
 
+# -------------------------------------------------------------- ring-fork --
+
+RING_FORK_FILE = "src/core/query_session.h"
+RING_FORK_RE = re.compile(
+    r"\b(FpCyclotomicRing|ZQuotientRing)\b|\bif\s+constexpr\b")
+
+
+def check_ring_fork(root: str):
+    findings = []
+    if not os.path.exists(os.path.join(root, RING_FORK_FILE)):
+        return findings
+    sf = SourceFile(root, RING_FORK_FILE)
+    for lineno, line in sf.code_lines():
+        m = RING_FORK_RE.search(line)
+        if m:
+            emit(findings, sf, lineno, "ring-fork",
+                 f"`{m.group(0)}` forks the walk on its ring — write the "
+                 f"step once over the ring's row interface, or mark a real "
+                 f"difference with its reason")
+    return findings
+
+
 # ------------------------------------------------------------------ driver --
 
 CHECK_FUNCS = {
@@ -495,6 +523,7 @@ CHECK_FUNCS = {
     "layer-dag": check_layer_dag,
     "lock-discipline": check_lock_discipline,
     "atomic-ordering": check_atomic_ordering,
+    "ring-fork": check_ring_fork,
 }
 
 
