@@ -35,7 +35,7 @@ int main() {
       fopt.p = 101;  // n <= 99 wrap-free; larger documents wrap
       auto dep = MakeFpDeployment(doc, seed, fopt);
       if (dep.ok()) {
-        TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+        TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
         auto opt = session.Lookup(tag, VerifyMode::kOptimistic);
         auto ver = session.Lookup(tag, VerifyMode::kVerified);
         auto tru = session.Lookup(tag, VerifyMode::kTrustedConstOnly);
@@ -52,7 +52,7 @@ int main() {
     {
       auto dep = MakeZDeployment(doc, seed);
       if (dep.ok()) {
-        TestSession<ZQuotientRing> session(&dep->client, &dep->server);
+        TestSession<ZQuotientRing> session(&dep->client, dep->server.get());
         auto opt = session.Lookup(tag, VerifyMode::kOptimistic);
         auto ver = session.Lookup(tag, VerifyMode::kVerified);
         auto tru = session.Lookup(tag, VerifyMode::kTrustedConstOnly);

@@ -57,7 +57,7 @@ int main() {
     {
       auto dep = MakeFpDeployment(doc, seed);
       if (dep.ok()) {
-        TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+        TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
         auto t0 = std::chrono::steady_clock::now();
         auto r = session.Lookup(tag, VerifyMode::kVerified);
         double ms = MsSince(t0);
@@ -70,7 +70,8 @@ int main() {
         }
         // Naive download (the intro's strawman) on the same deployment.
         auto t1 = std::chrono::steady_clock::now();
-        auto nd = NaiveDownloadLookup(&dep->client, &dep->server, tag);
+        auto nd = NaiveDownloadLookup(&dep->client, dep->server.get(),
+                                      dep->store().tree(), tag);
         double nd_ms = MsSince(t1);
         if (nd.ok()) {
           std::printf("%7zu %-10s | %9zu %9zu %12zu %9.3f | %8s\n", n,

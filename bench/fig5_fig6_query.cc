@@ -57,9 +57,9 @@ int main() {
 
     // Full protocol run on top of the same shares: the two client elements
     // are the answers ("each zero element without zero sub element").
-    ServerStore<Ring> server(ring, std::move(shares.server));
+    auto server = testing::OneDocRegistry(ring, std::move(shares.server));
     auto client = ClientContext<Ring>::SeedOnly(ring, map, prf);
-    testing::TestSession<Ring> session(&client, &server);
+    testing::TestSession<Ring> session(&client, server.get());
     auto result = session.Lookup("client", VerifyMode::kVerified).value();
     std::printf("protocol answer: %zu matches at paths", result.matches.size());
     for (const auto& mth : result.matches) std::printf(" \"%s\"", mth.path.c_str());

@@ -93,7 +93,7 @@ int Run(const std::string& json_path) {
   XmlNode doc = GenerateXmlTree(gen);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-bench");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  DelayedHandler delayed(&dep.server);
+  DelayedHandler delayed(dep.server.get());
 
   SocketServer::Options sopts;
   sopts.worker_threads = kQueries;  // latency overlaps, never queues
@@ -106,7 +106,8 @@ int Run(const std::string& json_path) {
 
   // Oracle answers (in-process, no latency).
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
+  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client,
+                                       oracle_dep.server.get());
   std::vector<std::vector<std::string>> want;
   {
     auto o = oracle.LookupMany(tags, VerifyMode::kVerified).value();

@@ -33,7 +33,7 @@ int main() {
       XmlNode doc = GenerateXmlTree(gen);
       auto dep = MakeFpDeployment(doc, seed);
       if (!dep.ok()) continue;
-      TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+      TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
 
       // Query the most common and the rarest tag present.
       std::vector<std::string> tags = doc.DistinctTags();
@@ -67,7 +67,7 @@ int main() {
     XmlNode doc = GenerateXmlTree(gen);
     auto dep = MakeFpDeployment(doc, seed);
     if (!dep.ok()) continue;
-    TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+    TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
     const std::string tag = doc.DistinctTags().back();
     auto e = dep->client.tag_map().Value(tag);
     if (!e.ok()) continue;
@@ -76,14 +76,14 @@ int main() {
     if (!pruned.ok()) continue;
 
     // Exhaustive: one request naming every node (no dead-branch cutoff).
-    dep->server.ResetStats();
+    const size_t evals_before = dep->server->stats().evals;
     EvalRequest all;
     all.points = {*e};
-    for (size_t i = 0; i < dep->server.size(); ++i)
+    for (size_t i = 0; i < dep->store().size(); ++i)
       all.node_ids.push_back(static_cast<int32_t>(i));
     ByteWriter up;
     all.Serialize(&up);
-    auto resp = dep->server.HandleEval(all);
+    auto resp = dep->server->HandleEval(all);
     size_t exhaust_bytes = 0;
     if (resp.ok()) {
       ByteWriter down;
@@ -93,7 +93,7 @@ int main() {
     std::printf("%7zu %10s | %12zu %12zu | %12zu %12zu\n", n, tag.c_str(),
                 pruned->stats.server_evals,
                 pruned->stats.transport.bytes_down,
-                dep->server.stats().evals, exhaust_bytes);
+                dep->server->stats().evals - evals_before, exhaust_bytes);
   }
 
   std::printf("\n--- Z-ring evaluation-filter false positives "
@@ -110,9 +110,9 @@ int main() {
   auto run_mapping = [&](const TagMap& map, const char* label) {
     PolyTree<ZQuotientRing> data = BuildPolyTree(ring, map, doc).value();
     SharedTrees<ZQuotientRing> shares = SplitShares(ring, data, seed);
-    ServerStore<ZQuotientRing> server(ring, std::move(shares.server));
+    auto server = OneDocRegistry(ring, std::move(shares.server));
     auto client = ClientContext<ZQuotientRing>::SeedOnly(ring, map, seed);
-    TestSession<ZQuotientRing> session(&client, &server);
+    TestSession<ZQuotientRing> session(&client, server.get());
     size_t total_fp = 0, total_matches = 0;
     for (const std::string& tag : doc.DistinctTags()) {
       auto r = session.Lookup(tag, VerifyMode::kVerified);

@@ -46,7 +46,7 @@ Deployment& SharedDeployment(size_t n) {
 
 void BM_LookupVerified(benchmark::State& state) {
   Deployment& d = SharedDeployment(static_cast<size_t>(state.range(0)));
-  TestSession<FpCyclotomicRing> session(&d.dep.client, &d.dep.server);
+  TestSession<FpCyclotomicRing> session(&d.dep.client, d.dep.server.get());
   for (auto _ : state) {
     auto r = session.Lookup(d.rare_tag, VerifyMode::kVerified);
     if (!r.ok()) state.SkipWithError("lookup failed");
@@ -60,7 +60,7 @@ BENCHMARK(BM_LookupVerified)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_LookupOptimistic(benchmark::State& state) {
   Deployment& d = SharedDeployment(static_cast<size_t>(state.range(0)));
-  TestSession<FpCyclotomicRing> session(&d.dep.client, &d.dep.server);
+  TestSession<FpCyclotomicRing> session(&d.dep.client, d.dep.server.get());
   for (auto _ : state) {
     auto r = session.Lookup(d.rare_tag, VerifyMode::kOptimistic);
     if (!r.ok()) state.SkipWithError("lookup failed");
@@ -71,7 +71,7 @@ BENCHMARK(BM_LookupOptimistic)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_XPathAllAtOnce(benchmark::State& state) {
   Deployment& d = SharedDeployment(static_cast<size_t>(state.range(0)));
-  TestSession<FpCyclotomicRing> session(&d.dep.client, &d.dep.server);
+  TestSession<FpCyclotomicRing> session(&d.dep.client, d.dep.server.get());
   auto tags = d.doc.DistinctTags();
   auto query =
       XPathQuery::Parse("//" + tags[0] + "//" + tags[1 % tags.size()]).value();
@@ -101,9 +101,9 @@ std::vector<TagQuery> BatchQueries(const Deployment& d) {
 
 void BM_Lookup16Sequential(benchmark::State& state) {
   Deployment& d = SharedDeployment(static_cast<size_t>(state.range(0)));
-  TestSession<FpCyclotomicRing> session(&d.dep.client, &d.dep.server);
+  TestSession<FpCyclotomicRing> session(&d.dep.client, d.dep.server.get());
   const std::vector<TagQuery> queries = BatchQueries(d);
-  const auto before = d.dep.server.stats();
+  const auto before = d.dep.server->stats();
   for (auto _ : state) {
     for (const TagQuery& q : queries) {
       auto r = session.Lookup(q.tag, q.mode);
@@ -111,7 +111,7 @@ void BM_Lookup16Sequential(benchmark::State& state) {
       benchmark::DoNotOptimize(r);
     }
   }
-  const auto after = d.dep.server.stats();
+  const auto after = d.dep.server->stats();
   state.counters["eval_requests"] = benchmark::Counter(
       static_cast<double>(after.eval_requests - before.eval_requests),
       benchmark::Counter::kAvgIterations);
@@ -123,15 +123,15 @@ BENCHMARK(BM_Lookup16Sequential)->Arg(1000)->Arg(10000);
 
 void BM_Lookup16Batched(benchmark::State& state) {
   Deployment& d = SharedDeployment(static_cast<size_t>(state.range(0)));
-  TestSession<FpCyclotomicRing> session(&d.dep.client, &d.dep.server);
+  TestSession<FpCyclotomicRing> session(&d.dep.client, d.dep.server.get());
   const std::vector<TagQuery> queries = BatchQueries(d);
-  const auto before = d.dep.server.stats();
+  const auto before = d.dep.server->stats();
   for (auto _ : state) {
     auto r = session.LookupBatch(queries);
     if (!r.ok()) state.SkipWithError("batch failed");
     benchmark::DoNotOptimize(r);
   }
-  const auto after = d.dep.server.stats();
+  const auto after = d.dep.server->stats();
   state.counters["eval_requests"] = benchmark::Counter(
       static_cast<double>(after.eval_requests - before.eval_requests),
       benchmark::Counter::kAvgIterations);

@@ -36,7 +36,7 @@ int main() {
       fopt.p = p;
       auto dep = MakeFpDeployment(doc, seed, fopt);
       if (!dep.ok()) continue;
-      StorageReport r = MeasureStorage(dep->ring, doc, dep->server);
+      StorageReport r = MeasureStorage(dep->ring, doc, dep->store());
       char label[32];
       std::snprintf(label, sizeof(label), "Fp p=%llu",
                     static_cast<unsigned long long>(p));
@@ -53,7 +53,7 @@ int main() {
                     dep.status().ToString().c_str());
         continue;
       }
-      StorageReport r = MeasureStorage(dep->ring, doc, dep->server, 11);
+      StorageReport r = MeasureStorage(dep->ring, doc, dep->store(), 11);
       char label[32];
       std::snprintf(label, sizeof(label), "Z[x]/r d=%d", d);
       std::printf("%s\n", StorageReportRow(r, label).c_str());
@@ -106,7 +106,7 @@ int main() {
     zopt.coeff_bits = 64;  // small share floor so data growth dominates
     auto dep = MakeZDeployment(path_doc, seed, zopt);
     if (!dep.ok()) continue;
-    StorageReport r = MeasureStorage(dep->ring, path_doc, dep->server, 11);
+    StorageReport r = MeasureStorage(dep->ring, path_doc, dep->store(), 11);
     std::printf("%s\n", StorageReportRow(r, "Z path-tree").c_str());
     path_nodes.push_back(static_cast<double>(n));
     path_measured.push_back(static_cast<double>(r.server_measured_bytes));

@@ -59,7 +59,7 @@ int main() {
                                        /*filler_depth=*/6);
     auto dep = MakeFpDeployment(doc, seed);
     if (!dep.ok()) continue;
-    TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+    TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
     auto query = XPathQuery::Parse("//a/b//c/d").value();
 
     auto l2r = session.EvaluateXPath(query, XPathStrategy::kLeftToRight,
@@ -85,7 +85,7 @@ int main() {
     XmlNode doc = GenerateXmlTree(gen);
     auto dep = MakeFpDeployment(doc, seed);
     if (!dep.ok()) continue;
-    TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+    TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
     auto tags = doc.DistinctTags();
     std::string q = "//" + tags[0] + "//" + tags[1 % tags.size()];
     auto query = XPathQuery::Parse(q).value();

@@ -37,19 +37,21 @@
 
 namespace polysse {
 
-/// Server side of the wire protocol: answers the two request types. A
-/// ServerStore implements this over one share tree; any scheme whose
-/// per-server state is "a tree of polynomials" (2-party, additive k-server,
-/// Shamir t-of-n) serves through the same interface.
+/// Server side of the wire protocol: answers every request type.
+/// ServerStoreRegistry (core/store_registry.h) implements it over one
+/// share tree per document; any scheme whose per-server state is "trees of
+/// polynomials" (2-party, additive k-server, Shamir t-of-n) serves through
+/// the same interface. Decorators (test fault injection, bench tracing and
+/// delays) implement it around a registry.
 class ServerHandler {
  public:
   virtual ~ServerHandler() = default;
   virtual Result<EvalResponse> HandleEval(const EvalRequest& req) = 0;
   virtual Result<FetchResponse> HandleFetch(const FetchRequest& req) = 0;
 
-  /// Registry administration (multi-document collections). Plain
-  /// single-tree servers don't manage documents, so the default refuses;
-  /// ServerStoreRegistry overrides both.
+  /// Registry administration (multi-document collections). The defaults
+  /// refuse, so a handler that only answers queries (a test stub) need
+  /// not manage documents; ServerStoreRegistry overrides both.
   virtual Result<AdminAck> HandleAddDoc(const AddDocRequest&) {
     return Status::Unimplemented(
         "this server does not manage a document registry");
@@ -61,7 +63,7 @@ class ServerHandler {
 
   /// Shard administration (document migration between server groups).
   /// Like the registry admin pair, only ServerStoreRegistry implements
-  /// these; plain single-tree servers refuse.
+  /// these; the defaults refuse.
   virtual Result<ExportDocResponse> HandleExportDoc(const ExportDocRequest&) {
     return Status::Unimplemented(
         "this server does not manage a document registry");

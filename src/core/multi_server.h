@@ -3,8 +3,8 @@
 // with k out of n servers (or any other access structure) can reconstruct
 // the shared secret polynomial."
 //
-// Two share splits, each producing ordinary share trees that ServerStores
-// serve over the wire protocol:
+// Two share splits, each producing ordinary share trees that servers
+// (ServerStoreRegistry) serve over the wire protocol:
 //  * SplitSharesAcrossServers — client + k servers, all of them needed
 //    (k+1-of-k+1 additive sharing; generalizes the 2-party scheme).
 //  * SplitSharesShamir — pure t-of-n over the F_p ring: every coefficient is
@@ -64,7 +64,7 @@ Result<std::vector<PolyTree<Ring>>> SplitSharesAcrossServers(
 }
 
 /// Shamir t-of-n split of an F_p data tree into n ordinary share trees —
-/// the form every ServerStore serves over the wire protocol. Server s
+/// the form every server's registry serves over the wire protocol. Server s
 /// (s = 0..n-1, evaluation point x = s+1) receives, per node, the
 /// polynomial whose j-th coefficient is its Shamir share of the data
 /// polynomial's j-th coefficient; by linearity, evaluating that share

@@ -14,14 +14,14 @@ constexpr uint8_t kFormatVersion = 1;
 /// Client key files (layout on ClientSecretFile in persistence.h).
 constexpr uint8_t kKeyFormatVersion = 4;
 
-void WriteHeader(StoredRingKind kind, ByteWriter* out) {
+void WriteHeader(ByteWriter* out) {
   out->PutBytes(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(kMagic), 4));
   out->PutU8(kFormatVersion);
-  out->PutU8(static_cast<uint8_t>(kind));
 }
 
-Result<StoredRingKind> ReadHeader(ByteReader* in) {
+/// The single-store magic and format version, up to the ring-kind byte.
+Status ReadHeader(ByteReader* in) {
   ASSIGN_OR_RETURN(std::vector<uint8_t> magic, in->GetBytes(4));
   if (std::memcmp(magic.data(), kMagic, 4) != 0)
     return Status::Corruption("not a polysse store (bad magic)");
@@ -29,10 +29,23 @@ Result<StoredRingKind> ReadHeader(ByteReader* in) {
   if (version != kFormatVersion)
     return Status::Corruption("unsupported store format version " +
                               std::to_string(version));
+  return Status::Ok();
+}
+
+Result<StoredRingKind> ReadRingKind(ByteReader* in) {
   ASSIGN_OR_RETURN(uint8_t kind, in->GetU8());
-  if (kind != 1 && kind != 2)
+  if (kind != static_cast<uint8_t>(StoredRingKind::kFpCyclotomic) &&
+      kind != static_cast<uint8_t>(StoredRingKind::kZQuotient))
     return Status::Corruption("unknown ring kind in store header");
   return static_cast<StoredRingKind>(kind);
+}
+
+Status ExpectRingKind(ByteReader* in, StoredRingKind want) {
+  ASSIGN_OR_RETURN(StoredRingKind kind, ReadRingKind(in));
+  if (kind != want)
+    return Status::InvalidArgument(
+        "store holds the other ring; use the matching loader");
+  return Status::Ok();
 }
 
 template <typename Ring>
@@ -89,61 +102,68 @@ Result<PolyTree<Ring>> LoadTree(const Ring& ring, ByteReader* in) {
 
 }  // namespace
 
-void SaveServerStore(const ServerStore<FpCyclotomicRing>& store,
-                     ByteWriter* out) {
-  WriteHeader(StoredRingKind::kFpCyclotomic, out);
-  out->PutVarint64(store.ring().p());
+void SaveStoredRing(const FpCyclotomicRing& ring, ByteWriter* out) {
+  out->PutU8(static_cast<uint8_t>(StoredRingKind::kFpCyclotomic));
+  out->PutVarint64(ring.p());
+}
+
+void SaveStoredRing(const ZQuotientRing& ring, ByteWriter* out) {
+  out->PutU8(static_cast<uint8_t>(StoredRingKind::kZQuotient));
+  ring.modulus().Serialize(out);
+}
+
+template <>
+Result<FpCyclotomicRing> LoadStoredRing<FpCyclotomicRing>(ByteReader* in) {
+  RETURN_IF_ERROR(ExpectRingKind(in, StoredRingKind::kFpCyclotomic));
+  ASSIGN_OR_RETURN(uint64_t p, in->GetVarint64());
+  return FpCyclotomicRing::Create(p);
+}
+
+template <>
+Result<ZQuotientRing> LoadStoredRing<ZQuotientRing>(ByteReader* in) {
+  RETURN_IF_ERROR(ExpectRingKind(in, StoredRingKind::kZQuotient));
+  ASSIGN_OR_RETURN(ZPoly r, ZPoly::Deserialize(in));
+  return ZQuotientRing::Create(std::move(r));
+}
+
+template <typename Ring>
+void SaveServerStore(const ServerStore<Ring>& store, ByteWriter* out) {
+  WriteHeader(out);
+  SaveStoredRing(store.ring(), out);
   SaveTree(store.ring(), store.tree(), out);
 }
 
-void SaveServerStore(const ServerStore<ZQuotientRing>& store,
-                     ByteWriter* out) {
-  WriteHeader(StoredRingKind::kZQuotient, out);
-  store.ring().modulus().Serialize(out);
-  SaveTree(store.ring(), store.tree(), out);
+template <typename Ring>
+Result<ServerStore<Ring>> LoadServerStore(ByteReader* in) {
+  RETURN_IF_ERROR(ReadHeader(in));
+  ASSIGN_OR_RETURN(Ring ring, LoadStoredRing<Ring>(in));
+  ASSIGN_OR_RETURN(PolyTree<Ring> tree, LoadTree(ring, in));
+  return ServerStore<Ring>(ring, std::move(tree));
 }
+
+template void SaveServerStore(const ServerStore<FpCyclotomicRing>&,
+                              ByteWriter*);
+template void SaveServerStore(const ServerStore<ZQuotientRing>&, ByteWriter*);
+template Result<ServerStore<FpCyclotomicRing>>
+LoadServerStore<FpCyclotomicRing>(ByteReader*);
+template Result<ServerStore<ZQuotientRing>> LoadServerStore<ZQuotientRing>(
+    ByteReader*);
 
 Result<StoredRingKind> PeekStoredRingKind(std::span<const uint8_t> bytes) {
-  if (IsCollectionStoreFile(bytes)) {
-    // Container header: magic | container version | ring kind — the kind
-    // byte sits where the single-store header puts it.
-    if (bytes.size() <= kStoreRingKindOffset)
-      return Status::Corruption("truncated collection store header");
-    const uint8_t kind = bytes[kStoreRingKindOffset];
-    if (kind != static_cast<uint8_t>(StoredRingKind::kFpCyclotomic) &&
-        kind != static_cast<uint8_t>(StoredRingKind::kZQuotient))
-      return Status::Corruption("unknown ring kind in store header");
-    return static_cast<StoredRingKind>(kind);
-  }
+  // The kind byte sits at the same offset in both headers; the container's
+  // version is its loader's to check.
   ByteReader reader(bytes);
-  return ReadHeader(&reader);
+  if (IsCollectionStoreFile(bytes)) {
+    RETURN_IF_ERROR(reader.GetBytes(kStoreRingKindOffset).status());
+  } else {
+    RETURN_IF_ERROR(ReadHeader(&reader));
+  }
+  return ReadRingKind(&reader);
 }
 
 bool IsCollectionStoreFile(std::span<const uint8_t> bytes) {
   return bytes.size() >= 4 &&
          std::memcmp(bytes.data(), kCollectionStoreMagic, 4) == 0;
-}
-
-Result<ServerStore<FpCyclotomicRing>> LoadFpServerStore(ByteReader* in) {
-  ASSIGN_OR_RETURN(StoredRingKind kind, ReadHeader(in));
-  if (kind != StoredRingKind::kFpCyclotomic)
-    return Status::InvalidArgument("store holds a Z-ring tree; use "
-                                   "LoadZServerStore");
-  ASSIGN_OR_RETURN(uint64_t p, in->GetVarint64());
-  ASSIGN_OR_RETURN(FpCyclotomicRing ring, FpCyclotomicRing::Create(p));
-  ASSIGN_OR_RETURN(PolyTree<FpCyclotomicRing> tree, LoadTree(ring, in));
-  return ServerStore<FpCyclotomicRing>(ring, std::move(tree));
-}
-
-Result<ServerStore<ZQuotientRing>> LoadZServerStore(ByteReader* in) {
-  ASSIGN_OR_RETURN(StoredRingKind kind, ReadHeader(in));
-  if (kind != StoredRingKind::kZQuotient)
-    return Status::InvalidArgument("store holds an Fp-ring tree; use "
-                                   "LoadFpServerStore");
-  ASSIGN_OR_RETURN(ZPoly r, ZPoly::Deserialize(in));
-  ASSIGN_OR_RETURN(ZQuotientRing ring, ZQuotientRing::Create(std::move(r)));
-  ASSIGN_OR_RETURN(PolyTree<ZQuotientRing> tree, LoadTree(ring, in));
-  return ServerStore<ZQuotientRing>(ring, std::move(tree));
 }
 
 void ClientSecretFile::Serialize(ByteWriter* out) const {

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "core/endpoint.h"
 #include "core/server_store.h"
 #include "core/tag_map.h"
 #include "crypto/prf.h"
@@ -37,10 +38,24 @@ inline constexpr uint8_t kCollectionStoreVersion = 1;
 /// Byte offset of the ring-kind byte in both store header layouts.
 inline constexpr size_t kStoreRingKindOffset = 5;
 
+/// A ring as every store header names it: the ring-kind byte, then the
+/// ring's parameters (the field modulus p as a varint, or the quotient
+/// polynomial r(x)). The one writer and reader of both, for the
+/// single-store ("PSSE") header and the collection container ("PSSC").
+void SaveStoredRing(const FpCyclotomicRing& ring, ByteWriter* out);
+void SaveStoredRing(const ZQuotientRing& ring, ByteWriter* out);
+/// Reads what SaveStoredRing wrote for a `Ring`: Corruption for an
+/// unknown kind byte, InvalidArgument for the other ring's.
+template <typename Ring>
+Result<Ring> LoadStoredRing(ByteReader* in);
+template <>
+Result<FpCyclotomicRing> LoadStoredRing<FpCyclotomicRing>(ByteReader* in);
+template <>
+Result<ZQuotientRing> LoadStoredRing<ZQuotientRing>(ByteReader* in);
+
 /// Serializes a server store (ring parameters + share tree).
-void SaveServerStore(const ServerStore<FpCyclotomicRing>& store,
-                     ByteWriter* out);
-void SaveServerStore(const ServerStore<ZQuotientRing>& store, ByteWriter* out);
+template <typename Ring>
+void SaveServerStore(const ServerStore<Ring>& store, ByteWriter* out);
 
 /// Peeks at the header to learn the ring kind without consuming the reader.
 /// Understands both single-store ("PSSE") and collection-container ("PSSC")
@@ -51,9 +66,9 @@ Result<StoredRingKind> PeekStoredRingKind(std::span<const uint8_t> bytes);
 /// store_registry.h) rather than a single share tree.
 bool IsCollectionStoreFile(std::span<const uint8_t> bytes);
 
-/// Loads a store saved by the matching SaveServerStore overload.
-Result<ServerStore<FpCyclotomicRing>> LoadFpServerStore(ByteReader* in);
-Result<ServerStore<ZQuotientRing>> LoadZServerStore(ByteReader* in);
+/// Loads a store SaveServerStore wrote over the same ring type.
+template <typename Ring>
+Result<ServerStore<Ring>> LoadServerStore(ByteReader* in);
 
 /// Client secret state: master seed + private tag map (+ split options),
 /// plus the deployment shape, document table and shard table a client

@@ -66,8 +66,9 @@
 // ActiveServers and begins the request on each; Settle awaits every answer
 // exactly once, checks it, and owns the failover rule: under Shamir a
 // server that fails or answers out of shape is marked dead (one failover,
-// however many rounds asked it) and the round starts again with
-// replacements, while the all-servers schemes return the first error.
+// however many rounds asked it), the good answers are kept, and the
+// request is begun on one replacement per failed server, while the
+// all-servers schemes return the first error.
 // Evaluations and synchronous fetches settle right after their start.
 //
 // Verification fetches follow one of two schedules, chosen per walk by the
@@ -671,11 +672,28 @@ class QuerySession {
     const size_t t = static_cast<size_t>(group_.threshold);
     for (size_t i = 0; i < group_.endpoints.size() && chosen.size() < t; ++i)
       if (!dead_[i]) chosen.push_back(i);
-    if (chosen.size() < t)
-      return Status::Unavailable(
-          "only " + std::to_string(chosen.size()) + " of the required " +
-          std::to_string(t) + " servers are reachable");
+    if (chosen.size() < t) return TooFewLive(chosen.size());
     return chosen;
+  }
+
+  /// Under Shamir, the first live server outside `chosen`, to take a
+  /// failed server's place in a round; Unavailable when none is left.
+  Result<size_t> Replacement(const std::vector<size_t>& chosen) const {
+    size_t live = 0;
+    for (size_t i = 0; i < group_.endpoints.size(); ++i) {
+      if (dead_[i]) continue;
+      if (std::find(chosen.begin(), chosen.end(), i) == chosen.end())
+        return i;
+      ++live;
+    }
+    return TooFewLive(live);
+  }
+
+  Status TooFewLive(size_t live) const {
+    return Status::Unavailable("only " + std::to_string(live) +
+                               " of the required " +
+                               std::to_string(group_.threshold) +
+                               " servers are reachable");
   }
 
   /// Combination weight of each answer from `servers`: 1 in the additive
@@ -740,12 +758,20 @@ class QuerySession {
     ASSIGN_OR_RETURN(round->chosen, ActiveServers());
     round->pending.clear();
     round->pending.resize(round->chosen.size());
+    BeginPending(round);
+    return Status::Ok();
+  }
+
+  /// Begins the request on every chosen server whose answer is wanted
+  /// (an empty pending slot), through the group's executor.
+  template <typename Req, typename Resp>
+  void BeginPending(Round<Req, Resp>* round) {
     group_.executor_or_inline()->ParallelFor(
         round->chosen.size(), [&](size_t j) {
-          round->pending[j].emplace(
-              Begin(group_.endpoints[round->chosen[j]], round->req));
+          if (!round->pending[j].has_value())
+            round->pending[j].emplace(
+                Begin(group_.endpoints[round->chosen[j]], round->req));
         });
-    return Status::Ok();
   }
 
   /// Awaits every answer of a started round exactly once, in server order,
@@ -753,25 +779,29 @@ class QuerySession {
   /// combination weights come back only when every asked server answered
   /// well. The one owner of the failover rule: under Shamir a server that
   /// failed or answered out of shape is dead for the rest of the session,
-  /// counting one failover when it goes from live to dead, and the round
-  /// starts again with replacements; the all-servers schemes return the
-  /// first error.
+  /// counting one failover when it goes from live to dead; its good
+  /// answers are kept, the request is begun on a Replacement for each
+  /// failed server, and only those are awaited next. The all-servers
+  /// schemes return the first error.
   template <typename Req, typename Resp>
   Result<std::vector<Resp>> Settle(Round<Req, Resp>& round,
                                    std::vector<uint64_t>* weights) {
     const bool shamir = group_.scheme == ShareScheme::kShamir;
+    std::vector<Resp> resps(round.chosen.size());
+    std::vector<char> answered(round.chosen.size(), 0);
     for (;;) {
-      std::vector<Resp> resps;
-      resps.reserve(round.chosen.size());
       Status first_error = Status::Ok();
       for (size_t j = 0; j < round.chosen.size(); ++j) {
+        if (answered[j]) continue;
         const size_t server = round.chosen[j];
         Result<Resp> r = round.pending[j]->Await();
         Status s = r.ok() ? Check(round.req, *r) : r.status();
         if (s.ok()) {
-          resps.push_back(std::move(r).value());
+          resps[j] = std::move(r).value();
+          answered[j] = 1;
           continue;
         }
+        round.pending[j].reset();
         if (first_error.ok()) first_error = s;
         if (shamir && !dead_[server]) {
           dead_[server] = 1;
@@ -783,7 +813,11 @@ class QuerySession {
         return resps;
       }
       if (!shamir) return first_error;
-      RETURN_IF_ERROR(Start(&round));
+      for (size_t j = 0; j < round.chosen.size(); ++j) {
+        if (answered[j]) continue;
+        ASSIGN_OR_RETURN(round.chosen[j], Replacement(round.chosen));
+      }
+      BeginPending(&round);
     }
   }
 

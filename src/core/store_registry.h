@@ -1,11 +1,11 @@
-// The server side of a multi-document collection: one ServerStoreRegistry
-// per server holds one ServerStore (share tree) per outsourced document,
-// each document owning a disjoint range of the server's node-id space
-// ([base, base + size)). Eval/Fetch requests keep the single-store wire
-// format — the registry routes every requested node id to the store that
-// owns it and offsets the response ids back into the global space, so a
-// cross-document query round is ONE EvalRequest per server regardless of
-// how many documents its frontier spans.
+// The server of §4.2/§4.3: one ServerStoreRegistry per server holds one
+// ServerStore (share tree) per outsourced document, each document owning a
+// disjoint range of the server's node-id space ([base, base + size)), and
+// answers every request. An Eval/Fetch request names global node ids; the
+// registry finds the document that owns each one and answers in request
+// order with global ids, so a cross-document query round is ONE
+// EvalRequest per server regardless of how many documents its frontier
+// spans. A one-document deployment is the one-document registry.
 //
 // Documents are managed incrementally over the same wire protocol:
 // HandleAddDoc registers one new share tree (nothing about the existing
@@ -16,12 +16,12 @@
 #define POLYSSE_CORE_STORE_REGISTRY_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,13 +33,29 @@
 
 namespace polysse {
 
-/// One server's document registry. Implements ServerHandler, so it plugs
-/// into any ServerEndpoint (and SocketServer) exactly like a single
-/// ServerStore does — a single-store server is just the degenerate
-/// one-document registry.
+/// One server's document registry and the server's one ServerHandler, so
+/// it plugs into any ServerEndpoint (and SocketServer). Serving is
+/// thread-safe: requests share the read lock, and the work counters are
+/// relaxed atomics.
 template <typename Ring>
 class ServerStoreRegistry : public ServerHandler {
  public:
+  /// Work counters (server-side cost model for E8/E9), one count per
+  /// answered wire request whatever number of documents it spans.
+  struct Stats {
+    size_t eval_requests = 0;
+    size_t evals = 0;  ///< (node, point) polynomial evaluations
+    size_t fetch_requests = 0;
+    size_t polys_served_full = 0;
+    size_t consts_served = 0;
+  };
+
+  /// Points per evaluator block. The client picks a request's point
+  /// count, so the server tables point powers for this many at a time
+  /// (a 1 MiB request of points would otherwise make a p = 67 server hold
+  /// about half a GiB of powers); one block covers a batch-tcp-wan request.
+  static constexpr size_t kEvalBlockPoints = 16;
+
   /// One registered document, as visible to introspection.
   struct DocInfo {
     uint64_t doc_id = 0;
@@ -54,12 +70,22 @@ class ServerStoreRegistry : public ServerHandler {
 
   const Ring& ring() const { return ring_; }
 
-  /// Whether two rings have the same parameters (field or modulus).
+  /// Whether two rings have the same parameters, as store headers write
+  /// them.
   static bool SameRing(const Ring& a, const Ring& b) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return a.p() == b.p();
-    else
-      return a.modulus() == b.modulus();
+    ByteWriter wa, wb;
+    SaveStoredRing(a, &wa);
+    SaveStoredRing(b, &wb);
+    return wa.bytes() == wb.bytes();
+  }
+
+  /// Snapshot of the work counters (serving may be in flight concurrently).
+  Stats stats() const {
+    return Stats{eval_requests_.load(std::memory_order_relaxed),
+                 evals_.load(std::memory_order_relaxed),
+                 fetch_requests_.load(std::memory_order_relaxed),
+                 polys_served_full_.load(std::memory_order_relaxed),
+                 consts_served_.load(std::memory_order_relaxed)};
   }
 
   size_t num_docs() const {
@@ -195,77 +221,74 @@ class ServerStoreRegistry : public ServerHandler {
 
   // --------------------------------------------------------- ServerHandler
 
+  /// Evaluates the share of each requested node at each point. One pass
+  /// over the ids shapes every entry at its global id; then each block of
+  /// kEvalBlockPoints points is tabled once and fills every entry's values
+  /// (one block's table is alive at a time). An unowned id is refused
+  /// before any point is checked, and an empty id list answers empty.
   Result<EvalResponse> HandleEval(const EvalRequest& req) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    ASSIGN_OR_RETURN(std::vector<SubRequest> subs,
-                     PartitionLocked(req.node_ids));
-    // Every document's store answers from the same evaluator per block of
-    // points: the request's point powers are tabled once, not per store.
-    std::vector<EvalResponse> parts;
-    parts.reserve(subs.size());
-    for (const SubRequest& sub : subs) {
-      ASSIGN_OR_RETURN(EvalResponse part,
-                       entries_[sub.entry_index].store->EvalShape(
-                           sub.local_ids, req.points.size()));
-      parts.push_back(std::move(part));
+    EvalResponse resp;
+    resp.entries.reserve(req.node_ids.size());
+    std::vector<const Elem*> polys;
+    polys.reserve(req.node_ids.size());
+    for (int32_t id : req.node_ids) {
+      ASSIGN_OR_RETURN(const Entry* owner, OwnerLocked(id));
+      const auto& node = owner->store->tree().nodes[id - owner->base];
+      EvalEntry& entry = resp.entries.emplace_back();
+      entry.node_id = id;
+      entry.values.resize(req.points.size());
+      entry.children.reserve(node.children.size());
+      for (int c : node.children) entry.children.push_back(c + owner->base);
+      entry.subtree_size = node.subtree_size;
+      polys.push_back(&node.poly);
     }
-    if (!subs.empty()) {
-      RETURN_IF_ERROR(ServerStore<Ring>::ForEachEvalBlock(
-          ring_, req.points,
-          [&](const typename Ring::Evaluator& ev, size_t first) {
-            for (size_t k = 0; k < subs.size(); ++k)
-              entries_[subs[k].entry_index].store->EvalBlock(ev, first,
-                                                             &parts[k]);
-          }));
-    }
-    EvalResponse out;
-    out.entries.resize(req.node_ids.size());
-    for (size_t k = 0; k < subs.size(); ++k) {
-      const Entry& entry = entries_[subs[k].entry_index];
-      entry.store->CountEval(parts[k], req.points.size());
-      for (size_t i = 0; i < parts[k].entries.size(); ++i) {
-        EvalEntry& e = parts[k].entries[i];
-        e.node_id += entry.base;
-        for (int32_t& c : e.children) c += entry.base;
-        out.entries[subs[k].positions[i]] = std::move(e);
+    const std::span<const uint64_t> points = req.points;
+    for (size_t b = 0; !polys.empty() && b < points.size();
+         b += kEvalBlockPoints) {
+      const size_t n = std::min(kEvalBlockPoints, points.size() - b);
+      ASSIGN_OR_RETURN(typename Ring::Evaluator ev,
+                       ring_.MakeEvaluator(points.subspan(b, n)));
+      for (size_t j = 0; j < polys.size(); ++j) {
+        uint64_t* values = resp.entries[j].values.data() + b;
+        for (size_t k = 0; k < n; ++k) values[k] = ev.At(*polys[j], k);
       }
     }
-    return out;
+    eval_requests_.fetch_add(1, std::memory_order_relaxed);
+    evals_.fetch_add(polys.size() * points.size(), std::memory_order_relaxed);
+    return resp;
   }
 
+  /// Serves each requested node's share polynomial (full) or its constant
+  /// coefficient, in request order, through one encoder.
   Result<FetchResponse> HandleFetch(const FetchRequest& req) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    ASSIGN_OR_RETURN(std::vector<SubRequest> subs,
-                     PartitionLocked(req.node_ids));
-    FetchResponse out;
-    out.entries.resize(req.node_ids.size());
-    for (const SubRequest& sub : subs) {
-      const Entry& entry = entries_[sub.entry_index];
-      FetchRequest local;
-      local.mode = req.mode;
-      local.node_ids = sub.local_ids;
-      ASSIGN_OR_RETURN(FetchResponse resp, entry.store->HandleFetch(local));
-      if (resp.entries.size() != sub.positions.size())
-        return Status::Internal("registry sub-response misaligned");
-      for (size_t i = 0; i < resp.entries.size(); ++i) {
-        FetchEntry& e = resp.entries[i];
-        e.node_id += entry.base;
-        out.entries[sub.positions[i]] = std::move(e);
+    FetchResponse resp;
+    resp.entries.reserve(req.node_ids.size());
+    ByteWriter w;  // each payload is copied out at its size
+    for (int32_t id : req.node_ids) {
+      ASSIGN_OR_RETURN(const Entry* owner, OwnerLocked(id));
+      const Elem& poly = owner->store->tree().nodes[id - owner->base].poly;
+      w.Clear();
+      if (req.mode == FetchMode::kFull) {
+        ring_.Serialize(poly, &w);
+      } else {
+        ring_.SerializeScalar(ring_.ConstTerm(poly), &w);
       }
+      FetchEntry& entry = resp.entries.emplace_back();
+      entry.node_id = id;
+      entry.payload.assign(w.bytes().begin(), w.bytes().end());
     }
-    return out;
+    fetch_requests_.fetch_add(1, std::memory_order_relaxed);
+    (req.mode == FetchMode::kFull ? polys_served_full_ : consts_served_)
+        .fetch_add(req.node_ids.size(), std::memory_order_relaxed);
+    return resp;
   }
 
   Result<AdminAck> HandleAddDoc(const AddDocRequest& req) override {
     ByteReader reader(req.store_bytes);
-    auto store_or = [&] {
-      if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-        return LoadFpServerStore(&reader);
-      else
-        return LoadZServerStore(&reader);
-    }();
-    RETURN_IF_ERROR(store_or.status());
-    RETURN_IF_ERROR(AddDoc(req.doc_id, req.base, std::move(*store_or)));
+    ASSIGN_OR_RETURN(ServerStore<Ring> store, LoadServerStore<Ring>(&reader));
+    RETURN_IF_ERROR(AddDoc(req.doc_id, req.base, std::move(store)));
     return Ack();
   }
 
@@ -310,12 +333,7 @@ class ServerStoreRegistry : public ServerHandler {
     std::unique_ptr<ServerStore<Ring>> store;
   };
 
-  /// The request positions and store-local ids owned by one document.
-  struct SubRequest {
-    size_t entry_index = 0;
-    std::vector<int32_t> local_ids;
-    std::vector<size_t> positions;
-  };
+  using Elem = typename Ring::Elem;
 
   size_t TotalNodesLocked() const {
     size_t sum = 0;
@@ -324,54 +342,17 @@ class ServerStoreRegistry : public ServerHandler {
   }
 
   /// The entry whose range holds global id `id`, by binary search over
-  /// the bases; entries_.size() when no document owns it.
-  size_t OwnerLocked(int32_t id) const {
+  /// the bases; InvalidArgument when no document owns it.
+  Result<const Entry*> OwnerLocked(int32_t id) const {
     auto it = std::upper_bound(
         entries_.begin(), entries_.end(), id,
         [](int32_t v, const Entry& e) { return v < e.base; });
-    if (it == entries_.begin()) return entries_.size();
-    --it;
-    if (static_cast<int64_t>(id) >=
-        it->base + static_cast<int64_t>(it->store->size()))
-      return entries_.size();
-    return static_cast<size_t>(it - entries_.begin());
-  }
-
-  /// Maps every requested global id to its owning document, preserving the
-  /// request positions so responses realign with the request order. Subs
-  /// come in order of their document's first appearance; each is sized
-  /// before it is filled.
-  Result<std::vector<SubRequest>> PartitionLocked(
-      const std::vector<int32_t>& node_ids) const {
-    constexpr uint32_t kNoSub = UINT32_MAX;
-    std::vector<uint32_t> owners(node_ids.size());
-    std::vector<uint32_t> sub_of(entries_.size(), kNoSub);
-    std::vector<SubRequest> subs;
-    std::vector<size_t> counts;
-    for (size_t pos = 0; pos < node_ids.size(); ++pos) {
-      const size_t owner = OwnerLocked(node_ids[pos]);
-      if (owner == entries_.size())
-        return Status::InvalidArgument("node id " +
-                                       std::to_string(node_ids[pos]) +
-                                       " out of range");
-      if (sub_of[owner] == kNoSub) {
-        sub_of[owner] = static_cast<uint32_t>(subs.size());
-        subs.push_back(SubRequest{owner, {}, {}});
-        counts.push_back(0);
-      }
-      owners[pos] = sub_of[owner];
-      ++counts[owners[pos]];
-    }
-    for (size_t k = 0; k < subs.size(); ++k) {
-      subs[k].local_ids.reserve(counts[k]);
-      subs[k].positions.reserve(counts[k]);
-    }
-    for (size_t pos = 0; pos < node_ids.size(); ++pos) {
-      SubRequest& sub = subs[owners[pos]];
-      sub.local_ids.push_back(node_ids[pos] - entries_[sub.entry_index].base);
-      sub.positions.push_back(pos);
-    }
-    return subs;
+    if (it == entries_.begin() ||
+        static_cast<int64_t>(id) >=
+            (it - 1)->base + static_cast<int64_t>((it - 1)->store->size()))
+      return Status::InvalidArgument("node id " + std::to_string(id) +
+                                     " out of range");
+    return &*(it - 1);
   }
 
   AdminAck Ack() const {
@@ -382,9 +363,16 @@ class ServerStoreRegistry : public ServerHandler {
   Ring ring_;
   mutable std::shared_mutex mu_;
   std::vector<Entry> entries_;  ///< sorted by base
+  std::atomic<size_t> eval_requests_{0};
+  std::atomic<size_t> evals_{0};
+  std::atomic<size_t> fetch_requests_{0};
+  std::atomic<size_t> polys_served_full_{0};
+  std::atomic<size_t> consts_served_{0};
 };
 
+// polysse-lint: allow(ring-fork): each ring's registry, by name.
 using FpStoreRegistry = ServerStoreRegistry<FpCyclotomicRing>;
+// polysse-lint: allow(ring-fork)
 using ZStoreRegistry = ServerStoreRegistry<ZQuotientRing>;
 
 // -------------------------------------------------- registry persistence
@@ -404,13 +392,7 @@ void SaveStoreRegistry(const ServerStoreRegistry<Ring>& registry,
   out->PutBytes(std::span<const uint8_t>(
       reinterpret_cast<const uint8_t*>(kCollectionStoreMagic), 4));
   out->PutU8(kCollectionStoreVersion);
-  if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-    out->PutU8(static_cast<uint8_t>(StoredRingKind::kFpCyclotomic));
-    out->PutVarint64(registry.ring().p());
-  } else {
-    out->PutU8(static_cast<uint8_t>(StoredRingKind::kZQuotient));
-    registry.ring().modulus().Serialize(out);
-  }
+  SaveStoredRing(registry.ring(), out);
   const auto docs = registry.docs();
   out->PutVarint64(docs.size());
   for (const auto& doc : docs) {
@@ -426,12 +408,6 @@ void SaveStoreRegistry(const ServerStoreRegistry<Ring>& registry,
 template <typename Ring>
 Result<std::unique_ptr<ServerStoreRegistry<Ring>>> LoadStoreRegistry(
     std::span<const uint8_t> bytes) {
-  auto load_store = [](ByteReader* in) {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>)
-      return LoadFpServerStore(in);
-    else
-      return LoadZServerStore(in);
-  };
   if (!IsCollectionStoreFile(bytes))
     return Status::Corruption("not a polysse collection store (bad magic)");
   ByteReader reader(bytes);
@@ -440,29 +416,8 @@ Result<std::unique_ptr<ServerStoreRegistry<Ring>>> LoadStoreRegistry(
   if (version != kCollectionStoreVersion)
     return Status::Corruption("unsupported collection store version " +
                               std::to_string(version));
-  ASSIGN_OR_RETURN(uint8_t kind, reader.GetU8());
-  constexpr uint8_t expected_kind =
-      std::is_same_v<Ring, FpCyclotomicRing>
-          ? static_cast<uint8_t>(StoredRingKind::kFpCyclotomic)
-          : static_cast<uint8_t>(StoredRingKind::kZQuotient);
-  if (kind != expected_kind)
-    return Status::InvalidArgument(
-        "collection store holds the other ring; use the matching loader");
-  auto ring_or = [&] {
-    if constexpr (std::is_same_v<Ring, FpCyclotomicRing>) {
-      return [&]() -> Result<FpCyclotomicRing> {
-        ASSIGN_OR_RETURN(uint64_t p, reader.GetVarint64());
-        return FpCyclotomicRing::Create(p);
-      }();
-    } else {
-      return [&]() -> Result<ZQuotientRing> {
-        ASSIGN_OR_RETURN(ZPoly r, ZPoly::Deserialize(&reader));
-        return ZQuotientRing::Create(std::move(r));
-      }();
-    }
-  }();
-  RETURN_IF_ERROR(ring_or.status());
-  auto registry = std::make_unique<ServerStoreRegistry<Ring>>(*ring_or);
+  ASSIGN_OR_RETURN(Ring ring, LoadStoredRing<Ring>(&reader));
+  auto registry = std::make_unique<ServerStoreRegistry<Ring>>(std::move(ring));
   ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint64());
   if (count > reader.remaining())
     return Status::Corruption("absurd document count in collection store");
@@ -473,7 +428,8 @@ Result<std::unique_ptr<ServerStoreRegistry<Ring>>> LoadStoreRegistry(
       return Status::Corruption("doc base exceeds the node-id space");
     ASSIGN_OR_RETURN(std::vector<uint8_t> inner, reader.GetLengthPrefixed());
     ByteReader inner_reader(inner);
-    ASSIGN_OR_RETURN(ServerStore<Ring> store, load_store(&inner_reader));
+    ASSIGN_OR_RETURN(ServerStore<Ring> store,
+                     LoadServerStore<Ring>(&inner_reader));
     RETURN_IF_ERROR(
         registry->AddDoc(doc_id, static_cast<int32_t>(base),
                          std::move(store)));

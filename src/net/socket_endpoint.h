@@ -14,8 +14,8 @@
 // BeginEval/BeginFetch expose the submit/await split directly —
 // QuerySession uses it to keep whole BFS rounds in flight.
 //
-//   // server process
-//   auto server = SocketServer::Listen(&store, /*port=*/0);
+//   // server process (registry: a ServerStoreRegistry, store_registry.h)
+//   auto server = SocketServer::Listen(&registry, /*port=*/0);
 //   printf("serving on %u\n", (*server)->port());
 //
 //   // client process

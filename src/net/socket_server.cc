@@ -316,7 +316,7 @@ void SocketServer::DispatchRequest(Connection* conn, uint8_t kind,
   ++conn->inflight;
   const uint64_t conn_id = conn->id;
   workers_->Submit([this, conn_id, kind, tag,
-                    payload = std::move(payload)]() -> int {
+                    payload = std::move(payload)] {
     Result<std::vector<uint8_t>> reply = DispatchSerialized(
         handler_, static_cast<MessageKind>(kind), payload);
     {
@@ -325,7 +325,6 @@ void SocketServer::DispatchRequest(Connection* conn, uint8_t kind,
     }
     uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
-    return 0;
   });
 }
 

@@ -16,7 +16,7 @@
 // a per-connection in-flight cap, the tag-flood guard) and each response
 // carries its request's tag.
 //
-//   auto server = SocketServer::Listen(&store, /*port=*/0);
+//   auto server = SocketServer::Listen(&registry, /*port=*/0);
 //   printf("serving on %u\n", (*server)->port());
 //
 // Stop() is drain-safe: it stops accepting and reading, but every request
@@ -44,7 +44,7 @@ namespace polysse {
 
 /// Serves one ServerHandler over loopback-reachable TCP through an epoll
 /// event loop plus a worker pool. The handler must be thread-safe
-/// (ServerStore is): tagged connections dispatch concurrently.
+/// (ServerStoreRegistry is): tagged connections dispatch concurrently.
 class SocketServer {
  public:
   struct Options {

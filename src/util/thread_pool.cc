@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <memory>
 
 namespace polysse {
 
@@ -25,7 +26,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -81,7 +82,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) 
   const size_t helpers = std::min(threads_.size(), n - 1);
   // The helpers only borrow `body`, which outlives them because the caller
   // blocks below until all n indices report done.
-  for (size_t h = 0; h < helpers; ++h) Enqueue(drain);
+  for (size_t h = 0; h < helpers; ++h) Submit(drain);
   drain();
 
   std::unique_lock<std::mutex> lock(state->mu);

@@ -5,8 +5,7 @@
 // time approaches one server's latency instead of k of them.
 //
 //   ThreadPool pool(8);
-//   Future<int> f = pool.Submit([] { return 42; });
-//   int v = f.Get();
+//   pool.Submit([request] { Serve(request); });  // runs later: copy inputs
 //   pool.ParallelFor(k, [&](size_t s) { responses[s] = Call(servers[s]); });
 //
 // Tasks must not throw (the library is exception-free); report failures
@@ -18,63 +17,12 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace polysse {
-
-/// One-shot value handoff between a submitted task and its consumer.
-/// Simpler than std::future: no exceptions, no shared_future, movable.
-template <typename T>
-class Future {
- public:
-  Future() : state_(std::make_shared<State>()) {}
-
-  /// Blocks until the producer calls Set, then returns the value (by move).
-  T Get() {
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [&] { return state_->value.has_value(); });
-    return std::move(*state_->value);
-  }
-
-  bool Ready() const {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->value.has_value();
-  }
-
- private:
-  template <typename U>
-  friend class Promise;
-
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<T> value;  ///< present once the producer delivered
-  };
-  std::shared_ptr<State> state_;
-};
-
-/// Producer side of a Future.
-template <typename T>
-class Promise {
- public:
-  Future<T> GetFuture() { return future_; }
-
-  void Set(T value) {
-    {
-      std::lock_guard<std::mutex> lock(future_.state_->mu);
-      future_.state_->value = std::move(value);
-    }
-    future_.state_->cv.notify_all();
-  }
-
- private:
-  Future<T> future_;
-};
 
 /// Where fan-out work runs. Implementations: InlineExecutor (caller thread,
 /// deterministic) and ThreadPool (worker threads, concurrent).
@@ -121,17 +69,9 @@ class ThreadPool final : public Executor {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Schedules `fn` and returns a Future for its result. `fn` must not
-  /// throw.
-  template <typename Fn, typename T = std::invoke_result_t<Fn>>
-  Future<T> Submit(Fn fn) {
-    Promise<T> promise;
-    Future<T> future = promise.GetFuture();
-    Enqueue([promise = std::move(promise), fn = std::move(fn)]() mutable {
-      promise.Set(fn());
-    });
-    return future;
-  }
+  /// Schedules `task` on a worker; the destructor runs every task still
+  /// queued. `task` must not throw, and reports its outcome itself.
+  void Submit(std::function<void()> task);
 
   /// Blocks until body(0..n-1) all completed. The calling thread helps run
   /// tasks, so a ParallelFor issued from a worker thread cannot deadlock
@@ -141,7 +81,6 @@ class ThreadPool final : public Executor {
   size_t concurrency() const override { return threads_.size(); }
 
  private:
-  void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   std::mutex mu_;

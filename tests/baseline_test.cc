@@ -52,12 +52,13 @@ TEST(NaiveDownloadTest, MatchesOracleAndPaysFullTransfer) {
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
 
   for (const std::string& tag : doc.DistinctTags()) {
-    auto r = NaiveDownloadLookup(&dep.client, &dep.server, tag);
+    auto r = NaiveDownloadLookup(&dep.client, dep.server.get(),
+                                 dep.store().tree(), tag);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(Sorted(r->match_paths), OraclePaths(doc, tag)) << tag;
     EXPECT_EQ(r->stats.nodes_scanned, doc.SubtreeSize());
     // Entire store crosses the wire.
-    EXPECT_GE(r->stats.bytes_down, dep.server.PersistedBytes() / 2);
+    EXPECT_GE(r->stats.bytes_down, dep.store().PersistedBytes() / 2);
   }
 }
 
@@ -71,9 +72,10 @@ TEST(NaiveDownloadTest, DwarfsInteractiveProtocolBandwidth) {
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
   const std::string rare = doc.DistinctTags().back();
 
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   auto smart = session.Lookup(rare, VerifyMode::kVerified).value();
-  auto naive = NaiveDownloadLookup(&dep.client, &dep.server, rare).value();
+  auto naive = NaiveDownloadLookup(&dep.client, dep.server.get(),
+                                   dep.store().tree(), rare).value();
   EXPECT_EQ(Sorted([&] {
               std::vector<std::string> v;
               for (const auto& m : smart.matches) v.push_back(m.path);

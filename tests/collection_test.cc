@@ -847,13 +847,14 @@ TEST(CollectionTest, RegistryHandlesBatchSpanningDocsOutOfOrder) {
   ASSERT_EQ(docs.size(), 16u);
   ASSERT_GT(docs.front().base, 0);
 
-  // Each document's own store, loaded from its exported bytes.
+  // Each document's own share tree, loaded from its exported bytes: the
+  // expected answers come from the trees, not from a second server.
   std::vector<ServerStore<FpCyclotomicRing>> own;
   for (const auto& doc : docs) {
     auto exported = handler->HandleExportDoc({doc.doc_id});
     ASSERT_TRUE(exported.ok()) << exported.status().ToString();
     ByteReader in(exported->store_bytes);
-    own.push_back(LoadFpServerStore(&in).value());
+    own.push_back(LoadServerStore<FpCyclotomicRing>(&in).value());
   }
   // Every id of every document plus some again, shuffled across documents.
   struct Owner {
@@ -891,33 +892,56 @@ TEST(CollectionTest, RegistryHandlesBatchSpanningDocsOutOfOrder) {
     ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
     ASSERT_EQ(fetched->entries.size(), ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      FetchRequest one;
-      one.mode = mode;
-      one.node_ids = {owners[i].local};
-      const auto want = own[owners[i].doc].HandleFetch(one).value();
+      const FpCyclotomicRing& ring = own[owners[i].doc].ring();
+      const FpPoly& poly =
+          own[owners[i].doc].tree().nodes[owners[i].local].poly;
+      ByteWriter want;
+      if (mode == FetchMode::kFull) {
+        ring.Serialize(poly, &want);
+      } else {
+        ring.SerializeScalar(ring.ConstTerm(poly), &want);
+      }
       EXPECT_EQ(fetched->entries[i].node_id, ids[i]) << i;
-      EXPECT_EQ(fetched->entries[i].payload, want.entries[0].payload) << i;
+      EXPECT_EQ(fetched->entries[i].payload, want.bytes()) << i;
     }
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    EvalRequest one;
-    one.node_ids = {owners[i].local};
-    one.points = eval.points;
-    const EvalEntry want = own[owners[i].doc].HandleEval(one).value().entries[0];
+    const FpCyclotomicRing& ring = own[owners[i].doc].ring();
+    const auto& want = own[owners[i].doc].tree().nodes[owners[i].local];
     const EvalEntry& got = evals->entries[i];
     const int32_t base = docs[owners[i].doc].base;
-    EXPECT_EQ(got.node_id, want.node_id + base) << i;
-    EXPECT_EQ(got.values, want.values) << i;
+    EXPECT_EQ(got.node_id, owners[i].local + base) << i;
+    ASSERT_EQ(got.values.size(), eval.points.size()) << i;
+    for (size_t k = 0; k < eval.points.size(); ++k)
+      EXPECT_EQ(got.values[k], ring.EvalAt(want.poly, eval.points[k]).value())
+          << i;
     EXPECT_EQ(got.subtree_size, want.subtree_size) << i;
     ASSERT_EQ(got.children.size(), want.children.size()) << i;
     for (size_t c = 0; c < got.children.size(); ++c)
       EXPECT_EQ(got.children[c], want.children[c] + base) << i;
   }
 
-  // An empty batch is a valid no-op, not an error.
+  // An empty batch is a valid no-op, not an error, and an empty eval batch
+  // answers without checking its points.
   auto empty_resp = handler->HandleFetch(FetchRequest{});
   ASSERT_TRUE(empty_resp.ok()) << empty_resp.status().ToString();
   EXPECT_TRUE(empty_resp->entries.empty());
+  EvalRequest no_ids;
+  no_ids.points = {0};
+  auto empty_eval = handler->HandleEval(no_ids);
+  ASSERT_TRUE(empty_eval.ok()) << empty_eval.status().ToString();
+  EXPECT_TRUE(empty_eval->entries.empty());
+
+  // Ids are checked before points: a bad id and a bad point in one
+  // request refuse it with the id's message.
+  EvalRequest both_bad;
+  both_bad.node_ids = {ids[0], gap};
+  both_bad.points = {3, 0};
+  auto refused = handler->HandleEval(both_bad);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.status().message(),
+            "node id " + std::to_string(gap) + " out of range");
 
   // An id in the gap, below the first base or past the end fails cleanly,
   // anywhere in a batch.

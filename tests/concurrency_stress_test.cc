@@ -95,8 +95,10 @@ TEST(ConcurrencyStressTest, PooledSearchManyBitIdenticalToInlineAllSchemes) {
 
 TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
   // 8+ client threads, each with a private session, all talking to the
-  // SAME endpoints and stores of one collection — the contention surface
-  // is the stores' stats, the endpoints' counters and the shared pool.
+  // SAME endpoints and servers of one collection — the contention surface
+  // is the servers' counters, the endpoints' counters and the shared pool.
+  // Each server's request counters must grow by exactly the rounds the
+  // sessions report: one request per chosen server per round.
   XmlNode doc = MakeDoc(402, 150, 12);
   DeterministicPrf seed = DeterministicPrf::FromString("stress-shared");
 
@@ -127,8 +129,13 @@ TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
       group = EndpointGroup::Shamir(eps, deploy.threshold);
     group.executor = col->executor();
     ASSERT_NE(group.executor, nullptr);
+    std::vector<FpStoreRegistry::Stats> before;
+    for (size_t s = 0; s < col->num_servers(); ++s)
+      before.push_back(col->registry(s)->stats());
     std::atomic<int> mismatches{0};
     std::atomic<int> failures{0};
+    std::atomic<size_t> rounds{0};
+    std::atomic<size_t> fetch_rounds{0};
     std::vector<std::thread> clients;
     clients.reserve(9);
     for (int c = 0; c < 9; ++c) {
@@ -144,6 +151,9 @@ TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
             failures.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
+          rounds.fetch_add(r->stats.rounds, std::memory_order_relaxed);
+          fetch_rounds.fetch_add(r->stats.fetch_rounds,
+                                 std::memory_order_relaxed);
           if (kAllModes[q % 3] == VerifyMode::kOptimistic) continue;
           if (SortedMatchPaths(r->matches) != oracle[i])
             mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -155,6 +165,18 @@ TEST(ConcurrencyStressTest, ManyClientThreadsOverSharedStores) {
         << "scheme " << static_cast<int>(deploy.scheme);
     EXPECT_EQ(mismatches.load(), 0)
         << "scheme " << static_cast<int>(deploy.scheme);
+    for (size_t s = 0; s < col->num_servers(); ++s) {
+      // Shamir asks its first `threshold` servers; nothing fails over.
+      const bool asked = deploy.scheme != ShareScheme::kShamir ||
+                         s < static_cast<size_t>(deploy.threshold);
+      const FpStoreRegistry::Stats after = col->registry(s)->stats();
+      EXPECT_EQ(after.eval_requests - before[s].eval_requests,
+                asked ? rounds.load() : 0u)
+          << "scheme " << static_cast<int>(deploy.scheme) << " server " << s;
+      EXPECT_EQ(after.fetch_requests - before[s].fetch_requests,
+                asked ? fetch_rounds.load() : 0u)
+          << "scheme " << static_cast<int>(deploy.scheme) << " server " << s;
+    }
   }
 }
 

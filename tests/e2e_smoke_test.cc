@@ -1,7 +1,8 @@
 // End-to-end smoke test over the full outsource -> query -> verify loop:
 // a small document is outsourced in both rings, every //tag and a
 // descendant query //a/b//c run through a serialized-wire QuerySession
-// against the ServerStore, and every answer must equal the plaintext_search baseline.
+// against a one-document server, and every answer must equal the
+// plaintext_search baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +51,7 @@ template <typename Deployment>
 void ExpectAllQueriesMatchBaseline(const XmlNode& doc, Deployment& dep,
                                    const char* ring_name) {
   using Ring = std::remove_reference_t<decltype(dep.ring)>;
-  TestSession<Ring> session(&dep.client, &dep.server);
+  TestSession<Ring> session(&dep.client, dep.server.get());
 
   // Element lookup //tag for every distinct tag, in every verify mode.
   for (const std::string& tag : doc.DistinctTags()) {
@@ -116,7 +117,7 @@ template <typename Deployment>
 void ExpectFastPathAnswersBitForBit(const XmlNode& doc, Deployment& dep,
                                     const char* ring_name) {
   using Ring = std::remove_reference_t<decltype(dep.ring)>;
-  TestSession<Ring> session(&dep.client, &dep.server);
+  TestSession<Ring> session(&dep.client, dep.server.get());
 
   // One element lookup: //c has matches in two subtrees plus a decoy.
   BaselineResult lookup_oracle = PlaintextLookup(doc, "c");
@@ -168,7 +169,7 @@ TEST(E2ESmokeTest, QueryCostsAreAccounted) {
   DeterministicPrf seed = DeterministicPrf::FromString("e2e-smoke-stats");
   auto dep = MakeFpDeployment(doc, seed);
   ASSERT_TRUE(dep.ok()) << dep.status().ToString();
-  TestSession<FpCyclotomicRing> session(&dep->client, &dep->server);
+  TestSession<FpCyclotomicRing> session(&dep->client, dep->server.get());
   auto r = session.Lookup("c", VerifyMode::kVerified).value();
   EXPECT_FALSE(r.matches.empty());
   EXPECT_GT(r.stats.nodes_visited, 0u);

@@ -38,10 +38,10 @@ FetchRequest RootFetch() {
 
 TEST(EndpointTest, LoopbackAnswersLikeDirectHandlerCalls) {
   FpDeployment dep = MakeDeployment("ep-ident");
-  LoopbackEndpoint wire(&dep.server);
+  LoopbackEndpoint wire(dep.server.get());
 
   EvalRequest req = RootEval(1);
-  EvalResponse a = dep.server.HandleEval(req).value();
+  EvalResponse a = dep.server->HandleEval(req).value();
   EvalResponse b = wire.Eval(req).value();
   ASSERT_EQ(a.entries.size(), 1u);
   ASSERT_EQ(b.entries.size(), 1u);
@@ -50,7 +50,7 @@ TEST(EndpointTest, LoopbackAnswersLikeDirectHandlerCalls) {
   EXPECT_EQ(a.entries[0].children, b.entries[0].children);
   EXPECT_EQ(a.entries[0].subtree_size, b.entries[0].subtree_size);
 
-  FetchResponse fa = dep.server.HandleFetch(RootFetch()).value();
+  FetchResponse fa = dep.server->HandleFetch(RootFetch()).value();
   FetchResponse fb = wire.Fetch(RootFetch()).value();
   ASSERT_EQ(fa.entries.size(), 1u);
   ASSERT_EQ(fb.entries.size(), 1u);
@@ -59,7 +59,7 @@ TEST(EndpointTest, LoopbackAnswersLikeDirectHandlerCalls) {
 
 TEST(EndpointTest, LoopbackCountsRealBytesAndMessages) {
   FpDeployment dep = MakeDeployment("ep-count");
-  LoopbackEndpoint wire(&dep.server);
+  LoopbackEndpoint wire(dep.server.get());
 
   // Each exchange counts one message per direction, sized as its encoding.
   EvalResponse eval = wire.Eval(RootEval(1)).value();
@@ -87,15 +87,15 @@ TEST(EndpointTest, LoopbackCountsRealBytesAndMessages) {
 TEST(EndpointTest, DispatchSerializedRejectsGarbageCleanly) {
   FpDeployment dep = MakeDeployment("ep-garbage");
   const std::vector<uint8_t> garbage = {0xFF, 0xFF, 0xFF, 0xFF, 0x01};
-  auto r = DispatchSerialized(&dep.server, MessageKind::kEval, garbage);
+  auto r = DispatchSerialized(dep.server.get(), MessageKind::kEval, garbage);
   EXPECT_FALSE(r.ok());
-  auto f = DispatchSerialized(&dep.server, MessageKind::kFetch, garbage);
+  auto f = DispatchSerialized(dep.server.get(), MessageKind::kFetch, garbage);
   EXPECT_FALSE(f.ok());
 }
 
 TEST(EndpointTest, FaultInjectionFailAfterCalls) {
   FpDeployment dep = MakeDeployment("ep-fail");
-  LoopbackEndpoint wire(&dep.server);
+  LoopbackEndpoint wire(dep.server.get());
   FaultConfig config;
   config.fail_after_calls = 2;
   FaultInjectingEndpoint flaky(&wire, config);
@@ -112,7 +112,7 @@ TEST(EndpointTest, FaultInjectionFailAfterCalls) {
 
 TEST(EndpointTest, FaultInjectionTamperAndCorruption) {
   FpDeployment dep = MakeDeployment("ep-tamper");
-  LoopbackEndpoint wire(&dep.server);
+  LoopbackEndpoint wire(dep.server.get());
 
   FaultConfig tamper;
   tamper.tamper_eval = [](EvalResponse& resp) {
@@ -141,7 +141,8 @@ TEST(EndpointTest, FaultInjectionTamperAndCorruption) {
 
 TEST(EndpointTest, GroupValidation) {
   FpDeployment dep = MakeDeployment("ep-group");
-  LoopbackEndpoint a(&dep.server), b(&dep.server), c(&dep.server);
+  LoopbackEndpoint a(dep.server.get()), b(dep.server.get()),
+      c(dep.server.get());
 
   EXPECT_TRUE(EndpointGroup::TwoParty(&a).Validate().ok());
   EXPECT_TRUE(EndpointGroup::Additive({&a, &b, &c}).Validate().ok());
@@ -171,8 +172,8 @@ TEST(EndpointTest, SessionOverExplicitEndpointMatchesCompatPath) {
   FpDeployment dep1 = MakeFpDeployment(doc, prf).value();
   FpDeployment dep2 = MakeFpDeployment(doc, prf).value();
 
-  TestSession<FpCyclotomicRing> compat(&dep1.client, &dep1.server);
-  LoopbackEndpoint wire(&dep2.server);
+  TestSession<FpCyclotomicRing> compat(&dep1.client, dep1.server.get());
+  LoopbackEndpoint wire(dep2.server.get());
   QuerySession<FpCyclotomicRing> explicit_session(
       &dep2.client, EndpointGroup::TwoParty(&wire));
 

@@ -71,7 +71,7 @@ TEST(ZOutsourceTest, HigherDegreeModulusEndToEnd) {
   opt.r = ZPoly({1, 1, 1, 1, 1});
   ZDeployment dep = MakeZDeployment(doc, seed, opt).value();
   EXPECT_EQ(dep.ring.degree(), 4);
-  TestSession<ZQuotientRing> session(&dep.client, &dep.server);
+  TestSession<ZQuotientRing> session(&dep.client, dep.server.get());
   for (const char* tag : {"patient", "drug", "lab"}) {
     auto r = session.Lookup(tag, VerifyMode::kVerified);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -94,7 +94,7 @@ TEST(PipelineTest, RawXmlStringToQueryResults) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   DeterministicPrf seed = DeterministicPrf::FromString("pipeline");
   FpDeployment dep = MakeFpDeployment(*doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   auto items = session.Lookup("item", VerifyMode::kVerified).value();
   EXPECT_EQ(items.matches.size(), 3u);
@@ -114,7 +114,7 @@ TEST(PipelineTest, TagsWithNamespacePunctuation) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   DeterministicPrf seed = DeterministicPrf::FromString("ns");
   FpDeployment dep = MakeFpDeployment(*doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   EXPECT_EQ(session.Lookup("ns:a-b", VerifyMode::kVerified)->matches.size(),
             2u);
   EXPECT_EQ(session.Lookup("c.d_e", VerifyMode::kVerified)->matches.size(),
@@ -136,7 +136,7 @@ TEST(PipelineTest, LargeAlphabetSmallDocument) {
   DeterministicPrf seed = DeterministicPrf::FromString("wide");
   FpDeployment dep = MakeFpDeployment(root, seed).value();
   EXPECT_GE(dep.ring.p(), 62u);
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   for (int i : {0, 17, 42, 59}) {
     std::string tag = "t";
     tag += std::to_string(i);
@@ -161,7 +161,7 @@ TEST(PipelineTest, DistinctSeedsIsolateDeployments) {
   // may differ; use A's).
   auto client_a = ClientContext<FpCyclotomicRing>::SeedOnly(
       dep_a.ring, dep_a.client.tag_map(), DeterministicPrf::FromString("seed-A"));
-  TestSession<FpCyclotomicRing> cross(&client_a, &dep_b.server);
+  TestSession<FpCyclotomicRing> cross(&client_a, dep_b.server.get());
   auto r = cross.Lookup("client", VerifyMode::kVerified);
   if (r.ok()) {
     // Shares don't align: combined polynomials are random, so either no

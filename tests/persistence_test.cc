@@ -20,6 +20,7 @@ using testing::ZDeployment;
 using testing::MakeFpDeployment;
 using testing::MakeZDeployment;
 using testing::OneDocFpCollection;
+using testing::OneDocRegistry;
 using testing::TestSession;
 
 TEST(PersistenceTest, FpStoreRoundTrip) {
@@ -28,19 +29,19 @@ TEST(PersistenceTest, FpStoreRoundTrip) {
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
 
   ByteWriter w;
-  SaveServerStore(dep.server, &w);
+  SaveServerStore(dep.store(), &w);
   EXPECT_EQ(PeekStoredRingKind(w.span()).value(),
             StoredRingKind::kFpCyclotomic);
 
   ByteReader r(w.span());
-  auto loaded = LoadFpServerStore(&r);
+  auto loaded = LoadServerStore<FpCyclotomicRing>(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(loaded->size(), dep.server.size());
+  ASSERT_EQ(loaded->size(), dep.store().size());
   EXPECT_EQ(loaded->ring().p(), dep.ring.p());
   for (size_t i = 0; i < loaded->size(); ++i) {
     const auto& a = loaded->tree().nodes[i];
-    const auto& b = dep.server.tree().nodes[i];
+    const auto& b = dep.store().tree().nodes[i];
     EXPECT_TRUE(dep.ring.Equal(a.poly, b.poly)) << i;
     EXPECT_EQ(a.parent, b.parent) << i;
     EXPECT_EQ(a.children, b.children) << i;
@@ -55,15 +56,15 @@ TEST(PersistenceTest, ZStoreRoundTrip) {
   ZDeployment dep = MakeZDeployment(doc, seed).value();
 
   ByteWriter w;
-  SaveServerStore(dep.server, &w);
+  SaveServerStore(dep.store(), &w);
   EXPECT_EQ(PeekStoredRingKind(w.span()).value(), StoredRingKind::kZQuotient);
   ByteReader r(w.span());
-  auto loaded = LoadZServerStore(&r);
+  auto loaded = LoadServerStore<ZQuotientRing>(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->ring().modulus(), dep.ring.modulus());
   for (size_t i = 0; i < loaded->size(); ++i) {
     EXPECT_TRUE(dep.ring.Equal(loaded->tree().nodes[i].poly,
-                               dep.server.tree().nodes[i].poly));
+                               dep.store().tree().nodes[i].poly));
   }
 }
 
@@ -73,13 +74,15 @@ TEST(PersistenceTest, QueriesWorkAgainstReloadedStore) {
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
 
   ByteWriter w;
-  SaveServerStore(dep.server, &w);
+  SaveServerStore(dep.store(), &w);
   ByteReader r(w.span());
-  ServerStore<FpCyclotomicRing> reloaded = LoadFpServerStore(&r).value();
+  ServerStore<FpCyclotomicRing> reloaded =
+      LoadServerStore<FpCyclotomicRing>(&r).value();
+  auto server = OneDocRegistry(reloaded.ring(), reloaded.tree());
 
   auto client = ClientContext<FpCyclotomicRing>::SeedOnly(
       reloaded.ring(), dep.client.tag_map(), seed);
-  TestSession<FpCyclotomicRing> session(&client, &reloaded);
+  TestSession<FpCyclotomicRing> session(&client, server.get());
   auto result = session.Lookup("patient", VerifyMode::kVerified).value();
   EXPECT_EQ(result.matches.size(), 8u);
 }
@@ -89,9 +92,9 @@ TEST(PersistenceTest, WrongLoaderRejected) {
   DeterministicPrf seed = DeterministicPrf::FromString("wrong");
   FpDeployment fp = MakeFpDeployment(doc, seed).value();
   ByteWriter w;
-  SaveServerStore(fp.server, &w);
+  SaveServerStore(fp.store(), &w);
   ByteReader r(w.span());
-  EXPECT_FALSE(LoadZServerStore(&r).ok());
+  EXPECT_FALSE(LoadServerStore<ZQuotientRing>(&r).ok());
 }
 
 TEST(PersistenceTest, HeaderValidation) {
@@ -110,7 +113,7 @@ TEST(PersistenceTest, RandomCorruptionNeverCrashes) {
   DeterministicPrf seed = DeterministicPrf::FromString("fuzz");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
   ByteWriter w;
-  SaveServerStore(dep.server, &w);
+  SaveServerStore(dep.store(), &w);
   std::vector<uint8_t> bytes = w.Take();
 
   std::mt19937_64 rng(404);
@@ -123,7 +126,8 @@ TEST(PersistenceTest, RandomCorruptionNeverCrashes) {
     }
     if (rng() % 3 == 0) corrupt.resize(rng() % corrupt.size());
     ByteReader r(corrupt);
-    auto loaded = LoadFpServerStore(&r);  // must return, never crash
+    // Must return, never crash.
+    auto loaded = LoadServerStore<FpCyclotomicRing>(&r);
     if (loaded.ok()) {
       // A surviving load must at least be structurally sane.
       EXPECT_GE(loaded->size(), 1u);

@@ -126,7 +126,7 @@ class AdminStubHandler : public ServerHandler {
 template <typename Ring, typename Deployment>
 void ExpectTagRoundTripParity(const XmlNode& doc, Deployment& dep,
                               Deployment& oracle_dep) {
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   auto piped = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
@@ -142,7 +142,7 @@ void ExpectTagRoundTripParity(const XmlNode& doc, Deployment& dep,
                                    EndpointGroup::TwoParty(piped->get()));
   QuerySession<Ring> planned_session(&dep.client,
                                      EndpointGroup::TwoParty(&planned));
-  TestSession<Ring> oracle(&oracle_dep.client, &oracle_dep.server);
+  TestSession<Ring> oracle(&oracle_dep.client, oracle_dep.server.get());
 
   std::vector<std::string> tags = doc.DistinctTags();
   for (VerifyMode mode : {VerifyMode::kOptimistic, VerifyMode::kVerified,
@@ -358,9 +358,11 @@ TEST(PipelinedSocketTest, DeadServerIsOneFailoverOnBothFetchSchedules) {
   // settling any) and over the same sockets behind no-fault decorators
   // that hide pipelining (the planned schedule). Under Shamir 2-of-3 the
   // dead server is one failover however many rounds asked it, and a round
-  // started again with a replacement counts once, so fetch_rounds is the
-  // schedule's count without the fault. An additive group needs every
-  // server and refuses with the fault's own code.
+  // finished by a replacement counts once, so fetch_rounds is the
+  // schedule's count without the fault. A failed-over round keeps its good
+  // answer and re-asks only the replacement: one message up more per fetch
+  // round. An additive group needs every server and refuses with the
+  // fault's own code.
   XmlNode doc = MakeDoc(403);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-failover");
   const std::vector<std::string> tags = doc.DistinctTags();
@@ -432,6 +434,9 @@ TEST(PipelinedSocketTest, DeadServerIsOneFailoverOnBothFetchSchedules) {
               << "//" << tags[i];
         EXPECT_EQ(got->stats.server_failovers, 1u);
         EXPECT_EQ(got->stats.fetch_rounds, base->stats.fetch_rounds);
+        EXPECT_EQ(got->stats.transport.messages_up,
+                  base->stats.transport.messages_up +
+                      base->stats.fetch_rounds);
       }
     }
   }
@@ -441,7 +446,7 @@ TEST(PipelinedSocketTest, OutOfOrderCompletionSlowFrameFirstFinishesLast) {
   XmlNode doc = MakeDoc(402, 30);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-ooo");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  SlowEvalHandler slow(&dep.server, /*eval_delay_ms=*/300);
+  SlowEvalHandler slow(dep.server.get(), /*eval_delay_ms=*/300);
   auto server = SocketServer::Listen(&slow, 0);
   ASSERT_TRUE(server.ok());
   auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
@@ -481,7 +486,7 @@ TEST(PipelinedSocketTest, InterleavedKindsOnOneConnection) {
   XmlNode doc = MakeDoc(403, 30);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-interleave");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  AdminStubHandler handler(&dep.server);
+  AdminStubHandler handler(dep.server.get());
   auto server = SocketServer::Listen(&handler, 0);
   ASSERT_TRUE(server.ok());
   auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
@@ -527,7 +532,7 @@ TEST(PipelinedSocketTest, ConnectionWithoutHelloIsClosed) {
   XmlNode doc = MakeDoc(404, 40);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-nohello");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok());
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -556,7 +561,8 @@ TEST(PipelinedSocketTest, ConnectionWithoutHelloIsClosed) {
   QuerySession<FpCyclotomicRing> session(&dep.client,
                                          EndpointGroup::TwoParty(ep->get()));
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
+  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client,
+                                       oracle_dep.server.get());
   for (const std::string& tag : doc.DistinctTags()) {
     auto got = session.Lookup(tag, VerifyMode::kVerified);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -575,7 +581,7 @@ TEST(PipelinedSocketTest, ServerInflightCapClosesFloodingConnection) {
   XmlNode doc = MakeDoc(405, 20);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-flood");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  SlowEvalHandler slow(&dep.server, /*eval_delay_ms=*/50);
+  SlowEvalHandler slow(dep.server.get(), /*eval_delay_ms=*/50);
   SocketServer::Options opts;
   opts.worker_threads = 2;
   opts.max_inflight_per_connection = 8;
@@ -632,7 +638,7 @@ TEST(PipelinedSocketTest, ClientPendingCapRefusesAllocBomb) {
   XmlNode doc = MakeDoc(406, 20);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-cap");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  SlowEvalHandler slow(&dep.server, /*eval_delay_ms=*/200);
+  SlowEvalHandler slow(dep.server.get(), /*eval_delay_ms=*/200);
   SocketServer::Options sopts;
   sopts.worker_threads = 4;
   auto server = SocketServer::Listen(&slow, 0, sopts);
@@ -671,7 +677,7 @@ TEST(PipelinedSocketTest, StopDuringInflightPipelinedWritesDrainsCleanly) {
   XmlNode doc = MakeDoc(407, 30);
   DeterministicPrf seed = DeterministicPrf::FromString("pipe-stoprace");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok());
   auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(ep.ok());
@@ -679,7 +685,7 @@ TEST(PipelinedSocketTest, StopDuringInflightPipelinedWritesDrainsCleanly) {
   EvalRequest req;
   req.points = {1};
   req.node_ids = {0};
-  const EvalResponse reference = dep.server.HandleEval(req).value();
+  const EvalResponse reference = dep.server->HandleEval(req).value();
 
   std::atomic<bool> stop_issued{false};
   std::atomic<size_t> ok_count{0}, unavailable_count{0};

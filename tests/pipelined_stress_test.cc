@@ -39,12 +39,13 @@ TEST(PipelinedStressTest, ManyClientsManyPipelinedQueries) {
   constexpr int kQueriesPerClient = 24;
   SocketServer::Options sopts;
   sopts.worker_threads = 4;
-  auto server = SocketServer::Listen(&dep.server, 0, sopts);
+  auto server = SocketServer::Listen(dep.server.get(), 0, sopts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   // Oracle answers, computed once, single-threaded.
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
+  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client,
+                                       oracle_dep.server.get());
   const std::vector<std::string> tags = doc.DistinctTags();
   const std::vector<VerifyMode> modes = {VerifyMode::kOptimistic,
                                          VerifyMode::kVerified,

@@ -152,14 +152,14 @@ TEST(StorageModelTest, MeasuredReportsAreConsistent) {
   DeterministicPrf seed = DeterministicPrf::FromString("sm");
 
   FpDeployment fp = MakeFpDeployment(doc, seed).value();
-  StorageReport r = MeasureStorage(fp.ring, doc, fp.server);
+  StorageReport r = MeasureStorage(fp.ring, doc, fp.store());
   EXPECT_EQ(r.n_nodes, 60u);
   EXPECT_GT(r.plaintext_xml_bytes, 0u);
   EXPECT_GT(r.server_measured_bytes, r.plaintext_model_bytes);
   EXPECT_GT(r.blowup_measured, 0.0);
 
   ZDeployment z = MakeZDeployment(doc, seed).value();
-  StorageReport zr = MeasureStorage(z.ring, doc, z.server, fp.ring.p());
+  StorageReport zr = MeasureStorage(z.ring, doc, z.store(), fp.ring.p());
   EXPECT_EQ(zr.ring_degree, 2u);
   EXPECT_GT(zr.max_coeff_bits, 0u);
   // Encrypted always bigger than the plaintext document.

@@ -18,6 +18,7 @@ namespace {
 
 using testing::FpDeployment;
 using testing::MakeFpDeployment;
+using testing::OneDocRegistry;
 using testing::TestSession;
 
 std::vector<std::string> MatchPaths(const LookupResult& r) {
@@ -51,9 +52,9 @@ TEST(QueryFpTest, Fig5ClientLookup) {
   PolyTree<FpCyclotomicRing> data =
       BuildPolyTree(ring, map, MakeFig1Document()).value();
   SharedTrees<FpCyclotomicRing> shares = SplitShares(ring, data, prf);
-  ServerStore<FpCyclotomicRing> server(ring, std::move(shares.server));
+  auto server = OneDocRegistry(ring, std::move(shares.server));
   auto client = ClientContext<FpCyclotomicRing>::SeedOnly(ring, map, prf);
-  TestSession<FpCyclotomicRing> session(&client, &server);
+  TestSession<FpCyclotomicRing> session(&client, server.get());
 
   auto result = session.Lookup("client", VerifyMode::kOptimistic).value();
   EXPECT_EQ(MatchPaths(result), (std::vector<std::string>{"0", "1"}));
@@ -78,9 +79,9 @@ TEST(QueryFpTest, Fig5NameLookupFindsLeaves) {
   PolyTree<FpCyclotomicRing> data =
       BuildPolyTree(ring, map, MakeFig1Document()).value();
   SharedTrees<FpCyclotomicRing> shares = SplitShares(ring, data, prf);
-  ServerStore<FpCyclotomicRing> server(ring, std::move(shares.server));
+  auto server = OneDocRegistry(ring, std::move(shares.server));
   auto client = ClientContext<FpCyclotomicRing>::SeedOnly(ring, map, prf);
-  TestSession<FpCyclotomicRing> session(&client, &server);
+  TestSession<FpCyclotomicRing> session(&client, server.get());
 
   // NOTE: name maps to 4 = p-1 in the paper's own figure; the query still
   // works because evaluation at 4 is well defined.
@@ -92,7 +93,7 @@ TEST(QueryFpTest, UnmappedTagShortCircuits) {
   XmlNode doc = MakeFig1Document();
   DeterministicPrf prf = DeterministicPrf::FromString("um");
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   auto result = session.Lookup("nonexistent", VerifyMode::kVerified).value();
   EXPECT_TRUE(result.matches.empty());
   EXPECT_EQ(result.stats.transport.messages_up, 0u);  // never contacted server
@@ -120,7 +121,7 @@ TEST_P(FpOracleSweep, LookupMatchesPlaintextOracle) {
   DeterministicPrf prf =
       DeterministicPrf::FromString("sweep" + std::to_string(c.seed));
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   for (const std::string& tag : doc.DistinctTags()) {
     auto oracle = OraclePaths(doc, "//" + tag);
@@ -157,7 +158,7 @@ TEST_P(FpOracleSweep, XPathBothStrategiesMatchOracle) {
   DeterministicPrf prf =
       DeterministicPrf::FromString("xp" + std::to_string(c.seed));
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   std::vector<std::string> tags = doc.DistinctTags();
   auto tag = [&](size_t i) { return tags[i % tags.size()]; };
@@ -209,7 +210,7 @@ TEST(QueryFpTest, DeadBranchesAreNeverVisited) {
   }
   DeterministicPrf prf = DeterministicPrf::FromString("prune");
   FpDeployment dep = MakeFpDeployment(root, prf).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   auto result = session.Lookup("needle", VerifyMode::kOptimistic).value();
   ASSERT_EQ(result.matches.size(), 1u);
@@ -235,7 +236,7 @@ TEST(QueryFpTest, TrustedConstOnlySavesBandwidth) {
   FpOutsourceOptions opt;
   opt.p = 101;  // wrap-free for the whole document (n = 60 < 99)
   FpDeployment dep = MakeFpDeployment(doc, prf, opt).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   const std::string tag = doc.DistinctTags()[1];
   auto verified = session.Lookup(tag, VerifyMode::kVerified).value();
@@ -259,7 +260,7 @@ TEST(QueryFpTest, VerifiedModeDetectsTamperedPolynomial) {
   // A cheating server rewrites fetched shares in flight: node 1 (a matching
   // client node) gains c*(x - e), so every evaluation the pruning saw stays
   // consistent but the reconstructed polynomial is wrong.
-  LoopbackEndpoint honest(&dep.server);
+  LoopbackEndpoint honest(dep.server.get());
   FaultConfig faults;
   const FpCyclotomicRing ring = dep.ring;
   faults.tamper_fetch = [&ring, e](FetchResponse& resp) {
@@ -295,7 +296,7 @@ TEST(QueryFpTest, VerifiedModeDetectsTamperedEvaluation) {
   DeterministicPrf prf = DeterministicPrf::FromString("cheat2");
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
 
-  LoopbackEndpoint honest(&dep.server);
+  LoopbackEndpoint honest(dep.server.get());
   FaultConfig faults;
   const uint64_t p = dep.ring.p();
   faults.tamper_eval = [p](EvalResponse& resp) {
@@ -335,8 +336,8 @@ TEST(QueryFpTest, SeedOnlyAndMaterializedClientsAgree) {
   PolyTree<FpCyclotomicRing> data = BuildPolyTree(ring, map, doc).value();
   SharedTrees<FpCyclotomicRing> shares = SplitShares(ring, data, prf);
 
-  ServerStore<FpCyclotomicRing> server1(ring, shares.server);
-  ServerStore<FpCyclotomicRing> server2(ring, shares.server);
+  auto server1 = OneDocRegistry(ring, shares.server);
+  auto server2 = OneDocRegistry(ring, shares.server);
   auto thin = ClientContext<FpCyclotomicRing>::SeedOnly(ring, map, prf);
   auto fat = ClientContext<FpCyclotomicRing>::Materialized(
       ring, map, prf, std::move(shares.client));
@@ -346,8 +347,8 @@ TEST(QueryFpTest, SeedOnlyAndMaterializedClientsAgree) {
   EXPECT_LT(thin.PersistedBytes(), 1000u);
   EXPECT_GT(fat.PersistedBytes(), thin.PersistedBytes() * 5);
 
-  TestSession<FpCyclotomicRing> s1(&thin, &server1);
-  TestSession<FpCyclotomicRing> s2(&fat, &server2);
+  TestSession<FpCyclotomicRing> s1(&thin, server1.get());
+  TestSession<FpCyclotomicRing> s2(&fat, server2.get());
   for (const std::string& tag : doc.DistinctTags()) {
     auto r1 = s1.Lookup(tag, VerifyMode::kVerified).value();
     auto r2 = s2.Lookup(tag, VerifyMode::kVerified).value();
@@ -367,7 +368,7 @@ TEST(QueryFpTest, MediumDocumentEndToEnd) {
   XmlNode doc = GenerateXmlTree(gen);
   DeterministicPrf prf = DeterministicPrf::FromString("med");
   FpDeployment dep = MakeFpDeployment(doc, prf).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   for (const std::string& tag :
        {doc.DistinctTags()[0], doc.DistinctTags()[15]}) {
     auto result = session.Lookup(tag, VerifyMode::kVerified).value();

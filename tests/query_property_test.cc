@@ -56,7 +56,7 @@ TEST_P(DegenerateShapes, AllTagsAllModesMatchOracle) {
   XmlNode doc = GetParam().make();
   DeterministicPrf seed = DeterministicPrf::FromString(GetParam().name);
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   for (const std::string& tag : doc.DistinctTags()) {
     auto oracle = OraclePaths(doc, "//" + tag);
     for (VerifyMode mode :
@@ -137,7 +137,7 @@ TEST(QuerySessionPropertyTest, RepeatedQueriesAreDeterministic) {
   XmlNode doc = MakeMedicalRecordsDocument(12, 101);
   DeterministicPrf seed = DeterministicPrf::FromString("repeat");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   auto first = session.Lookup("record", VerifyMode::kVerified).value();
   for (int i = 0; i < 5; ++i) {
     auto again = session.Lookup("record", VerifyMode::kVerified).value();
@@ -159,7 +159,7 @@ TEST_P(MultiLookupSweep, AgreesWithSingleLookupsAndCostsLess) {
   DeterministicPrf seed =
       DeterministicPrf::FromString("multi" + std::to_string(GetParam()));
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
 
   std::vector<std::string> tags = doc.DistinctTags();
   tags.push_back("unmapped-tag");  // must yield an empty entry, not an error
@@ -187,7 +187,7 @@ TEST(MultiLookupTest, DuplicateTagsShareWork) {
   XmlNode doc = MakeFig1Document();
   DeterministicPrf seed = DeterministicPrf::FromString("dup");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   auto multi = session
                    .LookupMany({"client", "client", "name"},
                                VerifyMode::kVerified)
@@ -201,7 +201,7 @@ TEST(MultiLookupTest, OptimisticModePartitionsCandidates) {
   XmlNode doc = MakeFig1Document();
   DeterministicPrf seed = DeterministicPrf::FromString("opt");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&dep.client, &dep.server);
+  TestSession<FpCyclotomicRing> session(&dep.client, dep.server.get());
   auto multi =
       session.LookupMany({"customers", "client"}, VerifyMode::kOptimistic)
           .value();
@@ -293,8 +293,8 @@ TEST_P(CrossRingSweep, BothRingsAnswerIdentically) {
       DeterministicPrf::FromString("xr" + std::to_string(GetParam()));
   FpDeployment fp = MakeFpDeployment(doc, seed).value();
   ZDeployment z = MakeZDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> fs(&fp.client, &fp.server);
-  TestSession<ZQuotientRing> zs(&z.client, &z.server);
+  TestSession<FpCyclotomicRing> fs(&fp.client, fp.server.get());
+  TestSession<ZQuotientRing> zs(&z.client, z.server.get());
   for (const std::string& tag : doc.DistinctTags()) {
     auto fr = fs.Lookup(tag, VerifyMode::kVerified).value();
     auto zr = zs.Lookup(tag, VerifyMode::kVerified).value();

@@ -17,6 +17,7 @@ namespace {
 
 using testing::ZDeployment;
 using testing::MakeZDeployment;
+using testing::OneDocRegistry;
 using testing::TestSession;
 
 std::vector<std::string> MatchPaths(const LookupResult& r) {
@@ -43,9 +44,9 @@ TEST(QueryZTest, Fig6ClientLookup) {
   PolyTree<ZQuotientRing> data =
       BuildPolyTree(ring, map, MakeFig1Document()).value();
   SharedTrees<ZQuotientRing> shares = SplitShares(ring, data, prf);
-  ServerStore<ZQuotientRing> server(ring, std::move(shares.server));
+  auto server = OneDocRegistry(ring, std::move(shares.server));
   auto client = ClientContext<ZQuotientRing>::SeedOnly(ring, map, prf);
-  TestSession<ZQuotientRing> session(&client, &server);
+  TestSession<ZQuotientRing> session(&client, server.get());
 
   auto result = session.Lookup("client", VerifyMode::kVerified).value();
   EXPECT_EQ(MatchPaths(result), (std::vector<std::string>{"0", "1"}));
@@ -62,7 +63,7 @@ TEST(QueryZTest, SafeMappingOracleEquivalence) {
     DeterministicPrf prf =
         DeterministicPrf::FromString("zsweep" + std::to_string(seed));
     ZDeployment dep = MakeZDeployment(doc, prf).value();
-    TestSession<ZQuotientRing> session(&dep.client, &dep.server);
+    TestSession<ZQuotientRing> session(&dep.client, dep.server.get());
     for (const std::string& tag : doc.DistinctTags()) {
       auto verified = session.Lookup(tag, VerifyMode::kVerified).value();
       EXPECT_EQ(MatchPaths(verified), OraclePaths(doc, "//" + tag)) << tag;
@@ -79,7 +80,7 @@ TEST(QueryZTest, XPathStrategiesMatchOracle) {
   XmlNode doc = MakeMedicalRecordsDocument(8, 41);
   DeterministicPrf prf = DeterministicPrf::FromString("zxpath");
   ZDeployment dep = MakeZDeployment(doc, prf).value();
-  TestSession<ZQuotientRing> session(&dep.client, &dep.server);
+  TestSession<ZQuotientRing> session(&dep.client, dep.server.get());
   for (const std::string& q :
        {std::string("//prescription"), std::string("//patient/record"),
         std::string("//record//drug"),
@@ -108,9 +109,9 @@ TEST(QueryZTest, UnsafeMappingCreatesFilterFalsePositives) {
   DeterministicPrf prf = DeterministicPrf::FromString("unsafe");
   PolyTree<ZQuotientRing> data = BuildPolyTree(ring, map, doc).value();
   SharedTrees<ZQuotientRing> shares = SplitShares(ring, data, prf);
-  ServerStore<ZQuotientRing> server(ring, std::move(shares.server));
+  auto server = OneDocRegistry(ring, std::move(shares.server));
   auto client = ClientContext<ZQuotientRing>::SeedOnly(ring, map, prf);
-  TestSession<ZQuotientRing> session(&client, &server);
+  TestSession<ZQuotientRing> session(&client, server.get());
 
   // Optimistic mode reports the b-leaves as (false) matches.
   auto optimistic = session.Lookup("a", VerifyMode::kOptimistic).value();
@@ -126,13 +127,13 @@ TEST(QueryZTest, VerifiedModeDetectsTampering) {
   XmlNode doc = MakeFig1Document();
   DeterministicPrf prf = DeterministicPrf::FromString("zcheat");
   ZDeployment dep = MakeZDeployment(doc, prf).value();
-  TestSession<ZQuotientRing> session(&dep.client, &dep.server);
+  TestSession<ZQuotientRing> session(&dep.client, dep.server.get());
   const uint64_t e = dep.client.tag_map().Value("client").value();
 
   // Find the server node for path "0" (first client element). Stored-state
   // corruption (vs in-flight tampering, which FaultInjectingEndpoint
   // covers) needs the test-only backdoor.
-  auto& tree = ServerStoreTestAccess::MutableTree(dep.server);
+  auto& tree = ServerStoreTestAccess::MutableTree(dep.store());
   for (auto& node : tree.nodes) {
     if (node.path == "0") {
       node.poly = dep.ring.Add(
@@ -160,7 +161,7 @@ TEST(QueryZTest, CoefficientGrowthVisibleInBandwidth) {
     XmlNode doc = GenerateXmlTree(gen);
     ZDeployment dep = MakeZDeployment(doc, prf).value();
     size_t max_bytes = 0;
-    for (const auto& node : dep.server.tree().nodes) {
+    for (const auto& node : dep.store().tree().nodes) {
       max_bytes = std::max(max_bytes, dep.ring.SerializedSize(node.poly));
     }
     return max_bytes;
@@ -180,13 +181,13 @@ TEST(QueryZTest, SeedOnlyClientAgreesWithMaterialized) {
   PolyTree<ZQuotientRing> data = BuildPolyTree(ring, map, doc).value();
   SharedTrees<ZQuotientRing> shares = SplitShares(ring, data, prf);
 
-  ServerStore<ZQuotientRing> server1(ring, shares.server);
-  ServerStore<ZQuotientRing> server2(ring, shares.server);
+  auto server1 = OneDocRegistry(ring, shares.server);
+  auto server2 = OneDocRegistry(ring, shares.server);
   auto thin = ClientContext<ZQuotientRing>::SeedOnly(ring, map, prf);
   auto fat = ClientContext<ZQuotientRing>::Materialized(
       ring, map, prf, std::move(shares.client));
-  TestSession<ZQuotientRing> s1(&thin, &server1);
-  TestSession<ZQuotientRing> s2(&fat, &server2);
+  TestSession<ZQuotientRing> s1(&thin, server1.get());
+  TestSession<ZQuotientRing> s2(&fat, server2.get());
   for (const char* tag : {"patient", "drug", "insurance"}) {
     auto r1 = s1.Lookup(tag, VerifyMode::kVerified).value();
     auto r2 = s2.Lookup(tag, VerifyMode::kVerified).value();

@@ -54,13 +54,13 @@ constexpr VerifyMode kAllModes[] = {VerifyMode::kOptimistic,
                                     VerifyMode::kTrustedConstOnly};
 
 /// Pre-redesign oracle: a 2-party QuerySession wired straight over a
-/// ServerStore through one loopback endpoint (the historical
+/// one-document server through one loopback endpoint (the historical
 /// serialize-every-message behavior, bit for bit).
 template <typename Ring, typename Deployment>
 std::vector<LookupResult> LegacyAnswers(Deployment& dep,
                                         const std::vector<std::string>& tags,
                                         VerifyMode mode) {
-  TestSession<Ring> session(&dep.client, &dep.server);
+  TestSession<Ring> session(&dep.client, dep.server.get());
   std::vector<LookupResult> out;
   for (const std::string& tag : tags)
     out.push_back(session.Lookup(tag, mode).value());
@@ -155,7 +155,7 @@ TEST(SchemeTest, TwoPartyLoopbackPreservesWireCosts) {
   XmlNode doc = MakeDoc(74);
   DeterministicPrf seed = DeterministicPrf::FromString("engine-bytes");
   FpDeployment legacy = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&legacy.client, &legacy.server);
+  TestSession<FpCyclotomicRing> session(&legacy.client, legacy.server.get());
   auto col = OneDocFpCollection(doc, seed).value();
 
   for (const std::string& tag : doc.DistinctTags()) {
@@ -173,7 +173,7 @@ TEST(SchemeTest, BatchedSearchManyIssuesFewerEvalRequests) {
   XmlNode doc = MakeDoc(75, 300, 20);
   DeterministicPrf seed = DeterministicPrf::FromString("engine-batch");
   auto col = OneDocFpCollection(doc, seed).value();
-  const ServerStore<FpCyclotomicRing>& store = *col->doc_store(0, 0).value();
+  const FpStoreRegistry& server = *col->registry(0);
 
   std::vector<std::string> tags = doc.DistinctTags();
   ASSERT_GE(tags.size(), 8u);
@@ -182,18 +182,18 @@ TEST(SchemeTest, BatchedSearchManyIssuesFewerEvalRequests) {
     queries.push_back({tags[i % tags.size()], VerifyMode::kVerified});
 
   // Sequential: 16 independent pruned walks.
-  const auto before_seq = store.stats();
+  const auto before_seq = server.stats();
   std::vector<LookupResult> sequential;
   for (const Query& q : queries)
     sequential.push_back(col->SearchDoc(0, q.tag, q.mode).value());
   const size_t seq_requests =
-      store.stats().eval_requests - before_seq.eval_requests;
+      server.stats().eval_requests - before_seq.eval_requests;
 
   // Batched: one shared walk answering all 16 at once.
-  const auto before_batch = store.stats();
+  const auto before_batch = server.stats();
   auto batched = col->SearchMany(queries).value();
   const size_t batch_requests =
-      store.stats().eval_requests - before_batch.eval_requests;
+      server.stats().eval_requests - before_batch.eval_requests;
 
   EXPECT_LT(batch_requests, seq_requests)
       << "batching must coalesce BFS rounds into shared EvalRequests";
@@ -330,7 +330,7 @@ TEST(SchemeTest, ShamirTrustedConstOnlyAndXPathWork) {
   deploy.threshold = 2;
   auto col = OneDocFpCollection(doc, seed, deploy).value();
   auto legacy = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> session(&legacy.client, &legacy.server);
+  TestSession<FpCyclotomicRing> session(&legacy.client, legacy.server.get());
 
   std::vector<std::string> tags = doc.DistinctTags();
   const std::string xpath = "//" + tags[0] + "//" + tags[1 % tags.size()];

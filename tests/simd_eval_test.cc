@@ -149,10 +149,10 @@ TEST_F(SimdEvalTest, RingEvaluatorsMatchEvalAt) {
 }
 
 TEST_F(SimdEvalTest, ServerEvaluatesEveryPointBlock) {
-  // HandleEval tables a bounded block of points at a time, and a registry
-  // builds each block once for all of its documents' stores; a request
-  // spanning several blocks must answer every point as EvalAt would, from
-  // a lone store and from a registry of two.
+  // HandleEval tables a bounded block of points at a time, once for all of
+  // a registry's documents; a request spanning several blocks must answer
+  // every point as EvalAt would, from a lone store (a one-document
+  // registry) and from a registry of two.
   const FpCyclotomicRing ring = FpCyclotomicRing::Create(67).value();
   auto make_store = [&] {
     PolyTree<FpCyclotomicRing> tree;
@@ -164,24 +164,25 @@ TEST_F(SimdEvalTest, ServerEvaluatesEveryPointBlock) {
     }
     return ServerStore<FpCyclotomicRing>(ring, std::move(tree));
   };
-  ServerStore<FpCyclotomicRing> store = make_store();
+  ServerStoreRegistry<FpCyclotomicRing> lone(ring);
+  ASSERT_TRUE(lone.AddDoc(0, 0, make_store()).ok());
   ServerStoreRegistry<FpCyclotomicRing> registry(ring);
   ASSERT_TRUE(registry.AddDoc(1, 0, make_store()).ok());
   ASSERT_TRUE(registry.AddDoc(2, 100, make_store()).ok());
   auto poly_of = [&](ServerHandler* handler, int32_t id) -> const FpPoly& {
-    if (handler == &store) return store.tree().nodes[id].poly;
+    if (handler == &lone) return lone.store(0).value()->tree().nodes[id].poly;
     return id < 100 ? registry.store(1).value()->tree().nodes[id].poly
                     : registry.store(2).value()->tree().nodes[id - 100].poly;
   };
 
-  const size_t block = ServerStore<FpCyclotomicRing>::kEvalBlockPoints;
+  const size_t block = ServerStoreRegistry<FpCyclotomicRing>::kEvalBlockPoints;
   for (ServerHandler* handler :
-       {static_cast<ServerHandler*>(&store),
+       {static_cast<ServerHandler*>(&lone),
         static_cast<ServerHandler*>(&registry)}) {
     for (size_t npts : {block - 1, block, block + 1, 3 * block + 5}) {
       EvalRequest req;
-      req.node_ids = handler == &store ? std::vector<int32_t>{2, 0, 1}
-                                       : std::vector<int32_t>{102, 0, 1, 100};
+      req.node_ids = handler == &lone ? std::vector<int32_t>{2, 0, 1}
+                                      : std::vector<int32_t>{102, 0, 1, 100};
       for (size_t k = 0; k < npts; ++k)
         req.points.push_back(1 + (7 * k) % 66);
       auto resp = handler->HandleEval(req);

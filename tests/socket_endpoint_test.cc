@@ -44,7 +44,7 @@ TEST(SocketEndpointTest, TwoPartyLookupOverRealTcp) {
   DeterministicPrf seed = DeterministicPrf::FromString("socket-2p");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
 
-  auto server = SocketServer::Listen(&dep.server, /*port=*/0);
+  auto server = SocketServer::Listen(dep.server.get(), /*port=*/0);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_GT((*server)->port(), 0);
 
@@ -55,7 +55,8 @@ TEST(SocketEndpointTest, TwoPartyLookupOverRealTcp) {
 
   // Oracle: the same store through an in-process loopback session.
   FpDeployment oracle_dep = MakeFpDeployment(doc, seed).value();
-  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client, &oracle_dep.server);
+  TestSession<FpCyclotomicRing> oracle(&oracle_dep.client,
+                                       oracle_dep.server.get());
 
   for (const std::string& tag : doc.DistinctTags()) {
     for (VerifyMode mode : {VerifyMode::kOptimistic, VerifyMode::kVerified,
@@ -134,7 +135,7 @@ TEST(SocketEndpointTest, ServerSurvivesGarbageAndReportsWireErrors) {
   XmlNode doc = MakeDoc(303, 20);
   DeterministicPrf seed = DeterministicPrf::FromString("socket-garbage");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok());
 
   // Raw socket: the hello, then one hand-written tagged frame. Returns the
@@ -199,7 +200,7 @@ TEST(SocketEndpointTest, StoppedServerYieldsUnavailable) {
   XmlNode doc = MakeDoc(304, 20);
   DeterministicPrf seed = DeterministicPrf::FromString("socket-stop");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok());
   auto ep = SocketEndpoint::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(ep.ok());
@@ -223,7 +224,7 @@ TEST(SocketEndpointTest, ReconnectsAfterServerRestart) {
   DeterministicPrf seed = DeterministicPrf::FromString("socket-restart");
   FpDeployment dep = MakeFpDeployment(doc, seed).value();
 
-  auto server = SocketServer::Listen(&dep.server, 0);
+  auto server = SocketServer::Listen(dep.server.get(), 0);
   ASSERT_TRUE(server.ok());
   const uint16_t port = (*server)->port();
   auto ep = SocketEndpoint::Connect("127.0.0.1", port);
@@ -239,7 +240,7 @@ TEST(SocketEndpointTest, ReconnectsAfterServerRestart) {
   // Restart: the old connection is dead, the port is live again.
   (*server)->Stop();
   server->reset();
-  auto restarted = SocketServer::Listen(&dep.server, port);
+  auto restarted = SocketServer::Listen(dep.server.get(), port);
   ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
 
   auto after = session.Lookup(tag, VerifyMode::kVerified);

@@ -1,11 +1,12 @@
 // White-box deployment builders for tests and benches. The product API is
 // polysse::Collection (core/collection.h); suites that assert on the
-// individual pieces — the ring, the thin client, a raw ServerStore, an
-// explicitly wired endpoint — build them here from the public primitives
-// PrepareOutsource + SplitShares, with none of the collection's ownership
-// wrapping in the way. Built independently of the collection, they double
-// as its answer oracle. OneDocFpCollection/OneDocZCollection build the
-// product side of the same comparison: a one-document collection.
+// individual pieces — the ring, the thin client, a server's registry and
+// its share tree, an explicitly wired endpoint — build them here from the
+// public primitives PrepareOutsource + SplitShares, with none of the
+// collection's ownership wrapping in the way. Built independently of the
+// collection, they double as its answer oracle.
+// OneDocFpCollection/OneDocZCollection build the product side of the same
+// comparison: a one-document collection.
 #ifndef POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 #define POLYSSE_TESTS_TESTING_DEPLOY_HELPERS_H_
 
@@ -19,22 +20,40 @@
 #include "core/query_session.h"
 #include "core/server_store.h"
 #include "core/sharing.h"
+#include "core/store_registry.h"
+#include "util/check.h"
 
 namespace polysse {
 namespace testing {
+
+/// A server holding `share_tree` as its one document (id 0, base 0): how
+/// every one-document deployment serves.
+template <typename Ring>
+std::unique_ptr<ServerStoreRegistry<Ring>> OneDocRegistry(
+    const Ring& ring, PolyTree<Ring> share_tree) {
+  auto registry = std::make_unique<ServerStoreRegistry<Ring>>(ring);
+  POLYSSE_CHECK(
+      registry->AddDoc(0, 0, ServerStore<Ring>(ring, std::move(share_tree)))
+          .ok());
+  return registry;
+}
 
 /// The pieces of one two-party deployment, exposed individually.
 template <typename Ring>
 struct TwoPartyDeployment {
   Ring ring;
   ClientContext<Ring> client;
-  ServerStore<Ring> server;
+  /// The server: a one-document registry (OneDocRegistry).
+  std::unique_ptr<ServerStoreRegistry<Ring>> server;
+
+  /// The server's share tree.
+  const ServerStore<Ring>& store() const { return *server->store(0).value(); }
 };
 
 using FpDeployment = TwoPartyDeployment<FpCyclotomicRing>;
 using ZDeployment = TwoPartyDeployment<ZQuotientRing>;
 
-/// Document -> {ring, thin client, server store} over F_p, split exactly
+/// Document -> {ring, thin client, server} over F_p, split exactly
 /// like the first document of a two-party collection.
 inline Result<FpDeployment> MakeFpDeployment(
     const XmlNode& document, const DeterministicPrf& seed,
@@ -47,10 +66,10 @@ inline Result<FpDeployment> MakeFpDeployment(
       prep.ring,
       ClientContext<FpCyclotomicRing>::SeedOnly(prep.ring,
                                                 std::move(prep.tag_map), seed),
-      ServerStore<FpCyclotomicRing>(prep.ring, std::move(shares.server))};
+      OneDocRegistry(prep.ring, std::move(shares.server))};
 }
 
-/// Document -> {ring, thin client, server store} over Z[x]/(r).
+/// Document -> {ring, thin client, server} over Z[x]/(r).
 inline Result<ZDeployment> MakeZDeployment(const XmlNode& document,
                                            const DeterministicPrf& seed,
                                            const ZOutsourceOptions& options = {}) {
@@ -63,7 +82,7 @@ inline Result<ZDeployment> MakeZDeployment(const XmlNode& document,
       ClientContext<ZQuotientRing>::SeedOnly(prep.ring,
                                              std::move(prep.tag_map), seed,
                                              prep.split_options),
-      ServerStore<ZQuotientRing>(prep.ring, std::move(shares.server))};
+      OneDocRegistry(prep.ring, std::move(shares.server))};
 }
 
 /// The one-document collection the scheme, persistence and transport
@@ -103,15 +122,15 @@ struct OwnedLoopback {
 };
 }  // namespace internal
 
-/// A QuerySession over one in-process store with every message serialized
-/// both ways — the session shape most suites drive. Owns its loopback
-/// endpoint; use it exactly like the QuerySession it is.
+/// A two-party QuerySession over one in-process server with every message
+/// serialized both ways — the session shape most suites drive. Owns its
+/// loopback endpoint; use it exactly like the QuerySession it is.
 template <typename Ring>
 class TestSession : private internal::OwnedLoopback,
                     public QuerySession<Ring> {
  public:
-  TestSession(ClientContext<Ring>* client, ServerStore<Ring>* store)
-      : internal::OwnedLoopback(store),
+  TestSession(ClientContext<Ring>* client, ServerHandler* server)
+      : internal::OwnedLoopback(server),
         QuerySession<Ring>(client, EndpointGroup::TwoParty(&endpoint)) {}
 };
 

@@ -11,9 +11,11 @@
 namespace polysse {
 
 struct ServerStoreTestAccess {
+  /// A registry hands out const views of the stores it owns as mutable
+  /// objects, so the cast reaches the registered tree itself.
   template <typename Ring>
-  static PolyTree<Ring>& MutableTree(ServerStore<Ring>& store) {
-    return store.tree_;
+  static PolyTree<Ring>& MutableTree(const ServerStore<Ring>& store) {
+    return const_cast<ServerStore<Ring>&>(store).tree_;
   }
 };
 

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/collection.h"
-#include "core/server_store.h"
+#include "core/store_registry.h"
 #include "xml/xml_generator.h"
 
 namespace {
@@ -216,7 +216,8 @@ TEST(WalkMemoryTest, HostilePointCountStaysBounded) {
   PolyTree<FpCyclotomicRing> tree;
   tree.nodes.push_back(PolyTree<FpCyclotomicRing>::Node{
       ring.Random([&] { return rng.NextU64(); }), 0, -1, {}, "", 1});
-  ServerStore<FpCyclotomicRing> store(ring, std::move(tree));
+  FpStoreRegistry store(ring);
+  ASSERT_TRUE(store.AddDoc(0, 0, ServerStore(ring, std::move(tree))).ok());
   EvalRequest req;
   req.node_ids = {0};
   for (uint64_t x = 1; req.points.size() < 65536; ++x)
@@ -235,7 +236,7 @@ TEST(WalkMemoryTest, HostilePointCountStaysBounded) {
 
   ASSERT_EQ(resp->entries.size(), 1u);
   ASSERT_EQ(resp->entries[0].values.size(), req.points.size());
-  const FpPoly& poly = store.tree().nodes[0].poly;
+  const FpPoly& poly = store.store(0).value()->tree().nodes[0].poly;
   for (size_t k = 0; k < req.points.size(); ++k)
     ASSERT_EQ(resp->entries[0].values[k],
               ring.EvalAt(poly, req.points[k]).value())

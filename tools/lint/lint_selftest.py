@@ -85,14 +85,28 @@ class BadTreeTest(unittest.TestCase):
         self.assertIn("compound assignment", messages)
 
     def test_ring_fork_catches_unmarked_forks(self):
-        found = self.by_check("ring-fork")
+        rel = os.path.join("src", "core", "query_session.h")
+        found = [f for f in self.by_check("ring-fork") if f.path == rel]
         # The `if constexpr` line and the line naming the ring; the ring
         # named in a comment and in a string literal is not a fork.
-        self.assertEqual([(f.path, f.line) for f in found],
-                         [(os.path.join("src", "core", "query_session.h"), 15),
-                          (os.path.join("src", "core", "query_session.h"), 16)])
+        self.assertEqual([f.line for f in found], [15, 16])
         self.assertIn("if constexpr", found[0].message)
         self.assertIn("FpCyclotomicRing", found[1].message)
+        self.assertIn("the walk", found[0].message)
+
+    def test_ring_fork_covers_the_server(self):
+        # The registry is held to the same rule: its ring branch and its
+        # unmarked alias are findings, the ring in its comment is not.
+        rel = os.path.join("src", "core", "store_registry.h")
+        found = [f for f in self.by_check("ring-fork") if f.path == rel]
+        self.assertEqual([f.line for f in found], [15, 20])
+        self.assertIn("if constexpr", found[0].message)
+        self.assertIn("ZQuotientRing", found[1].message)
+        self.assertTrue(all("the server" in f.message for f in found))
+        # Only the two files written once over their ring are checked.
+        self.assertEqual(
+            sorted({f.path for f in self.by_check("ring-fork")}),
+            [os.path.join("src", "core", "query_session.h"), rel])
 
     def test_findings_have_positive_line_numbers(self):
         self.assertTrue(all(f.line >= 1 for f in self.findings))
@@ -123,14 +137,18 @@ class CleanTreeTest(unittest.TestCase):
 
 
     def test_ring_fork_markers_are_load_bearing(self):
-        # Both forks of the clean walk are marked; without the markers the
-        # check would report exactly those two lines.
-        rel = os.path.join("src", "core", "query_session.h")
-        sf = polysse_lint.SourceFile(CLEAN_TREE, rel)
-        forks = [i for i, line in sf.code_lines()
-                 if polysse_lint.RING_FORK_RE.search(line)]
-        self.assertEqual(len(forks), 2)
-        self.assertTrue(all(sf.suppressed(i, "ring-fork") for i in forks))
+        # Both forks of the clean walk and both aliases of the clean
+        # registry are marked; without the markers the check would report
+        # exactly those lines.
+        for name in ("query_session.h", "store_registry.h"):
+            with self.subTest(file=name):
+                rel = os.path.join("src", "core", name)
+                sf = polysse_lint.SourceFile(CLEAN_TREE, rel)
+                forks = [i for i, line in sf.code_lines()
+                         if polysse_lint.RING_FORK_RE.search(line)]
+                self.assertEqual(len(forks), 2)
+                self.assertTrue(
+                    all(sf.suppressed(i, "ring-fork") for i in forks))
 
 
 class CycleTreeTest(unittest.TestCase):

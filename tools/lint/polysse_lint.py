@@ -24,11 +24,13 @@ PR history and that nothing in the compiler enforces:
                          std::atomic, and every ++/--/op= on one, must spell
                          out its std::memory_order (all knobs are relaxed by
                          decision, not by accident).
-  ring-fork              in src/core/query_session.h, a code line that names
+  ring-fork              in src/core/query_session.h and
+                         src/core/store_registry.h, a code line that names
                          FpCyclotomicRing or ZQuotientRing, or holds
-                         `if constexpr`: the walk is one body over the
-                         ring's row interface, and each real difference
-                         between the rings is marked where it forks.
+                         `if constexpr`: the walk and the server are each
+                         one body over the ring's interface, and each real
+                         difference between the rings is marked where it
+                         forks.
 
 Findings print as `path:line: [check] message` and exit status 1. A finding
 is suppressed by putting `// polysse-lint: allow(<check>)` on the offending
@@ -495,23 +497,28 @@ def check_atomic_ordering(root: str):
 
 # -------------------------------------------------------------- ring-fork --
 
-RING_FORK_FILE = "src/core/query_session.h"
+# Each file written once over its ring, and what it is.
+RING_FORK_FILES = {
+    "src/core/query_session.h": "the walk",
+    "src/core/store_registry.h": "the server",
+}
 RING_FORK_RE = re.compile(
     r"\b(FpCyclotomicRing|ZQuotientRing)\b|\bif\s+constexpr\b")
 
 
 def check_ring_fork(root: str):
     findings = []
-    if not os.path.exists(os.path.join(root, RING_FORK_FILE)):
-        return findings
-    sf = SourceFile(root, RING_FORK_FILE)
-    for lineno, line in sf.code_lines():
-        m = RING_FORK_RE.search(line)
-        if m:
-            emit(findings, sf, lineno, "ring-fork",
-                 f"`{m.group(0)}` forks the walk on its ring — write the "
-                 f"step once over the ring's row interface, or mark a real "
-                 f"difference with its reason")
+    for rel, body in RING_FORK_FILES.items():
+        if not os.path.exists(os.path.join(root, rel)):
+            continue
+        sf = SourceFile(root, rel)
+        for lineno, line in sf.code_lines():
+            m = RING_FORK_RE.search(line)
+            if m:
+                emit(findings, sf, lineno, "ring-fork",
+                     f"`{m.group(0)}` forks {body} on its ring — write the "
+                     f"step once over the ring's interface, or mark a real "
+                     f"difference with its reason")
     return findings
 
 
